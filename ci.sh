@@ -56,17 +56,32 @@ assert all(a <= b for a, b in zip(ts, ts[1:])), "timestamps must be non-decreasi
 print(f"   {len(evs)} events, categories {sorted(cats)}: OK")
 PY
 
-echo "== diff smoke: same-seed scale-1 sweep pair must diff to zero"
+echo "== diff smoke: same-seed scale-1 sweep pair must be identical"
 ./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
     --json "$tmp/d1.json" fig02 >/dev/null
 ./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
     --json "$tmp/d2.json" fig02 >/dev/null
+# The canonical form of a sweep report (`--merge`) holds every simulated
+# value of every cell and no host field, so two runs that computed the same
+# results canonicalize to identical bytes. Each identity gate below is a
+# `cmp` of canonical forms; the prodigy-diff calls beside them are for the
+# log (they name the metric that moved when a gate fails).
+canon() { ./target/release/prodigy-eval --merge "$1" --out "$2"; }
+canon "$tmp/d1.json" "$tmp/d1c.json"
+canon "$tmp/d2.json" "$tmp/d2c.json"
 ./target/release/prodigy-diff "$tmp/d1.json" "$tmp/d2.json"
-if ! ./target/release/prodigy-diff BENCH_pr8_scale1.json "$tmp/d1.json" >/dev/null; then
-    echo "   note: results drifted from the checked-in BENCH_pr8_scale1.json"
-    echo "   baseline. If the change is intentional, regenerate it with:"
-    echo "   ./target/release/prodigy-eval --scale 1 --threads 2 --host-profile --json BENCH_pr8_scale1.json fig02"
+cmp "$tmp/d1c.json" "$tmp/d2c.json"
+echo "   same-seed canonical forms byte-identical: OK"
+# Gated: the live run reproduces the checked-in baseline exactly.
+if ! cmp BENCH_pr8_scale1.json "$tmp/d1c.json"; then
+    ./target/release/prodigy-diff BENCH_pr8_scale1.json "$tmp/d1.json" || true
+    echo "   results drifted from the checked-in BENCH_pr8_scale1.json baseline."
+    echo "   If the change is intentional, regenerate it with:"
+    echo "   ./target/release/prodigy-eval --scale 1 --threads 2 --json fig02.json fig02"
+    echo "   ./target/release/prodigy-eval --merge fig02.json --out BENCH_pr8_scale1.json"
+    exit 1
 fi
+echo "   canonical run byte-identical to BENCH_pr8_scale1.json: OK"
 # Non-gating host-throughput summary (varies run to run; for the log only).
 python3 - "$tmp/d1.json" <<'PY'
 import json, sys
@@ -81,9 +96,11 @@ PY
 echo "== host-profile smoke: profiled run identical to unprofiled same-seed run"
 ./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
     --host-profile --json "$tmp/hp.json" fig02 >/dev/null
-# Gated: profiling observes host time only — zero changed simulated
-# metrics against the unprofiled run above.
+# Gated: profiling observes host time only — the canonical form is
+# byte-identical to the unprofiled run above.
 ./target/release/prodigy-diff "$tmp/d1.json" "$tmp/hp.json"
+canon "$tmp/hp.json" "$tmp/hpc.json"
+cmp "$tmp/d1c.json" "$tmp/hpc.json"
 # Gated: the per-component breakdown accounts for >= 90% of each profiled
 # cell's host time (the residual is reported as `other`, never dropped).
 # The per-component self-times themselves vary run to run: non-gating log.
@@ -154,16 +171,15 @@ cold_ns=$(date +%s%N)
 ./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
     --cell-cache "$cache" --shard 2/2 --json "$tmp/s2.json" fig02 >/dev/null
 cold_ns=$(( $(date +%s%N) - cold_ns ))
-# Merging the two shard reports must be byte-identical to merging the
-# unsharded same-seed run's report (the canonical form).
+# Gated: merging the two shard reports is byte-identical to the
+# canonicalized unsharded same-seed run and to the checked-in baseline
+# (shards + merge must not perturb any simulated counter).
 ./target/release/prodigy-eval --merge "$tmp/s1.json" "$tmp/s2.json" --out "$tmp/merged.json"
-./target/release/prodigy-eval --merge "$tmp/d1.json" --out "$tmp/full-canon.json"
-cmp "$tmp/merged.json" "$tmp/full-canon.json"
-echo "   merged shards byte-identical to the canonicalized unsharded run: OK"
-# Gated: 0 changed metrics vs the live unsharded run and vs the checked-in
-# baseline (shards + merge must not perturb any simulated counter).
 ./target/release/prodigy-diff "$tmp/d1.json" "$tmp/merged.json"
+cmp "$tmp/merged.json" "$tmp/d1c.json"
 ./target/release/prodigy-diff BENCH_pr8_scale1.json "$tmp/merged.json"
+cmp BENCH_pr8_scale1.json "$tmp/merged.json"
+echo "   merged shards byte-identical to the canonicalized unsharded run: OK"
 # Warm-cache pass: every fig02 cell loads from the shards' shared disk
 # cache — zero cells simulated, and much faster than the cold shards.
 warm_ns=$(date +%s%N)
@@ -171,6 +187,8 @@ warm_ns=$(date +%s%N)
     --cell-cache "$cache" --json "$tmp/warm.json" fig02 >/dev/null
 warm_ns=$(( $(date +%s%N) - warm_ns ))
 ./target/release/prodigy-diff "$tmp/d1.json" "$tmp/warm.json"
+canon "$tmp/warm.json" "$tmp/warmc.json"
+cmp "$tmp/d1c.json" "$tmp/warmc.json"
 python3 - "$tmp/warm.json" "$cold_ns" "$warm_ns" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))

@@ -13,12 +13,14 @@
 //! - exit 0 — no regression (deltas, if any, are within budget)
 //! - exit 1 — regression: a cell's cycle count grew (or a metrics run's
 //!   mean IPC fell) beyond `--threshold` (default 0.02 = 2%), the two
-//!   runs' result checksums disagree, or a `--slo` assertion is violated
+//!   runs' result checksums disagree, a cell is present in only one
+//!   report, or a `--slo` assertion is violated
 //! - exit 2 — usage, I/O, parse, or malformed-SLO error
 //!
-//! Host timing (wall/host nanos, worker utilization, `host_profile`) is
-//! excluded from the comparison: a same-seed pair must diff to zero
-//! changes.
+//! Sweep cells are compared in their canonical form: every field except
+//! the host fields (`timing`, `worker`, `disk_hit`, `host_profile`), so a
+//! same-seed pair diffs to zero changes. For a byte-level identity gate,
+//! `cmp` the `prodigy-eval --merge` canonical forms of the two reports.
 //!
 //! ## Latency SLOs
 //!
@@ -43,7 +45,8 @@
 //! a cell whose prefetcher issued nothing) is n/a and does not violate,
 //! matching the quantile convention.
 
-use prodigy_bench::compare::{diff_reports, parse_json, Json};
+use prodigy_bench::compare::diff_reports;
+use prodigy_sim::json::{parse_json, Json};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: prodigy-diff OLD.json NEW.json [--threshold FRAC] [--slo SPEC]...
@@ -67,7 +70,8 @@ const USAGE: &str = "usage: prodigy-diff OLD.json NEW.json [--threshold FRAC] [-
                         must hold on every cell that reports the value
                         (null/absent counts as n/a, not a violation).
 
-exit status: 0 ok, 1 regression/checksum mismatch/SLO violation, 2 bad input";
+exit status: 0 ok, 1 regression/checksum mismatch/unaligned cell/SLO
+violation, 2 bad input";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("prodigy-diff: {msg}");
@@ -165,15 +169,6 @@ fn parse_slo(spec: &str) -> Result<Slo, String> {
     })
 }
 
-/// Exact u64 from a number's raw source text (the interval bounds include
-/// `u64::MAX`, which `f64` cannot represent exactly).
-fn raw_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::Num(_, raw) => raw.parse::<u64>().ok(),
-        _ => None,
-    }
-}
-
 /// Evaluates every SLO against every cell of a sweep report. Returns the
 /// rendered verdict text and whether any assertion was violated; `Err` when
 /// the report is not a sweep report.
@@ -204,7 +199,7 @@ fn check_slos(report: &Json, slos: &[Slo]) -> Result<(String, bool), String> {
                         .and_then(|h| h.get(quantile))
                         .and_then(Json::as_arr)
                         .filter(|a| a.len() == 2)
-                        .and_then(|a| raw_u64(&a[1]));
+                        .and_then(|a| a[1].as_u64());
                     let Some(hi) = q else {
                         na += 1;
                         continue;
@@ -346,5 +341,34 @@ fn main() -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_slo;
+
+    #[test]
+    fn slo_specs_parse_or_fail_cleanly() {
+        for (spec, ok) in [
+            ("", false),
+            ("<=", false),
+            ("pollution_rate<=NaN", false),
+            ("pollution_rate<=inf", false),
+            ("pollution_rate<=-0.5", false),
+            ("load_to_use_p99<=-1", false),
+            ("load_to_use_p99<=1.5", false),
+            ("load_to_use_p99<=18446744073709551616", false),
+            ("load_to_use<=5", false),
+            ("load_to_use_p42<=5", false),
+            ("bogus<=5", false),
+            ("load_to_use_p99>=5", false),
+            ("load_to_use_p99<=4096", true),
+            ("far_load_to_use_max<=18446744073709551615", true),
+            (" pollution_rate <= 0.05 ", true),
+            ("l3_top_source_occupancy<=1", true),
+        ] {
+            assert_eq!(parse_slo(spec).is_ok(), ok, "{spec:?}");
+        }
     }
 }

@@ -49,10 +49,11 @@
 
 use prodigy::throttle::ThrottleSpec;
 use prodigy::ProdigyConfig;
-use prodigy_bench::compare::{merge_reports, parse_json};
+use prodigy_bench::compare::merge_reports;
 use prodigy_bench::experiments::{run_all, shard_cells, Ctx, ShardSpec, EXPERIMENT_NAMES};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::{all_29, WorkloadSpec};
+use prodigy_sim::json::{parse_json, Json, ToJson};
 use prodigy_sim::telemetry::parse_category_filter;
 use prodigy_sim::{chrome_trace_json, HistQuantiles, Log2Hist, MetricsConfig, TraceCategory};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig};
@@ -213,7 +214,9 @@ fn main() {
                 parse_json(&text).unwrap_or_else(|e| fail(&format!("cannot parse {p}: {e}"))),
             );
         }
-        let merged = merge_reports(&parsed).unwrap_or_else(|e| fail(&e));
+        let merged = merge_reports(&parsed)
+            .unwrap_or_else(|e| fail(&e))
+            .to_string();
         match &out {
             Some(path) => {
                 std::fs::write(path, &merged)
@@ -317,7 +320,7 @@ fn main() {
         println!("report written to {path}");
     }
     if let Some(path) = json {
-        std::fs::write(&path, sweep_report.to_json()).unwrap_or_else(|e| {
+        std::fs::write(&path, sweep_report.to_json().to_string()).unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         });
@@ -378,26 +381,27 @@ fn run_single(
     }
     if let Some(path) = metrics_path {
         let reg = outcome.metrics.as_ref().expect("metrics were installed");
-        let mj = reg.to_json();
-        // Splice run identity, the attribution table, and the simulated
-        // latency quantiles into the registry's own JSON object
-        // (hand-rolled like every serializer in this repo).
-        let quant = |h: &Log2Hist| {
-            HistQuantiles::from_hist(h)
-                .map(|q| q.to_json())
-                .unwrap_or_else(|| "null".to_string())
-        };
-        let json = format!(
-            "{{\"workload\":\"{}\",\"seed\":{},{},\"attribution\":{},\
-             \"latency_quantiles\":{{\"load_to_use\":{},\"fill_to_use\":{},\"dram_round_trip\":{}}}}}\n",
-            spec.name,
-            ctx.sweep.base_seed,
-            &mj[1..mj.len() - 1],
-            outcome.telemetry.attribution.to_json(),
-            quant(&outcome.telemetry.load_to_use),
-            quant(&outcome.telemetry.fill_to_use),
-            quant(&outcome.telemetry.dram_round_trip),
-        );
+        // One object: run identity, the registry's series, the attribution
+        // table, and the simulated latency quantiles.
+        let tel = &outcome.telemetry;
+        let quantiles = |h: &Log2Hist| HistQuantiles::from_hist(h).to_json();
+        let mut dump = vec![
+            ("workload".to_string(), spec.name.to_json()),
+            ("seed".to_string(), ctx.sweep.base_seed.to_json()),
+        ];
+        if let Json::Obj(series) = reg.to_json() {
+            dump.extend(series);
+        }
+        dump.push(("attribution".to_string(), tel.attribution.to_json()));
+        dump.push((
+            "latency_quantiles".to_string(),
+            Json::obj([
+                ("load_to_use", quantiles(&tel.load_to_use)),
+                ("fill_to_use", quantiles(&tel.fill_to_use)),
+                ("dram_round_trip", quantiles(&tel.dram_round_trip)),
+            ]),
+        ));
+        let json = format!("{}\n", Json::Obj(dump));
         std::fs::write(path, &json).unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);

@@ -22,28 +22,27 @@
 //! (where the budget may be bigger). [`CellCache::store`] therefore only
 //! accepts a finished [`RunOutcome`].
 //!
+//! The stored payload is the simulated [`RunOutcome`] as JSON — exactly the
+//! outcome fields a sweep report cell carries — and loads back through
+//! [`FromJson`]. Host timing is not part of it.
+//!
 //! Integrity: every entry embeds its composite key and an FNV-1a digest of
-//! its payload. [`CellCache::load`] re-serializes the reconstructed outcome
-//! and compares digests, so a truncated, corrupted, hand-edited, or
-//! hash-colliding entry is silently treated as a miss (and re-simulated) —
-//! never a crash, never a wrong number. Writes go through a temp file +
-//! atomic rename so concurrent shard processes sharing one cache directory
-//! can never observe a half-written entry.
+//! its payload. [`CellCache::load`] decodes the payload strictly,
+//! re-encodes the outcome and compares digests, so a truncated, corrupted,
+//! hand-edited, or hash-colliding entry is silently treated as a miss (and
+//! re-simulated) — never a crash, never a wrong number. Writes go through a
+//! temp file + atomic rename so concurrent shard processes sharing one cache
+//! directory can never observe a half-written entry.
 
-use crate::compare::{parse_json, Json};
-use crate::sweep::{json_escape, stable_key_hash};
-use prodigy::ProdigyStats;
-use prodigy_sim::{
-    AttributionTable, CpiStack, EnergyBreakdown, LevelOccupancy, Log2Hist, OccupancySnapshot,
-    PollutionCounts, RunSummary, SourceCounts, Stats, SystemConfig, TelemetrySummary, TierSplit,
-    TierTelemetry, Timeliness,
-};
+use crate::sweep::stable_key_hash;
+use prodigy_sim::json::{parse_json, FromJson, Json, ToJson};
+use prodigy_sim::SystemConfig;
 use prodigy_workloads::RunOutcome;
 use std::path::{Path, PathBuf};
 
 /// On-disk entry format version; bumped on any layout change so old entries
 /// miss instead of misparse.
-const FORMAT_VERSION: u64 = 1;
+const FORMAT_VERSION: u64 = 2;
 
 /// The effective code revision: the compile-time build fingerprint unless
 /// the `PRODIGY_CODE_REV` environment variable overrides it.
@@ -102,21 +101,14 @@ impl CellCache {
     pub fn load(&self, composite: &str) -> Option<RunOutcome> {
         let text = std::fs::read_to_string(self.path_for(composite)).ok()?;
         let v = parse_json(&text).ok()?;
-        if get_u64(&v, "version")? != FORMAT_VERSION {
+        if v.get("version")?.as_u64()? != FORMAT_VERSION || v.get("key")?.as_str()? != composite {
             return None;
         }
-        if v.get("key")?.as_str()? != composite {
-            return None;
-        }
-        let stored_fnv = v.get("payload_fnv")?.as_str()?;
-        let out = outcome_from_json(v.get("payload")?).ok()?;
-        // Deep integrity: the reconstructed outcome must re-serialize to a
-        // payload with the stored digest. This catches both bit corruption
-        // and any parse that silently lost information.
-        if format!("{:016x}", stable_key_hash(&payload_json(&out))) != stored_fnv {
-            return None;
-        }
-        Some(out)
+        let out = RunOutcome::from_json(v.get("payload")?).ok()?;
+        // Deep integrity: the decoded outcome must re-encode to a payload
+        // with the stored digest. This catches bit corruption the strict
+        // decoder cannot see (a digit changed inside a counter).
+        (digest(&out.to_json()) == v.get("payload_fnv")?.as_str()?).then_some(out)
     }
 
     /// Persists a *successful* outcome for `composite`. The write is
@@ -126,19 +118,20 @@ impl CellCache {
     /// # Errors
     /// Returns a message when the entry cannot be written.
     pub fn store(&self, composite: &str, out: &RunOutcome) -> Result<(), String> {
-        let payload = payload_json(out);
-        let entry = format!(
-            "{{\"version\":{FORMAT_VERSION},\"key\":\"{}\",\"payload_fnv\":\"{:016x}\",\"payload\":{payload}}}\n",
-            json_escape(composite),
-            stable_key_hash(&payload),
-        );
+        let payload = out.to_json();
+        let entry = Json::obj([
+            ("version", FORMAT_VERSION.to_json()),
+            ("key", composite.to_json()),
+            ("payload_fnv", digest(&payload).to_json()),
+            ("payload", payload),
+        ]);
         let path = self.path_for(composite);
         let tmp = self.dir.join(format!(
             ".tmp-{:016x}-{}",
             stable_key_hash(composite),
             std::process::id()
         ));
-        std::fs::write(&tmp, entry)
+        std::fs::write(&tmp, format!("{entry}\n"))
             .map_err(|e| format!("cell cache: cannot write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);
@@ -147,444 +140,191 @@ impl CellCache {
     }
 }
 
-// ------------------------------------------------------- serialization
-
-/// Serializes the deterministic subset of a [`RunOutcome`] — everything a
-/// warm figure run and `prodigy-diff` need. Host timing is deliberately
-/// absent (it would differ on every run); `f64`s are stored as IEEE-754 bit
-/// patterns so the round trip is lossless; trace/metrics opt-ins are never
-/// populated for sweep cells and are not stored.
-fn payload_json(out: &RunOutcome) -> String {
-    let s = &out.summary.stats;
-    let cpi = &s.cpi;
-    let e = &out.summary.energy;
-    let level = |l: &prodigy_sim::LevelStats| format!("[{},{},{}]", l.hits, l.misses, l.writebacks);
-    let prodigy = match &out.prodigy {
-        None => "null".to_string(),
-        Some(p) => format!(
-            "[{},{},{},{},{},{},{},{},{}]",
-            p.sequences_initiated,
-            p.sequences_dropped,
-            p.single_prefetches,
-            p.ranged_prefetches,
-            p.trigger_prefetches,
-            p.inline_advances,
-            p.pfhr_drops,
-            p.elements_advanced,
-            p.range_elements_tracked,
-        ),
-    };
-    format!(
-        concat!(
-            "{{\"stats\":{{",
-            "\"instructions\":{},\"loads\":{},\"stores\":{},\"branches\":{},",
-            "\"mispredicts\":{},\"cycles\":{},",
-            "\"l1d\":{},\"l2\":{},\"l3\":{},",
-            "\"dram_reads\":{},\"dram_writes\":{},\"dram_queue_cycles\":{},",
-            "\"tlb_hits\":{},\"tlb_misses\":{},",
-            "\"prefetches_issued\":{},\"prefetches_redundant\":{},\"prefetches_throttled\":{},",
-            "\"prefetch_use\":[{},{},{},{}],",
-            "\"llc_misses_prefetchable\":{},\"llc_misses_other\":{},",
-            "\"cpi_bits\":[{},{},{},{},{},{}]}},",
-            "\"energy_bits\":[{},{},{},{}],",
-            "\"prefetcher\":\"{}\",",
-            "\"checksum\":{},\"storage_bits\":{},\"seed\":{},",
-            "\"prodigy\":{},",
-            "\"telemetry\":{}}}"
-        ),
-        s.instructions,
-        s.loads,
-        s.stores,
-        s.branches,
-        s.mispredicts,
-        s.cycles,
-        level(&s.l1d),
-        level(&s.l2),
-        level(&s.l3),
-        s.dram_reads,
-        s.dram_writes,
-        s.dram_queue_cycles,
-        s.tlb_hits,
-        s.tlb_misses,
-        s.prefetches_issued,
-        s.prefetches_redundant,
-        s.prefetches_throttled,
-        s.prefetch_use.hit_l1,
-        s.prefetch_use.hit_l2,
-        s.prefetch_use.hit_l3,
-        s.prefetch_use.evicted_unused,
-        s.llc_misses_prefetchable,
-        s.llc_misses_other,
-        cpi.no_stall.to_bits(),
-        cpi.dram.to_bits(),
-        cpi.cache.to_bits(),
-        cpi.branch.to_bits(),
-        cpi.dependency.to_bits(),
-        cpi.other.to_bits(),
-        e.core.to_bits(),
-        e.cache.to_bits(),
-        e.dram.to_bits(),
-        e.other.to_bits(),
-        json_escape(&out.summary.prefetcher),
-        out.checksum,
-        out.storage_bits,
-        out.seed,
-        prodigy,
-        out.telemetry.to_json(),
-    )
-}
-
-/// Exact u64 from a parsed number's raw source text (`f64` would round
-/// checksums and bit patterns).
-fn num_u64(v: &Json) -> Result<u64, String> {
-    match v {
-        Json::Num(_, raw) => raw
-            .parse::<u64>()
-            .map_err(|e| format!("bad u64 {raw}: {e}")),
-        other => Err(format!("expected number, got {other:?}")),
-    }
-}
-
-fn get_u64(v: &Json, key: &str) -> Option<u64> {
-    num_u64(v.get(key)?).ok()
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    num_u64(v.get(key).ok_or_else(|| format!("missing field {key}"))?)
-}
-
-/// A fixed-length array of exact u64s.
-fn u64_array(v: &Json, key: &str, n: usize) -> Result<Vec<u64>, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array {key}"))?;
-    if arr.len() != n {
-        return Err(format!("{key}: expected {n} elements, got {}", arr.len()));
-    }
-    arr.iter().map(num_u64).collect()
-}
-
-fn level_stats(v: &Json, key: &str) -> Result<prodigy_sim::LevelStats, String> {
-    let a = u64_array(v, key, 3)?;
-    Ok(prodigy_sim::LevelStats {
-        hits: a[0],
-        misses: a[1],
-        writebacks: a[2],
-    })
-}
-
-fn hist_from_json(v: &Json, key: &str) -> Result<Log2Hist, String> {
-    let h = v.get(key).ok_or_else(|| format!("missing hist {key}"))?;
-    let count = field_u64(h, "count")?;
-    let sum = field_u64(h, "sum")?;
-    let mut sparse = Vec::new();
-    for pair in h
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{key}: missing buckets"))?
-    {
-        let p = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{key}: malformed bucket pair"))?;
-        sparse.push((num_u64(&p[0])? as usize, num_u64(&p[1])?));
-    }
-    Log2Hist::from_parts(count, sum, &sparse)
-}
-
-fn tier_telemetry_from_json(v: &Json) -> Result<TierTelemetry, String> {
-    Ok(TierTelemetry {
-        load_to_use: hist_from_json(v, "load_to_use")?,
-        queue_wait: hist_from_json(v, "queue_wait")?,
-        demand_reads: field_u64(v, "demand_reads")?,
-        prefetch_reads: field_u64(v, "prefetch_reads")?,
-        writebacks: field_u64(v, "writebacks")?,
-    })
-}
-
-fn level_occupancy_from_json(v: &Json) -> Result<LevelOccupancy, String> {
-    let mut occ = LevelOccupancy {
-        demand: field_u64(v, "demand")?,
-        untagged: field_u64(v, "untagged")?,
-        ..LevelOccupancy::default()
-    };
-    // `total` is derived (demand + prefetched) and recomputed on
-    // re-serialization, so it need not be stored back.
-    for entry in v
-        .get("sources")
-        .and_then(Json::as_arr)
-        .ok_or("occupancy: missing sources")?
-    {
-        let tag = field_u64(entry, "tag")?;
-        let tag = u16::try_from(tag).map_err(|_| format!("occupancy tag {tag} out of range"))?;
-        occ.sources.insert(tag, field_u64(entry, "lines")?);
-    }
-    Ok(occ)
-}
-
-fn occupancy_from_json(v: &Json) -> Result<OccupancySnapshot, String> {
-    let levels = [
-        level_occupancy_from_json(v.get("l1").ok_or("occupancy: missing l1")?)?,
-        level_occupancy_from_json(v.get("l2").ok_or("occupancy: missing l2")?)?,
-        level_occupancy_from_json(v.get("l3").ok_or("occupancy: missing l3")?)?,
-    ];
-    // `near`/`far` exist only for two-tier runs; absence round-trips to
-    // `None`, mirroring the `tiers` telemetry section.
-    let tiers = match (v.get("near"), v.get("far")) {
-        (Some(n), Some(f)) => Some([level_occupancy_from_json(n)?, level_occupancy_from_json(f)?]),
-        _ => None,
-    };
-    Ok(OccupancySnapshot { levels, tiers })
-}
-
-fn telemetry_from_json(v: &Json) -> Result<TelemetrySummary, String> {
-    let t = v.get("timeliness").ok_or("missing timeliness")?;
-    // `tiers` exists only for two-tier runs; absence round-trips to `None`
-    // so single-tier entries re-serialize byte-identically (the digest
-    // check depends on this).
-    let tiers = match v.get("tiers") {
-        None => None,
-        Some(ts) => Some(TierSplit {
-            near: tier_telemetry_from_json(ts.get("near").ok_or("tiers: missing near")?)?,
-            far: tier_telemetry_from_json(ts.get("far").ok_or("tiers: missing far")?)?,
-        }),
-    };
-    let mut attribution = AttributionTable::default();
-    for entry in v
-        .get("attribution")
-        .and_then(Json::as_arr)
-        .ok_or("missing attribution")?
-    {
-        let tag = field_u64(entry, "tag")?;
-        let tag = u16::try_from(tag).map_err(|_| format!("attribution tag {tag} out of range"))?;
-        attribution.insert_counts(
-            tag,
-            SourceCounts {
-                issued: field_u64(entry, "issued")?,
-                timely: field_u64(entry, "timely")?,
-                late: field_u64(entry, "late")?,
-                inaccurate: field_u64(entry, "inaccurate")?,
-                dropped: field_u64(entry, "dropped")?,
-                polluting: field_u64(entry, "polluting")?,
-            },
-        );
-    }
-    let pv = v.get("pollution").ok_or("missing pollution")?;
-    Ok(TelemetrySummary {
-        timeliness: Timeliness {
-            timely: field_u64(t, "timely")?,
-            late: field_u64(t, "late")?,
-            inaccurate: field_u64(t, "inaccurate")?,
-            dropped: field_u64(t, "dropped")?,
-        },
-        load_to_use: hist_from_json(v, "load_to_use")?,
-        fill_to_use: hist_from_json(v, "fill_to_use")?,
-        late_wait: hist_from_json(v, "late_wait")?,
-        dram_round_trip: hist_from_json(v, "dram_round_trip")?,
-        dram_queue_wait: hist_from_json(v, "dram_queue_wait")?,
-        throttle_ups: field_u64(v, "throttle_ups")?,
-        throttle_downs: field_u64(v, "throttle_downs")?,
-        dig_transitions: field_u64(v, "dig_transitions")?,
-        pollution: PollutionCounts {
-            l1: field_u64(pv, "l1")?,
-            l2: field_u64(pv, "l2")?,
-            l3: field_u64(pv, "l3")?,
-        },
-        occupancy: match v.get("occupancy") {
-            None => None,
-            Some(o) => Some(occupancy_from_json(o)?),
-        },
-        tiers,
-        attribution,
-    })
-}
-
-/// Reconstructs the deterministic [`RunOutcome`] subset from a parsed
-/// payload. The inverse of [`payload_json`] (host timing comes back zeroed;
-/// trace/metrics come back `None`).
-fn outcome_from_json(p: &Json) -> Result<RunOutcome, String> {
-    let sv = p.get("stats").ok_or("missing stats")?;
-    let cpi_bits = u64_array(sv, "cpi_bits", 6)?;
-    let pf = u64_array(sv, "prefetch_use", 4)?;
-    let stats = Stats {
-        instructions: field_u64(sv, "instructions")?,
-        loads: field_u64(sv, "loads")?,
-        stores: field_u64(sv, "stores")?,
-        branches: field_u64(sv, "branches")?,
-        mispredicts: field_u64(sv, "mispredicts")?,
-        cycles: field_u64(sv, "cycles")?,
-        l1d: level_stats(sv, "l1d")?,
-        l2: level_stats(sv, "l2")?,
-        l3: level_stats(sv, "l3")?,
-        dram_reads: field_u64(sv, "dram_reads")?,
-        dram_writes: field_u64(sv, "dram_writes")?,
-        dram_queue_cycles: field_u64(sv, "dram_queue_cycles")?,
-        tlb_hits: field_u64(sv, "tlb_hits")?,
-        tlb_misses: field_u64(sv, "tlb_misses")?,
-        prefetches_issued: field_u64(sv, "prefetches_issued")?,
-        prefetches_redundant: field_u64(sv, "prefetches_redundant")?,
-        prefetches_throttled: field_u64(sv, "prefetches_throttled")?,
-        prefetch_use: prodigy_sim::PrefetchUse {
-            hit_l1: pf[0],
-            hit_l2: pf[1],
-            hit_l3: pf[2],
-            evicted_unused: pf[3],
-        },
-        llc_misses_prefetchable: field_u64(sv, "llc_misses_prefetchable")?,
-        llc_misses_other: field_u64(sv, "llc_misses_other")?,
-        cpi: CpiStack {
-            no_stall: f64::from_bits(cpi_bits[0]),
-            dram: f64::from_bits(cpi_bits[1]),
-            cache: f64::from_bits(cpi_bits[2]),
-            branch: f64::from_bits(cpi_bits[3]),
-            dependency: f64::from_bits(cpi_bits[4]),
-            other: f64::from_bits(cpi_bits[5]),
-        },
-    };
-    let eb = u64_array(p, "energy_bits", 4)?;
-    let prodigy = match p.get("prodigy").ok_or("missing prodigy")? {
-        Json::Null => None,
-        arr => {
-            let a: Vec<u64> = arr
-                .as_arr()
-                .filter(|a| a.len() == 9)
-                .ok_or("prodigy: expected 9 elements")?
-                .iter()
-                .map(num_u64)
-                .collect::<Result<_, _>>()?;
-            Some(ProdigyStats {
-                sequences_initiated: a[0],
-                sequences_dropped: a[1],
-                single_prefetches: a[2],
-                ranged_prefetches: a[3],
-                trigger_prefetches: a[4],
-                inline_advances: a[5],
-                pfhr_drops: a[6],
-                elements_advanced: a[7],
-                range_elements_tracked: a[8],
-            })
-        }
-    };
-    Ok(RunOutcome {
-        summary: RunSummary {
-            stats,
-            energy: EnergyBreakdown {
-                core: f64::from_bits(eb[0]),
-                cache: f64::from_bits(eb[1]),
-                dram: f64::from_bits(eb[2]),
-                other: f64::from_bits(eb[3]),
-            },
-            prefetcher: p
-                .get("prefetcher")
-                .and_then(Json::as_str)
-                .ok_or("missing prefetcher")?
-                .to_string(),
-        },
-        checksum: field_u64(p, "checksum")?,
-        prodigy,
-        storage_bits: field_u64(p, "storage_bits")?,
-        seed: field_u64(p, "seed")?,
-        timing: prodigy_sim::RunTiming::default(),
-        telemetry: telemetry_from_json(p.get("telemetry").ok_or("missing telemetry")?)?,
-        trace: None,
-        metrics: None,
-        host_profile: None,
-    })
+/// FNV-1a digest of a payload's JSON text, as 16 hex digits.
+fn digest(payload: &Json) -> String {
+    format!("{:016x}", stable_key_hash(&payload.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prodigy::ProdigyStats;
+    use prodigy_sim::{
+        AttributionTable, LevelOccupancy, Log2Hist, OccupancySnapshot, RunSummary, SourceCounts,
+        TelemetrySummary, TierSplit, TierTelemetry,
+    };
+    use proptest::TestRng;
 
-    fn sample_outcome() -> RunOutcome {
-        let mut stats = Stats {
-            instructions: 12_345,
-            loads: 4_000,
-            stores: 1_000,
-            branches: 900,
-            mispredicts: 33,
-            cycles: 98_765,
-            dram_reads: 210,
-            dram_writes: 12,
-            dram_queue_cycles: 4_400,
-            tlb_hits: 3_999,
-            tlb_misses: 1,
-            prefetches_issued: 512,
-            prefetches_redundant: 17,
-            prefetches_throttled: 3,
-            llc_misses_prefetchable: 88,
-            llc_misses_other: 11,
-            ..Stats::default()
+    /// A counter of random magnitude, 0 through `u64::MAX`.
+    fn count(rng: &mut TestRng) -> u64 {
+        rng.next_u64()
+            .checked_shr(rng.index(65) as u32)
+            .unwrap_or(0)
+    }
+
+    /// Any finite float: raw bit patterns (subnormals, huge, negative) or a
+    /// plain decimal-looking value.
+    fn float(rng: &mut TestRng) -> f64 {
+        loop {
+            let x = if rng.index(2) == 0 {
+                f64::from_bits(rng.next_u64())
+            } else {
+                rng.next_f64() * 1e6
+            };
+            if x.is_finite() {
+                return x;
+            }
+        }
+    }
+
+    fn hist(rng: &mut TestRng) -> Log2Hist {
+        let mut h = Log2Hist::new();
+        for _ in 0..rng.index(12) {
+            h.record(count(rng));
+        }
+        h
+    }
+
+    fn occupancy_level(rng: &mut TestRng) -> LevelOccupancy {
+        // Bounded so `total` cannot overflow.
+        let mut occ = LevelOccupancy {
+            demand: rng.next_u64() >> 8,
+            untagged: rng.next_u64() >> 8,
+            ..LevelOccupancy::default()
         };
-        stats.l1d.hits = 3_000;
-        stats.l1d.misses = 1_000;
-        stats.l2.misses = 400;
-        stats.l3.misses = 200;
-        stats.prefetch_use.hit_l1 = 300;
-        stats.prefetch_use.evicted_unused = 100;
-        stats.cpi.no_stall = 0.1234567890123;
-        stats.cpi.dram = 98765.4321;
+        for _ in 0..rng.index(4) {
+            occ.sources
+                .insert(rng.next_u64() as u16, rng.next_u64() >> 8);
+        }
+        occ
+    }
+
+    fn tier(rng: &mut TestRng) -> TierTelemetry {
+        TierTelemetry {
+            load_to_use: hist(rng),
+            queue_wait: hist(rng),
+            demand_reads: count(rng),
+            prefetch_reads: count(rng),
+            writebacks: count(rng),
+        }
+    }
+
+    /// An arbitrary outcome: random counters and finite floats, with and
+    /// without Prodigy stats, memory tiers, occupancy and attribution rows.
+    fn arb_outcome(rng: &mut TestRng) -> RunOutcome {
+        let mut stats = prodigy_sim::Stats {
+            instructions: count(rng),
+            loads: count(rng),
+            stores: count(rng),
+            branches: count(rng),
+            mispredicts: count(rng),
+            cycles: count(rng),
+            dram_reads: count(rng),
+            dram_writes: count(rng),
+            dram_queue_cycles: count(rng),
+            tlb_hits: count(rng),
+            tlb_misses: count(rng),
+            prefetches_issued: count(rng),
+            prefetches_redundant: count(rng),
+            prefetches_throttled: count(rng),
+            llc_misses_prefetchable: count(rng),
+            llc_misses_other: count(rng),
+            ..Default::default()
+        };
+        for l in [&mut stats.l1d, &mut stats.l2, &mut stats.l3] {
+            (l.hits, l.misses, l.writebacks) = (count(rng), count(rng), count(rng));
+        }
+        let pu = &mut stats.prefetch_use;
+        (pu.hit_l1, pu.hit_l2, pu.hit_l3, pu.evicted_unused) =
+            (count(rng), count(rng), count(rng), count(rng));
+        let c = &mut stats.cpi;
+        for b in [
+            &mut c.no_stall,
+            &mut c.dram,
+            &mut c.cache,
+            &mut c.branch,
+            &mut c.dependency,
+            &mut c.other,
+        ] {
+            *b = float(rng);
+        }
+        let mut attribution = AttributionTable::default();
+        for _ in 0..rng.index(5) {
+            let counts = SourceCounts {
+                issued: count(rng),
+                timely: count(rng),
+                late: count(rng),
+                inaccurate: count(rng),
+                dropped: count(rng),
+                polluting: count(rng),
+            };
+            attribution.insert_counts(rng.next_u64() as u16, counts);
+        }
         let mut telemetry = TelemetrySummary {
-            throttle_ups: 4,
-            throttle_downs: 2,
-            dig_transitions: 777,
-            ..TelemetrySummary::default()
+            load_to_use: hist(rng),
+            fill_to_use: hist(rng),
+            late_wait: hist(rng),
+            dram_round_trip: hist(rng),
+            dram_queue_wait: hist(rng),
+            throttle_ups: count(rng),
+            throttle_downs: count(rng),
+            dig_transitions: count(rng),
+            attribution,
+            ..Default::default()
         };
-        telemetry.timeliness.timely = 290;
-        telemetry.timeliness.late = 10;
-        telemetry.load_to_use.record(0);
-        telemetry.load_to_use.record(300);
-        telemetry.late_wait.record(17);
-        telemetry.attribution.insert_counts(
-            (1 << 8) | 2,
-            SourceCounts {
-                issued: 512,
-                timely: 290,
-                late: 10,
-                inaccurate: 100,
-                dropped: 17,
-                polluting: 6,
-            },
-        );
-        telemetry.pollution = PollutionCounts {
-            l1: 1,
-            l2: 2,
-            l3: 3,
-        };
-        let mut occ = OccupancySnapshot::default();
-        occ.levels[0].demand = 30;
-        occ.levels[0].untagged = 2;
-        occ.levels[0].sources.insert((1 << 8) | 2, 5);
-        occ.levels[2].demand = 900;
-        occ.levels[2].sources.insert(4, 17);
-        telemetry.occupancy = Some(occ);
+        let t = &mut telemetry.timeliness;
+        (t.timely, t.late, t.inaccurate, t.dropped) =
+            (count(rng), count(rng), count(rng), count(rng));
+        let p = &mut telemetry.pollution;
+        (p.l1, p.l2, p.l3) = (count(rng), count(rng), count(rng));
+        let tiered = rng.index(2) == 0;
+        if tiered {
+            telemetry.tiers = Some(TierSplit {
+                near: tier(rng),
+                far: tier(rng),
+            });
+        }
+        if rng.index(3) > 0 {
+            telemetry.occupancy = Some(OccupancySnapshot {
+                levels: [
+                    occupancy_level(rng),
+                    occupancy_level(rng),
+                    occupancy_level(rng),
+                ],
+                tiers: tiered.then(|| [occupancy_level(rng), occupancy_level(rng)]),
+            });
+        }
+        let prodigy = (rng.index(2) == 0).then(|| ProdigyStats {
+            sequences_initiated: count(rng),
+            sequences_dropped: count(rng),
+            single_prefetches: count(rng),
+            ranged_prefetches: count(rng),
+            trigger_prefetches: count(rng),
+            inline_advances: count(rng),
+            pfhr_drops: count(rng),
+            elements_advanced: count(rng),
+            range_elements_tracked: count(rng),
+        });
+        let names = ["none", "prodigy", "ghb-gdc", "odd \"name\"\\\n\u{1}é"];
         RunOutcome {
             summary: RunSummary {
                 stats,
-                energy: EnergyBreakdown {
-                    core: 1.5e-3,
-                    cache: 2.25e-4,
-                    dram: 7.0e-4,
-                    other: 0.1,
+                energy: prodigy_sim::EnergyBreakdown {
+                    core: float(rng),
+                    cache: float(rng),
+                    dram: float(rng),
+                    other: float(rng),
                 },
-                prefetcher: "prodigy".into(),
+                prefetcher: names[rng.index(names.len())].to_string(),
             },
-            checksum: 0xdead_beef_cafe_f00d,
-            prodigy: Some(ProdigyStats {
-                sequences_initiated: 40,
-                sequences_dropped: 1,
-                single_prefetches: 300,
-                ranged_prefetches: 212,
-                trigger_prefetches: 9,
-                inline_advances: 5,
-                pfhr_drops: 2,
-                elements_advanced: 6_000,
-                range_elements_tracked: 2_500,
-            }),
-            storage_bits: 57_344,
-            seed: 42,
-            timing: prodigy_sim::RunTiming { host_nanos: 123 },
+            checksum: rng.next_u64(),
+            prodigy,
+            storage_bits: count(rng),
+            seed: rng.next_u64(),
+            // Host-side: never encoded, so never compared.
+            timing: prodigy_sim::RunTiming {
+                host_nanos: count(rng),
+            },
             telemetry,
             trace: None,
             metrics: None,
@@ -592,137 +332,49 @@ mod tests {
         }
     }
 
-    fn assert_outcomes_equal(a: &RunOutcome, b: &RunOutcome) {
-        // Compare through the lossless payload rendering: it covers every
-        // persisted field bit-for-bit (f64s as bit patterns).
-        assert_eq!(payload_json(a), payload_json(b));
-    }
-
-    #[test]
-    fn payload_round_trips_losslessly() {
-        let out = sample_outcome();
-        let payload = payload_json(&out);
-        let parsed = parse_json(&payload).expect("payload parses");
-        let back = outcome_from_json(&parsed).expect("payload reconstructs");
-        assert_outcomes_equal(&out, &back);
-        assert_eq!(back.timing.host_nanos, 0, "host timing is never persisted");
-        // Spot-check exact values survived (not just the rendering).
-        assert_eq!(back.checksum, 0xdead_beef_cafe_f00d);
-        assert_eq!(back.summary.stats.cpi.no_stall, 0.1234567890123);
-        assert_eq!(back.telemetry.load_to_use.count(), 2);
-        assert_eq!(
-            back.telemetry.attribution.get((1 << 8) | 2).unwrap().issued,
-            512
-        );
-        // Provenance payload survives the round trip exactly.
-        assert_eq!(
-            back.telemetry
-                .attribution
-                .get((1 << 8) | 2)
-                .unwrap()
-                .polluting,
-            6
-        );
-        assert_eq!(back.telemetry.pollution.total(), 6);
-        let occ = back.telemetry.occupancy.as_ref().expect("occupancy stored");
-        assert_eq!(occ.levels[0].total(), 37);
-        assert_eq!(occ.levels[0].sources.get(&((1 << 8) | 2)), Some(&5));
-        assert_eq!(occ.levels[2].sources.get(&4), Some(&17));
-        assert_eq!(occ.tiers, None);
-    }
-
-    #[test]
-    fn tiered_payload_round_trips_and_persists() {
-        let mut out = sample_outcome();
-        let mut split = TierSplit::default();
-        split.near.demand_reads = 100;
-        split.near.load_to_use.record(150);
-        split.near.queue_wait.record(3);
-        split.far.demand_reads = 40;
-        split.far.prefetch_reads = 9;
-        split.far.writebacks = 2;
-        split.far.load_to_use.record(960);
-        split.far.queue_wait.record(80);
-        out.telemetry.tiers = Some(split);
-        // Tiered occupancy: the L3 split must survive storage too.
-        let occ = out.telemetry.occupancy.as_mut().unwrap();
-        let near = LevelOccupancy {
-            demand: 800,
-            ..LevelOccupancy::default()
-        };
-        let mut far = LevelOccupancy {
-            demand: 100,
-            ..LevelOccupancy::default()
-        };
-        far.sources.insert(4, 17);
-        occ.tiers = Some([near, far]);
-        let payload = payload_json(&out);
-        assert!(payload.contains("\"tiers\":{\"near\":"), "{payload}");
-        assert!(payload.contains("\"occupancy\":{\"l1\":"), "{payload}");
-        let back = outcome_from_json(&parse_json(&payload).unwrap()).unwrap();
-        assert_outcomes_equal(&out, &back);
-        assert_eq!(back.telemetry.tiers.unwrap().far.load_to_use.sum(), 960);
-        let [_, far_back] = back.telemetry.occupancy.unwrap().tiers.unwrap();
-        assert_eq!(far_back.sources.get(&4), Some(&17));
-        // And the digest check accepts a stored two-tier entry.
+    fn temp_cache(tag: &str) -> (PathBuf, CellCache) {
         let dir =
-            std::env::temp_dir().join(format!("prodigy-cellcache-tier-ut-{}", std::process::id()));
+            std::env::temp_dir().join(format!("prodigy-cellcache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CellCache::open(&dir).unwrap();
-        let key = "cell|far4|scale=1|sys=0|seed=0|rev=r";
-        cache.store(key, &out).unwrap();
-        let loaded = cache.load(key).expect("two-tier entry loads");
-        assert_outcomes_equal(&out, &loaded);
+        (dir, cache)
+    }
+
+    #[test]
+    fn arbitrary_outcomes_round_trip_byte_identically() {
+        let (dir, cache) = temp_cache("prop");
+        proptest::run_cases("cellcache_round_trip", |rng| {
+            let out = arb_outcome(rng);
+            let text = out.to_json().to_string();
+            let back = RunOutcome::from_json(&parse_json(&text).unwrap())
+                .unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(back.to_json().to_string(), text);
+            assert_eq!(back.timing.host_nanos, 0, "host timing is never persisted");
+            let key = format!("cell|{}", rng.next_u64());
+            cache.store(&key, &out).unwrap();
+            let loaded = cache.load(&key).expect("stored entry loads");
+            assert_eq!(loaded.to_json().to_string(), text);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_then_load_hits_and_other_keys_miss() {
-        let dir = std::env::temp_dir().join(format!("prodigy-cellcache-ut-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = CellCache::open(&dir).unwrap();
-        let out = sample_outcome();
-        let key = composite_key(
-            "pr|false|prodigy|16|false|0",
-            1,
-            &SystemConfig::default(),
-            0,
-            "testrev",
-        );
+        let (dir, cache) = temp_cache("keys");
+        let out = arb_outcome(&mut TestRng::from_seed(1));
+        let cell = "pr|false|prodigy|16|false|0";
+        let sys = SystemConfig::default();
+        let key = composite_key(cell, 1, &sys, 0, "testrev");
         assert!(cache.load(&key).is_none(), "cold cache misses");
         cache.store(&key, &out).unwrap();
         let loaded = cache.load(&key).expect("warm cache hits");
-        assert_outcomes_equal(&out, &loaded);
+        assert_eq!(loaded.to_json(), out.to_json());
         // Changing any component of the address misses.
         for other in [
-            composite_key(
-                "pr|false|prodigy|16|false|0",
-                1,
-                &SystemConfig::default(),
-                7,
-                "testrev",
-            ),
-            composite_key(
-                "pr|false|prodigy|16|false|0",
-                1,
-                &SystemConfig::default(),
-                0,
-                "otherrev",
-            ),
-            composite_key(
-                "pr|false|prodigy|16|false|0",
-                64,
-                &SystemConfig::default(),
-                0,
-                "testrev",
-            ),
-            composite_key(
-                "pr|false|none|16|false|0",
-                1,
-                &SystemConfig::default(),
-                0,
-                "testrev",
-            ),
+            composite_key(cell, 1, &sys, 7, "testrev"),
+            composite_key(cell, 1, &sys, 0, "otherrev"),
+            composite_key(cell, 64, &sys, 0, "testrev"),
+            composite_key("pr|false|none|16|false|0", 1, &sys, 0, "testrev"),
         ] {
             assert_ne!(other, key);
             assert!(cache.load(&other).is_none(), "{other} must miss");
@@ -732,24 +384,22 @@ mod tests {
 
     #[test]
     fn corrupted_truncated_or_mismatched_entries_are_misses() {
-        let dir = std::env::temp_dir().join(format!(
-            "prodigy-cellcache-corrupt-ut-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = CellCache::open(&dir).unwrap();
-        let out = sample_outcome();
+        let (dir, cache) = temp_cache("corrupt");
+        let out = arb_outcome(&mut TestRng::from_seed(2));
         let key = "cell|scale=1|sys=0|seed=0|rev=r";
         cache.store(key, &out).unwrap();
         let path = cache.path_for(key);
         let good = std::fs::read_to_string(&path).unwrap();
+        let checksum = format!("\"checksum\":{}", out.checksum);
+        assert!(good.contains(&checksum));
 
         // Truncated entry.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(cache.load(key).is_none(), "truncated entry is a miss");
 
-        // Bit-flipped payload (counter changed, digest now stale).
-        std::fs::write(&path, good.replace("\"cycles\":98765", "\"cycles\":98766")).unwrap();
+        // A counter changed in place: still decodes, but the digest is stale.
+        let tampered = format!("\"checksum\":{}", out.checksum ^ 1);
+        std::fs::write(&path, good.replace(&checksum, &tampered)).unwrap();
         assert!(cache.load(key).is_none(), "tampered entry is a miss");
 
         // Entry whose embedded key disagrees (filename hash collision).
@@ -761,7 +411,7 @@ mod tests {
         assert!(cache.load(key).is_none(), "garbage entry is a miss");
 
         // Wrong format version.
-        std::fs::write(&path, good.replace("\"version\":1", "\"version\":999")).unwrap();
+        std::fs::write(&path, good.replace("\"version\":2", "\"version\":999")).unwrap();
         assert!(cache.load(key).is_none(), "future version is a miss");
 
         // And after all that abuse, re-storing repairs the entry.

@@ -1,264 +1,23 @@
-//! Run-to-run diff/regression analysis for benchmark artifacts.
+//! Run-to-run diff/regression analysis and shard merging for benchmark
+//! artifacts.
 //!
-//! Loads two JSON reports produced by this repo — sweep timing reports
-//! (`prodigy-eval --json`, whose cells carry the deterministic
-//! [`crate::sweep::CellStats`] summary) or windowed metrics dumps
-//! (`prodigy-eval --metrics`) — aligns their units by identity (cell cache
-//! key, or window start cycle), and reports every numeric delta plus a
-//! tier-1 regression verdict.
+//! Loads two JSON reports produced by this repo — sweep reports
+//! (`prodigy-eval --json`) or windowed metrics dumps (`prodigy-eval
+//! --metrics`) — aligns their units by identity (cell key, or window start
+//! cycle), and reports every numeric delta plus a tier-1 regression verdict.
 //!
-//! The comparison deliberately ignores host-timing fields (`host_nanos`,
-//! `wall_nanos`, worker accounting, utilization): those vary run-to-run by
-//! construction, while every simulated counter is bit-deterministic for a
-//! given seed. A clean same-seed pair therefore diffs to *zero* changes —
-//! the CI smoke test locks that in — and any nonzero delta is a real
-//! behavioural difference.
-//!
-//! Everything is hand-rolled (parser included): the offline build has no
-//! serde.
+//! A sweep cell is compared in its canonical form ([`canonical_cell`]):
+//! everything except its host fields, i.e. the derived `stats` view plus the
+//! full simulated outcome (all counters, energy, Prodigy counters, and
+//! telemetry including pollution and occupancy). All of it is deterministic
+//! for a seed, and numbers compare by their exact text, so a clean same-seed
+//! pair diffs to *zero* changes and any delta is a real behavioural
+//! difference. Report-level host counters (wall time, workers, utilization)
+//! live outside `cells` and are never compared.
 
-use std::collections::BTreeMap;
-
-// ------------------------------------------------------------------ JSON
-
-/// A parsed JSON value. Numbers keep their raw source text so 64-bit
-/// checksums compare exactly even where `f64` would round.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number: parsed value plus raw source text.
-    Num(f64, String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. Key order is preserved as a sorted map (duplicate keys:
-    /// last wins), which is all the diff needs.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v, _) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document. Returns a message with a byte offset on error.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let b = src.as_bytes();
-    let mut p = Parser { b, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != b.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            m.insert(k, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not produced by this
-                            // repo's serializers; map lone surrogates to
-                            // the replacement character.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.b[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8")?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .map(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.b[start..self.pos]).unwrap();
-        let v: f64 = raw
-            .parse()
-            .map_err(|_| format!("bad number {raw:?} at byte {start}"))?;
-        Ok(Json::Num(v, raw.to_string()))
-    }
-}
+use crate::sweep::{canonical_cell, CellError};
+use prodigy_sim::json::{FromJson, Json, ToJson};
+use std::collections::{BTreeMap, BTreeSet};
 
 // ------------------------------------------------------------------ diff
 
@@ -288,45 +47,6 @@ impl ReportKind {
         }
     }
 }
-
-/// Host-varying fields excluded from the numeric diff. Everything else in
-/// these reports is simulated state and must be deterministic.
-const EXCLUDED: &[&str] = &[
-    "host_nanos",
-    "wall_nanos",
-    "busy_nanos",
-    "cells_per_sec",
-    "utilization",
-    "timing",
-    "worker",
-    "workers",
-    "jobs",
-    "threads",
-    "cache_hits",
-    "memo_hits",
-    "disk_hits",
-    "threads_leaked",
-    "disk_hit",
-    "host_profile",
-];
-
-/// Provenance/observability fields excluded from the numeric diff. These
-/// are deterministic, but they were introduced after baselines such as
-/// `BENCH_pr8_scale1.json` were checked in, and the flattener treats a
-/// field present on one side only as a change — so diffing a new report
-/// against an old baseline would flag every cell. Simulated *timing* is
-/// unaffected by provenance tracking (observe-only sidecar), which is
-/// exactly what the baseline gate must keep proving.
-const EXCLUDED_PROVENANCE: &[&str] = &[
-    "polluting",
-    "pollution",
-    "occupancy",
-    "pollution_rate",
-    "l1_prefetch_occupancy",
-    "l2_prefetch_occupancy",
-    "l3_prefetch_occupancy",
-    "l3_top_source_occupancy",
-];
 
 /// One changed metric in one aligned unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -382,33 +102,32 @@ pub struct DiffReport {
     pub threshold: f64,
 }
 
-/// Flattens numeric leaves of `v` into `out` under dotted `prefix` paths,
-/// skipping [`EXCLUDED`] and [`EXCLUDED_PROVENANCE`] fields. Array
-/// elements use their index; `null`
-/// (e.g. an `n/a` accuracy) is recorded as NaN so presence changes are
-/// visible.
-fn flatten(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
-    match v {
-        Json::Num(n, _) => {
-            out.insert(prefix.to_string(), *n);
-        }
-        Json::Null => {
-            out.insert(prefix.to_string(), f64::NAN);
-        }
-        Json::Bool(b) => {
-            out.insert(prefix.to_string(), if *b { 1.0 } else { 0.0 });
-        }
-        Json::Str(_) => {}
+/// One flattened leaf: its value (for deltas) and its exact text (for
+/// equality, so 64-bit counters never compare through a rounded `f64`).
+type Leaf = (f64, String);
+
+/// How a leaf absent from one side compares: like `null`.
+fn null_leaf() -> Leaf {
+    (f64::NAN, "null".to_string())
+}
+
+/// Flattens the leaves of `v` into `out` under dotted `prefix` paths. Array
+/// elements use their index; `null` (e.g. an n/a accuracy) is NaN so
+/// presence changes are visible; strings are labels, not metrics.
+fn flatten(prefix: &str, v: &Json, out: &mut BTreeMap<String, Leaf>) {
+    let leaf = match v {
+        Json::Num(n, raw) => (*n, raw.clone()),
+        Json::Null => null_leaf(),
+        Json::Bool(b) => (u8::from(*b) as f64, b.to_string()),
+        Json::Str(_) => return,
         Json::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 flatten(&format!("{prefix}[{i}]"), item, out);
             }
+            return;
         }
         Json::Obj(m) => {
             for (k, item) in m {
-                if EXCLUDED.contains(&k.as_str()) || EXCLUDED_PROVENANCE.contains(&k.as_str()) {
-                    continue;
-                }
                 let p = if prefix.is_empty() {
                     k.clone()
                 } else {
@@ -416,18 +135,15 @@ fn flatten(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
                 };
                 flatten(&p, item, out);
             }
+            return;
         }
-    }
+    };
+    out.insert(prefix.to_string(), leaf);
 }
 
-/// Numeric equality for the diff: NaN (serialized `null`) equals NaN.
-fn num_eq(a: f64, b: f64) -> bool {
-    (a.is_nan() && b.is_nan()) || a == b
-}
-
-/// Extracts `(unit label, flattened metrics, raw checksum text)` per
-/// alignment unit of a report.
-type Unit = (String, BTreeMap<String, f64>, Option<String>);
+/// `(unit label, flattened metrics, raw checksum text)` per alignment unit
+/// of a report.
+type Unit = (String, BTreeMap<String, Leaf>, Option<String>);
 
 fn units_of(kind: ReportKind, v: &Json) -> Vec<Unit> {
     let mut units = Vec::new();
@@ -438,39 +154,24 @@ fn units_of(kind: ReportKind, v: &Json) -> Vec<Unit> {
                     continue;
                 };
                 let mut m = BTreeMap::new();
-                if let Some(stats) = cell.get("stats") {
-                    flatten("stats", stats, &mut m);
-                }
-                if let Some(tel) = cell.get("telemetry") {
-                    flatten("telemetry", tel, &mut m);
-                }
-                let checksum = match cell.get("stats").and_then(|s| s.get("checksum")) {
-                    Some(Json::Num(_, raw)) => Some(raw.clone()),
-                    _ => None,
-                };
-                // The checksum is identity, not a metric.
-                m.remove("stats.checksum");
+                flatten("", &canonical_cell(cell), &mut m);
+                // The checksum is identity, not a metric (the outcome
+                // repeats the `stats` view's copy at the top level).
+                m.remove("checksum");
+                let checksum = m.remove("stats.checksum").map(|(_, raw)| raw);
                 units.push((key.to_string(), m, checksum));
             }
         }
         ReportKind::Metrics => {
             for s in v.get("samples").and_then(Json::as_arr).unwrap_or(&[]) {
-                let cycle = s
-                    .get("cycle")
-                    .and_then(Json::as_f64)
-                    .map(|c| format!("{c:.0}"))
-                    .unwrap_or_else(|| "?".to_string());
+                let cycle = s.get("cycle").map_or("?".to_string(), Json::to_string);
                 let mut m = BTreeMap::new();
                 flatten("", s, &mut m);
                 m.remove("cycle");
                 units.push((format!("window@{cycle}"), m, None));
             }
             for a in v.get("attribution").and_then(Json::as_arr).unwrap_or(&[]) {
-                let label = a
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string();
+                let label = a.get("label").and_then(Json::as_str).unwrap_or("?");
                 let mut m = BTreeMap::new();
                 flatten("", a, &mut m);
                 m.remove("tag");
@@ -546,19 +247,21 @@ pub fn diff_reports(old: &Json, new: &Json, threshold: f64) -> Result<DiffReport
         metrics.sort();
         metrics.dedup();
         for metric in metrics {
-            let o = old_m.get(metric).copied().unwrap_or(f64::NAN);
-            let n = new_m.get(metric).copied().unwrap_or(f64::NAN);
-            if !num_eq(o, n) {
+            let o = old_m.get(metric).cloned().unwrap_or_else(null_leaf);
+            let n = new_m.get(metric).cloned().unwrap_or_else(null_leaf);
+            if o.1 != n.1 {
                 changes.push(DiffEntry {
                     unit: key.to_string(),
                     metric: metric.clone(),
-                    old: o,
-                    new: n,
+                    old: o.0,
+                    new: n.0,
                 });
             }
         }
         if kind == ReportKind::Sweep {
-            if let (Some(&oc), Some(&nc)) = (old_m.get("stats.cycles"), new_m.get("stats.cycles")) {
+            if let (Some(&(oc, _)), Some(&(nc, _))) =
+                (old_m.get("stats.cycles"), new_m.get("stats.cycles"))
+            {
                 if oc > 0.0 && nc > 0.0 {
                     speedups.push(oc / nc);
                     if nc > oc * (1.0 + threshold) {
@@ -615,7 +318,10 @@ impl DiffReport {
     /// Whether the tier-1 gate fails (regressions, result mismatches, or
     /// misaligned unit sets).
     pub fn regressed(&self) -> bool {
-        !self.regressions.is_empty() || !self.checksum_mismatches.is_empty()
+        !self.regressions.is_empty()
+            || !self.checksum_mismatches.is_empty()
+            || !self.only_in_old.is_empty()
+            || !self.only_in_new.is_empty()
     }
 
     /// Renders the deterministic human-readable report.
@@ -623,7 +329,7 @@ impl DiffReport {
         let fmt = |v: f64| {
             if v.is_nan() {
                 "n/a".to_string()
-            } else if v.fract() == 0.0 && v.abs() < 1e15 {
+            } else if v.fract() == 0.0 {
                 format!("{v:.0}")
             } else {
                 format!("{v:.6}")
@@ -701,84 +407,24 @@ impl DiffReport {
 
 // ----------------------------------------------------------------- merge
 
-/// JSON string escaping for re-emission (mirrors the sweep serializer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Canonical re-serialization of a parsed value: object keys in sorted
-/// (`BTreeMap`) order, numbers re-emitting their raw source text so 64-bit
-/// counters survive exactly.
-fn emit_json(v: &Json, out: &mut String) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(_, raw) => out.push_str(raw),
-        Json::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                emit_json(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(m) => {
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape(k));
-                out.push_str("\":");
-                emit_json(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// Stitches shard sweep reports (from `prodigy-eval --shard K/N`) into one
-/// *canonical* merged report.
+/// *canonical* merged report: `{"base_seed", "errors", "cells"}`.
 ///
-/// The canonical form is partition-invariant: cells are deduped by key and
-/// sorted by key, every host-varying field is normalized away (cell timing
-/// zeroed, worker `null`, `disk_hit` false, no top-level throughput
-/// counters), and numbers re-emit their exact source text. Merging the
-/// report of one unsharded run therefore produces *byte-identical* output
-/// to merging the reports of its K/N shards — the property the CI
-/// shard-merge smoke locks in with a plain `cmp`.
+/// The canonical form is partition-invariant: cells are deduped by key,
+/// sorted by key and written as [`canonical_cell`]s (no host fields), errors
+/// are sorted, report-level host counters are dropped, and numbers re-emit
+/// their exact source text. Merging the report of one unsharded run
+/// therefore produces *byte-identical* output to merging the reports of its
+/// K/N shards, and two same-seed runs canonicalize to identical bytes — the
+/// property CI's `cmp` gates lock in.
 ///
 /// Duplicate keys across inputs keep the resolved (non-error) entry if one
 /// exists, else the last occurrence. All inputs must be sweep reports with
 /// the same `base_seed`.
-pub fn merge_reports(reports: &[Json]) -> Result<String, String> {
-    if reports.is_empty() {
-        return Err("nothing to merge: no input reports".to_string());
-    }
-    let mut base_seed: Option<String> = None;
-    let mut cells: BTreeMap<String, &Json> = BTreeMap::new();
-    let mut errors: std::collections::BTreeSet<(String, String)> =
-        std::collections::BTreeSet::new();
+pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
+    let mut base_seed: Option<&Json> = None;
+    let mut cells: BTreeMap<&str, &Json> = BTreeMap::new();
+    let mut errors = BTreeSet::new();
     for (i, r) in reports.iter().enumerate() {
         if ReportKind::detect(r)? != ReportKind::Sweep {
             return Err(format!(
@@ -786,31 +432,20 @@ pub fn merge_reports(reports: &[Json]) -> Result<String, String> {
                 i + 1
             ));
         }
-        let seed = match r.get("base_seed") {
-            Some(Json::Num(_, raw)) => raw.clone(),
-            _ => return Err(format!("input #{}: missing base_seed", i + 1)),
-        };
-        match &base_seed {
-            None => base_seed = Some(seed),
-            Some(s) if *s != seed => {
+        let seed = r
+            .get("base_seed")
+            .filter(|s| matches!(s, Json::Num(..)))
+            .ok_or_else(|| format!("input #{}: missing base_seed", i + 1))?;
+        match base_seed {
+            Some(s) if s != seed => {
                 return Err(format!(
                     "base_seed mismatch: {s} vs {seed} — shards of one sweep must share a seed"
                 ))
             }
-            _ => {}
+            _ => base_seed = Some(seed),
         }
         for e in r.get("errors").and_then(Json::as_arr).unwrap_or(&[]) {
-            let key = e
-                .get("key")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            let reason = e
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            errors.insert((key, reason));
+            errors.insert(CellError::from_json(e).map_err(|e| format!("input #{}: {e}", i + 1))?);
         }
         for cell in r.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
             let Some(key) = cell.get("key").and_then(Json::as_str) else {
@@ -822,49 +457,29 @@ pub fn merge_reports(reports: &[Json]) -> Result<String, String> {
                 // entry for the same cell (e.g. a timeout retried later).
                 Some(prev) if resolved(prev) && !resolved(cell) => {}
                 _ => {
-                    cells.insert(key.to_string(), cell);
+                    cells.insert(key, cell);
                 }
             }
         }
     }
-    let mut s = String::with_capacity(4096);
-    s.push_str(&format!(
-        "{{\"base_seed\":{},\"errors\":[",
-        base_seed.expect("at least one report")
-    ));
-    for (i, (key, reason)) in errors.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"key\":\"{}\",\"reason\":\"{}\"}}",
-            escape(key),
-            escape(reason)
-        ));
-    }
-    s.push_str("],\"cells\":[");
-    for (i, (key, cell)) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"key\":\"{}\",\"timing\":{{\"host_nanos\":0}},\"worker\":null,\"disk_hit\":false,\"stats\":",
-            escape(key)
-        ));
-        emit_json(cell.get("stats").unwrap_or(&Json::Null), &mut s);
-        s.push_str(",\"telemetry\":");
-        emit_json(cell.get("telemetry").unwrap_or(&Json::Null), &mut s);
-        s.push_str(",\"error\":");
-        emit_json(cell.get("error").unwrap_or(&Json::Null), &mut s);
-        s.push('}');
-    }
-    s.push_str("]}");
-    Ok(s)
+    let base_seed = base_seed.ok_or("nothing to merge: no input reports")?;
+    Ok(Json::obj([
+        ("base_seed", base_seed.clone()),
+        (
+            "errors",
+            Json::Arr(errors.iter().map(ToJson::to_json).collect()),
+        ),
+        (
+            "cells",
+            Json::Arr(cells.values().map(|c| canonical_cell(c)).collect()),
+        ),
+    ]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prodigy_sim::json::parse_json;
 
     fn sweep_json(cycles_a: u64, cycles_b: u64) -> String {
         format!(
@@ -888,31 +503,18 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_the_repo_shapes() {
+    fn sweep_cells_flatten_everything_but_host_fields() {
         let v = parse_json(&sweep_json(1000, 2000)).unwrap();
         assert_eq!(ReportKind::detect(&v).unwrap(), ReportKind::Sweep);
-        let cells = v.get("cells").unwrap().as_arr().unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(
-            cells[0]
-                .get("stats")
-                .unwrap()
-                .get("cycles")
-                .unwrap()
-                .as_f64(),
-            Some(1000.0)
-        );
-        // Raw text preserved for 64-bit-exact checksum comparison.
-        match cells[0].get("stats").unwrap().get("checksum").unwrap() {
-            Json::Num(_, raw) => assert_eq!(raw, "123456789123456789"),
-            other => panic!("expected number, got {other:?}"),
-        }
-        assert!(parse_json("{\"a\":[1,2,").is_err());
-        assert!(parse_json("nope").is_err());
-        assert_eq!(
-            parse_json("\"a\\u0041b\"").unwrap(),
-            Json::Str("aAb".into())
-        );
+        let units = units_of(ReportKind::Sweep, &v);
+        assert_eq!(units.len(), 2);
+        let (key, m, checksum) = &units[0];
+        assert_eq!(key, "bfs|orig|prodigy|16|plain|0");
+        // Raw text kept for 64-bit-exact checksum comparison.
+        assert_eq!(checksum.as_deref(), Some("123456789123456789"));
+        assert_eq!(m["stats.cycles"].1, "1000");
+        assert!(m.contains_key("telemetry") && m.contains_key("error"));
+        assert!(!m.keys().any(|k| k.starts_with("timing") || k == "worker"));
     }
 
     #[test]
@@ -1010,17 +612,29 @@ mod tests {
         assert_eq!(d.units_compared, 1);
         assert_eq!(d.only_in_old, vec!["bfs|orig|none|16|plain|0"]);
         assert_eq!(d.only_in_new, vec!["cc|orig|none|16|plain|0"]);
+        assert!(d.regressed(), "unaligned cells fail the gate");
+        assert!(d.render().contains("verdict: REGRESSED"));
+
+        // A report missing one cell fails too, in either direction.
+        let missing = one_cell(&sweep, 0);
+        assert!(diff_reports(&sweep, &missing, 0.02).unwrap().regressed());
+        assert!(diff_reports(&missing, &sweep, 0.02).unwrap().regressed());
+    }
+
+    /// Replaces the value of `key` in object `v`.
+    fn set(v: &mut Json, key: &str, val: Json) {
+        let Json::Obj(m) = v else {
+            panic!("not an object")
+        };
+        m.iter_mut().find(|(k, _)| k == key).expect("key present").1 = val;
     }
 
     /// A copy of `full` whose cell list holds only cell `keep`.
     fn one_cell(full: &Json, keep: usize) -> Json {
-        let Json::Obj(m) = full else {
-            panic!("not an object")
-        };
-        let mut m = m.clone();
         let cells = full.get("cells").unwrap().as_arr().unwrap();
-        m.insert("cells".into(), Json::Arr(vec![cells[keep].clone()]));
-        Json::Obj(m)
+        let mut v = full.clone();
+        set(&mut v, "cells", Json::Arr(vec![cells[keep].clone()]));
+        v
     }
 
     #[test]
@@ -1036,7 +650,11 @@ mod tests {
         assert_eq!(a, merged_full);
         // The canonical form parses, and diffs clean against the original
         // unsharded report: simulated metrics are untouched by the merge.
-        let m = parse_json(&a).unwrap();
+        // No host fields survive; everything else is re-emitted verbatim.
+        let text = a.to_string();
+        assert!(!text.contains("timing") && !text.contains("worker"));
+        assert!(text.starts_with("{\"base_seed\":0,\"errors\":[],\"cells\":[{\"key\":"));
+        let m = parse_json(&text).unwrap();
         let d = diff_reports(&full, &m, 0.02).unwrap();
         assert!(d.changes.is_empty(), "{:?}", d.changes);
         assert!(!d.regressed());
@@ -1062,16 +680,10 @@ mod tests {
         // An error-only duplicate of cell 0 (stats null), as a timed-out
         // first attempt would leave behind.
         let mut failed = one_cell(&full, 0);
-        if let Json::Obj(m) = &mut failed {
-            let Json::Arr(cells) = m.get_mut("cells").unwrap() else {
-                panic!()
-            };
-            let Json::Obj(c) = &mut cells[0] else {
-                panic!()
-            };
-            c.insert("stats".into(), Json::Null);
-            c.insert("error".into(), Json::Str("timed out after 1.0s".into()));
-        }
+        let mut cell = failed.get("cells").unwrap().as_arr().unwrap()[0].clone();
+        set(&mut cell, "stats", Json::Null);
+        set(&mut cell, "error", Json::Str("timed out after 1.0s".into()));
+        set(&mut failed, "cells", Json::Arr(vec![cell]));
         let merged = merge_reports(&[failed.clone(), full.clone()]).unwrap();
         let merged_rev = merge_reports(&[full.clone(), failed]).unwrap();
         assert_eq!(merged, merged_rev, "resolved result wins in any order");
@@ -1099,29 +711,33 @@ mod tests {
     }
 
     #[test]
-    fn provenance_fields_never_produce_changes() {
-        // Reports produced by a provenance-aware build gain occupancy and
-        // pollution columns the checked-in baselines predate. The flattener
-        // treats a field present on one side as a change, so these keys must
-        // be excluded or every old-vs-new diff would flag every cell.
-        let a = parse_json(&sweep_json(1000, 2000)).unwrap();
-        let txt = sweep_json(1000, 2000)
-            .replace(
-                "\"prefetch_coverage\":null}",
-                "\"prefetch_coverage\":null,\"pollution_rate\":0.25,\
-                 \"l1_prefetch_occupancy\":0.5,\"l2_prefetch_occupancy\":null,\
-                 \"l3_prefetch_occupancy\":0.125,\"l3_top_source_occupancy\":0.1}",
-            )
-            .replace(
-                "\"telemetry\":null",
-                "\"telemetry\":{\"polluting\":6,\
-                 \"pollution\":{\"l1\":1,\"l2\":2,\"l3\":3},\
-                 \"occupancy\":{\"l1\":{\"demand\":3,\"untagged\":0,\"total\":3,\"sources\":[]}}}",
-            );
-        assert_ne!(txt, sweep_json(1000, 2000), "replacements must have hit");
-        let b = parse_json(&txt).unwrap();
+    fn provenance_changes_show_in_the_diff() {
+        // Pollution and occupancy are simulated results like any counter:
+        // a changed value, or a column present on one side only, is a
+        // change the diff reports.
+        let with = |rate: &str| {
+            sweep_json(1000, 2000)
+                .replace(
+                    "\"prefetch_coverage\":null}",
+                    &format!("\"prefetch_coverage\":null,\"pollution_rate\":{rate}}}"),
+                )
+                .replace(
+                    "\"telemetry\":null",
+                    "\"telemetry\":{\"polluting\":6,\"pollution\":{\"l1\":1,\"l2\":2,\"l3\":3}}",
+                )
+        };
+        let a = parse_json(&with("0.250000")).unwrap();
+        assert!(diff_reports(&a, &a, 0.02).unwrap().changes.is_empty());
+        let b = parse_json(&with("0.500000")).unwrap();
         let d = diff_reports(&a, &b, 0.02).unwrap();
-        assert!(d.changes.is_empty(), "{:?}", d.changes);
-        assert!(!d.regressed());
+        assert_eq!(d.changes.len(), 2, "{:?}", d.changes);
+        assert!(d.changes.iter().all(|c| c.metric == "stats.pollution_rate"));
+        let bare = parse_json(&sweep_json(1000, 2000)).unwrap();
+        let d = diff_reports(&bare, &a, 0.02).unwrap();
+        assert!(d
+            .changes
+            .iter()
+            .any(|c| c.metric == "telemetry.pollution.l3"));
+        assert!(d.changes.iter().any(|c| c.metric == "stats.pollution_rate"));
     }
 }

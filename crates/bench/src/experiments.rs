@@ -198,20 +198,20 @@ impl Ctx {
             if let Some(cc) = &self.cell_cache {
                 if let Some(o) = cc.load(&self.disk_key(&key)) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                    let o = Arc::new(o);
                     self.timings.lock().unwrap().push(CellTiming {
                         key: key.clone(),
                         timing: prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
                         worker,
-                        telemetry: Some(o.telemetry.clone()),
-                        stats: Some(CellStats::from_outcome(&o)),
-                        error: None,
                         disk_hit: true,
                         // Disk hits carry no profile: nothing was simulated
                         // in this process and the cache never persists host
                         // timing.
                         host_profile: None,
+                        outcome: Some(Arc::clone(&o)),
+                        error: None,
                     });
-                    return Ok(Arc::new(o));
+                    return Ok(o);
                 }
             }
             let owned = cell.clone();
@@ -221,7 +221,7 @@ impl Ctx {
             let out = run_isolated(&key, self.sweep.cell_timeout, move |cancel| {
                 execute_cell(&owned, sys, base_seed, profile, cancel)
             });
-            let (res, timing, telemetry, stats, host_profile, error) = match out {
+            let (res, timing) = match out {
                 Ok(o) => {
                     if let Some(cc) = &self.cell_cache {
                         if let Err(e) = cc.store(&self.disk_key(&key), &o) {
@@ -229,17 +229,7 @@ impl Ctx {
                         }
                     }
                     let timing = o.timing;
-                    let telemetry = o.telemetry.clone();
-                    let stats = CellStats::from_outcome(&o);
-                    let host_profile = o.host_profile;
-                    (
-                        Ok(Arc::new(o)),
-                        timing,
-                        Some(telemetry),
-                        Some(stats),
-                        host_profile,
-                        None,
-                    )
+                    (Ok(Arc::new(o)), timing)
                 }
                 Err(e) => {
                     // Only truly stuck workers count: a timed-out cell whose
@@ -254,25 +244,17 @@ impl Ctx {
                         timed_out: e.timed_out,
                     };
                     self.errors.lock().unwrap().push(err.clone());
-                    (
-                        Err(err.clone()),
-                        prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
-                        None,
-                        None,
-                        None,
-                        Some(err),
-                    )
+                    (Err(err), prodigy_sim::RunTiming::from_elapsed(t0.elapsed()))
                 }
             };
             self.timings.lock().unwrap().push(CellTiming {
                 key: key.clone(),
                 timing,
                 worker,
-                telemetry,
-                stats,
-                error: error.map(|e| e.reason),
                 disk_hit: false,
-                host_profile,
+                host_profile: res.as_ref().ok().and_then(|o| o.host_profile),
+                outcome: res.as_ref().ok().cloned(),
+                error: res.as_ref().err().map(|e| e.reason.clone()),
             });
             res
         })

@@ -20,6 +20,8 @@
 //! bit-identical to a serial one — `tests/determinism.rs` locks this in.
 
 use crossbeam::channel;
+use prodigy_sim::json::{Json, ToJson};
+use prodigy_workloads::RunOutcome;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,7 +59,7 @@ impl Default for SweepConfig {
 }
 
 /// Why a cell failed (panic message or timeout).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellError {
     /// The failing cell's cache key.
     pub key: String,
@@ -70,6 +72,14 @@ pub struct CellError {
     /// Panics are deterministic for a given build and stay cached.
     pub timed_out: bool,
 }
+
+// `{"key":..,"reason":..}`: the report's `errors` rows. Whether the failure
+// was a timeout matters only to the run that saw it.
+prodigy_sim::json_object!(CellError {
+    key,
+    reason,
+    timed_out: skip,
+});
 
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -366,6 +376,8 @@ pub struct CellStats {
     pub cycles: u64,
     /// Instructions retired.
     pub instructions: u64,
+    /// Instructions per cycle.
+    pub ipc: f64,
     /// Kernel result checksum (semantic identity across runs).
     pub checksum: u64,
     /// L1D misses.
@@ -425,6 +437,7 @@ impl CellStats {
         CellStats {
             cycles: s.cycles,
             instructions: s.instructions,
+            ipc: s.instructions as f64 / s.cycles.max(1) as f64,
             checksum: out.checksum,
             l1_misses: s.l1d.misses,
             l2_misses: s.l2.misses,
@@ -470,66 +483,37 @@ impl CellStats {
             Some(lvl.prefetched() as f64 / lvl.total() as f64)
         }
     }
-
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        self.instructions as f64 / self.cycles.max(1) as f64
-    }
-
-    /// Serializes to a JSON object (hand-rolled; no serde offline).
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| match v {
-            Some(v) => format!("{v:.6}"),
-            None => "null".to_string(),
-        };
-        let quant = |v: &Option<prodigy_sim::HistQuantiles>| match v {
-            Some(q) => q.to_json(),
-            None => "null".to_string(),
-        };
-        let mut s = format!(
-            "{{\"cycles\":{},\"instructions\":{},\"ipc\":{:.6},\"checksum\":{},\
-             \"l1_misses\":{},\"l2_misses\":{},\"l3_misses\":{},\"dram_reads\":{},\
-             \"prefetches_issued\":{},\"prefetch_accuracy\":{},\"prefetch_coverage\":{},\
-             \"load_to_use\":{},\"fill_to_use\":{},\"dram_round_trip\":{},\
-             \"pollution_rate\":{},\"l1_prefetch_occupancy\":{},\
-             \"l2_prefetch_occupancy\":{},\"l3_prefetch_occupancy\":{},\
-             \"l3_top_source_occupancy\":{}",
-            self.cycles,
-            self.instructions,
-            self.ipc(),
-            self.checksum,
-            self.l1_misses,
-            self.l2_misses,
-            self.l3_misses,
-            self.dram_reads,
-            self.prefetches_issued,
-            opt(self.prefetch_accuracy),
-            opt(self.prefetch_coverage),
-            quant(&self.load_to_use),
-            quant(&self.fill_to_use),
-            quant(&self.dram_round_trip),
-            opt(self.pollution_rate),
-            opt(self.l1_prefetch_occupancy),
-            opt(self.l2_prefetch_occupancy),
-            opt(self.l3_prefetch_occupancy),
-            opt(self.l3_top_source_occupancy),
-        );
-        // Per-tier rows exist only for two-tier runs: single-tier cell JSON
-        // stays byte-identical to pre-tier baselines, so the refreshed
-        // baseline gate (`prodigy-diff`, which treats a field present on one
-        // side as a change) keeps passing.
-        if let Some(q) = &self.near_load_to_use {
-            s.push_str(&format!(",\"near_load_to_use\":{}", q.to_json()));
-        }
-        if let Some(q) = &self.far_load_to_use {
-            s.push_str(&format!(",\"far_load_to_use\":{}", q.to_json()));
-        }
-        s.push('}');
-        s
-    }
 }
 
-/// Timing record of one executed (non-cached) cell.
+// The per-cell `stats` view: rates with six decimals, `null` for n/a. The
+// per-tier rows exist only for two-tier runs, so single-tier cells keep the
+// shape they had before far memory existed.
+prodigy_sim::json_object!(CellStats {
+    cycles,
+    instructions,
+    ipc: ratio,
+    checksum,
+    l1_misses,
+    l2_misses,
+    l3_misses,
+    dram_reads,
+    prefetches_issued,
+    prefetch_accuracy: ratio,
+    prefetch_coverage: ratio,
+    load_to_use,
+    fill_to_use,
+    dram_round_trip,
+    pollution_rate: ratio,
+    l1_prefetch_occupancy: ratio,
+    l2_prefetch_occupancy: ratio,
+    l3_prefetch_occupancy: ratio,
+    l3_top_source_occupancy: ratio,
+    near_load_to_use: omit_none,
+    far_load_to_use: omit_none,
+});
+
+/// One executed (non-memoised) cell: its host-side record plus, when it
+/// succeeded, the simulated outcome.
 #[derive(Debug, Clone)]
 pub struct CellTiming {
     /// The cell's cache key.
@@ -538,21 +522,68 @@ pub struct CellTiming {
     pub timing: prodigy_sim::RunTiming,
     /// Executing worker ([`CALLER_THREAD`] when run outside a pool).
     pub worker: usize,
-    /// Always-on telemetry counters of the simulated run (histograms,
-    /// prefetch timeliness); `None` for failed cells.
-    pub telemetry: Option<prodigy_sim::TelemetrySummary>,
-    /// Deterministic simulated-stat summary; `None` for failed cells.
-    pub stats: Option<CellStats>,
-    /// The recorded failure, if the cell diverged or panicked.
-    pub error: Option<String>,
     /// Whether the result was loaded from the persistent cell cache rather
     /// than simulated (`timing` then measures the disk load, not a run).
     pub disk_hit: bool,
     /// Per-component host-time/allocation breakdown; `Some` only when the
     /// sweep ran with host profiling enabled and the cell was actually
-    /// simulated (disk hits carry no profile). Host telemetry only —
-    /// excluded from determinism comparisons like `timing`.
+    /// simulated (disk hits carry no profile).
     pub host_profile: Option<prodigy_sim::HostProfile>,
+    /// The simulated result; `None` for failed cells.
+    pub outcome: Option<Arc<RunOutcome>>,
+    /// The recorded failure, if the cell diverged or panicked.
+    pub error: Option<String>,
+}
+
+/// A report cell's host fields: how, where and how fast it ran. Every other
+/// field of a cell is simulated and deterministic for a given seed.
+const CELL_HOST_FIELDS: [&str; 4] = ["timing", "worker", "disk_hit", "host_profile"];
+
+/// `{"key", <host fields>, "stats": <CellStats view>, <RunOutcome fields>,
+/// "error"}`. A failed cell has `"stats":null` and no outcome fields.
+impl ToJson for CellTiming {
+    fn to_json(&self) -> Json {
+        let worker = (self.worker != CALLER_THREAD).then_some(self.worker);
+        let host_profile = self.host_profile.as_ref();
+        let mut o = vec![
+            ("key".to_string(), self.key.to_json()),
+            ("timing".to_string(), self.timing.to_json()),
+            ("worker".to_string(), worker.to_json()),
+            ("disk_hit".to_string(), self.disk_hit.to_json()),
+            (
+                "host_profile".to_string(),
+                host_profile.map_or(Json::Null, |hp| hp.to_json(self.timing.host_nanos)),
+            ),
+            (
+                "stats".to_string(),
+                self.outcome
+                    .as_deref()
+                    .map(CellStats::from_outcome)
+                    .to_json(),
+            ),
+        ];
+        if let Some(Json::Obj(outcome)) = self.outcome.as_deref().map(ToJson::to_json) {
+            o.extend(outcome);
+        }
+        o.push(("error".to_string(), self.error.to_json()));
+        Json::Obj(o)
+    }
+}
+
+/// The deterministic part of a report cell: `cell` without its host fields
+/// (`timing`, `worker`, `disk_hit`, `host_profile`). `--merge` writes cells
+/// in this form and `prodigy-diff` compares it; its outcome fields are
+/// exactly the object the cell cache stores.
+pub fn canonical_cell(cell: &Json) -> Json {
+    match cell {
+        Json::Obj(m) => Json::Obj(
+            m.iter()
+                .filter(|(k, _)| !CELL_HOST_FIELDS.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    }
 }
 
 /// Aggregated progress/timing report of a sweep, rendered to stderr and
@@ -719,102 +750,56 @@ impl SweepReport {
         }
         out
     }
+}
 
-    /// Serializes the report to JSON (hand-rolled; the offline build has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        s.push_str(&format!("\"threads\":{},", self.threads));
-        s.push_str(&format!("\"base_seed\":{},", self.base_seed));
-        s.push_str(&format!("\"cells_simulated\":{},", self.cells_simulated));
-        s.push_str(&format!("\"memo_hits\":{},", self.memo_hits));
-        s.push_str(&format!("\"disk_hits\":{},", self.disk_hits));
-        s.push_str(&format!("\"threads_leaked\":{},", self.threads_leaked));
-        s.push_str(&format!("\"wall_nanos\":{},", self.wall.as_nanos()));
-        s.push_str(&format!("\"cells_per_sec\":{:.3},", self.cells_per_sec()));
-        s.push_str(&format!("\"utilization\":{:.4},", self.utilization()));
-        // Host-side throughput summary. Telemetry only: `prodigy-diff`
-        // ignores everything outside `cells`, so refreshed baselines never
-        // diff on host speed.
-        s.push_str(&format!(
-            "\"host\":{{\"cells_per_sec\":{:.3},\"cells_simulated\":{},\"memo_hits\":{},\"disk_hits\":{},\"threads_leaked\":{},\"host_nanos_total\":{},\"cell_host_nanos_p50\":{},\"cell_host_nanos_p99\":{}}},",
-            self.cells_per_sec(),
-            self.cells_simulated,
-            self.memo_hits,
-            self.disk_hits,
-            self.threads_leaked,
-            self.total_cell_nanos(),
-            self.cell_nanos_percentile(0.50),
-            self.cell_nanos_percentile(0.99),
-        ));
-        // Sweep-wide host profile (host telemetry only, like "host" above;
-        // `prodigy-diff` ignores everything outside `cells`).
-        match self.aggregate_host_profile() {
-            Some((hp, total)) => {
-                s.push_str(&format!("\"host_profile\":{},", hp.to_json(total)));
-            }
-            None => s.push_str("\"host_profile\":null,"),
-        }
-        s.push_str("\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"worker\":{},\"busy_nanos\":{},\"jobs\":{}}}",
-                w.worker,
-                w.busy.as_nanos(),
-                w.jobs
-            ));
-        }
-        s.push_str("],\"errors\":[");
-        for (i, e) in self.errors.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"key\":\"{}\",\"reason\":\"{}\"}}",
-                json_escape(&e.key),
-                json_escape(&e.reason)
-            ));
-        }
-        s.push_str("],\"cells\":[");
-        for (i, t) in self.cell_timings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let worker = if t.worker == CALLER_THREAD {
-                "null".to_string()
-            } else {
-                t.worker.to_string()
-            };
-            s.push_str(&format!(
-                "{{\"key\":\"{}\",\"timing\":{},\"worker\":{},\"disk_hit\":{},\"host_profile\":{},\"stats\":{},\"telemetry\":{},\"error\":{}}}",
-                json_escape(&t.key),
-                t.timing.to_json(),
-                worker,
-                t.disk_hit,
-                match &t.host_profile {
-                    Some(hp) => hp.to_json(t.timing.host_nanos),
-                    None => "null".to_string(),
-                },
-                match &t.stats {
-                    Some(cs) => cs.to_json(),
-                    None => "null".to_string(),
-                },
-                match &t.telemetry {
-                    Some(tel) => tel.to_json(),
-                    None => "null".to_string(),
-                },
-                match &t.error {
-                    Some(e) => format!("\"{}\"", json_escape(e)),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        s.push_str("]}");
-        s
+/// The `--json` report: sweep-wide host counters, then per-worker
+/// accounting, the failures, and every executed cell. Only `errors` and the
+/// deterministic part of each cell are simulated results.
+impl ToJson for SweepReport {
+    fn to_json(&self) -> Json {
+        let host = Json::obj([
+            ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
+            ("cells_simulated", self.cells_simulated.to_json()),
+            ("memo_hits", self.memo_hits.to_json()),
+            ("disk_hits", self.disk_hits.to_json()),
+            ("threads_leaked", self.threads_leaked.to_json()),
+            ("host_nanos_total", self.total_cell_nanos().to_json()),
+            (
+                "cell_host_nanos_p50",
+                self.cell_nanos_percentile(0.50).to_json(),
+            ),
+            (
+                "cell_host_nanos_p99",
+                self.cell_nanos_percentile(0.99).to_json(),
+            ),
+        ]);
+        let workers = self.workers.iter().map(|w| {
+            Json::obj([
+                ("worker", w.worker.to_json()),
+                ("busy_nanos", w.busy.as_nanos().to_json()),
+                ("jobs", w.jobs.to_json()),
+            ])
+        });
+        Json::obj([
+            ("threads", self.threads.to_json()),
+            ("base_seed", self.base_seed.to_json()),
+            ("cells_simulated", self.cells_simulated.to_json()),
+            ("memo_hits", self.memo_hits.to_json()),
+            ("disk_hits", self.disk_hits.to_json()),
+            ("threads_leaked", self.threads_leaked.to_json()),
+            ("wall_nanos", self.wall.as_nanos().to_json()),
+            ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
+            ("utilization", Json::fixed(self.utilization(), 4)),
+            ("host", host),
+            (
+                "host_profile",
+                self.aggregate_host_profile()
+                    .map_or(Json::Null, |(hp, total)| hp.to_json(total)),
+            ),
+            ("workers", Json::Arr(workers.collect())),
+            ("errors", self.errors.to_json()),
+            ("cells", self.cell_timings.to_json()),
+        ])
     }
 }
 
@@ -830,23 +815,6 @@ pub fn stable_key_hash(s: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1030,8 +998,61 @@ mod tests {
         assert!(stats.len() <= 4 && !stats.is_empty());
     }
 
+    /// A finished outcome with a few recognisable counters.
+    fn outcome() -> RunOutcome {
+        let mut out = RunOutcome {
+            summary: prodigy_sim::RunSummary {
+                stats: prodigy_sim::Stats {
+                    cycles: 1000,
+                    instructions: 1500,
+                    ..Default::default()
+                },
+                energy: Default::default(),
+                prefetcher: "none".into(),
+            },
+            checksum: 7,
+            prodigy: None,
+            storage_bits: 0,
+            seed: 3,
+            timing: Default::default(),
+            telemetry: Default::default(),
+            trace: None,
+            metrics: None,
+            host_profile: None,
+        };
+        out.summary.stats.l1d.misses = 10;
+        out.summary.stats.l3.misses = 2;
+        out.summary.stats.prefetch_use.hit_l1 = 2;
+        out.telemetry.load_to_use.record(3);
+        let mut occ = prodigy_sim::OccupancySnapshot::default();
+        occ.levels[0].demand = 3;
+        occ.levels[0].untagged = 1;
+        occ.levels[2].demand = 7;
+        occ.levels[2].untagged = 1;
+        out.telemetry.occupancy = Some(occ);
+        out
+    }
+
+    fn cell(key: &str, nanos: u64, outcome: Option<RunOutcome>) -> CellTiming {
+        CellTiming {
+            key: key.into(),
+            timing: prodigy_sim::RunTiming { host_nanos: nanos },
+            worker: CALLER_THREAD,
+            disk_hit: false,
+            host_profile: None,
+            error: outcome.is_none().then(|| "timed out after 1.0s".into()),
+            outcome: outcome.map(Arc::new),
+        }
+    }
+
     #[test]
     fn report_renders_and_serializes() {
+        let mut profiled = cell("k", 42, Some(outcome()));
+        profiled.host_profile = Some({
+            let mut hp = prodigy_sim::HostProfile::default();
+            hp.self_ns[prodigy_sim::Component::Kernel as usize] = 30;
+            hp
+        });
         let report = SweepReport {
             threads: 2,
             base_seed: 7,
@@ -1057,45 +1078,7 @@ mod tests {
                     jobs: 2,
                 },
             ],
-            cell_timings: vec![CellTiming {
-                key: "k".into(),
-                timing: prodigy_sim::RunTiming { host_nanos: 42 },
-                worker: CALLER_THREAD,
-                telemetry: Some(prodigy_sim::TelemetrySummary::default()),
-                stats: Some(CellStats {
-                    cycles: 1000,
-                    instructions: 1500,
-                    checksum: 7,
-                    l1_misses: 10,
-                    l2_misses: 5,
-                    l3_misses: 2,
-                    dram_reads: 2,
-                    prefetches_issued: 0,
-                    prefetch_accuracy: None,
-                    prefetch_coverage: Some(0.5),
-                    load_to_use: {
-                        let mut h = prodigy_sim::Log2Hist::default();
-                        h.record(3);
-                        prodigy_sim::HistQuantiles::from_hist(&h)
-                    },
-                    fill_to_use: None,
-                    dram_round_trip: None,
-                    near_load_to_use: None,
-                    far_load_to_use: None,
-                    pollution_rate: None,
-                    l1_prefetch_occupancy: Some(0.25),
-                    l2_prefetch_occupancy: None,
-                    l3_prefetch_occupancy: Some(0.125),
-                    l3_top_source_occupancy: None,
-                }),
-                error: None,
-                disk_hit: false,
-                host_profile: Some({
-                    let mut hp = prodigy_sim::HostProfile::default();
-                    hp.self_ns[prodigy_sim::Component::Kernel as usize] = 30;
-                    hp
-                }),
-            }],
+            cell_timings: vec![profiled, cell("bfs|false|prodigy|16|false|0", 9, None)],
         };
         let text = report.render();
         assert!(text.contains("5 cells simulated"));
@@ -1106,116 +1089,135 @@ mod tests {
             text.contains("warning: 1 timed-out cell thread(s) leaked"),
             "leak warning in summary"
         );
-        let json = report.to_json();
-        assert!(json.contains("\"cells_simulated\":5"));
+        let json = report.to_json().to_string();
+        assert!(json.starts_with("{\"threads\":2,\"base_seed\":7,\"cells_simulated\":5,"));
         assert!(json.contains("\"memo_hits\":3"));
         assert!(json.contains("\"disk_hits\":2"));
         assert!(json.contains("\"threads_leaked\":1"));
-        assert!(json.contains("\"disk_hit\":false"));
-        assert!(json.contains("\"worker\":null"), "caller-thread cell");
+        assert!(json.contains("\"cells_per_sec\":3.333,\"utilization\":0.5000"));
+        assert!(json.contains("\"errors\":[{\"key\":\"bfs|false|prodigy|16|false|0\",\"reason\":"));
         assert!(
-            json.contains("\"telemetry\":{"),
-            "per-cell telemetry section present"
+            json.contains(
+                "{\"key\":\"k\",\"timing\":{\"host_nanos\":42},\"worker\":null,\"disk_hit\":false,\
+                 \"host_profile\":{\"host_nanos_total\":42,"
+            ),
+            "host fields lead the cell, the profile measured against its host time: {json}"
         );
         assert!(
-            json.contains("\"stats\":{\"cycles\":1000"),
-            "per-cell stats section present"
+            json.contains("\"stats\":{\"cycles\":1000,\"instructions\":1500,\"ipc\":1.500000,"),
+            "derived stats view follows: {json}"
         );
         assert!(
-            json.contains("\"prefetch_accuracy\":null"),
-            "unresolved accuracy serializes as null"
+            json.contains(
+                "\"summary\":{\"stats\":{\"instructions\":1500,\"loads\":0,\"stores\":0,"
+            ),
+            "then the full outcome: {json}"
         );
+        assert!(json.contains("\"checksum\":7,\"prodigy\":null,\"storage_bits\":0,\"seed\":3,"));
+        assert!(json.contains("\"telemetry\":{\"timeliness\":{"));
         assert!(
-            json.contains("\"pollution_rate\":null"),
-            "no-prefetch cells render pollution n/a, not 0"
+            json.contains(
+                "{\"key\":\"bfs|false|prodigy|16|false|0\",\"timing\":{\"host_nanos\":9},\
+                 \"worker\":null,\"disk_hit\":false,\"host_profile\":null,\"stats\":null,\
+                 \"error\":\"timed out after 1.0s\"}"
+            ),
+            "a failed cell has no outcome: {json}"
         );
-        assert!(
-            json.contains("\"l1_prefetch_occupancy\":0.250000"),
-            "occupancy share serialized: {json}"
-        );
-        assert!(json.contains("\"l3_top_source_occupancy\":null"));
         assert!((report.utilization() - 0.5).abs() < 1e-9);
         assert!((report.cells_per_sec() - 5.0 / 1.5).abs() < 1e-9);
         assert!(
             json.contains("\"host\":{\"cells_per_sec\":"),
             "host throughput section present"
         );
-        assert!(json.contains("\"host_nanos_total\":42"));
-        assert!(
-            json.contains("\"load_to_use\":{\"p50\":[2,3]"),
-            "quantile intervals serialized in per-cell stats: {json}"
-        );
-        assert!(
-            json.contains("\"fill_to_use\":null"),
-            "empty histogram quantiles serialize as null"
-        );
-        assert!(
-            !json.contains("near_load_to_use") && !json.contains("far_load_to_use"),
-            "single-tier cells serialize no per-tier rows (baseline byte-identity)"
-        );
-        assert!(
-            json.contains("\"host_profile\":{\"host_nanos_total\":42"),
-            "per-cell host profile serialized against the cell's host time"
-        );
+        assert!(json.contains("\"host_nanos_total\":51"));
         assert!(
             text.contains("host profile (where the time goes"),
             "aggregated ranked table rendered: {text}"
         );
         assert!(text.contains("kernel"), "ranked row names the component");
         assert!(text.contains("other"), "residual reported, not dropped");
-        assert_eq!(report.total_cell_nanos(), 42);
-        assert_eq!(report.cell_nanos_percentile(0.50), 42);
-        assert_eq!(report.cell_nanos_percentile(0.99), 42);
+        assert_eq!(report.total_cell_nanos(), 51);
     }
 
     #[test]
-    fn tiered_cell_stats_serialize_per_tier_quantile_rows() {
-        let q = {
-            let mut h = prodigy_sim::Log2Hist::default();
-            h.record(100);
-            h.record(500);
-            prodigy_sim::HistQuantiles::from_hist(&h)
+    fn canonical_cells_drop_exactly_the_host_fields() {
+        let mut c = cell("k", 42, Some(outcome()));
+        c.worker = 1;
+        c.disk_hit = true;
+        let full = c.to_json();
+        let canon = canonical_cell(&full);
+        let keys: Vec<&str> = canon
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "key",
+                "stats",
+                "summary",
+                "checksum",
+                "prodigy",
+                "storage_bits",
+                "seed",
+                "telemetry",
+                "error"
+            ]
+        );
+        // The outcome part is byte-identical to what the cell cache stores.
+        let Json::Obj(stored) = outcome().to_json() else {
+            panic!("outcome is an object")
         };
-        let cs = CellStats {
-            cycles: 10,
-            instructions: 10,
-            checksum: 0,
-            l1_misses: 0,
-            l2_misses: 0,
-            l3_misses: 0,
-            dram_reads: 0,
-            prefetches_issued: 0,
-            prefetch_accuracy: None,
-            prefetch_coverage: None,
-            load_to_use: q,
-            fill_to_use: None,
-            dram_round_trip: None,
-            near_load_to_use: q,
-            far_load_to_use: q,
-            pollution_rate: None,
-            l1_prefetch_occupancy: None,
-            l2_prefetch_occupancy: None,
-            l3_prefetch_occupancy: None,
-            l3_top_source_occupancy: None,
-        };
-        let json = cs.to_json();
+        assert_eq!(canon.as_obj().unwrap()[2..8], stored[..]);
+        // Host fields never change the canonical form.
+        let mut other = cell("k", 7, Some(outcome()));
+        other.host_profile = Some(prodigy_sim::HostProfile::default());
+        assert_eq!(canonical_cell(&other.to_json()), canon);
+    }
+
+    #[test]
+    fn cell_stats_view_serializes_rates_quantiles_and_tier_rows() {
+        let out = outcome();
+        let json = CellStats::from_outcome(&out).to_json().to_string();
+        assert!(
+            json.contains("\"prefetch_accuracy\":1.000000,\"prefetch_coverage\":0.500000"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"load_to_use\":{\"p50\":[2,3]"),
+            "quantile intervals serialized: {json}"
+        );
+        assert!(
+            json.contains("\"fill_to_use\":null"),
+            "empty histogram quantiles serialize as null"
+        );
+        assert!(
+            json.contains("\"pollution_rate\":null"),
+            "no-prefetch cells render pollution n/a, not 0"
+        );
+        assert!(
+            json.contains("\"l1_prefetch_occupancy\":0.250000,\"l2_prefetch_occupancy\":null"),
+            "occupancy shares serialized: {json}"
+        );
+        assert!(json.ends_with("\"l3_top_source_occupancy\":null}"));
+        assert!(
+            !json.contains("near_load_to_use") && !json.contains("far_load_to_use"),
+            "single-tier cells serialize no per-tier rows (baseline byte-identity)"
+        );
+        let mut tiered = out;
+        let split = tiered.telemetry.tiers_mut();
+        split.near.load_to_use.record(100);
+        split.far.load_to_use.record(500);
+        let json = CellStats::from_outcome(&tiered).to_json().to_string();
         assert!(json.contains("\"near_load_to_use\":{\"p50\":"), "{json}");
         assert!(json.contains("\"far_load_to_use\":{\"p50\":"), "{json}");
-        assert!(json.ends_with('}'));
     }
 
     #[test]
     fn cell_percentiles_use_nearest_rank() {
-        let cell = |nanos: u64| CellTiming {
-            key: "k".into(),
-            timing: prodigy_sim::RunTiming { host_nanos: nanos },
-            worker: CALLER_THREAD,
-            telemetry: None,
-            stats: None,
-            error: None,
-            disk_hit: false,
-            host_profile: None,
-        };
+        let cell = |nanos: u64| cell("k", nanos, None);
         let report = SweepReport {
             threads: 1,
             base_seed: 0,
@@ -1238,11 +1240,5 @@ mod tests {
             ..report
         };
         assert_eq!(empty.cell_nanos_percentile(0.5), 0);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -4,10 +4,11 @@
 //! merging shard reports must be byte-identical to merging an unsharded
 //! run's report.
 
-use prodigy_bench::compare::{diff_reports, merge_reports, parse_json};
+use prodigy_bench::compare::{diff_reports, merge_reports};
 use prodigy_bench::experiments::{experiment_cells, shard_cells, Cell, Ctx, ShardSpec};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::WorkloadSpec;
+use prodigy_sim::json::{parse_json, ToJson};
 use prodigy_sim::SystemConfig;
 use prodigy_workloads::PrefetcherKind;
 use std::path::PathBuf;
@@ -143,7 +144,8 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
     full.warm(cells.clone());
     let full_report = full.report();
     assert!(full_report.errors.is_empty());
-    let merged_full = merge_reports(&[parse_json(&full_report.to_json()).unwrap()]).unwrap();
+    let merged_full =
+        merge_reports(&[parse_json(&full_report.to_json().to_string()).unwrap()]).unwrap();
 
     // Shards 1/2 and 2/2: disjoint, covering, order-insensitive.
     let mut shard_jsons = Vec::new();
@@ -159,7 +161,7 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
         ctx.warm(owned);
         let r = ctx.report();
         assert!(r.errors.is_empty());
-        shard_jsons.push(parse_json(&r.to_json()).unwrap());
+        shard_jsons.push(parse_json(&r.to_json().to_string()).unwrap());
     }
     assert_eq!(owned_total, cells.len(), "shards must partition the grid");
 
@@ -173,8 +175,8 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
 
     // And prodigy-diff agrees: zero changed metrics vs the unsharded run.
     let d = diff_reports(
-        &parse_json(&full_report.to_json()).unwrap(),
-        &parse_json(&merged_shards).unwrap(),
+        &parse_json(&full_report.to_json().to_string()).unwrap(),
+        &parse_json(&merged_shards.to_string()).unwrap(),
         0.02,
     )
     .unwrap();

@@ -6,6 +6,7 @@
 use prodigy_bench::experiments::{Cell, Ctx};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::WorkloadSpec;
+use prodigy_sim::json::ToJson;
 use prodigy_sim::{chrome_trace_json, MetricsConfig, SystemConfig};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
 
@@ -182,8 +183,8 @@ fn metrics_series_is_byte_identical_across_same_seed_runs() {
         "a bfs-lj run must close at least one 5k-cycle window"
     );
     assert_eq!(
-        ma.to_json(),
-        mb.to_json(),
+        ma.to_json().to_string(),
+        mb.to_json().to_string(),
         "same-seed metrics series must be byte-identical"
     );
     // The per-DIG-node attribution table is deterministic and populated.

@@ -102,6 +102,18 @@ impl ProdigyStats {
     }
 }
 
+prodigy_sim::json_object!(ProdigyStats {
+    sequences_initiated,
+    sequences_dropped,
+    single_prefetches,
+    ranged_prefetches,
+    trigger_prefetches,
+    inline_advances,
+    pfhr_drops,
+    elements_advanced,
+    range_elements_tracked,
+});
+
 /// The per-core Prodigy prefetcher instance.
 ///
 /// ```

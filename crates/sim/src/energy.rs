@@ -62,6 +62,13 @@ pub struct EnergyBreakdown {
     pub other: f64,
 }
 
+crate::json_object!(EnergyBreakdown {
+    core,
+    cache,
+    dram,
+    other
+});
+
 impl EnergyBreakdown {
     /// Total energy in joules.
     pub fn total(&self) -> f64 {

@@ -12,7 +12,7 @@
 //! disabled: entering a scope is a single relaxed atomic load, and no state
 //! is touched (the zero-allocation test in `crates/sim/tests/zero_alloc.rs`
 //! pins this down). It never reads simulated state, so enabling it cannot
-//! change `Stats`, checksums, or telemetry — only the excluded-from-diff
+//! change `Stats`, checksums, or telemetry — only the host-side
 //! `host_profile` report section.
 //!
 //! Accounting is *self-time*: a guard subtracts the time spent in nested
@@ -21,6 +21,7 @@
 //! Counters are thread-local; a run profiled on one thread must be
 //! snapshotted on that same thread ([`snapshot_thread`]).
 
+use crate::json::{Json, ToJson};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -206,8 +207,8 @@ impl Drop for ScopeGuard {
 
 /// A finished run's per-component host-time/allocation breakdown.
 ///
-/// Host-side measurement only: excluded from determinism comparisons the
-/// same way `RunTiming` is (see `prodigy-diff`'s excluded-key list).
+/// Host-side measurement only: like `RunTiming`, it is one of a sweep
+/// cell's host fields, which `--merge` and `prodigy-diff` leave out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostProfile {
     /// Self-time nanoseconds per component (index = `Component as usize`).
@@ -266,31 +267,29 @@ impl HostProfile {
         rows
     }
 
-    /// Serializes the breakdown against the run's total host time:
+    /// The breakdown as JSON, measured against the run's total host time:
     /// `host_nanos_total` is the enclosing wall measurement (`RunTiming`),
     /// and the residual it does not attribute to any component is reported
     /// explicitly as `other_ns` rather than silently dropped.
-    pub fn to_json(&self, host_nanos_total: u64) -> String {
-        let mut comps = String::new();
-        for &c in ALL_COMPONENTS.iter() {
-            if !comps.is_empty() {
-                comps.push(',');
-            }
-            comps.push_str(&format!(
-                "\"{}\":{{\"self_ns\":{},\"allocs\":{}}}",
-                c.label(),
-                self.self_ns[c as usize],
-                self.allocs[c as usize]
-            ));
-        }
-        let other_ns = host_nanos_total.saturating_sub(self.total_self_ns());
-        format!(
-            "{{\"host_nanos_total\":{},\"other_ns\":{},\"allocs_unattributed\":{},\"components\":{{{}}}}}",
-            host_nanos_total,
-            other_ns,
-            self.allocs[COMPONENTS],
-            comps
-        )
+    pub fn to_json(&self, host_nanos_total: u64) -> Json {
+        let comps = ALL_COMPONENTS.iter().map(|&c| {
+            let row = Json::obj([
+                ("self_ns", self.self_ns[c as usize].to_json()),
+                ("allocs", self.allocs[c as usize].to_json()),
+            ]);
+            (c.label().to_string(), row)
+        });
+        Json::obj([
+            ("host_nanos_total", host_nanos_total.to_json()),
+            (
+                "other_ns",
+                host_nanos_total
+                    .saturating_sub(self.total_self_ns())
+                    .to_json(),
+            ),
+            ("allocs_unattributed", self.allocs[COMPONENTS].to_json()),
+            ("components", Json::Obj(comps.collect())),
+        ])
     }
 }
 
@@ -367,7 +366,7 @@ mod tests {
         let ranked = p.ranked();
         assert_eq!(ranked.len(), COMPONENTS);
         assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
-        let js = p.to_json(1_000);
+        let js = p.to_json(1_000).to_string();
         assert!(js.contains("\"host_nanos_total\":1000"));
         assert!(js.contains("\"other_ns\":"));
         assert!(js.contains("\"telemetry\":{\"self_ns\":"));

@@ -36,6 +36,7 @@ pub mod core;
 pub mod energy;
 pub mod fxhash;
 pub mod hostprof;
+pub mod json;
 pub mod mem;
 pub mod metrics;
 pub mod prefetch;

@@ -14,6 +14,7 @@
 //! the [`crate::telemetry::Tracer`], no sample is ever allocated and
 //! [`crate::Stats`] stays byte-identical to an unmetered run.
 
+use crate::json::{Json, ToJson};
 use crate::stats::Stats;
 use crate::telemetry::OccupancySnapshot;
 
@@ -75,43 +76,22 @@ pub struct MetricSample {
     pub occupancy: Option<OccupancySnapshot>,
 }
 
-impl MetricSample {
-    /// Serializes to one JSON object (hand-rolled; `Option` renders as
-    /// `null`, matching the report convention for "no data").
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            match v {
-                Some(v) => format!("{v:.6}"),
-                None => "null".to_string(),
-            }
-        }
-        let occupancy = match &self.occupancy {
-            Some(o) => format!(",\"occupancy\":{}", o.to_json()),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"cycle\":{},\"instructions\":{},\"ipc\":{:.6},",
-                "\"l1_miss_rate\":{},\"l2_miss_rate\":{},\"l3_miss_rate\":{},",
-                "\"mlp\":{:.6},\"dram_queue_depth\":{:.6},",
-                "\"prefetch_accuracy\":{},\"prefetch_coverage\":{},",
-                "\"throttle_level\":{}{}}}"
-            ),
-            self.cycle,
-            self.instructions,
-            self.ipc,
-            opt(self.l1_miss_rate),
-            opt(self.l2_miss_rate),
-            opt(self.l3_miss_rate),
-            self.mlp,
-            self.dram_queue_depth,
-            opt(self.prefetch_accuracy),
-            opt(self.prefetch_coverage),
-            self.throttle_level,
-            occupancy,
-        )
-    }
-}
+// One window as a JSON object: rates with six decimals (`null` when the
+// window had no data), `occupancy` only once the gauge was published.
+crate::json_object!(MetricSample {
+    cycle,
+    instructions,
+    ipc: ratio,
+    l1_miss_rate: ratio,
+    l2_miss_rate: ratio,
+    l3_miss_rate: ratio,
+    mlp: ratio,
+    dram_queue_depth: ratio,
+    prefetch_accuracy: ratio,
+    prefetch_coverage: ratio,
+    throttle_level,
+    occupancy: omit_none,
+});
 
 /// Counter snapshot at the close of the previous window; deltas against it
 /// yield per-window rates.
@@ -320,22 +300,17 @@ impl MetricsRegistry {
         out.extend_from_slice(&self.samples[..self.head]);
         out
     }
+}
 
-    /// Serializes the series to JSON:
-    /// `{"window_cycles":N,"windows_closed":N,"samples":[...]}`.
-    pub fn to_json(&self) -> String {
-        let mut body = String::new();
-        for (i, s) in self.samples().iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push('\n');
-            body.push_str(&s.to_json());
-        }
-        format!(
-            "{{\"window_cycles\":{},\"windows_closed\":{},\"samples\":[{body}\n]}}",
-            self.cfg.window_cycles, self.windows_closed
-        )
+/// `{"window_cycles":N,"windows_closed":N,"samples":[...]}`, samples oldest
+/// first.
+impl ToJson for MetricsRegistry {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("window_cycles", self.cfg.window_cycles.to_json()),
+            ("windows_closed", self.windows_closed.to_json()),
+            ("samples", self.samples().to_json()),
+        ])
     }
 }
 
@@ -446,7 +421,7 @@ mod tests {
         let o1 = s[1].occupancy.as_ref().expect("gauge present");
         assert_eq!(o1.levels[0].total(), 2);
         assert_eq!(s[2].occupancy, s[1].occupancy, "gauge holds its value");
-        let j = reg.to_json();
+        let j = reg.to_json().to_string();
         assert!(j.contains("\"throttle_level\":0}"), "pre-gauge sample bare");
         assert!(j.contains("\"throttle_level\":0,\"occupancy\":{\"l1\":"));
     }
@@ -458,7 +433,7 @@ mod tests {
             capacity: 4,
         });
         reg.maybe_sample(10, &Stats::default());
-        let j = reg.to_json();
+        let j = reg.to_json().to_string();
         assert!(j.starts_with("{\"window_cycles\":10,\"windows_closed\":1,"));
         assert!(j.contains("\"l1_miss_rate\":null"));
         assert!(j.contains("\"prefetch_accuracy\":null"));

@@ -262,27 +262,6 @@ pub trait Prefetcher: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Boxed prefetchers forward to their contents, so `System` can be generic
-/// over the prefetcher type (static dispatch for monomorphised drivers) while
-/// `Box<dyn Prefetcher>` keeps working as the type-erased default.
-impl<T: Prefetcher + ?Sized> Prefetcher for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn on_demand(&mut self, ctx: &mut PrefetchCtx<'_>, access: &DemandAccess) {
-        (**self).on_demand(ctx, access)
-    }
-    fn on_fill(&mut self, ctx: &mut PrefetchCtx<'_>, fill: &FillEvent) {
-        (**self).on_fill(ctx, fill)
-    }
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        (**self).as_any_mut()
-    }
-}
-
 /// The non-prefetching baseline: ignores every event.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullPrefetcher;

@@ -352,13 +352,53 @@ impl RunTiming {
     pub fn millis(&self) -> f64 {
         self.host_nanos as f64 / 1e6
     }
-
-    /// Serializes to a JSON object (the offline build has no serde; the
-    /// format is a single integer field, stable for tooling).
-    pub fn to_json(&self) -> String {
-        format!("{{\"host_nanos\":{}}}", self.host_nanos)
-    }
 }
+
+// The wire form of a run's counters: every field, in declaration order.
+// Cycle-stack buckets are stored floats (shortest round-trip text).
+crate::json_object!(CpiStack {
+    no_stall,
+    dram,
+    cache,
+    branch,
+    dependency,
+    other
+});
+crate::json_object!(LevelStats {
+    hits,
+    misses,
+    writebacks
+});
+crate::json_object!(PrefetchUse {
+    hit_l1,
+    hit_l2,
+    hit_l3,
+    evicted_unused
+});
+crate::json_object!(Stats {
+    instructions,
+    loads,
+    stores,
+    branches,
+    mispredicts,
+    cycles,
+    l1d,
+    l2,
+    l3,
+    dram_reads,
+    dram_writes,
+    dram_queue_cycles,
+    tlb_hits,
+    tlb_misses,
+    prefetches_issued,
+    prefetches_redundant,
+    prefetches_throttled,
+    prefetch_use,
+    llc_misses_prefetchable,
+    llc_misses_other,
+    cpi
+});
+crate::json_object!(RunTiming { host_nanos });
 
 #[cfg(test)]
 mod tests {
@@ -481,6 +521,7 @@ mod tests {
         let t = RunTiming::from_elapsed(std::time::Duration::from_micros(1500));
         assert_eq!(t.host_nanos, 1_500_000);
         assert!((t.millis() - 1.5).abs() < 1e-9);
-        assert_eq!(t.to_json(), "{\"host_nanos\":1500000}");
+        let j = crate::json::ToJson::to_json(&t);
+        assert_eq!(j.to_string(), "{\"host_nanos\":1500000}");
     }
 }

@@ -42,14 +42,18 @@ pub struct RunSummary {
     pub prefetcher: String,
 }
 
+crate::json_object!(RunSummary {
+    stats,
+    energy,
+    prefetcher
+});
+
 /// A complete simulated machine.
 ///
-/// Generic over the per-core prefetcher type `P`. The default
-/// (`Box<dyn Prefetcher>`) keeps the flexible type-erased API; performance
-/// drivers monomorphise with a concrete type (e.g. an enum over all known
-/// prefetchers) so the per-instruction `on_demand`/`on_fill` calls dispatch
-/// statically instead of through a vtable.
-pub struct System<P: Prefetcher = Box<dyn Prefetcher>> {
+/// Generic over the per-core prefetcher type `P`, so the per-instruction
+/// `on_demand`/`on_fill` calls dispatch statically (drivers use an enum over
+/// all known prefetchers) instead of through a vtable.
+pub struct System<P: Prefetcher> {
     cfg: SystemConfig,
     mem: MemorySystem,
     space: AddressSpace,
@@ -73,10 +77,10 @@ impl<P: Prefetcher> std::fmt::Debug for System<P> {
     }
 }
 
-impl System {
+impl System<NullPrefetcher> {
     /// Builds a system with no prefetching (the paper's baseline).
     pub fn new(cfg: SystemConfig) -> Self {
-        Self::with_prefetchers(cfg, |_| Box::new(NullPrefetcher::new()))
+        Self::with_prefetchers(cfg, |_| NullPrefetcher::new())
     }
 }
 
@@ -482,9 +486,7 @@ mod tests {
         }
         let mut base = System::new(SystemConfig::scaled(64).with_cores(1));
         let t_base = stream(&mut base);
-        let mut pf = System::with_prefetchers(SystemConfig::scaled(64).with_cores(1), |_| {
-            Box::new(NextLine)
-        });
+        let mut pf = System::with_prefetchers(SystemConfig::scaled(64).with_cores(1), |_| NextLine);
         let t_pf = stream(&mut pf);
         assert!(
             t_pf * 10 < t_base * 9,

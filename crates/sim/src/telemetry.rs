@@ -22,6 +22,7 @@
 //! sequential per run, and no host time is ever recorded.
 
 use crate::fxhash::FxBuildHasher;
+use crate::json::{Fields, FromJson, Json, ToJson};
 use crate::mem::hierarchy::ServedBy;
 use crate::metrics::{MetricsConfig, MetricsRegistry};
 use std::any::Any;
@@ -459,24 +460,6 @@ impl Log2Hist {
         self.buckets[bucket]
     }
 
-    /// Reconstructs a histogram from its serialized parts: total count,
-    /// saturating sum, and sparse `(bucket, count)` pairs (the shape
-    /// [`Log2Hist::to_json`] emits). Out-of-range bucket indices are
-    /// rejected so corrupted persisted entries fail loudly at the caller
-    /// instead of silently truncating.
-    pub fn from_parts(count: u64, sum: u64, sparse: &[(usize, u64)]) -> Result<Self, String> {
-        let mut h = Log2Hist::new();
-        for &(bucket, n) in sparse {
-            if bucket >= HIST_BUCKETS {
-                return Err(format!("bucket index {bucket} out of range"));
-            }
-            h.buckets[bucket] += n;
-        }
-        h.count = count;
-        h.sum = sum;
-        Ok(h)
-    }
-
     /// Adds another histogram's contents into this one.
     pub fn merge(&mut self, o: &Log2Hist) {
         for (a, b) in self.buckets.iter_mut().zip(o.buckets.iter()) {
@@ -484,23 +467,6 @@ impl Log2Hist {
         }
         self.count += o.count;
         self.sum = self.sum.saturating_add(o.sum);
-    }
-
-    /// Serializes to a JSON object with sparse `[bucket, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut pairs = String::new();
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                if !pairs.is_empty() {
-                    pairs.push(',');
-                }
-                pairs.push_str(&format!("[{i},{n}]"));
-            }
-        }
-        format!(
-            "{{\"count\":{},\"sum\":{},\"buckets\":[{pairs}]}}",
-            self.count, self.sum
-        )
     }
 
     /// Inclusive value interval `[lo, hi]` covered by `bucket` (the
@@ -548,6 +514,45 @@ impl Log2Hist {
     }
 }
 
+/// `{"count":N,"sum":N,"buckets":[[bucket,count],...]}` with only the
+/// non-empty buckets, in ascending order.
+impl ToJson for Log2Hist {
+    fn to_json(&self) -> Json {
+        let buckets = self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+        Json::obj([
+            ("count", self.count.to_json()),
+            ("sum", self.sum.to_json()),
+            (
+                "buckets",
+                Json::Arr(buckets.map(|(i, n)| (i, *n).to_json()).collect()),
+            ),
+        ])
+    }
+}
+
+impl FromJson for Log2Hist {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let mut r = Fields::new(v, "Log2Hist")?;
+        let mut h = Log2Hist {
+            count: r.take("count")?,
+            sum: r.take("sum")?,
+            ..Log2Hist::default()
+        };
+        let pairs = r.take_with("buckets", |b| b.as_arr().ok_or("expected an array".into()))?;
+        r.finish()?;
+        let mut next = 0;
+        for pair in pairs {
+            let (bucket, n) = <(usize, u64)>::from_json(pair)?;
+            if bucket < next || bucket >= HIST_BUCKETS || n == 0 {
+                return Err(format!("Log2Hist: bad bucket pair [{bucket},{n}]"));
+            }
+            h.buckets[bucket] = n;
+            next = bucket + 1;
+        }
+        Ok(h)
+    }
+}
+
 /// The standard quantile set (p50/p90/p99/max) of one [`Log2Hist`], each as
 /// an inclusive `[lo, hi]` bucket-bound interval.
 ///
@@ -579,21 +584,6 @@ impl HistQuantiles {
         })
     }
 
-    /// Serializes as `{"p50":[lo,hi],...}` (deterministic field order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"p50\":[{},{}],\"p90\":[{},{}],\"p99\":[{},{}],\"max\":[{},{}]}}",
-            self.p50.0,
-            self.p50.1,
-            self.p90.0,
-            self.p90.1,
-            self.p99.0,
-            self.p99.1,
-            self.max.0,
-            self.max.1
-        )
-    }
-
     /// Renders one interval compactly for human-facing tables: `"v"` for a
     /// point interval, `"lo..hi"` otherwise.
     pub fn fmt_interval((lo, hi): (u64, u64)) -> String {
@@ -604,6 +594,9 @@ impl HistQuantiles {
         }
     }
 }
+
+// `{"p50":[lo,hi],"p90":[lo,hi],"p99":[lo,hi],"max":[lo,hi]}`.
+crate::json_object!(HistQuantiles { p50, p90, p99, max });
 
 /// The Fig. 19 prefetch-timeliness taxonomy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -641,15 +634,14 @@ impl Timeliness {
         self.inaccurate += o.inaccurate;
         self.dropped += o.dropped;
     }
-
-    /// Serializes to a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"timely\":{},\"late\":{},\"inaccurate\":{},\"dropped\":{}}}",
-            self.timely, self.late, self.inaccurate, self.dropped
-        )
-    }
 }
+
+crate::json_object!(Timeliness {
+    timely,
+    late,
+    inaccurate,
+    dropped
+});
 
 /// Identifies the static source of a prefetch for attribution: for Prodigy
 /// this encodes a DIG node or edge (see `prodigy::edge_tag`), for baseline
@@ -715,6 +707,15 @@ impl SourceCounts {
         }
     }
 }
+
+crate::json_object!(SourceCounts {
+    issued,
+    timely,
+    late,
+    inaccurate,
+    dropped,
+    polluting
+});
 
 /// Per-source prefetch attribution: for every [`SourceTag`] that issued at
 /// least one prefetch, the timely/late/inaccurate/dropped breakdown. This
@@ -800,31 +801,51 @@ impl AttributionTable {
             self.insert_counts(*tag, *c);
         }
     }
+}
 
-    /// Serializes to a JSON array sorted by tag.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, (tag, c)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                concat!(
-                    "{{\"tag\":{},\"label\":\"{}\",\"issued\":{},\"timely\":{},",
-                    "\"late\":{},\"inaccurate\":{},\"dropped\":{},\"polluting\":{}}}"
-                ),
-                tag,
-                source_tag_label(*tag),
-                c.issued,
-                c.timely,
-                c.late,
-                c.inaccurate,
-                c.dropped,
-                c.polluting
-            ));
+/// Reads the `tag` and `label` that open every per-source row, checking
+/// that tags ascend (rows are written in tag order) and that the label is
+/// the one [`source_tag_label`] derives.
+fn take_tag(r: &mut Fields<'_>, prev: Option<SourceTag>) -> Result<SourceTag, String> {
+    let tag: SourceTag = r.take("tag")?;
+    let label: String = r.take("label")?;
+    if prev.is_some_and(|p| p >= tag) || label != source_tag_label(tag) {
+        return Err(format!("source rows: bad tag {tag} / label {label:?}"));
+    }
+    Ok(tag)
+}
+
+/// An array of `{"tag":N,"label":"src->dst",<SourceCounts>}` rows in
+/// ascending tag order.
+impl ToJson for AttributionTable {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.entries
+                .iter()
+                .map(|(tag, c)| {
+                    let mut row = vec![
+                        ("tag".to_string(), tag.to_json()),
+                        ("label".to_string(), source_tag_label(*tag).to_json()),
+                    ];
+                    if let Json::Obj(counts) = c.to_json() {
+                        row.extend(counts);
+                    }
+                    Json::Obj(row)
+                })
+                .collect(),
+        )
+    }
+}
+
+impl FromJson for AttributionTable {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let mut t = AttributionTable::default();
+        for row in v.as_arr().ok_or("attribution: expected an array")? {
+            let mut r = Fields::new(row, "attribution row")?;
+            let tag = take_tag(&mut r, t.entries.keys().next_back().copied())?;
+            t.entries.insert(tag, SourceCounts::from_json(&r.rest())?);
         }
-        out.push(']');
-        out
+        Ok(t)
     }
 }
 
@@ -854,15 +875,9 @@ impl PollutionCounts {
         self.l2 += o.l2;
         self.l3 += o.l3;
     }
-
-    /// Serializes to a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"l1\":{},\"l2\":{},\"l3\":{}}}",
-            self.l1, self.l2, self.l3
-        )
-    }
 }
+
+crate::json_object!(PollutionCounts { l1, l2, l3 });
 
 /// Resident-line counts of one cache level (or one memory tier's share of
 /// the L3), split by installing source.
@@ -899,29 +914,56 @@ impl LevelOccupancy {
             }
         }
     }
+}
 
-    /// Serializes to a JSON object with a tag-sorted source array.
-    pub fn to_json(&self) -> String {
-        let mut srcs = String::from("[");
-        for (i, (tag, n)) in self.sources.iter().enumerate() {
-            if i > 0 {
-                srcs.push(',');
-            }
-            srcs.push_str(&format!(
-                "{{\"tag\":{},\"label\":\"{}\",\"lines\":{}}}",
-                tag,
-                source_tag_label(*tag),
-                n
+/// `{"demand":N,"untagged":N,"total":N,"sources":[{"tag","label","lines"}]}`;
+/// `total` is derived and checked on decode.
+impl ToJson for LevelOccupancy {
+    fn to_json(&self) -> Json {
+        let sources = self.sources.iter().map(|(tag, n)| {
+            Json::obj([
+                ("tag", tag.to_json()),
+                ("label", source_tag_label(*tag).to_json()),
+                ("lines", n.to_json()),
+            ])
+        });
+        Json::obj([
+            ("demand", self.demand.to_json()),
+            ("untagged", self.untagged.to_json()),
+            ("total", self.total().to_json()),
+            ("sources", Json::Arr(sources.collect())),
+        ])
+    }
+}
+
+impl FromJson for LevelOccupancy {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let mut r = Fields::new(v, "LevelOccupancy")?;
+        let mut occ = LevelOccupancy {
+            demand: r.take("demand")?,
+            untagged: r.take("untagged")?,
+            ..LevelOccupancy::default()
+        };
+        let total: u64 = r.take("total")?;
+        let rows = r.take_with("sources", |s| {
+            s.as_arr().ok_or("expected an array".to_string())
+        })?;
+        r.finish()?;
+        let mut sum = Some(occ.demand);
+        for row in rows {
+            let mut r = Fields::new(row, "occupancy source")?;
+            let tag = take_tag(&mut r, occ.sources.keys().next_back().copied())?;
+            let lines: u64 = r.take("lines")?;
+            r.finish()?;
+            occ.sources.insert(tag, lines);
+            sum = sum.and_then(|s| s.checked_add(lines));
+        }
+        if sum.and_then(|s| s.checked_add(occ.untagged)) != Some(total) {
+            return Err(format!(
+                "LevelOccupancy: total {total} does not match its buckets"
             ));
         }
-        srcs.push(']');
-        format!(
-            "{{\"demand\":{},\"untagged\":{},\"total\":{},\"sources\":{}}}",
-            self.demand,
-            self.untagged,
-            self.total(),
-            srcs
-        )
+        Ok(occ)
     }
 }
 
@@ -937,25 +979,34 @@ pub struct OccupancySnapshot {
     pub tiers: Option<[LevelOccupancy; 2]>,
 }
 
-impl OccupancySnapshot {
-    /// Serializes to a JSON object (`l1`/`l2`/`l3`, then `near`/`far` on
-    /// tiered machines).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"l1\":{},\"l2\":{},\"l3\":{}",
-            self.levels[0].to_json(),
-            self.levels[1].to_json(),
-            self.levels[2].to_json()
-        );
+/// `{"l1":..,"l2":..,"l3":..}`, plus `"near"`/`"far"` on tiered machines.
+impl ToJson for OccupancySnapshot {
+    fn to_json(&self) -> Json {
+        let [l1, l2, l3] = &self.levels;
+        let mut o = vec![
+            ("l1".to_string(), l1.to_json()),
+            ("l2".to_string(), l2.to_json()),
+            ("l3".to_string(), l3.to_json()),
+        ];
         if let Some([near, far]) = &self.tiers {
-            out.push_str(&format!(
-                ",\"near\":{},\"far\":{}",
-                near.to_json(),
-                far.to_json()
-            ));
+            o.push(("near".to_string(), near.to_json()));
+            o.push(("far".to_string(), far.to_json()));
         }
-        out.push('}');
-        out
+        Json::Obj(o)
+    }
+}
+
+impl FromJson for OccupancySnapshot {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let mut r = Fields::new(v, "OccupancySnapshot")?;
+        let levels = [r.take("l1")?, r.take("l2")?, r.take("l3")?];
+        let tiers = match (r.take_opt("near")?, r.take_opt("far")?) {
+            (Some(near), Some(far)) => Some([near, far]),
+            (None, None) => None,
+            _ => return Err("OccupancySnapshot: near and far come as a pair".to_string()),
+        };
+        r.finish()?;
+        Ok(OccupancySnapshot { levels, tiers })
     }
 }
 
@@ -985,22 +1036,15 @@ impl TierTelemetry {
         self.prefetch_reads += o.prefetch_reads;
         self.writebacks += o.writebacks;
     }
-
-    /// Serializes to a JSON object (deterministic field order).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"load_to_use\":{},\"queue_wait\":{},",
-                "\"demand_reads\":{},\"prefetch_reads\":{},\"writebacks\":{}}}"
-            ),
-            self.load_to_use.to_json(),
-            self.queue_wait.to_json(),
-            self.demand_reads,
-            self.prefetch_reads,
-            self.writebacks,
-        )
-    }
 }
+
+crate::json_object!(TierTelemetry {
+    load_to_use,
+    queue_wait,
+    demand_reads,
+    prefetch_reads,
+    writebacks
+});
 
 /// The near/far split of memory-controller telemetry on a tiered machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1017,16 +1061,9 @@ impl TierSplit {
         self.near.merge(&o.near);
         self.far.merge(&o.far);
     }
-
-    /// Serializes to a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"near\":{},\"far\":{}}}",
-            self.near.to_json(),
-            self.far.to_json()
-        )
-    }
 }
+
+crate::json_object!(TierSplit { near, far });
 
 /// Always-on telemetry counters for one run: latency histograms plus the
 /// timeliness breakdown. Kept outside [`crate::Stats`] so the determinism
@@ -1100,50 +1137,26 @@ impl TelemetrySummary {
     pub fn tiers_mut(&mut self) -> &mut TierSplit {
         self.tiers.get_or_insert_with(TierSplit::default)
     }
-
-    /// Serializes to the JSON object embedded per cell in sweep reports.
-    /// The `tiers` and `occupancy` fields are emitted only when present,
-    /// so single-tier (and occupancy-less) runs serialize those sections
-    /// exactly as before the respective models existed. The always-present
-    /// `pollution` object is a diff-excluded provenance field (see the
-    /// bench crate's comparison exclusions).
-    pub fn to_json(&self) -> String {
-        let tiers = match &self.tiers {
-            Some(t) => format!("\"tiers\":{},", t.to_json()),
-            None => String::new(),
-        };
-        let occupancy = match &self.occupancy {
-            Some(o) => format!("\"occupancy\":{},", o.to_json()),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"timeliness\":{},",
-                "\"load_to_use\":{},",
-                "\"fill_to_use\":{},",
-                "\"late_wait\":{},",
-                "\"dram_round_trip\":{},",
-                "\"dram_queue_wait\":{},",
-                "\"throttle_ups\":{},\"throttle_downs\":{},\"dig_transitions\":{},",
-                "\"pollution\":{},",
-                "{}{}\"attribution\":{}}}"
-            ),
-            self.timeliness.to_json(),
-            self.load_to_use.to_json(),
-            self.fill_to_use.to_json(),
-            self.late_wait.to_json(),
-            self.dram_round_trip.to_json(),
-            self.dram_queue_wait.to_json(),
-            self.throttle_ups,
-            self.throttle_downs,
-            self.dig_transitions,
-            self.pollution.to_json(),
-            tiers,
-            occupancy,
-            self.attribution.to_json(),
-        )
-    }
 }
+
+// The per-cell `telemetry` object of sweep reports. `tiers` and
+// `occupancy` are written only when present, so single-tier (and
+// occupancy-less) runs keep the shape they had before those models existed.
+crate::json_object!(TelemetrySummary {
+    timeliness,
+    load_to_use,
+    fill_to_use,
+    late_wait,
+    dram_round_trip,
+    dram_queue_wait,
+    throttle_ups,
+    throttle_downs,
+    dig_transitions,
+    pollution,
+    tiers: omit_none,
+    occupancy: omit_none,
+    attribution,
+});
 
 /// The telemetry hub owned by the memory system: always-on counters plus an
 /// optional event sink and an optional windowed metrics registry.
@@ -1428,7 +1441,7 @@ mod tests {
         assert_eq!(q.p50, (0, 0));
         assert_eq!(q.p99, (4, 7));
         assert_eq!(
-            q.to_json(),
+            q.to_json().to_string(),
             "{\"p50\":[0,0],\"p90\":[1,1],\"p99\":[4,7],\"max\":[1024,2047]}"
         );
         assert_eq!(HistQuantiles::fmt_interval(q.p50), "0");
@@ -1450,7 +1463,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(
-            a.to_json(),
+            a.to_json().to_string(),
             "{\"count\":3,\"sum\":10,\"buckets\":[[0,1],[3,2]]}"
         );
     }
@@ -1570,7 +1583,7 @@ mod tests {
         assert_eq!(t.counters().attribution.iter().count(), 1);
         assert_eq!(source_tag_label(tag), "0->2");
         assert_eq!(source_tag_label(7), "7");
-        let j = t.counters().attribution.to_json();
+        let j = t.counters().attribution.to_json().to_string();
         assert!(j.contains("\"label\":\"0->2\",\"issued\":3,\"timely\":1"));
     }
 
@@ -1585,7 +1598,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(3).unwrap().issued, 2);
         assert_eq!(a.get(9).unwrap().dropped, 1);
-        assert_eq!(AttributionTable::default().to_json(), "[]");
+        assert_eq!(AttributionTable::default().to_json().to_string(), "[]");
         assert!(AttributionTable::default().is_empty());
     }
 
@@ -1616,7 +1629,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.timeliness.total(), 3);
         assert_eq!(a.dig_transitions, 9);
-        let j = a.to_json();
+        let j = a.to_json().to_string();
         assert!(j.contains("\"timeliness\":{\"timely\":2,"));
         assert!(j.contains("\"dig_transitions\":9"));
         assert!(
@@ -1640,7 +1653,7 @@ mod tests {
         assert_eq!(t.far.prefetch_reads, 4);
         assert_eq!(t.near.writebacks, 2);
         assert_eq!(t.far.load_to_use.count(), 1);
-        let j = a.to_json();
+        let j = a.to_json().to_string();
         assert!(
             j.contains("\"tiers\":{\"near\":{\"load_to_use\""),
             "tiers field precedes attribution: {j}"
@@ -1675,9 +1688,9 @@ mod tests {
         // Per-source pollution rate follows the accuracy() n/a convention.
         assert_eq!(c.attribution.get(7).unwrap().pollution(), Some(2.0));
         assert_eq!(SourceCounts::default().pollution(), None);
-        let j = c.attribution.to_json();
+        let j = c.attribution.to_json().to_string();
         assert!(j.contains("\"dropped\":0,\"polluting\":2"), "{j}");
-        let j = c.to_json();
+        let j = c.to_json().to_string();
         assert!(
             j.contains("\"pollution\":{\"l1\":1,\"l2\":1,\"l3\":1}"),
             "{j}"
@@ -1694,7 +1707,7 @@ mod tests {
         assert_eq!(o.levels[0].demand, 1);
         assert_eq!(o.levels[0].prefetched(), 3);
         assert_eq!(o.levels[0].total(), 4);
-        let j = o.to_json();
+        let j = o.to_json().to_string();
         assert!(
             j.starts_with(
                 "{\"l1\":{\"demand\":1,\"untagged\":1,\"total\":4,\
@@ -1705,20 +1718,20 @@ mod tests {
         assert!(!j.contains("\"near\""), "tierless snapshot has no tiers");
         // Tiered snapshots append the near/far L3 split.
         o.tiers = Some([LevelOccupancy::default(), LevelOccupancy::default()]);
-        let j = o.to_json();
+        let j = o.to_json().to_string();
         assert!(j.contains("\"near\":{\"demand\":0"), "{j}");
         assert!(j.contains("\"far\":{\"demand\":0"), "{j}");
 
         // A summary serializes occupancy only once captured, and merge
         // adopts the newest snapshot.
         let mut s = TelemetrySummary::default();
-        assert!(!s.to_json().contains("\"occupancy\""));
+        assert!(!s.to_json().to_string().contains("\"occupancy\""));
         let other = TelemetrySummary {
             occupancy: Some(o.clone()),
             ..TelemetrySummary::default()
         };
         s.merge(&other);
         assert_eq!(s.occupancy, Some(o));
-        assert!(s.to_json().contains("\"occupancy\":{\"l1\""));
+        assert!(s.to_json().to_string().contains("\"occupancy\":{\"l1\""));
     }
 }

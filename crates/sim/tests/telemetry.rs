@@ -35,9 +35,7 @@ impl Prefetcher for NextLines {
 /// Runs a fixed two-phase pointer-chase-ish workload; returns the final
 /// stats and any events the sink collected.
 fn run(sink: Option<Box<dyn TraceSink>>) -> (Stats, Vec<TraceEvent>) {
-    let mut sys = System::with_prefetchers(SystemConfig::scaled(64).with_cores(2), |_| {
-        Box::new(NextLines)
-    });
+    let mut sys = System::with_prefetchers(SystemConfig::scaled(64).with_cores(2), |_| NextLines);
     if let Some(s) = sink {
         sys.install_trace_sink(s);
     }
@@ -133,9 +131,7 @@ fn trace_covers_the_major_categories_with_monotonic_cycles() {
 
 #[test]
 fn telemetry_counters_match_stats_prefetch_accounting() {
-    let mut sys = System::with_prefetchers(SystemConfig::scaled(64).with_cores(1), |_| {
-        Box::new(NextLines)
-    });
+    let mut sys = System::with_prefetchers(SystemConfig::scaled(64).with_cores(1), |_| NextLines);
     let mut b = StreamBuilder::new();
     for i in 0..800u64 {
         let l = b.load_at(1, 0x20_0000 + i * 128, 8, &[]);

@@ -7,11 +7,7 @@
 //! for the no-op baseline). [`AnyPrefetcher`] closes the set instead: one
 //! enum variant per known design, so `System<AnyPrefetcher>` monomorphises
 //! the dispatch into a jump table the optimiser can see through — the `None`
-//! baseline's `on_demand` inlines to nothing.
-//!
-//! The trait-object path still exists (`System`'s default type parameter) and
-//! must stay observationally identical; `dispatch_parity` in
-//! `tests/` runs every kind through both and compares stats byte for byte.
+//! baseline's `on_demand` inlines to nothing. It is the only dispatch path.
 
 use crate::runner::PrefetcherKind;
 use prodigy::{Dig, ProdigyConfig, ProdigyPrefetcher};

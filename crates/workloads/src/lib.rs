@@ -34,4 +34,4 @@ pub use graph::csr::{Csr, WeightedCsr};
 pub use graph::datasets::{Dataset, DATASETS};
 pub use kernels::{Kernel, PhaseRunner};
 pub use layout::ArrayHandle;
-pub use runner::{run_workload, run_workload_boxed, PrefetcherKind, RunConfig, RunOutcome};
+pub use runner::{run_workload, PrefetcherKind, RunConfig, RunOutcome};

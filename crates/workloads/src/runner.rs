@@ -148,8 +148,8 @@ pub struct RunOutcome {
     /// Seed this run was configured with (provenance; see
     /// [`RunConfig::seed`]).
     pub seed: u64,
-    /// Host wall-clock time spent simulating. Telemetry only — excluded
-    /// from all determinism comparisons (see [`prodigy_sim::RunTiming`]).
+    /// Host wall-clock time spent simulating. Telemetry only — not part of
+    /// the outcome's JSON (see [`prodigy_sim::RunTiming`]).
     pub timing: prodigy_sim::RunTiming,
     /// Always-on telemetry counters (latency histograms, prefetch
     /// timeliness, throttle/DIG activity).
@@ -159,10 +159,26 @@ pub struct RunOutcome {
     /// Windowed metrics series, when [`RunConfig::metrics`] was set.
     pub metrics: Option<MetricsRegistry>,
     /// Per-component host-time/allocation breakdown, when
-    /// [`RunConfig::host_profile`] was set. Host telemetry only — excluded
-    /// from determinism comparisons like [`RunOutcome::timing`].
+    /// [`RunConfig::host_profile`] was set. Host telemetry only — not part
+    /// of the outcome's JSON, like [`RunOutcome::timing`].
     pub host_profile: Option<prodigy_sim::HostProfile>,
 }
+
+// The deterministic outcome as JSON: the sweep report splices these fields
+// into each cell, and the cell cache stores exactly this object. Host-side
+// and opt-in fields are not written and decode as their defaults.
+prodigy_sim::json_object!(RunOutcome {
+    summary,
+    checksum,
+    prodigy,
+    storage_bits,
+    seed,
+    telemetry,
+    timing: skip,
+    trace: skip,
+    metrics: skip,
+    host_profile: skip,
+});
 
 /// Runs `kernel` once under `cfg`.
 ///
@@ -173,47 +189,6 @@ pub struct RunOutcome {
 /// returned stats and checksum are bit-identical on every host and under
 /// any thread interleaving.
 pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
-    // `System<AnyPrefetcher>`: the per-instruction prefetcher dispatch is a
-    // match over a closed enum (see `crate::dispatch`), not a vtable call.
-    run_workload_with(
-        kernel,
-        cfg,
-        |_| AnyPrefetcher::None(NullPrefetcher::new()),
-        AnyPrefetcher::build,
-    )
-}
-
-/// [`run_workload`] through `Box<dyn Prefetcher>` — the open trait-object
-/// path `System` defaults to. Dispatch strategy must never affect simulated
-/// results; the dispatch-parity test compares this against [`run_workload`]
-/// cell by cell.
-pub fn run_workload_boxed(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
-    run_workload_with(
-        kernel,
-        cfg,
-        |_| Box::new(NullPrefetcher::new()) as Box<dyn prodigy_sim::prefetch::Prefetcher>,
-        |kind, dig, pcfg| match AnyPrefetcher::build(kind, dig, pcfg) {
-            AnyPrefetcher::None(p) => Box::new(p),
-            AnyPrefetcher::Stride(p) => Box::new(p),
-            AnyPrefetcher::Stream(p) => Box::new(p),
-            AnyPrefetcher::GhbGdc(p) => Box::new(p),
-            AnyPrefetcher::Imp(p) => Box::new(p),
-            AnyPrefetcher::AinsworthJones(p) => Box::new(p),
-            AnyPrefetcher::Droplet(p) => Box::new(p),
-            AnyPrefetcher::Prodigy(p) => Box::new(p),
-        },
-    )
-}
-
-/// The driver body, generic over the prefetcher representation. `idle`
-/// builds the placeholder attached while the kernel lays out memory;
-/// `build` constructs the configured prefetcher once the DIG is known.
-fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
-    kernel: &mut dyn Kernel,
-    cfg: &RunConfig,
-    idle: impl FnMut(usize) -> P,
-    build: impl Fn(PrefetcherKind, &prodigy::Dig, ProdigyConfig) -> P,
-) -> RunOutcome {
     if cfg.host_profile {
         // Enabling is monotonic for the process lifetime: concurrent
         // profiled cells each account into their own thread-local store,
@@ -226,7 +201,11 @@ fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
     let setup_scope = cfg
         .host_profile
         .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Setup));
-    let mut sys: System<P> = System::with_prefetchers(cfg.sys, idle);
+    // `System<AnyPrefetcher>`: the per-instruction prefetcher dispatch is a
+    // match over a closed enum (see `crate::dispatch`), not a vtable call.
+    // A no-op placeholder is attached while the kernel lays out memory.
+    let mut sys: System<AnyPrefetcher> =
+        System::with_prefetchers(cfg.sys, |_| AnyPrefetcher::None(NullPrefetcher::new()));
     if cfg.trace {
         sys.install_trace_sink(Box::new(MemorySink::new()));
     }
@@ -247,7 +226,7 @@ fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
     let program = DigProgram::from_dig(&dig);
 
     let prodigy_cfg = cfg.prodigy;
-    sys.set_prefetchers(|_| build(cfg.prefetcher, &dig, prodigy_cfg));
+    sys.set_prefetchers(|_| AnyPrefetcher::build(cfg.prefetcher, &dig, prodigy_cfg));
     // The instrumented binary's registration prologue (no-op unless the
     // hardware is Prodigy).
     sys.program_prefetchers(|p| program.apply(p));
