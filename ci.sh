@@ -274,4 +274,22 @@ assert rated > 0, "no cell reported a pollution rate"
 print(f"   {len(cells)} cells, {rated} with a pollution rate, occupancy sums: OK")
 PY
 
+# perfbench (the repository's benchmark) is a cargo workspace of its own
+# that builds against crates/ by path, so nothing above compiles it: a
+# public-API change could break the benchmark unnoticed.
+echo "== perfbench: build, tests, one-pass is smoke"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload is --seconds 0 --trace 0 >"$tmp/perfbench.txt"
+python3 - "$tmp/perfbench.txt" <<'PY'
+import json, sys
+last = open(sys.argv[1]).read().strip().splitlines()[-1]
+d = json.loads(last)
+assert d["correct"] is True, f"perfbench is: not correct: {last}"
+assert d["failed"] == 0, f"perfbench is: {d['failed']} failed cells"
+print(f"   perfbench is: {d['attempted']} cells run, 0 failed, "
+      f"peak rss {d['metrics']['peak_rss_mib']['value']:.0f} MiB (non-gating): OK")
+PY
+
 echo "CI green."

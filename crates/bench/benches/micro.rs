@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the performance-critical structures: the
-//! PFHR file, the cache array, DIG programming, branch prediction, and
-//! end-to-end simulator throughput (instructions simulated per second).
+//! PFHR file, the cache array, DIG programming, branch prediction,
+//! instruction-stream encoding and decoding, and end-to-end simulator
+//! throughput (instructions simulated per second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use prodigy::dig::NodeId;
 use prodigy::{Dig, DigProgram, EdgeKind, PfhrFile, ProdigyPrefetcher, TriggerSpec};
-use prodigy_sim::core::{Gshare, StreamBuilder};
+use prodigy_sim::core::{Gshare, Op, StreamBuilder};
 use prodigy_sim::mem::cache::{demand_line, Cache};
 use prodigy_sim::mem::coherence::Mesi;
 use prodigy_sim::Provenance;
@@ -95,6 +96,64 @@ fn bench_bpred(c: &mut Criterion) {
     });
 }
 
+/// Appends PageRank-gather-shaped instructions (the CSC pull loop of
+/// `kernels::pr` on a 96k-vertex graph) to `b` until it holds `n`.
+fn pr_gather(b: &mut StreamBuilder, n: usize) {
+    let (off, edg, contrib, scores) = (0x10_0000u64, 0x20_0000, 0x80_0000, 0xa0_0000);
+    let mut x = 0x9002u64;
+    let mut rand = move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        x >> 33
+    };
+    let (mut u, mut w) = (0, 0);
+    while b.len() < n {
+        let lo = b.load_at(40, off + 4 * u, 4, &[]);
+        b.load_at(41, off + 4 * (u + 1), 4, &[]);
+        let mut acc = b.compute(1, &[]);
+        for _ in 0..rand() % 28 {
+            let e = b.load_at(42, edg + 4 * w, 4, &[lo]);
+            let c = b.load_at(43, contrib + 8 * (rand() % 96_000), 8, &[e]);
+            acc = b.compute(4, &[c, acc]);
+            w += 1;
+        }
+        b.store_at(44, scores + 8 * u, 8, &[acc]);
+        u += 1;
+    }
+}
+
+fn bench_stream(c: &mut Criterion) {
+    const N: usize = 1_000_000;
+    let mut g = c.benchmark_group("stream");
+    g.throughput(Throughput::Elements(N as u64));
+    g.bench_function("encode", |b| {
+        b.iter(|| {
+            let mut sb = StreamBuilder::new();
+            pr_gather(&mut sb, N);
+            sb.finish()
+        })
+    });
+    let mut sb = StreamBuilder::new();
+    pr_gather(&mut sb, N);
+    let stream = sb.finish();
+    g.bench_function("decode", |b| {
+        b.iter(|| {
+            // Read every field, as the core model does.
+            stream.iter().fold(0u64, |acc, insn| {
+                let v = match insn.op {
+                    Op::Load { addr, size, pc } | Op::Store { addr, size, pc } => {
+                        addr ^ size as u64 ^ pc as u64
+                    }
+                    Op::Compute { latency } => latency as u64,
+                    Op::Branch { pc, taken } => pc as u64 ^ taken as u64,
+                    Op::Prefetch { addr } => addr,
+                };
+                acc.wrapping_add(v ^ insn.dep1 as u64 ^ (insn.dep2 as u64) << 16)
+            })
+        })
+    });
+    g.finish();
+}
+
 fn bench_simulator_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     const N: u64 = 100_000;
@@ -131,6 +190,7 @@ criterion_group!(
     bench_cache,
     bench_dig_programming,
     bench_bpred,
+    bench_stream,
     bench_simulator_throughput
 );
 criterion_main!(benches);

@@ -19,7 +19,6 @@ use std::collections::HashMap;
 pub struct GhbGdcPrefetcher {
     ghb: Vec<u64>,
     head: usize,
-    filled: usize,
     // Fx-hashed: this map is only ever inserted into / probed (never
     // iterated), so the hasher cannot affect behavior — and it sits on the
     // per-miss hot path of the heaviest fig02 cell.
@@ -43,7 +42,6 @@ impl GhbGdcPrefetcher {
         GhbGdcPrefetcher {
             ghb: vec![0; capacity],
             head: 0,
-            filled: 0,
             index: HashMap::default(),
             degree,
             last: [0; 3],
@@ -54,16 +52,6 @@ impl GhbGdcPrefetcher {
     fn push(&mut self, addr: u64) {
         self.ghb[self.head] = addr;
         self.head = (self.head + 1) % self.ghb.len();
-        self.filled = (self.filled + 1).min(self.ghb.len());
-    }
-
-    /// Age of a GHB position (0 = newest); used to reject stale index hits
-    /// overwritten by the circular buffer.
-    fn pos_is_live(&self, pos: usize) -> bool {
-        if self.filled < self.ghb.len() {
-            return pos < self.head;
-        }
-        true
     }
 
     fn at(&self, pos: usize) -> u64 {
@@ -92,24 +80,28 @@ impl Prefetcher for GhbGdcPrefetcher {
         let d2 = self.last[1] as i64 - self.last[0] as i64;
         let key = (d2, d1);
         let prev = self.index.insert(key, pos);
+        // The index keeps every delta pair it has seen, with the GHB slot of
+        // the pair's latest occurrence. Nothing checks whether the circular
+        // buffer has overwritten that slot since: a hit replays whatever the
+        // slots after it hold now. The replay never reads the current slot or
+        // a later one, so a hit on the slot just before the current one, or
+        // on any later slot, replays nothing.
         if let Some(p) = prev {
-            if self.pos_is_live(p) {
-                ctx.trace_note("ghb-correlation-hit", a.vaddr);
-                // Replay the deltas that followed the previous occurrence.
-                let mut predicted = a.vaddr as i64;
-                for k in 1..=self.degree as usize {
-                    let older = self.at(p + k - 1) as i64;
-                    let newer = self.at(p + k) as i64;
-                    if p + k >= pos {
-                        break;
-                    }
-                    let delta = newer - older;
-                    predicted += delta;
-                    if predicted > 0 && delta != 0 {
-                        // Attribute to the replay depth: how far down the
-                        // correlated delta chain this prediction sits.
-                        ctx.prefetch_tagged(predicted as u64, k as u16);
-                    }
+            ctx.trace_note("ghb-correlation-hit", a.vaddr);
+            // Replay the deltas that followed the previous occurrence.
+            let mut predicted = a.vaddr as i64;
+            for k in 1..=self.degree as usize {
+                let older = self.at(p + k - 1) as i64;
+                let newer = self.at(p + k) as i64;
+                if p + k >= pos {
+                    break;
+                }
+                let delta = newer - older;
+                predicted += delta;
+                if predicted > 0 && delta != 0 {
+                    // Attribute to the replay depth: how far down the
+                    // correlated delta chain this prediction sits.
+                    ctx.prefetch_tagged(predicted as u64, k as u16);
                 }
             }
         }
@@ -118,7 +110,10 @@ impl Prefetcher for GhbGdcPrefetcher {
     fn on_fill(&mut self, _ctx: &mut PrefetchCtx<'_>, _fill: &FillEvent) {}
 
     fn storage_bits(&self) -> u64 {
-        // GHB entries (address + link) plus a 256-entry index table.
+        // GHB entries (address + link) plus an index table costed at 256
+        // entries. The modelled index is unbounded (one entry per distinct
+        // delta pair seen), so this is what the accounting assumes, not
+        // what the model holds.
         self.ghb.len() as u64 * (64 + 8) + 256 * (32 + 8)
     }
 
@@ -187,8 +182,9 @@ mod wraparound_tests {
 
     #[test]
     fn ghb_survives_buffer_wraparound() {
-        // Push far more misses than the GHB holds; stale index entries must
-        // be rejected, not chased into garbage.
+        // Push far more misses than the GHB holds. Index entries then name
+        // slots the buffer has overwritten, and hits on them replay the
+        // overwritten contents; that must stay in bounds and bounded.
         let mut rig = Rig::new();
         let mut pf = GhbGdcPrefetcher::new(16, 2);
         let mut addr = 0x200_0000u64;

@@ -283,7 +283,7 @@ mod tests {
         s: &crate::core::InsnStream,
     ) {
         for i in s.iter() {
-            core.step(i, mem, 0, stats);
+            core.step(&i, mem, 0, stats);
         }
         let end = core.end_time();
         core.end_phase(end);
@@ -430,7 +430,7 @@ mod tests {
         let mut b = StreamBuilder::new();
         b.compute(1, &[]);
         for i in b.finish().iter() {
-            core.step(i, &mut mem, 0, &mut stats);
+            core.step(&i, &mut mem, 0, &mut stats);
         }
         core.end_phase(1000);
         let cpi = core.take_cpi();
@@ -464,7 +464,7 @@ mod prefetch_op_tests {
                 }
             }
             for insn in b.finish().iter() {
-                core.step(insn, &mut mem, 0, &mut stats);
+                core.step(&insn, &mut mem, 0, &mut stats);
             }
             let end = core.end_time();
             core.end_phase(end);
@@ -490,7 +490,7 @@ mod prefetch_op_tests {
             b.prefetch(i * 1_048_576, &[]); // all cold DRAM fetches
         }
         for insn in b.finish().iter() {
-            core.step(insn, &mut mem, 0, &mut stats);
+            core.step(&insn, &mut mem, 0, &mut stats);
         }
         let end = core.end_time();
         core.end_phase(end);

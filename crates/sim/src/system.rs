@@ -221,7 +221,8 @@ impl<P: Prefetcher + 'static> System<P> {
 
         let mut prefetchers = std::mem::take(&mut self.prefetchers);
         let mut fills = std::mem::take(&mut self.fills);
-        let mut pos: Vec<usize> = vec![0; participating];
+        // One decoding cursor per core; `len()` is what is left to run.
+        let mut cursors: Vec<_> = streams.iter().map(|s| s.iter()).collect();
 
         // Event-driven bookkeeping for the hot loop: instead of consulting
         // the fill heap and the metrics registry every instruction, cache the
@@ -247,8 +248,8 @@ impl<P: Prefetcher + 'static> System<P> {
         const BATCH: usize = 8;
         loop {
             let mut best: Option<(u64, usize)> = None;
-            for c in 0..participating {
-                if pos[c] < streams[c].len() {
+            for (c, cursor) in cursors.iter().enumerate() {
+                if cursor.len() > 0 {
                     let t = self.cores[c].now();
                     if best.map(|(bt, _)| t < bt).unwrap_or(true) {
                         best = Some((t, c));
@@ -278,10 +279,9 @@ impl<P: Prefetcher + 'static> System<P> {
                 }
             }
 
+            let cursor = &mut cursors[c];
             for _ in 0..BATCH {
-                if pos[c] >= streams[c].len() {
-                    break;
-                }
+                let Some(insn) = cursor.next() else { break };
                 // Deliver matured prefetch fills first so chained prefetch
                 // sequences advance at memory speed, not core speed.
                 if next_fill[c] <= self.cores[c].now() {
@@ -296,9 +296,7 @@ impl<P: Prefetcher + 'static> System<P> {
                     );
                     next_fill[c] = fills[c].peek().map_or(u64::MAX, |r| r.0.at);
                 }
-                let insn = &streams[c].as_slice()[pos[c]];
-                pos[c] += 1;
-                let step = self.cores[c].step(insn, &mut self.mem, c, &mut self.stats);
+                let step = self.cores[c].step(&insn, &mut self.mem, c, &mut self.stats);
                 if let Some(access) = step.demand {
                     let now = self.cores[c].now();
                     let mut ctx = PrefetchCtx::new(

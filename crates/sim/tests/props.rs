@@ -1,5 +1,7 @@
-//! Property-based tests of the simulator's primitive models.
+//! Property-based tests of the simulator's primitive models and of the
+//! instruction-stream byte encoding.
 
+use prodigy_sim::core::{Insn, InsnStream, Op, StreamBuilder};
 use prodigy_sim::mem::address_space::AddressSpace;
 use prodigy_sim::mem::dram::Dram;
 use prodigy_sim::mem::tlb::Tlb;
@@ -226,5 +228,89 @@ proptest! {
                 prop_assert!(snap.tiers.is_none(), "single-tier machine");
             }
         }
+    }
+}
+
+/// One arbitrary instruction, weighted toward the stream codec's edge
+/// values: addresses at 0, `u64::MAX` and `1 << 63`, near a common base
+/// (small deltas) and anywhere (large forward and backward jumps); pcs
+/// around the `u16` escape; sizes, latencies and deps at their limits.
+struct AnyInsn;
+
+impl Strategy for AnyInsn {
+    type Value = Insn;
+    fn sample(&self, rng: &mut TestRng) -> Insn {
+        let addr = match rng.index(6) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => 1 << 63,
+            3 => 0x1000_0000 + 4 * rng.index(1024) as u64,
+            4 => u64::MAX - rng.index(1 << 20) as u64,
+            _ => rng.next_u64(),
+        };
+        let pc = [
+            0,
+            1,
+            0xfffe,
+            0xffff,
+            0x1_0000,
+            u32::MAX,
+            rng.next_u64() as u32,
+        ][rng.index(7)];
+        let size = [0, 1, 4, 8, 255, rng.next_u64() as u8][rng.index(6)];
+        let mut dep = || [0, 0, 1, u16::MAX, rng.next_u64() as u16][rng.index(5)];
+        let (dep1, dep2) = (dep(), dep());
+        let op = match rng.index(5) {
+            0 => Op::Load { addr, size, pc },
+            1 => Op::Store { addr, size, pc },
+            2 => Op::Compute { latency: size },
+            3 => Op::Branch {
+                pc,
+                taken: rng.next_u64() & 1 == 1,
+            },
+            _ => Op::Prefetch { addr },
+        };
+        Insn { op, dep1, dep2 }
+    }
+}
+
+proptest! {
+    /// The byte encoding is total: any instruction sequence collected into
+    /// a stream decodes back to itself.
+    #[test]
+    fn insn_stream_round_trips_any_instructions(v in prop::collection::vec(AnyInsn, 0..300)) {
+        let s: InsnStream = v.iter().copied().collect();
+        prop_assert_eq!(s.len(), v.len());
+        prop_assert_eq!(s.iter().len(), v.len());
+        prop_assert_eq!(s.iter().collect::<Vec<Insn>>(), v);
+    }
+
+    /// Streams emitted through `StreamBuilder` decode to the instructions
+    /// emitted, with each dependency as the distance to its producer.
+    #[test]
+    fn stream_builder_round_trips_any_sequence(
+        calls in prop::collection::vec((AnyInsn, any::<u64>(), 0usize..3), 1..300)
+    ) {
+        let mut b = StreamBuilder::new();
+        let mut want = Vec::new();
+        for (i, &(insn, r, n)) in calls.iter().enumerate() {
+            // Up to two earlier producers, picked from the bits of `r`.
+            let deps: Vec<usize> = if i == 0 {
+                Vec::new()
+            } else {
+                (0..n).map(|k| (r >> (32 * k)) as usize % i).collect()
+            };
+            let dist = |k: usize| deps.get(k).map_or(0, |&d| (i - d) as u16);
+            let idx = match insn.op {
+                Op::Load { addr, size, pc } => b.load_at(pc, addr, size, &deps),
+                Op::Store { addr, size, pc } => b.store_at(pc, addr, size, &deps),
+                Op::Compute { latency } => b.compute(latency, &deps),
+                Op::Branch { pc, taken } => b.branch(pc, taken, &deps),
+                Op::Prefetch { addr } => b.prefetch(addr, &deps),
+            };
+            prop_assert_eq!(idx, i);
+            want.push(Insn { op: insn.op, dep1: dist(0), dep2: dist(1) });
+        }
+        prop_assert_eq!(b.finish().iter().collect::<Vec<Insn>>(), want);
     }
 }

@@ -15,9 +15,15 @@
 //! profiled re-run of the identical access sequence must leave every
 //! simulated counter byte-identical.
 //!
+//! The phase scheduler decodes each core's byte-encoded instruction stream
+//! through a cursor on the same path, so `System::run_phase` is pinned too:
+//! its heap operations are a fixed per-phase count, the same for a
+//! 1k-instruction phase as for a 200k-instruction one.
+//!
 //! This file holds exactly one test: the counter is process-global, and a
 //! concurrently running neighbour test would alias it.
 
+use prodigy_sim::core::{InsnStream, StreamBuilder};
 use prodigy_sim::{hostprof, AccessKind, MemorySystem, Stats, SystemConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +77,24 @@ fn hammer(m: &mut MemorySystem, s: &mut Stats, n: u64, seed: &mut u64, now: &mut
     }
 }
 
+/// `n` instructions of every kind: random loads and stores over 8 MB,
+/// dependent compute, data-dependent branches and software prefetches.
+fn mixed_stream(n: u64, seed: &mut u64) -> InsnStream {
+    let mut b = StreamBuilder::new();
+    while (b.len() as u64) < n {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let addr = (*seed >> 16) % (8 << 20);
+        let ld = b.load_at(1, addr, 8, &[]);
+        let add = b.compute(1, &[ld]);
+        b.branch(2, *seed & (1 << 40) != 0, &[add]);
+        b.store_at(3, addr ^ 0x40, 8, &[add]);
+        b.prefetch(addr + 4096, &[]);
+    }
+    b.finish()
+}
+
 #[test]
 fn untraced_demand_path_performs_zero_allocations() {
     let mut m = MemorySystem::new(SystemConfig::scaled(4).with_cores(1));
@@ -91,6 +115,31 @@ fn untraced_demand_path_performs_zero_allocations() {
         "untraced demand_access allocated {delta} times in 1M accesses"
     );
     assert!(s.dram_reads > 0, "the mix must include real misses");
+
+    // The phase scheduler: after warm-up phases, a short and a long phase
+    // perform the same number of heap operations (the per-phase cursor and
+    // fill-deadline vectors), so decoding allocates nothing per instruction.
+    let mut sys = prodigy_sim::System::new(SystemConfig::scaled(4).with_cores(2));
+    let mut seed = 5u64;
+    let phase = |n: u64, seed: &mut u64| -> Vec<InsnStream> {
+        (0..2).map(|_| mixed_stream(n, seed)).collect()
+    };
+    for _ in 0..2 {
+        let streams = phase(200_000, &mut seed);
+        sys.run_phase(streams);
+    }
+    let mut allocs_in_phase = |streams: Vec<InsnStream>| {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        sys.run_phase(streams);
+        ALLOC_CALLS.load(Ordering::Relaxed) - before
+    };
+    let short = allocs_in_phase(phase(1_000, &mut seed));
+    let long = allocs_in_phase(phase(200_000, &mut seed));
+    assert_eq!(
+        short, long,
+        "run_phase allocated {short} times for 1k instructions per core \
+         but {long} times for 200k"
+    );
 
     // The demand path above crossed hostprof scopes (hierarchy walk, DRAM
     // and TLB ticks) on every access; with profiling disabled each one must
