@@ -29,15 +29,24 @@ cargo test -q --workspace
 # its run (exit 3) instead of hanging CI forever.
 timeout="--timeout-secs 600"
 
-echo "== determinism smoke: 1-thread vs 2-thread figure tables"
+# Gated: every experiment's table, serial and parallel, is byte-identical
+# to the checked-in golden (the canonical-form gates below cover fig02's
+# cells only).
+echo "== tables gate: every experiment at 1 and 2 threads vs BENCH_tables_scale64.txt"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-./target/release/prodigy-eval --scale 64 --threads 1 $timeout \
-    --out "$tmp/t1.txt" --json "$tmp/t1.json" fig02 fig13 >/dev/null
-./target/release/prodigy-eval --scale 64 --threads 2 $timeout \
-    --out "$tmp/t2.txt" --json "$tmp/t2.json" fig02 fig13 >/dev/null
-cmp "$tmp/t1.txt" "$tmp/t2.txt"
-echo "   byte-identical: OK"
+for threads in 1 2; do
+    ./target/release/prodigy-eval --scale 64 --threads "$threads" $timeout \
+        --out "$tmp/tables$threads.txt" >/dev/null
+    if ! cmp BENCH_tables_scale64.txt "$tmp/tables$threads.txt"; then
+        diff BENCH_tables_scale64.txt "$tmp/tables$threads.txt" | head -40 || true
+        echo "   --threads $threads tables drifted from BENCH_tables_scale64.txt."
+        echo "   If the change is intentional, regenerate it with:"
+        echo "   ./target/release/prodigy-eval --scale 64 --threads 2 --timeout-secs 600 --out BENCH_tables_scale64.txt"
+        exit 1
+    fi
+done
+echo "   byte-identical at --threads 1 and 2: OK"
 
 echo "== trace smoke: Chrome trace JSON validity + determinism"
 ./target/release/prodigy-eval --scale 64 --cores 2 \

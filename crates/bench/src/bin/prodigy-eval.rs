@@ -1,6 +1,6 @@
-//! `prodigy-eval` — standalone evaluation driver (same experiments as
-//! `cargo bench --bench figures`, usable as a plain binary with arguments
-//! instead of environment variables).
+//! `prodigy-eval` — the evaluation driver: regenerates every table and
+//! figure of the paper's evaluation (the `experiments::EXPERIMENTS`
+//! registry; see DESIGN.md's per-experiment index).
 //!
 //! ```text
 //! cargo run --release -p prodigy-bench --bin prodigy-eval -- \
@@ -50,7 +50,7 @@
 use prodigy::throttle::ThrottleSpec;
 use prodigy::ProdigyConfig;
 use prodigy_bench::compare::merge_reports;
-use prodigy_bench::experiments::{run_all, shard_cells, Ctx, ShardSpec, EXPERIMENT_NAMES};
+use prodigy_bench::experiments::{run_all, shard_cells, Ctx, ShardSpec, EXPERIMENTS};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::{all_29, WorkloadSpec};
 use prodigy_sim::json::{parse_json, Json, ToJson};
@@ -233,10 +233,10 @@ fn main() {
     // Every positional arg must select at least one experiment; a typo'd
     // name otherwise silently runs nothing.
     for f in &filters {
-        if !EXPERIMENT_NAMES.iter().any(|n| n.contains(f.as_str())) {
+        if !EXPERIMENTS.iter().any(|e| e.name.contains(f.as_str())) {
             usage(&format!(
                 "unknown experiment {f:?}; valid names: {}",
-                EXPERIMENT_NAMES.join(" ")
+                experiment_names()
             ));
         }
     }
@@ -487,6 +487,12 @@ fn run_single(
     }
 }
 
+/// Every experiment name, space-separated, in run order.
+fn experiment_names() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    names.join(" ")
+}
+
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
@@ -499,9 +505,7 @@ fn usage(err: &str) -> ! {
          \x20                  [--metrics FILE [--metrics-window N]]\n\
          \x20                  [--trace-workload NAME] [experiments...]\n\
          \x20      prodigy-eval --merge SHARD.json... [--out merged.json]\n\
-         experiments: table1 table2 fig02 fig04 fig12 fig13 fig14 fig15 fig16 \
-         fig17 table3 fig18 fig19 ranged swpf storage scalability limits_tc \
-         ext_dobfs ext_throttle\n\
+         experiments: {}\n\
          --trace FILE: skip the experiments; capture one throttled Prodigy\n\
          run (default bfs-lj) as Chrome trace-event JSON (Perfetto-viewable).\n\
          --trace-events: comma list of cache,dram,prefetcher,throttle,tlb,core.\n\
@@ -527,7 +531,8 @@ fn usage(err: &str) -> ! {
          (traces, metrics) for the same --scale/--seed; --seed 0 keeps the\n\
          seed inputs. exit status 3 if any cell failed (see stderr / --json).\n\
          compare two runs: prodigy-diff A.json B.json (sweep --json reports\n\
-         or --metrics dumps)."
+         or --metrics dumps).",
+        experiment_names()
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -1,29 +1,34 @@
-//! One function per paper table/figure. Each returns the rendered text it
-//! also prints, so integration tests can assert on the series.
+//! The paper's evaluation as one registry: each entry of [`EXPERIMENTS`]
+//! declares one table or figure's grid of memoised simulation cells
+//! (workload rows × hardware variants) and the renderer that turns the
+//! warmed grid into the text it prints. [`run_all`] warms and renders the
+//! selected entries; [`shard_cells`] enumerates the same grids for
+//! `--shard K/N` sweeps.
 
 use crate::cellcache::{code_rev, composite_key, CellCache};
 use crate::report::{geomean, mean, pct, pct_opt, x, x_opt, Table};
 use crate::sweep::{
-    run_isolated, run_pool, stable_key_hash, CellError, CellStats, CellTiming, SingleFlightCache,
-    SweepConfig, SweepReport, WorkerStat, CALLER_THREAD,
+    panic_message, run_isolated, run_pool, stable_key_hash, CellError, CellStats, CellTiming,
+    SingleFlightCache, SweepConfig, SweepReport, WorkerStat, CALLER_THREAD,
 };
-use crate::workload_set::{all_29, per_algorithm, WorkloadSpec};
+use crate::workload_set::{all_29, per_algorithm, WorkloadSpec, GRAPH_ALGS};
 use prodigy::{ProdigyConfig, ProdigyPrefetcher};
 use prodigy_sim::prefetch::Prefetcher;
 use prodigy_sim::SystemConfig;
-use prodigy_workloads::kernels::PageRank;
+use prodigy_workloads::kernels::{Kernel, PageRank};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One simulation cell: workload × prefetcher × hardware knobs.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Workload to run.
-    pub spec: WorkloadSpec,
+/// The hardware knobs of a simulation cell: everything but its workload.
+/// `Copy` with `const` builders, so registry entries declare their
+/// variants as constants.
+#[derive(Debug, Clone, Copy)]
+pub struct Variant {
     /// Prefetcher attached.
     pub kind: PrefetcherKind,
     /// Prodigy PFHR registers.
@@ -40,12 +45,11 @@ pub struct Cell {
     pub far: u64,
 }
 
-impl Cell {
-    /// A cell with default knobs (16 PFHR entries, no classifier, context
-    /// core count).
-    pub fn new(spec: WorkloadSpec, kind: PrefetcherKind) -> Self {
-        Cell {
-            spec,
+impl Variant {
+    /// `kind` with default knobs (16 PFHR entries, no classifier, context
+    /// core count, single-tier machine).
+    pub const fn new(kind: PrefetcherKind) -> Self {
+        Variant {
             kind,
             pfhr: 16,
             classify: false,
@@ -54,21 +58,71 @@ impl Cell {
         }
     }
 
+    /// With `pfhr` Prodigy PFHR registers.
+    pub const fn with_pfhr(self, pfhr: usize) -> Self {
+        Variant { pfhr, ..self }
+    }
+
+    /// With the LLC-miss classifier installed.
+    pub const fn with_classifier(self) -> Self {
+        Variant {
+            classify: true,
+            ..self
+        }
+    }
+
+    /// On a `cores`-core machine.
+    pub const fn with_cores(self, cores: u32) -> Self {
+        Variant { cores, ..self }
+    }
+
+    /// With a far tier at `far`× DRAM latency.
+    pub const fn with_far(self, far: u64) -> Self {
+        Variant { far, ..self }
+    }
+}
+
+/// One simulation cell: workload × hardware variant.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Workload to run.
+    pub spec: WorkloadSpec,
+    /// Prefetcher and hardware knobs.
+    pub variant: Variant,
+}
+
+impl Cell {
+    /// A cell with default knobs (see [`Variant::new`]).
+    pub fn new(spec: WorkloadSpec, kind: PrefetcherKind) -> Self {
+        Cell {
+            spec,
+            variant: Variant::new(kind),
+        }
+    }
+
     /// Cache key: every knob that affects the simulation result.
     pub fn key(&self) -> String {
+        let v = &self.variant;
         let mut k = format!(
             "{}|{}|{}|{}|{}|{}",
             self.spec.name,
             self.spec.reorder,
-            self.kind.name(),
-            self.pfhr,
-            self.classify,
-            self.cores
+            v.kind.name(),
+            v.pfhr,
+            v.classify,
+            v.cores
         );
-        if self.far != 0 {
-            k.push_str(&format!("|far{}", self.far));
+        if v.far != 0 {
+            k.push_str(&format!("|far{}", v.far));
         }
         k
+    }
+
+    /// Whether the variant applies to the workload: the graph-specific
+    /// prefetchers (A&J, DROPLET) have no layout to walk on non-graph
+    /// workloads, so grids skip those cells.
+    fn applies(&self) -> bool {
+        !self.variant.kind.graph_specific() || self.spec.is_graph()
     }
 }
 
@@ -106,23 +160,24 @@ fn execute_cell(
     host_profile: bool,
     cancel: Arc<std::sync::atomic::AtomicBool>,
 ) -> RunOutcome {
+    let v = cell.variant;
     let mut kernel = cell.spec.instantiate_seeded(base_seed);
-    let mut sys = if cell.cores == 0 {
+    let mut sys = if v.cores == 0 {
         sys
     } else {
-        sys.with_cores(cell.cores)
+        sys.with_cores(v.cores)
     };
-    if cell.far != 0 {
-        sys = sys.with_far_scale(cell.far);
+    if v.far != 0 {
+        sys = sys.with_far_scale(v.far);
     }
     let cfg = RunConfig {
         sys,
-        prefetcher: cell.kind,
+        prefetcher: v.kind,
         prodigy: ProdigyConfig {
-            pfhr_entries: cell.pfhr,
+            pfhr_entries: v.pfhr,
             ..ProdigyConfig::default()
         },
-        classify_llc: cell.classify,
+        classify_llc: v.classify,
         seed: cell.spec.identity_hash() ^ base_seed,
         trace: false,
         metrics: None,
@@ -178,11 +233,6 @@ impl Ctx {
             self.sweep.base_seed,
             &self.code_rev,
         )
-    }
-
-    /// Whether `cell` already has a completed cache entry.
-    pub fn cached(&self, cell: &Cell) -> bool {
-        self.cache.contains(&cell.key())
     }
 
     /// Runs one cell (memoised, single-flight, isolated), returning the
@@ -260,16 +310,6 @@ impl Ctx {
         })
     }
 
-    /// Runs one cell (memoised).
-    ///
-    /// # Panics
-    /// Panics if the cell failed (diverged or panicked); figure functions
-    /// assume their cells succeed, and `run_all` catches the panic per
-    /// experiment so one bad cell cannot abort the sweep.
-    pub fn run(&self, cell: &Cell) -> Arc<RunOutcome> {
-        self.try_run(cell).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Warms the cache for many cells on the bounded worker pool.
     ///
     /// Duplicate and already-cached cells are skipped; failures are
@@ -319,10 +359,143 @@ fn speedup(base: &RunOutcome, v: &RunOutcome) -> f64 {
     base.summary.stats.cycles as f64 / v.summary.stats.cycles.max(1) as f64
 }
 
+/// One un-memoised run of `kernel` on the context's machine, for the runs
+/// a [`Cell`] cannot express (an instrumented or differently sized
+/// kernel, or counters `RunOutcome` does not carry).
+fn run_direct(ctx: &Ctx, kernel: &mut dyn Kernel, prefetcher: PrefetcherKind) -> RunOutcome {
+    run_workload(
+        kernel,
+        &RunConfig {
+            sys: ctx.sys,
+            prefetcher,
+            ..RunConfig::default()
+        },
+    )
+}
+
+/// One workload row of an experiment's grid: the workload and the warmed
+/// outcome of each of the experiment's variants, in registry order.
+struct Row {
+    spec: WorkloadSpec,
+    variants: &'static [Variant],
+    /// `None` where the variant does not apply to the workload.
+    outs: Vec<Option<Arc<RunOutcome>>>,
+}
+
+impl Row {
+    /// The outcome of variant `i`, or `None` where it does not apply.
+    fn get(&self, i: usize) -> Option<&RunOutcome> {
+        self.outs[i].as_deref()
+    }
+
+    /// Every applicable variant with its outcome, in registry order.
+    fn iter(&self) -> impl Iterator<Item = (Variant, &RunOutcome)> {
+        self.variants
+            .iter()
+            .zip(&self.outs)
+            .filter_map(|(&v, out)| Some((v, out.as_deref()?)))
+    }
+}
+
+impl std::ops::Index<usize> for Row {
+    type Output = RunOutcome;
+
+    fn index(&self, i: usize) -> &RunOutcome {
+        self.get(i).expect("variant applies to this row")
+    }
+}
+
+/// One table or figure of the evaluation: its grid of memoised cells
+/// (every row workload under every variant that applies to it) and the
+/// renderer that turns the warmed grid into the printed text.
+pub struct Experiment {
+    /// The name `prodigy-eval`'s experiment filters match.
+    pub name: &'static str,
+    /// The grid's row workloads at a data-set scale.
+    rows: fn(u32) -> Vec<WorkloadSpec>,
+    /// The grid's hardware variants, in column order.
+    variants: &'static [Variant],
+    /// Renders the warmed rows; reads the context only for its machine and
+    /// scale (and for [`run_direct`]).
+    render: fn(&Ctx, &[Row]) -> String,
+}
+
+impl Experiment {
+    const fn new(
+        name: &'static str,
+        rows: fn(u32) -> Vec<WorkloadSpec>,
+        variants: &'static [Variant],
+        render: fn(&Ctx, &[Row]) -> String,
+    ) -> Self {
+        Experiment {
+            name,
+            rows,
+            variants,
+            render,
+        }
+    }
+
+    /// Each row workload at data-set `scale` with its cell per variant
+    /// (`None` where the variant does not apply).
+    fn grid(&self, scale: u32) -> impl Iterator<Item = (WorkloadSpec, Vec<Option<Cell>>)> + '_ {
+        (self.rows)(scale).into_iter().map(|spec| {
+            let cells = self.variants.iter().map(|&variant| {
+                let cell = Cell {
+                    spec: spec.clone(),
+                    variant,
+                };
+                cell.applies().then_some(cell)
+            });
+            let cells = cells.collect();
+            (spec, cells)
+        })
+    }
+
+    /// The experiment's memoised cells at data-set `scale`, row-major.
+    pub fn cells(&self, scale: u32) -> Vec<Cell> {
+        self.grid(scale)
+            .flat_map(|(_, cells)| cells)
+            .flatten()
+            .collect()
+    }
+
+    /// Warms the grid on the worker pool and renders it. A failed cell
+    /// (recorded under its own key) or a renderer panic renders as a
+    /// FAILED line; the panic is recorded under the experiment's name, so
+    /// it fails the run like a failed cell does.
+    fn run(&self, ctx: &Ctx) -> String {
+        ctx.warm(self.cells(ctx.scale));
+        let row = |(spec, cells): (WorkloadSpec, Vec<Option<Cell>>)| -> Result<Row, CellError> {
+            let outs = cells
+                .iter()
+                .map(|c| c.as_ref().map(|c| ctx.try_run(c)).transpose());
+            Ok(Row {
+                spec,
+                variants: self.variants,
+                outs: outs.collect::<Result<_, _>>()?,
+            })
+        };
+        let rows: Vec<Row> = match self.grid(ctx.scale).map(row).collect() {
+            Ok(rows) => rows,
+            Err(e) => return format!("{} — FAILED: {e}\n", self.name),
+        };
+        catch_unwind(AssertUnwindSafe(|| (self.render)(ctx, &rows))).unwrap_or_else(|p| {
+            let reason = panic_message(p.as_ref());
+            let text = format!("{} — FAILED: {reason}\n", self.name);
+            ctx.errors.lock().unwrap().push(CellError {
+                key: self.name.into(),
+                reason,
+                timed_out: false,
+            });
+            text
+        })
+    }
+}
+
 // ---------------------------------------------------------------- Table I
 
 /// Table I: the modelled system configuration.
-pub fn table1(ctx: &Ctx) -> String {
+fn table1(ctx: &Ctx, _rows: &[Row]) -> String {
     let p = SystemConfig::paper();
     let s = ctx.sys;
     let mut t = Table::new(&["component", "paper", "this run (scaled)"]);
@@ -381,7 +554,7 @@ pub fn table1(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Table II
 
 /// Table II: data-set stand-ins with footprint-to-LLC ratios.
-pub fn table2(ctx: &Ctx) -> String {
+fn table2(ctx: &Ctx, _rows: &[Row]) -> String {
     let mut t = Table::new(&["graph", "stands for", "vertices", "edges", "size/LLC"]);
     let llc = ctx.sys.llc_capacity() as f64;
     for d in &prodigy_workloads::graph::datasets::DATASETS {
@@ -404,24 +577,16 @@ pub fn table2(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 2
 
 /// Fig. 2: DRAM-stall reduction and speedup highlight (pr on lj).
-pub fn fig02(ctx: &Ctx) -> String {
-    let spec = WorkloadSpec::graph("pr", "lj", ctx.scale);
-    let kinds = [
-        PrefetcherKind::None,
-        PrefetcherKind::GhbGdc,
-        PrefetcherKind::Droplet,
-        PrefetcherKind::Prodigy,
-    ];
-    warm_for(ctx, "fig02");
-    let base = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
+fn fig02(_ctx: &Ctx, rows: &[Row]) -> String {
+    let row = &rows[0];
+    let base = &row[0];
     let base_dram = base.summary.stats.cpi.dram.max(1e-9);
     let mut t = Table::new(&["prefetcher", "DRAM-stall (norm)", "speedup"]);
-    for k in kinds {
-        let out = ctx.run(&Cell::new(spec.clone(), k));
+    for (v, out) in row.iter() {
         t.row(vec![
-            k.name().into(),
+            v.kind.name().into(),
             format!("{:.3}", out.summary.stats.cpi.dram / base_dram),
-            x(speedup(&base, &out)),
+            x(speedup(base, out)),
         ]);
     }
     format!(
@@ -434,19 +599,17 @@ pub fn fig02(ctx: &Ctx) -> String {
 
 /// Fig. 4: baseline (no-prefetch) execution-time breakdown for all 29
 /// workloads.
-pub fn fig04(ctx: &Ctx) -> String {
-    let roster = all_29(ctx.scale);
-    warm_for(ctx, "fig04");
+fn fig04(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&[
         "workload", "no-stall", "dram", "cache", "branch", "dep", "other", "stack",
     ]);
     let mut dram_fracs = Vec::new();
-    for spec in &roster {
-        let out = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
+    for r in rows {
+        let out = &r[0];
         let n = out.summary.stats.cpi.normalized();
         dram_fracs.push(n.dram);
         t.row(vec![
-            spec.name.clone(),
+            r.spec.name.clone(),
             pct(n.no_stall),
             pct(n.dram),
             pct(n.cache),
@@ -466,23 +629,17 @@ pub fn fig04(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 12
 
 /// Fig. 12: PFHR file-size design-space exploration (normalised to 4).
-pub fn fig12(ctx: &Ctx) -> String {
-    let algs = per_algorithm(ctx.scale);
-    warm_for(ctx, "fig12");
+fn fig12(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "4", "8", "16", "32"]);
-    for spec in &algs {
-        let get = |pf: usize| {
-            let mut c = Cell::new(spec.clone(), PrefetcherKind::Prodigy);
-            c.pfhr = pf;
-            ctx.run(&c).summary.stats.cycles as f64
-        };
-        let base = get(4);
+    for r in rows {
+        let cycles = |i: usize| r[i].summary.stats.cycles as f64;
+        let base = cycles(0);
         t.row(vec![
-            spec.alg.to_string(),
+            r.spec.alg.to_string(),
             "1.00".into(),
-            format!("{:.2}", base / get(8)),
-            format!("{:.2}", base / get(16)),
-            format!("{:.2}", base / get(32)),
+            format!("{:.2}", base / cycles(1)),
+            format!("{:.2}", base / cycles(2)),
+            format!("{:.2}", base / cycles(3)),
         ]);
     }
     format!(
@@ -494,18 +651,15 @@ pub fn fig12(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 13
 
 /// Fig. 13: fraction of baseline LLC misses inside DIG-annotated structures.
-pub fn fig13(ctx: &Ctx) -> String {
-    let cells = experiment_cells("fig13", ctx).expect("fig13 has a cell grid");
-    ctx.warm(cells.clone());
+fn fig13(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "prefetchable", "non-prefetchable"]);
     let mut fracs = Vec::new();
-    for c in &cells {
-        let out = ctx.run(c);
-        let s = &out.summary.stats;
+    for r in rows {
+        let s = &r[0].summary.stats;
         let total = (s.llc_misses_prefetchable + s.llc_misses_other).max(1);
         let f = s.llc_misses_prefetchable as f64 / total as f64;
         fracs.push(f);
-        t.row(vec![c.spec.alg.to_string(), pct(f), pct(1.0 - f)]);
+        t.row(vec![r.spec.alg.to_string(), pct(f), pct(1.0 - f)]);
     }
     format!(
         "Fig. 13 — prefetchable LLC misses (paper avg 96.4%; measured avg {})\n{}",
@@ -518,9 +672,7 @@ pub fn fig13(ctx: &Ctx) -> String {
 
 /// Fig. 14: CPI stacks and speedup of Prodigy vs the non-prefetching
 /// baseline over all 29 workloads.
-pub fn fig14(ctx: &Ctx) -> String {
-    let roster = all_29(ctx.scale);
-    warm_for(ctx, "fig14");
+fn fig14(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&[
         "workload",
         "base dram%",
@@ -530,17 +682,16 @@ pub fn fig14(ctx: &Ctx) -> String {
     ]);
     let mut speedups = Vec::new();
     let mut dram_cuts = Vec::new();
-    for spec in &roster {
-        let base = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
-        let pro = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::Prodigy));
-        let sp = speedup(&base, &pro);
+    for r in rows {
+        let (base, pro) = (&r[0], &r[1]);
+        let sp = speedup(base, pro);
         speedups.push(sp);
         let bn = base.summary.stats.cpi.normalized();
         let cut =
             1.0 - (pro.summary.stats.cpi.dram / base.summary.stats.cpi.dram.max(1e-9)).min(1.0);
         dram_cuts.push(cut);
         t.row(vec![
-            spec.name.clone(),
+            r.spec.name.clone(),
             pct(bn.dram),
             format!(
                 "{:.2}",
@@ -561,18 +712,15 @@ pub fn fig14(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 15
 
 /// Fig. 15: where prefetched data is when demanded.
-pub fn fig15(ctx: &Ctx) -> String {
-    let algs = per_algorithm(ctx.scale);
-    warm_for(ctx, "fig15");
+fn fig15(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "L1 hit", "L2 hit", "L3 hit", "evicted unused"]);
     let mut accs = Vec::new();
-    for spec in &algs {
-        let out = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::Prodigy));
-        let u = out.summary.stats.prefetch_use;
+    for r in rows {
+        let u = r[0].summary.stats.prefetch_use;
         let total = u.resolved().max(1) as f64;
         accs.extend(u.accuracy());
         t.row(vec![
-            spec.alg.to_string(),
+            r.spec.alg.to_string(),
             pct(u.hit_l1 as f64 / total),
             pct(u.hit_l2 as f64 / total),
             pct(u.hit_l3 as f64 / total),
@@ -589,24 +737,15 @@ pub fn fig15(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 16
 
 /// Fig. 16: percentage of prefetchable LLC misses converted into hits.
-pub fn fig16(ctx: &Ctx) -> String {
-    let algs = per_algorithm(ctx.scale);
-    warm_for(ctx, "fig16");
+fn fig16(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "converted"]);
     let mut fr = Vec::new();
-    for spec in &algs {
-        let get = |k| {
-            let mut c = Cell::new(spec.clone(), k);
-            c.classify = true;
-            ctx.run(&c)
-        };
-        let base = get(PrefetcherKind::None);
-        let pro = get(PrefetcherKind::Prodigy);
-        let b = base.summary.stats.llc_misses_prefetchable.max(1) as f64;
-        let p = pro.summary.stats.llc_misses_prefetchable as f64;
+    for r in rows {
+        let b = r[0].summary.stats.llc_misses_prefetchable.max(1) as f64;
+        let p = r[1].summary.stats.llc_misses_prefetchable as f64;
         let conv = (1.0 - p / b).max(0.0);
         fr.push(conv);
-        t.row(vec![spec.alg.to_string(), pct(conv)]);
+        t.row(vec![r.spec.alg.to_string(), pct(conv)]);
     }
     format!(
         "Fig. 16 — prefetchable misses converted to hits (paper avg 85.1%; measured avg {})\n{}",
@@ -618,30 +757,19 @@ pub fn fig16(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 17
 
 /// Fig. 17: Prodigy vs Ainsworth & Jones, DROPLET and IMP.
-pub fn fig17(ctx: &Ctx) -> String {
-    let algs = per_algorithm(ctx.scale);
-    warm_for(ctx, "fig17");
+fn fig17(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "A&J", "DROPLET", "IMP", "prodigy"]);
     let mut collect: HashMap<&str, Vec<f64>> = HashMap::new();
-    for spec in &algs {
-        let base = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
-        let sp = |k: PrefetcherKind| -> Option<f64> {
-            if k.graph_specific() && !spec.is_graph() {
-                return None;
-            }
-            Some(speedup(&base, &ctx.run(&Cell::new(spec.clone(), k))))
-        };
-        let aj = sp(PrefetcherKind::AinsworthJones);
-        let dr = sp(PrefetcherKind::Droplet);
-        let im = sp(PrefetcherKind::Imp);
-        let pr = sp(PrefetcherKind::Prodigy);
+    for r in rows {
+        let sp = |i: usize| r.get(i).map(|out| speedup(&r[0], out));
+        let (aj, dr, im, pr) = (sp(1), sp(2), sp(3), sp(4));
         for (name, v) in [("aj", aj), ("droplet", dr), ("imp", im), ("prodigy", pr)] {
             if let Some(v) = v {
                 collect.entry(name).or_default().push(v);
             }
         }
         let f = |v: Option<f64>| v.map(x).unwrap_or_else(|| "-".into());
-        t.row(vec![spec.alg.to_string(), f(aj), f(dr), f(im), f(pr)]);
+        t.row(vec![r.spec.alg.to_string(), f(aj), f(dr), f(im), f(pr)]);
     }
     let g = |n: &str| geomean(collect.get(n).map(|v| v.as_slice()).unwrap_or(&[]));
     format!(
@@ -657,19 +785,12 @@ pub fn fig17(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Table III
 
 /// Table III: best-reported speedup comparison against prior work.
-pub fn table3(ctx: &Ctx) -> String {
-    // Reuses the Fig. 14 roster cache: best data set per algorithm.
-    let roster = all_29(ctx.scale);
-    warm_for(ctx, "table3");
+fn table3(_ctx: &Ctx, rows: &[Row]) -> String {
+    // Fig. 14's grid: best data set per algorithm.
     let best = |alg: &str| -> f64 {
-        roster
-            .iter()
-            .filter(|s| s.alg == alg)
-            .map(|s| {
-                let b = ctx.run(&Cell::new(s.clone(), PrefetcherKind::None));
-                let p = ctx.run(&Cell::new(s.clone(), PrefetcherKind::Prodigy));
-                speedup(&b, &p)
-            })
+        rows.iter()
+            .filter(|r| r.spec.alg == alg)
+            .map(|r| speedup(&r[0], &r[1]))
             .fold(0.0, f64::max)
     };
     let rows: [(&str, &[&str], f64); 3] = [
@@ -696,22 +817,14 @@ pub fn table3(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 18
 
 /// Fig. 18: Prodigy on HubSort-reordered graphs.
-pub fn fig18(ctx: &Ctx) -> String {
-    let datasets = ["lj", "po"];
-    warm_for(ctx, "fig18");
+fn fig18(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["algorithm", "speedup (reordered graphs)"]);
     let mut all: Vec<Option<f64>> = Vec::new();
-    for alg in crate::workload_set::GRAPH_ALGS {
-        let mut sps = Vec::new();
-        for d in datasets {
-            let spec = WorkloadSpec::graph(alg, d, ctx.scale).reordered();
-            let b = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
-            let p = ctx.run(&Cell::new(spec, PrefetcherKind::Prodigy));
-            sps.push(speedup(&b, &p));
-        }
+    for alg_rows in rows.chunks(FIG18_DATASETS.len()) {
+        let sps: Vec<f64> = alg_rows.iter().map(|r| speedup(&r[0], &r[1])).collect();
         let gm = geomean(&sps);
         all.push(gm);
-        t.row(vec![alg.into(), x_opt(gm)]);
+        t.row(vec![alg_rows[0].spec.alg.into(), x_opt(gm)]);
     }
     // Overall geomean is poisoned if any per-algorithm geomean is: a
     // degenerate row must not silently vanish from the aggregate.
@@ -730,19 +843,15 @@ pub fn fig18(ctx: &Ctx) -> String {
 // ---------------------------------------------------------------- Fig. 19
 
 /// Fig. 19: energy of Prodigy normalised to the baseline.
-pub fn fig19(ctx: &Ctx) -> String {
-    let roster = all_29(ctx.scale);
-    warm_for(ctx, "fig19");
+fn fig19(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "core", "cache", "dram", "other", "total (norm)"]);
     let mut savings = Vec::new();
-    for spec in &roster {
-        let b = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
-        let p = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::Prodigy));
-        let bt = b.summary.energy.total().max(1e-18);
-        let pe = &p.summary.energy;
+    for r in rows {
+        let bt = r[0].summary.energy.total().max(1e-18);
+        let pe = &r[1].summary.energy;
         savings.push(bt / pe.total().max(1e-18));
         t.row(vec![
-            spec.name.clone(),
+            r.spec.name.clone(),
             format!("{:.3}", pe.core / bt),
             format!("{:.3}", pe.cache / bt),
             format!("{:.3}", pe.dram / bt),
@@ -761,19 +870,13 @@ pub fn fig19(ctx: &Ctx) -> String {
 
 /// §VI-C: share of Prodigy's indirection prefetches issued through ranged
 /// edges (paper: 35.4–75.9%, mean 55.3% on graph algorithms).
-pub fn stat_ranged_share(ctx: &Ctx) -> String {
-    let algs: Vec<WorkloadSpec> = per_algorithm(ctx.scale)
-        .into_iter()
-        .filter(|s| s.is_graph())
-        .collect();
-    warm_for(ctx, "ranged");
+fn stat_ranged_share(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "ranged share"]);
     let mut shares = Vec::new();
-    for spec in &algs {
-        let out = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::Prodigy));
-        let share = out.prodigy.map(|p| p.ranged_share()).unwrap_or(0.0);
+    for r in rows {
+        let share = r[0].prodigy.map(|p| p.ranged_share()).unwrap_or(0.0);
         shares.push(share);
-        t.row(vec![spec.name.clone(), pct(share)]);
+        t.row(vec![r.spec.name.clone(), pct(share)]);
     }
     format!(
         "§VI-C — ranged-indirection share of prefetches (paper mean 55.3%; measured mean {})\n{}",
@@ -783,27 +886,17 @@ pub fn stat_ranged_share(ctx: &Ctx) -> String {
 }
 
 /// §VI-C: software prefetching vs Prodigy on PageRank.
-pub fn stat_software_prefetch(ctx: &Ctx) -> String {
-    let spec = WorkloadSpec::graph("pr", "lj", ctx.scale);
-    warm_for(ctx, "swpf");
-    let base = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
-    let pro = ctx.run(&Cell::new(spec, PrefetcherKind::Prodigy));
+fn stat_software_prefetch(ctx: &Ctx, rows: &[Row]) -> String {
+    let (base, pro) = (&rows[0][0], &rows[0][1]);
     // Software-prefetch variant: same graph, instrumented kernel, no
     // hardware prefetcher.
     let g = crate::workload_set::dataset_graph("lj", ctx.scale, false);
     let mut k = PageRank::new((*g).clone(), 3)
         .with_software_prefetch(prodigy_workloads::swpf::SwPrefetchSpec::default().distance);
-    let sw = run_workload(
-        &mut k,
-        &RunConfig {
-            sys: ctx.sys,
-            prefetcher: PrefetcherKind::None,
-            ..RunConfig::default()
-        },
-    );
+    let sw = run_direct(ctx, &mut k, PrefetcherKind::None);
     let mut t = Table::new(&["variant", "speedup over baseline"]);
-    t.row(vec!["software prefetching".into(), x(speedup(&base, &sw))]);
-    t.row(vec!["prodigy".into(), x(speedup(&base, &pro))]);
+    t.row(vec!["software prefetching".into(), x(speedup(base, &sw))]);
+    t.row(vec!["prodigy".into(), x(speedup(base, pro))]);
     format!(
         "§VI-C — software prefetching on pr (paper: +7.6% for software vs ~2x for Prodigy)\n{}",
         t.render()
@@ -813,7 +906,7 @@ pub fn stat_software_prefetch(ctx: &Ctx) -> String {
 // ------------------------------------------------------------ §VI-E storage
 
 /// §VI-E: hardware storage comparison.
-pub fn table_storage(_ctx: &Ctx) -> String {
+fn table_storage(_ctx: &Ctx, _rows: &[Row]) -> String {
     let prodigy_bits = prodigy::storage::total_bits(&ProdigyConfig::default());
     let mut t = Table::new(&["prefetcher", "storage", "vs prodigy"]);
     let mut add = |name: &str, bits: u64| {
@@ -870,39 +963,24 @@ pub fn table_storage(_ctx: &Ctx) -> String {
 // ---------------------------------------------------------- §VI-F scaling
 
 /// §VI-F: core-count scaling of the baseline vs 8-core Prodigy.
-pub fn scalability(ctx: &Ctx) -> String {
-    let spec = WorkloadSpec::graph("pr", "lj", ctx.scale);
-    let counts = [1u32, 2, 4, 8, 16, 32, 40];
-    let mut pcell = Cell::new(spec.clone(), PrefetcherKind::Prodigy);
-    pcell.cores = 8;
-    warm_for(ctx, "scalability");
-    let one = {
-        let mut c = Cell::new(spec.clone(), PrefetcherKind::None);
-        c.cores = 1;
-        ctx.run(&c).summary.stats.cycles as f64
-    };
+fn scalability(ctx: &Ctx, rows: &[Row]) -> String {
+    let row = &rows[0];
+    let one = row[0].summary.stats.cycles as f64;
     let mut t = Table::new(&["config", "speedup vs 1 core", "DRAM BW util"]);
     let peak = prodigy_sim::MemorySystem::new(ctx.sys).peak_dram_bytes_per_cycle();
-    for &c in &counts {
-        let mut cell = Cell::new(spec.clone(), PrefetcherKind::None);
-        cell.cores = c;
-        let out = ctx.run(&cell);
+    for (v, out) in row.iter() {
         let s = &out.summary.stats;
         let bw = (s.dram_reads + s.dram_writes) as f64 * 64.0 / s.cycles.max(1) as f64;
+        let who = match v.kind {
+            PrefetcherKind::None => "baseline",
+            kind => kind.name(),
+        };
         t.row(vec![
-            format!("baseline {c} cores"),
+            format!("{who} {} cores", v.cores),
             x(one / s.cycles.max(1) as f64),
             pct(bw / peak),
         ]);
     }
-    let out = ctx.run(&pcell);
-    let s = &out.summary.stats;
-    let bw = (s.dram_reads + s.dram_writes) as f64 * 64.0 / s.cycles.max(1) as f64;
-    t.row(vec![
-        "prodigy 8 cores".into(),
-        x(one / s.cycles.max(1) as f64),
-        pct(bw / peak),
-    ]);
     format!(
         "§VI-F — scalability (paper: 8-core Prodigy ≈ 40-core baseline at 5x less area)\n{}",
         t.render()
@@ -913,7 +991,7 @@ pub fn scalability(ctx: &Ctx) -> String {
 
 /// Extension (paper §V-B footnote 3): direction-optimizing BFS with
 /// runtime DIG reconfiguration at each direction switch.
-pub fn ext_dobfs(ctx: &Ctx) -> String {
+fn ext_dobfs(ctx: &Ctx, _rows: &[Row]) -> String {
     use prodigy_workloads::kernels::DoBfs;
     let g = crate::workload_set::dataset_graph("lj", ctx.scale, false);
     let src = crate::workload_set::best_source(&g);
@@ -921,14 +999,7 @@ pub fn ext_dobfs(ctx: &Ctx) -> String {
     let mut base_cycles = 0u64;
     for kind in [PrefetcherKind::None, PrefetcherKind::Prodigy] {
         let mut k = DoBfs::new((*g).clone(), src, 15);
-        let out = run_workload(
-            &mut k,
-            &RunConfig {
-                sys: ctx.sys,
-                prefetcher: kind,
-                ..RunConfig::default()
-            },
-        );
+        let out = run_direct(ctx, &mut k, kind);
         let c = out.summary.stats.cycles;
         if kind == PrefetcherKind::None {
             base_cycles = c;
@@ -965,76 +1036,30 @@ pub fn ext_dobfs(ctx: &Ctx) -> String {
 
 /// §VI-G limitations case study: triangle counting's branch-dependent
 /// loads defeat Prodigy's control-flow-blind prefetching.
-pub fn limits_tc(ctx: &Ctx) -> String {
+fn limits_tc(ctx: &Ctx, _rows: &[Row]) -> String {
     use prodigy_workloads::kernels::{Bfs, Tc};
     // Triangle counting touches Θ(Σ deg²) edge pairs; run it on a smaller
     // instance of the same graph family than the streaming kernels use.
     let g = crate::workload_set::dataset_graph("po", ctx.scale.saturating_mul(8).max(8), false);
     let src = crate::workload_set::best_source(&g);
     let mut t = Table::new(&["workload", "prodigy speedup", "prefetch accuracy"]);
+    let mut row = |name: &str, base: RunOutcome, pro: RunOutcome| {
+        let acc = pro.summary.stats.prefetch_use.accuracy();
+        t.row(vec![name.into(), x(speedup(&base, &pro)), pct_opt(acc)]);
+    };
     // Contrast against bfs on the same input.
-    let mut rows = Vec::new();
-    {
-        let base = {
-            let mut k = Bfs::new((*g).clone(), src);
-            run_workload(
-                &mut k,
-                &RunConfig {
-                    sys: ctx.sys,
-                    prefetcher: PrefetcherKind::None,
-                    ..RunConfig::default()
-                },
-            )
-        };
-        let pro = {
-            let mut k = Bfs::new((*g).clone(), src);
-            run_workload(
-                &mut k,
-                &RunConfig {
-                    sys: ctx.sys,
-                    prefetcher: PrefetcherKind::Prodigy,
-                    ..RunConfig::default()
-                },
-            )
-        };
-        rows.push((
-            "bfs (control)",
-            speedup(&base, &pro),
-            pro.summary.stats.prefetch_use.accuracy(),
-        ));
-    }
-    {
-        let base = {
-            let mut k = Tc::new((*g).clone());
-            run_workload(
-                &mut k,
-                &RunConfig {
-                    sys: ctx.sys,
-                    prefetcher: PrefetcherKind::None,
-                    ..RunConfig::default()
-                },
-            )
-        };
-        let pro = {
-            let mut k = Tc::new((*g).clone());
-            run_workload(
-                &mut k,
-                &RunConfig {
-                    sys: ctx.sys,
-                    prefetcher: PrefetcherKind::Prodigy,
-                    ..RunConfig::default()
-                },
-            )
-        };
-        rows.push((
-            "tc (branch-dependent)",
-            speedup(&base, &pro),
-            pro.summary.stats.prefetch_use.accuracy(),
-        ));
-    }
-    for (name, sp, acc) in rows {
-        t.row(vec![name.into(), x(sp), pct_opt(acc)]);
-    }
+    let bfs = |kind| run_direct(ctx, &mut Bfs::new((*g).clone(), src), kind);
+    row(
+        "bfs (control)",
+        bfs(PrefetcherKind::None),
+        bfs(PrefetcherKind::Prodigy),
+    );
+    let tc = |kind| run_direct(ctx, &mut Tc::new((*g).clone()), kind);
+    row(
+        "tc (branch-dependent)",
+        tc(PrefetcherKind::None),
+        tc(PrefetcherKind::Prodigy),
+    );
     format!(
         "§VI-G — limitations: tc's ID-pruned traversal gives Prodigy less to win (paper predicts muted gains)\n{}",
         t.render()
@@ -1042,15 +1067,13 @@ pub fn limits_tc(ctx: &Ctx) -> String {
 }
 
 /// Extension (paper §IV-G future work): feedback-directed throttling.
-pub fn ext_throttle(ctx: &Ctx) -> String {
+fn ext_throttle(ctx: &Ctx, rows: &[Row]) -> String {
     use prodigy::throttle::ThrottleSpec;
-    let spec = WorkloadSpec::graph("cc", "lj", ctx.scale);
-    let base = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
-    let plain = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::Prodigy));
-    // Throttled run (not cached: distinct config).
-    let mut k = spec.instantiate();
+    let row = &rows[0];
+    let (base, plain) = (&row[0], &row[1]);
+    // Throttled run (not memoised: a cell has no throttle knob).
     let throttled = run_workload(
-        k.as_mut(),
+        row.spec.instantiate().as_mut(),
         &RunConfig {
             sys: ctx.sys,
             prefetcher: PrefetcherKind::Prodigy,
@@ -1058,24 +1081,15 @@ pub fn ext_throttle(ctx: &Ctx) -> String {
                 throttle: Some(ThrottleSpec::default()),
                 ..ProdigyConfig::default()
             },
-            classify_llc: false,
-            seed: 0,
-            trace: false,
-            metrics: None,
-            host_profile: false,
-            cancel: None,
+            ..RunConfig::default()
         },
     );
     let mut t = Table::new(&["variant", "speedup", "prefetch accuracy"]);
     let acc = |o: &RunOutcome| pct_opt(o.summary.stats.prefetch_use.accuracy());
-    t.row(vec![
-        "prodigy".into(),
-        x(speedup(&base, &plain)),
-        acc(&plain),
-    ]);
+    t.row(vec!["prodigy".into(), x(speedup(base, plain)), acc(plain)]);
     t.row(vec![
         "prodigy + FDP throttle".into(),
-        x(speedup(&base, &throttled)),
+        x(speedup(base, &throttled)),
         acc(&throttled),
     ]);
     format!(
@@ -1106,8 +1120,7 @@ pub const FAR_KINDS: [PrefetcherKind; 4] = [
 /// A prefetcher that hides far-memory latency keeps relative IPC flat as
 /// the scale grows; the per-tier load-to-use quantiles land in the JSON
 /// report for `prodigy-diff --slo far_load_to_use_p99<=N` gating.
-pub fn farmem(ctx: &Ctx) -> String {
-    warm_for(ctx, "farmem");
+fn farmem(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&[
         "workload",
         "prefetcher",
@@ -1117,16 +1130,13 @@ pub fn farmem(ctx: &Ctx) -> String {
         "8x",
         "far load-to-use p99 @8x",
     ]);
-    for alg in crate::workload_set::GRAPH_ALGS {
-        let spec = WorkloadSpec::graph(alg, "lj", ctx.scale);
-        for kind in FAR_KINDS {
+    for r in rows {
+        for (k, kind) in FAR_KINDS.iter().enumerate() {
             let mut base_ipc = 0.0f64;
-            let mut row = vec![format!("{alg}-lj"), kind.name().into()];
+            let mut row = vec![r.spec.name.clone(), kind.name().into()];
             let mut far_p99 = "n/a".to_string();
             for (i, &fs) in FAR_SCALES.iter().enumerate() {
-                let mut c = Cell::new(spec.clone(), kind);
-                c.far = fs;
-                let out = ctx.run(&c);
+                let out = &r[k * FAR_SCALES.len() + i];
                 let s = &out.summary.stats;
                 let ipc = s.instructions as f64 / s.cycles.max(1) as f64;
                 if i == 0 {
@@ -1165,8 +1175,7 @@ pub fn farmem(ctx: &Ctx) -> String {
 /// polluter of each cell is named so a bad DIG annotation is attributable
 /// directly from the table. The per-cell `pollution_rate` lands in the
 /// JSON report for `prodigy-diff --slo "pollution_rate<=N"` gating.
-pub fn pollution(ctx: &Ctx) -> String {
-    warm_for(ctx, "pollution");
+fn pollution(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&[
         "workload",
         "prefetcher",
@@ -1175,12 +1184,10 @@ pub fn pollution(ctx: &Ctx) -> String {
         "pollution",
         "worst source",
     ]);
-    for alg in crate::workload_set::GRAPH_ALGS {
-        let spec = WorkloadSpec::graph(alg, "lj", ctx.scale);
-        for kind in PrefetcherKind::ALL {
-            let out = ctx.run(&Cell::new(spec.clone(), kind));
+    for r in rows {
+        for (v, out) in r.iter() {
             let s = &out.summary.stats;
-            let cs = CellStats::from_outcome(&out);
+            let cs = CellStats::from_outcome(out);
             // Heaviest polluter by absolute victim-table hits; ties break
             // toward the lower tag (attribution iterates in tag order).
             let worst = out
@@ -1198,8 +1205,8 @@ pub fn pollution(ctx: &Ctx) -> String {
                 })
                 .unwrap_or_else(|| "n/a".to_string());
             t.row(vec![
-                format!("{alg}-lj"),
-                kind.name().into(),
+                r.spec.name.clone(),
+                v.kind.name().into(),
                 pct_opt(s.prefetch_use.accuracy()),
                 pct_opt(s.prefetch_coverage()),
                 pct_opt(cs.pollution_rate),
@@ -1213,220 +1220,149 @@ pub fn pollution(ctx: &Ctx) -> String {
     )
 }
 
-// ---------------------------------------------------- enumeration / shards
+// ---------------------------------------------------------------- registry
 
-/// Every experiment name accepted by [`run_all`]'s filters, in run order.
-pub const EXPERIMENT_NAMES: &[&str] = &[
-    "table1",
-    "table2",
-    "fig02",
-    "fig04",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "table3",
-    "fig18",
-    "fig19",
-    "ranged",
-    "swpf",
-    "storage",
-    "scalability",
-    "limits_tc",
-    "ext_dobfs",
-    "ext_throttle",
-    "farmem",
-    "pollution",
+const NONE: Variant = Variant::new(PrefetcherKind::None);
+const PRODIGY: Variant = Variant::new(PrefetcherKind::Prodigy);
+
+/// Data sets of Fig. 18's reordered rows, per GAP kernel.
+const FIG18_DATASETS: [&str; 2] = ["lj", "po"];
+
+/// §VI-F's variants: the baseline at each core count, then 8-core Prodigy.
+const SCALABILITY: [Variant; 8] = [
+    NONE.with_cores(1),
+    NONE.with_cores(2),
+    NONE.with_cores(4),
+    NONE.with_cores(8),
+    NONE.with_cores(16),
+    NONE.with_cores(32),
+    NONE.with_cores(40),
+    PRODIGY.with_cores(8),
 ];
 
-fn experiment_fn(name: &str) -> fn(&Ctx) -> String {
-    match name {
-        "table1" => table1,
-        "table2" => table2,
-        "fig02" => fig02,
-        "fig04" => fig04,
-        "fig12" => fig12,
-        "fig13" => fig13,
-        "fig14" => fig14,
-        "fig15" => fig15,
-        "fig16" => fig16,
-        "fig17" => fig17,
-        "table3" => table3,
-        "fig18" => fig18,
-        "fig19" => fig19,
-        "ranged" => stat_ranged_share,
-        "swpf" => stat_software_prefetch,
-        "storage" => table_storage,
-        "scalability" => scalability,
-        "limits_tc" => limits_tc,
-        "ext_dobfs" => ext_dobfs,
-        "ext_throttle" => ext_throttle,
-        "farmem" => farmem,
-        "pollution" => pollution,
-        other => panic!("unknown experiment {other:?}"),
+/// The far-memory sweep's variants: each of [`FAR_KINDS`] at each of
+/// [`FAR_SCALES`], kind-major.
+const FARMEM: [Variant; FAR_KINDS.len() * FAR_SCALES.len()] = {
+    let mut v = [NONE; FAR_KINDS.len() * FAR_SCALES.len()];
+    let mut i = 0;
+    while i < v.len() {
+        v[i] = Variant::new(FAR_KINDS[i / FAR_SCALES.len()])
+            .with_far(FAR_SCALES[i % FAR_SCALES.len()]);
+        i += 1;
     }
+    v
+};
+
+/// The pollution sweep's variants: every prefetcher.
+const EVERY_PREFETCHER: [Variant; PrefetcherKind::ALL.len()] = {
+    let mut v = [NONE; PrefetcherKind::ALL.len()];
+    let mut i = 0;
+    while i < v.len() {
+        v[i] = Variant::new(PrefetcherKind::ALL[i]);
+        i += 1;
+    }
+    v
+};
+
+fn no_rows(_scale: u32) -> Vec<WorkloadSpec> {
+    Vec::new()
 }
 
-/// The full memoised-cell grid one experiment warms and queries, or `None`
-/// for experiments that run no memoised cells (pure tables and the
-/// uncached extension runs). Figure functions warm exactly this grid (via
-/// [`warm_for`]) and shard mode enumerates it, so the two cannot drift.
-pub fn experiment_cells(name: &str, ctx: &Ctx) -> Option<Vec<Cell>> {
-    let scale = ctx.scale;
-    let both = [PrefetcherKind::None, PrefetcherKind::Prodigy];
-    let cells = match name {
-        "fig02" => {
-            let spec = WorkloadSpec::graph("pr", "lj", scale);
-            [
-                PrefetcherKind::None,
-                PrefetcherKind::GhbGdc,
-                PrefetcherKind::Droplet,
-                PrefetcherKind::Prodigy,
-            ]
-            .iter()
-            .map(|&k| Cell::new(spec.clone(), k))
-            .collect()
-        }
-        "fig04" => all_29(scale)
-            .into_iter()
-            .map(|s| Cell::new(s, PrefetcherKind::None))
-            .collect(),
-        "fig12" => {
-            let mut cells = Vec::new();
-            for spec in per_algorithm(scale) {
-                for pf in [4usize, 8, 16, 32] {
-                    let mut c = Cell::new(spec.clone(), PrefetcherKind::Prodigy);
-                    c.pfhr = pf;
-                    cells.push(c);
-                }
-            }
-            cells
-        }
-        "fig13" => per_algorithm(scale)
-            .into_iter()
-            .map(|s| {
-                let mut c = Cell::new(s, PrefetcherKind::None);
-                c.classify = true;
-                c
-            })
-            .collect(),
-        "fig14" | "table3" | "fig19" => {
-            let mut cells = Vec::new();
-            for s in all_29(scale) {
-                for k in both {
-                    cells.push(Cell::new(s.clone(), k));
-                }
-            }
-            cells
-        }
-        "fig15" => per_algorithm(scale)
-            .into_iter()
-            .map(|s| Cell::new(s, PrefetcherKind::Prodigy))
-            .collect(),
-        "fig16" => {
-            let mut cells = Vec::new();
-            for s in per_algorithm(scale) {
-                for k in both {
-                    let mut c = Cell::new(s.clone(), k);
-                    c.classify = true;
-                    cells.push(c);
-                }
-            }
-            cells
-        }
-        "fig17" => {
-            let mut cells = Vec::new();
-            for s in per_algorithm(scale) {
-                for k in [
-                    PrefetcherKind::None,
-                    PrefetcherKind::AinsworthJones,
-                    PrefetcherKind::Droplet,
-                    PrefetcherKind::Imp,
-                    PrefetcherKind::Prodigy,
-                ] {
-                    if k.graph_specific() && !s.is_graph() {
-                        continue;
-                    }
-                    cells.push(Cell::new(s.clone(), k));
-                }
-            }
-            cells
-        }
-        "fig18" => {
-            let mut cells = Vec::new();
-            for alg in crate::workload_set::GRAPH_ALGS {
-                for d in ["lj", "po"] {
-                    let spec = WorkloadSpec::graph(alg, d, scale).reordered();
-                    for k in both {
-                        cells.push(Cell::new(spec.clone(), k));
-                    }
-                }
-            }
-            cells
-        }
-        "ranged" => per_algorithm(scale)
-            .into_iter()
-            .filter(|s| s.is_graph())
-            .map(|s| Cell::new(s, PrefetcherKind::Prodigy))
-            .collect(),
-        "swpf" => {
-            let spec = WorkloadSpec::graph("pr", "lj", scale);
-            both.iter().map(|&k| Cell::new(spec.clone(), k)).collect()
-        }
-        "scalability" => {
-            let spec = WorkloadSpec::graph("pr", "lj", scale);
-            let mut cells: Vec<Cell> = [1u32, 2, 4, 8, 16, 32, 40]
-                .iter()
-                .map(|&cores| {
-                    let mut c = Cell::new(spec.clone(), PrefetcherKind::None);
-                    c.cores = cores;
-                    c
-                })
-                .collect();
-            let mut p = Cell::new(spec, PrefetcherKind::Prodigy);
-            p.cores = 8;
-            cells.push(p);
-            cells
-        }
-        "ext_throttle" => {
-            let spec = WorkloadSpec::graph("cc", "lj", scale);
-            both.iter().map(|&k| Cell::new(spec.clone(), k)).collect()
-        }
-        "farmem" => {
-            let mut cells = Vec::new();
-            for alg in crate::workload_set::GRAPH_ALGS {
-                let spec = WorkloadSpec::graph(alg, "lj", scale);
-                for kind in FAR_KINDS {
-                    for &fs in &FAR_SCALES {
-                        let mut c = Cell::new(spec.clone(), kind);
-                        c.far = fs;
-                        cells.push(c);
-                    }
-                }
-            }
-            cells
-        }
-        "pollution" => {
-            let mut cells = Vec::new();
-            for alg in crate::workload_set::GRAPH_ALGS {
-                let spec = WorkloadSpec::graph(alg, "lj", scale);
-                for kind in PrefetcherKind::ALL {
-                    cells.push(Cell::new(spec.clone(), kind));
-                }
-            }
-            cells
-        }
-        _ => return None,
-    };
-    Some(cells)
+fn pr_lj(scale: u32) -> Vec<WorkloadSpec> {
+    vec![WorkloadSpec::graph("pr", "lj", scale)]
 }
 
-/// Warms the memoised-cell grid of one experiment (see
-/// [`experiment_cells`]).
-fn warm_for(ctx: &Ctx, name: &str) {
-    ctx.warm(experiment_cells(name, ctx).expect("experiment has a cell grid"));
+fn cc_lj(scale: u32) -> Vec<WorkloadSpec> {
+    vec![WorkloadSpec::graph("cc", "lj", scale)]
+}
+
+/// The five GAP kernels on `lj`: the graph rows of [`per_algorithm`].
+fn gap_lj(scale: u32) -> Vec<WorkloadSpec> {
+    GRAPH_ALGS
+        .iter()
+        .map(|&alg| WorkloadSpec::graph(alg, "lj", scale))
+        .collect()
+}
+
+/// Fig. 18's rows: each GAP kernel on each HubSort-reordered data set.
+fn gap_reordered(scale: u32) -> Vec<WorkloadSpec> {
+    GRAPH_ALGS
+        .iter()
+        .flat_map(|&alg| FIG18_DATASETS.map(|d| WorkloadSpec::graph(alg, d, scale).reordered()))
+        .collect()
+}
+
+/// Every experiment, in run order: its name, row workloads, hardware
+/// variants and renderer. Cells are memoised by key across the whole run,
+/// so grids that entries share (fig14, table3 and fig19 all read `all_29`
+/// × {none, prodigy}) simulate once.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("table1", no_rows, &[], table1),
+    Experiment::new("table2", no_rows, &[], table2),
+    Experiment::new(
+        "fig02",
+        pr_lj,
+        &[
+            NONE,
+            Variant::new(PrefetcherKind::GhbGdc),
+            Variant::new(PrefetcherKind::Droplet),
+            PRODIGY,
+        ],
+        fig02,
+    ),
+    Experiment::new("fig04", all_29, &[NONE], fig04),
+    Experiment::new(
+        "fig12",
+        per_algorithm,
+        &[
+            PRODIGY.with_pfhr(4),
+            PRODIGY.with_pfhr(8),
+            PRODIGY.with_pfhr(16),
+            PRODIGY.with_pfhr(32),
+        ],
+        fig12,
+    ),
+    Experiment::new("fig13", per_algorithm, &[NONE.with_classifier()], fig13),
+    Experiment::new("fig14", all_29, &[NONE, PRODIGY], fig14),
+    Experiment::new("fig15", per_algorithm, &[PRODIGY], fig15),
+    Experiment::new(
+        "fig16",
+        per_algorithm,
+        &[NONE.with_classifier(), PRODIGY.with_classifier()],
+        fig16,
+    ),
+    Experiment::new(
+        "fig17",
+        per_algorithm,
+        &[
+            NONE,
+            Variant::new(PrefetcherKind::AinsworthJones),
+            Variant::new(PrefetcherKind::Droplet),
+            Variant::new(PrefetcherKind::Imp),
+            PRODIGY,
+        ],
+        fig17,
+    ),
+    Experiment::new("table3", all_29, &[NONE, PRODIGY], table3),
+    Experiment::new("fig18", gap_reordered, &[NONE, PRODIGY], fig18),
+    Experiment::new("fig19", all_29, &[NONE, PRODIGY], fig19),
+    Experiment::new("ranged", gap_lj, &[PRODIGY], stat_ranged_share),
+    Experiment::new("swpf", pr_lj, &[NONE, PRODIGY], stat_software_prefetch),
+    Experiment::new("storage", no_rows, &[], table_storage),
+    Experiment::new("scalability", pr_lj, &SCALABILITY, scalability),
+    Experiment::new("limits_tc", no_rows, &[], limits_tc),
+    Experiment::new("ext_dobfs", no_rows, &[], ext_dobfs),
+    Experiment::new("ext_throttle", cc_lj, &[NONE, PRODIGY], ext_throttle),
+    Experiment::new("farmem", gap_lj, &FARMEM, farmem),
+    Experiment::new("pollution", gap_lj, &EVERY_PREFETCHER, pollution),
+];
+
+/// The experiments `filters` select: every one whose name contains one of
+/// the filters, or all of them when `filters` is empty.
+fn selected(filters: &[String]) -> impl Iterator<Item = &'static Experiment> + '_ {
+    EXPERIMENTS
+        .iter()
+        .filter(move |e| filters.is_empty() || filters.iter().any(|f| e.name.contains(f.as_str())))
 }
 
 /// A `K/N` slice of the deterministic cell grid: shard `K` (1-based) of
@@ -1463,51 +1399,25 @@ impl ShardSpec {
 /// Enumerates, dedupes and shard-filters the memoised cells of every
 /// experiment selected by `filters` (same matching rule as [`run_all`]).
 pub fn shard_cells(ctx: &Ctx, filters: &[String], shard: ShardSpec) -> Vec<Cell> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for name in EXPERIMENT_NAMES {
-        if !filters.is_empty() && !filters.iter().any(|x| name.contains(x.as_str())) {
-            continue;
-        }
-        let Some(cells) = experiment_cells(name, ctx) else {
-            continue;
-        };
-        for c in cells {
+    let mut seen = HashSet::new();
+    selected(filters)
+        .flat_map(|e| e.cells(ctx.scale))
+        .filter(|c| {
             let k = c.key();
-            if shard.owns(&k) && seen.insert(k) {
-                out.push(c);
-            }
-        }
-    }
-    out
+            shard.owns(&k) && seen.insert(k)
+        })
+        .collect()
 }
 
 /// Runs every experiment whose name contains one of `filters` (all when
 /// empty), printing and returning the combined report.
 pub fn run_all(ctx: &Ctx, filters: &[String]) -> String {
     let mut out = String::new();
-    for &name in EXPERIMENT_NAMES {
-        if !filters.is_empty() && !filters.iter().any(|x| name.contains(x.as_str())) {
-            continue;
-        }
-        let f = experiment_fn(name);
-        let t0 = std::time::Instant::now();
-        // One failed cell panics its figure function; isolate the panic to
-        // this experiment so the rest of the sweep still completes (the
-        // failure itself stays visible in the text and in `Ctx::report`).
-        let text = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx))) {
-            Ok(text) => text,
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "unknown panic".into());
-                format!("{name} — FAILED: {msg}\n")
-            }
-        };
+    for e in selected(filters) {
+        let t0 = Instant::now();
+        let text = e.run(ctx);
         println!("{text}");
-        println!("[{name}: {:.1}s]\n", t0.elapsed().as_secs_f64());
+        println!("[{}: {:.1}s]\n", e.name, t0.elapsed().as_secs_f64());
         out.push_str(&text);
         out.push('\n');
     }
@@ -1517,6 +1427,7 @@ pub fn run_all(ctx: &Ctx, filters: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn quick_ctx() -> Ctx {
         // Very small inputs; machine scaled accordingly.
@@ -1525,12 +1436,16 @@ mod tests {
         ctx
     }
 
+    fn experiment(name: &str) -> &'static Experiment {
+        EXPERIMENTS.iter().find(|e| e.name == name).unwrap()
+    }
+
     #[test]
     fn cells_are_memoised() {
         let ctx = quick_ctx();
         let c = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
-        let a = ctx.run(&c);
-        let b = ctx.run(&c);
+        let a = ctx.try_run(&c).unwrap();
+        let b = ctx.try_run(&c).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -1542,13 +1457,16 @@ mod tests {
             .map(|k| Cell::new(WorkloadSpec::plain("is", 256), k))
             .collect();
         ctx.warm(cells.clone());
-        for c in &cells {
-            assert!(ctx.cached(c));
-        }
         let report = ctx.report();
         assert_eq!(report.cells_simulated, 2);
         assert!(report.errors.is_empty());
         assert!(!report.workers.is_empty(), "pool accounting recorded");
+        for c in &cells {
+            assert!(ctx.try_run(c).is_ok());
+        }
+        let report = ctx.report();
+        assert_eq!(report.cells_simulated, 2, "warmed cells are memo hits");
+        assert_eq!(report.memo_hits, 2);
     }
 
     #[test]
@@ -1578,15 +1496,103 @@ mod tests {
             Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None),
         ];
         ctx.warm(cells.clone());
-        assert!(ctx.cached(&cells[0]), "failure is cached too");
         assert!(ctx.try_run(&cells[0]).is_err());
         assert!(ctx.try_run(&cells[1]).is_ok());
+        assert_eq!(ctx.report().cells_simulated, 2, "failure is cached too");
+    }
+
+    #[test]
+    fn failed_experiments_fail_the_run_once_each() {
+        let ctx = quick_ctx();
+        // A renderer panic (such as `speedup`'s checksum assertion) is
+        // recorded under the experiment's name.
+        let boom = Experiment::new("boom", no_rows, &[], |_, _| panic!("output changed"));
+        assert_eq!(boom.run(&ctx), "boom — FAILED: panicked: output changed\n");
+        // A failed cell fails its experiment; the cell's own error is the
+        // only record.
+        let bad = Experiment::new(
+            "bad",
+            |scale| vec![WorkloadSpec::plain("no-such-alg", scale)],
+            &[NONE],
+            fig04,
+        );
+        let key = "no-such-alg|false|none|16|false|0";
+        let text = bad.run(&ctx);
+        assert!(
+            text.starts_with(&format!("bad — FAILED: cell {key} failed: panicked:")),
+            "{text}"
+        );
+        let errors: Vec<String> = ctx.report().errors.into_iter().map(|e| e.key).collect();
+        assert_eq!(errors, ["boom", key]);
+    }
+
+    #[test]
+    fn registry_declares_every_grid() {
+        let want = [
+            ("table1", 0),
+            ("table2", 0),
+            ("fig02", 4),
+            ("fig04", 29),
+            ("fig12", 36),
+            ("fig13", 9),
+            ("fig14", 58),
+            ("fig15", 9),
+            ("fig16", 18),
+            ("fig17", 37),
+            ("table3", 58),
+            ("fig18", 20),
+            ("fig19", 58),
+            ("ranged", 5),
+            ("swpf", 2),
+            ("storage", 0),
+            ("scalability", 8),
+            ("limits_tc", 0),
+            ("ext_dobfs", 0),
+            ("ext_throttle", 2),
+            ("farmem", 80),
+            ("pollution", 40),
+        ];
+        let got: Vec<(&str, usize)> = EXPERIMENTS
+            .iter()
+            .map(|e| (e.name, e.cells(64).len()))
+            .collect();
+        assert_eq!(got, want);
+        let names: HashSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "names are unique");
+
+        let keys: BTreeSet<String> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.cells(64))
+            .map(|c| c.key())
+            .collect();
+        assert_eq!(keys.len(), 245);
+        // Shards 1..3 of 3 partition exactly those keys.
+        let ctx = Ctx::new(64);
+        let mut sharded: Vec<String> = (1..=3)
+            .flat_map(|k| shard_cells(&ctx, &[], ShardSpec { k, n: 3 }))
+            .map(|c| c.key())
+            .collect();
+        sharded.sort();
+        assert_eq!(sharded, keys.into_iter().collect::<Vec<_>>());
+
+        // farmem crosses every far prefetcher with every far scale;
+        // pollution runs every prefetcher on a single-tier machine.
+        let knobs = |name| -> HashSet<(PrefetcherKind, u64)> {
+            experiment(name)
+                .cells(64)
+                .iter()
+                .map(|c| (c.variant.kind, c.variant.far))
+                .collect()
+        };
+        let far = FAR_KINDS.iter().flat_map(|&k| FAR_SCALES.map(|s| (k, s)));
+        assert_eq!(knobs("farmem"), far.collect());
+        let every = PrefetcherKind::ALL.iter().map(|&k| (k, 0));
+        assert_eq!(knobs("pollution"), every.collect());
     }
 
     #[test]
     fn fig02_reports_four_prefetchers() {
-        let ctx = quick_ctx();
-        let text = fig02(&ctx);
+        let text = experiment("fig02").run(&quick_ctx());
         for needle in ["none", "ghb-gdc", "droplet", "prodigy", "speedup"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
@@ -1601,11 +1607,13 @@ mod tests {
             "legacy single-tier keys stay unchanged: {}",
             base_cell.key()
         );
-        let mut far_cell = base_cell.clone();
-        far_cell.far = 8;
+        let far_cell = Cell {
+            variant: base_cell.variant.with_far(8),
+            ..base_cell.clone()
+        };
         assert!(far_cell.key().ends_with("|far8"), "{}", far_cell.key());
-        let base = ctx.run(&base_cell);
-        let far = ctx.run(&far_cell);
+        let base = ctx.try_run(&base_cell).unwrap();
+        let far = ctx.try_run(&far_cell).unwrap();
         assert_eq!(base.checksum, far.checksum, "placement is timing-only");
         assert!(
             far.summary.stats.cycles > base.summary.stats.cycles,
@@ -1622,39 +1630,8 @@ mod tests {
     }
 
     #[test]
-    fn farmem_grid_covers_scales_and_prefetchers() {
-        let ctx = quick_ctx();
-        let cells = experiment_cells("farmem", &ctx).expect("farmem has a grid");
-        assert_eq!(
-            cells.len(),
-            crate::workload_set::GRAPH_ALGS.len() * FAR_KINDS.len() * FAR_SCALES.len()
-        );
-        for fs in FAR_SCALES {
-            assert!(cells.iter().any(|c| c.far == fs));
-        }
-        for kind in FAR_KINDS {
-            assert!(cells.iter().any(|c| c.kind == kind));
-        }
-    }
-
-    #[test]
-    fn pollution_grid_covers_kernels_and_all_prefetchers() {
-        let ctx = quick_ctx();
-        let cells = experiment_cells("pollution", &ctx).expect("pollution has a grid");
-        assert_eq!(
-            cells.len(),
-            crate::workload_set::GRAPH_ALGS.len() * PrefetcherKind::ALL.len()
-        );
-        for kind in PrefetcherKind::ALL {
-            assert!(cells.iter().any(|c| c.kind == kind));
-        }
-        assert!(cells.iter().all(|c| c.far == 0), "single-tier machines");
-    }
-
-    #[test]
     fn pollution_report_renders_triple_with_na_baseline() {
-        let ctx = quick_ctx();
-        let text = pollution(&ctx);
+        let text = experiment("pollution").run(&quick_ctx());
         for needle in ["accuracy", "coverage", "pollution", "worst source", "n/a"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
@@ -1662,8 +1639,7 @@ mod tests {
 
     #[test]
     fn storage_table_shows_prodigy_smallest_of_graph_designs() {
-        let ctx = quick_ctx();
-        let text = table_storage(&ctx);
+        let text = experiment("storage").run(&quick_ctx());
         assert!(text.contains("0.8"));
         assert!(text.contains("droplet"));
     }

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Worker id used for cells executed on the calling thread (a direct
-/// `Ctx::run` outside any pool) rather than by a pool worker.
+/// `Ctx::try_run` outside any pool) rather than by a pool worker.
 pub const CALLER_THREAD: usize = usize::MAX;
 
 /// Knobs of a sweep run.
@@ -296,7 +296,7 @@ pub fn run_isolated<T: Send + 'static>(
     }
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         format!("panicked: {s}")
     } else if let Some(s) = p.downcast_ref::<String>() {

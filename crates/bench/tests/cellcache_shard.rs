@@ -5,7 +5,7 @@
 //! run's report.
 
 use prodigy_bench::compare::{diff_reports, merge_reports};
-use prodigy_bench::experiments::{experiment_cells, shard_cells, Cell, Ctx, ShardSpec};
+use prodigy_bench::experiments::{shard_cells, Cell, Ctx, ShardSpec, EXPERIMENTS};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::WorkloadSpec;
 use prodigy_sim::json::{parse_json, ToJson};
@@ -39,7 +39,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// The determinism fingerprint of one cell's outcome: everything except
 /// host timing (which a disk hit legitimately changes).
 fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
-    let out = ctx.run(cell);
+    let out = ctx.try_run(cell).unwrap();
     format!(
         "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}|prodigy={:?}|telemetry={:?}",
         cell.key(),
@@ -116,7 +116,7 @@ fn failures_are_never_persisted_to_the_disk_cache() {
     let ctx = ctx_with_scale(1).with_cell_cache(&dir).unwrap();
     let good = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
     let bad = Cell::new(WorkloadSpec::plain("no-such-alg", 64), PrefetcherKind::None);
-    ctx.run(&good);
+    ctx.try_run(&good).unwrap();
     assert!(ctx.try_run(&bad).is_err());
     let entries = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(entries, 1, "only the successful cell may reach the disk");
@@ -125,7 +125,7 @@ fn failures_are_never_persisted_to_the_disk_cache() {
     // and still loads the good one from disk.
     let again = ctx_with_scale(1).with_cell_cache(&dir).unwrap();
     assert!(again.try_run(&bad).is_err());
-    again.run(&good);
+    again.try_run(&good).unwrap();
     let r = again.report();
     assert_eq!(r.disk_hits, 1);
     assert_eq!(r.cells_simulated, 1, "the failure simulated again");
@@ -139,7 +139,8 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
 
     // Unsharded: warm the full fig02 grid directly.
     let full = ctx_with_scale(2);
-    let cells = experiment_cells("fig02", &full).expect("fig02 has a grid");
+    let fig02 = EXPERIMENTS.iter().find(|e| e.name == "fig02").unwrap();
+    let cells = fig02.cells(full.scale);
     assert_eq!(cells.len(), 4);
     full.warm(cells.clone());
     let full_report = full.report();

@@ -47,7 +47,7 @@ fn ctx_with(threads: usize, base_seed: u64) -> Ctx {
 /// host timing. `Stats` carries no `PartialEq` (floats in the CPI stack),
 /// so the stable `Debug` rendering is the comparison form.
 fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
-    let out = ctx.run(cell);
+    let out = ctx.try_run(cell).unwrap();
     format!(
         "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}",
         cell.key(),
@@ -97,15 +97,15 @@ fn base_seed_perturbs_seeded_workloads_only() {
     let ctx0 = ctx_with(1, 0);
     let ctx1 = ctx_with(1, 1);
     let is_cell = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
-    let c0 = ctx0.run(&is_cell);
-    let c1 = ctx1.run(&is_cell);
+    let c0 = ctx0.try_run(&is_cell).unwrap();
+    let c1 = ctx1.try_run(&is_cell).unwrap();
     assert_ne!(c0.checksum, c1.checksum, "seeded inputs should differ");
     assert_ne!(c0.seed, c1.seed);
     // Graph topologies model fixed external data sets: identical across
     // base seeds, so cross-version figure tables stay comparable.
     let bfs_cell = Cell::new(WorkloadSpec::graph("bfs", "lj", 64), PrefetcherKind::None);
-    let g0 = ctx0.run(&bfs_cell);
-    let g1 = ctx1.run(&bfs_cell);
+    let g0 = ctx0.try_run(&bfs_cell).unwrap();
+    let g1 = ctx1.try_run(&bfs_cell).unwrap();
     assert_eq!(g0.checksum, g1.checksum, "graphs are not re-randomized");
 }
 
@@ -221,7 +221,7 @@ fn checksums_agree_across_prefetchers_within_a_seed() {
             PrefetcherKind::Prodigy,
         ]
         .into_iter()
-        .map(|k| ctx.run(&Cell::new(spec.clone(), k)).checksum)
+        .map(|k| ctx.try_run(&Cell::new(spec.clone(), k)).unwrap().checksum)
         .collect();
         assert!(
             sums.windows(2).all(|w| w[0] == w[1]),
