@@ -301,4 +301,24 @@ print(f"   perfbench is: {d['attempted']} cells run, 0 failed, "
       f"peak rss {d['metrics']['peak_rss_mib']['value']:.0f} MiB (non-gating): OK")
 PY
 
+# pr-lj runs the PageRank and GHB G/DC code the is smoke does not, under
+# PageRank's bit-for-bit reference and every cell's functional checksum.
+# Gated: its peak RSS stays under 200 MiB, a tripwire for a GHB delta-pair
+# index whose per-pair cost grows again (~246 MiB with HashMap buckets,
+# ~130 MiB with the packed table).
+echo "== perfbench: one-pass pr-lj smoke, peak RSS tripwire"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload pr-lj --seconds 0 --trace 0 >"$tmp/perfbench-pr.txt"
+python3 - "$tmp/perfbench-pr.txt" <<'PY'
+import json, sys
+last = open(sys.argv[1]).read().strip().splitlines()[-1]
+d = json.loads(last)
+assert d["correct"] is True, f"perfbench pr-lj: not correct: {last}"
+assert d["failed"] == 0, f"perfbench pr-lj: {d['failed']} failed cells"
+rss = d["metrics"]["peak_rss_mib"]["value"]
+assert rss <= 200, f"perfbench pr-lj: peak rss {rss:.1f} MiB > 200 MiB"
+print(f"   perfbench pr-lj: {d['attempted']} cells run, 0 failed, "
+      f"peak rss {rss:.0f} MiB (<= 200): OK")
+PY
+
 echo "CI green."

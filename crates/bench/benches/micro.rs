@@ -1,16 +1,18 @@
 //! Criterion micro-benchmarks for the performance-critical structures: the
 //! PFHR file, the cache array, DIG programming, branch prediction,
-//! instruction-stream encoding and decoding, and end-to-end simulator
-//! throughput (instructions simulated per second).
+//! instruction-stream encoding and decoding, GHB G/DC training, and
+//! end-to-end simulator throughput (instructions simulated per second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use prodigy::dig::NodeId;
 use prodigy::{Dig, DigProgram, EdgeKind, PfhrFile, ProdigyPrefetcher, TriggerSpec};
+use prodigy_prefetchers::GhbGdcPrefetcher;
 use prodigy_sim::core::{Gshare, Op, StreamBuilder};
 use prodigy_sim::mem::cache::{demand_line, Cache};
 use prodigy_sim::mem::coherence::Mesi;
+use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
 use prodigy_sim::Provenance;
-use prodigy_sim::{CacheConfig, ServedBy, System, SystemConfig};
+use prodigy_sim::{AddressSpace, CacheConfig, MemorySystem, ServedBy, Stats, System, SystemConfig};
 
 fn bench_pfhr(c: &mut Criterion) {
     c.bench_function("pfhr/allocate_take", |b| {
@@ -154,6 +156,80 @@ fn bench_stream(c: &mut Criterion) {
     g.finish();
 }
 
+/// L1 misses of the same PageRank gather: each offset and edge-list line
+/// once, and every contribution load. Half of those hit one of 16 hub
+/// vertices, as a power-law graph's in-edges do, so delta pairs recur.
+fn pr_gather_misses(n: usize) -> Vec<u64> {
+    let (off, edg, contrib) = (0x10_0000u64, 0x20_0000, 0x80_0000);
+    let mut x = 0x9002u64;
+    let mut rand = move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        x >> 33
+    };
+    let (mut misses, mut u, mut w) = (Vec::with_capacity(n), 0, 0);
+    while misses.len() < n {
+        if u % 16 == 0 {
+            misses.push(off + 4 * u);
+        }
+        for _ in 0..rand() % 28 {
+            if w % 16 == 0 {
+                misses.push(edg + 4 * w);
+            }
+            let v = match rand() % 2 {
+                0 => rand() % 16 * 6_000,
+                _ => rand() % 96_000,
+            };
+            misses.push(contrib + 8 * v);
+            w += 1;
+        }
+        u += 1;
+    }
+    misses.truncate(n);
+    misses
+}
+
+/// A fresh GHB G/DC prefetcher trained on 1M PageRank-gather L1 misses,
+/// its prefetches issued into a one-core `SystemConfig::bench()` memory
+/// system: ms/iter is ns per miss.
+fn bench_ghb(c: &mut Criterion) {
+    const N: usize = 1_000_000;
+    let misses = pr_gather_misses(N);
+    let mut g = c.benchmark_group("ghb");
+    g.throughput(Throughput::Elements(N as u64));
+    g.bench_function("train", |b| {
+        b.iter_batched(
+            || {
+                (
+                    GhbGdcPrefetcher::default(),
+                    MemorySystem::new(SystemConfig::bench().with_cores(1)),
+                )
+            },
+            |(mut pf, mut mem)| {
+                let (space, mut stats, mut fills) =
+                    (AddressSpace::new(), Stats::default(), FillQueue::new());
+                for (i, &vaddr) in misses.iter().enumerate() {
+                    let now = 20 * i as u64;
+                    let mut ctx =
+                        PrefetchCtx::new(0, now, &mut mem, &space, &mut stats, &mut fills);
+                    let miss = DemandAccess {
+                        vaddr,
+                        size: 8,
+                        is_write: false,
+                        pc: 43,
+                        served: ServedBy::Dram,
+                    };
+                    pf.on_demand(&mut ctx, &miss);
+                    // G/DC ignores its fills.
+                    fills.clear();
+                }
+                stats.prefetches_issued
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_simulator_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     const N: u64 = 100_000;
@@ -191,6 +267,7 @@ criterion_group!(
     bench_dig_programming,
     bench_bpred,
     bench_stream,
+    bench_ghb,
     bench_simulator_throughput
 );
 criterion_main!(benches);

@@ -21,7 +21,6 @@ use crate::tables::{EdgeRecord, EdgeTable, NodeRecord, NodeTable};
 use prodigy_sim::line_of;
 use prodigy_sim::prefetch::{DemandAccess, FillEvent, PrefetchCtx, Prefetcher};
 use std::any::Any;
-use std::collections::BTreeSet;
 
 /// Hardware sizing knobs (defaults follow §VI-E: 16-entry DIG tables,
 /// 16-entry PFHR file, 0.8 KB total).
@@ -137,7 +136,12 @@ pub struct ProdigyPrefetcher {
     nodes: NodeTable,
     edges: EdgeTable,
     pfhr: PfhrFile,
-    live: BTreeSet<u64>,
+    /// Trigger addresses of the live sequences, sorted ascending. A `Vec`,
+    /// not a `BTreeSet`: the set holds about one look-ahead window and
+    /// slides along with the demand stream, so a B-tree would split and
+    /// merge nodes (heap operations) every few triggers, where the `Vec`
+    /// reuses its buffer.
+    live: Vec<u64>,
     cached_depth: u32,
     stats: ProdigyStats,
     throttle: Option<crate::throttle::FeedbackThrottle>,
@@ -159,7 +163,7 @@ impl ProdigyPrefetcher {
             nodes: NodeTable::new(cfg.node_capacity),
             edges: EdgeTable::new(cfg.edge_capacity),
             pfhr: PfhrFile::new(cfg.pfhr_entries),
-            live: BTreeSet::new(),
+            live: Vec::new(),
             cached_depth: 0,
             stats: ProdigyStats::default(),
             throttle: cfg
@@ -296,15 +300,16 @@ impl ProdigyPrefetcher {
         depth: u32,
         tag: u16,
     ) {
-        self.request_line(ctx, node, &[elem_addr], trigger, depth, None, tag);
+        self.request_line(ctx, node, elem_addr, 1, trigger, depth, None, tag);
     }
 
-    /// Issues one prefetch covering `elems` (element addresses within a
-    /// single cache line of `node`) and, for non-leaf nodes, arranges for
-    /// the chain to continue through every element: PFHRs are allocated
-    /// *before* issue (full file ⇒ the prefetch is dropped, §VI-A), and if
-    /// the line is already on-chip the chain advances immediately for all
-    /// tracked elements instead of waiting for a fill that will never come.
+    /// Issues one prefetch covering `count` (≥ 1) consecutive elements of
+    /// `node` from `first`, all within one cache line, and, for non-leaf
+    /// nodes, arranges for the chain to continue through every element:
+    /// PFHRs are allocated *before* issue (full file ⇒ the prefetch is
+    /// dropped, §VI-A), and if the line is already on-chip the chain
+    /// advances immediately for all tracked elements instead of waiting for
+    /// a fill that will never come.
     /// `cont` is the range continuation the line's register should carry;
     /// `tag` names the DIG node/edge this request is attributed to.
     #[allow(clippy::too_many_arguments)]
@@ -312,13 +317,13 @@ impl ProdigyPrefetcher {
         &mut self,
         ctx: &mut PrefetchCtx<'_>,
         node: NodeRecord,
-        elems: &[u64],
+        first: u64,
+        count: u64,
         trigger: u64,
         depth: u32,
         cont: Option<RangeCont>,
         tag: u16,
     ) {
-        let Some(&first) = elems.first() else { return };
         if depth > 24 {
             return;
         }
@@ -327,10 +332,12 @@ impl ProdigyPrefetcher {
             return;
         }
         let line = line_of(first);
-        debug_assert!(elems.iter().all(|&e| line_of(e) == line));
+        let sz = node.data_size as u64;
+        debug_assert_eq!(line_of(first + (count - 1) * sz), line);
         let had_entry = self.pfhr.contains_line(line);
         let mut any = false;
-        for (i, &ea) in elems.iter().enumerate() {
+        for i in 0..count {
+            let ea = first + i * sz;
             let c = if i == 0 { cont } else { None };
             any |= self
                 .pfhr
@@ -348,8 +355,7 @@ impl ProdigyPrefetcher {
         if let Some(entry) = self.pfhr.take(line) {
             if ctx.l1_contains(first) {
                 self.stats.inline_advances += 1;
-                let pend: Vec<u64> = entry.pending_elems().collect();
-                for ea in pend {
+                for ea in entry.pending_elems() {
                     self.advance_element(ctx, node, ea, trigger, depth + 1);
                 }
                 if let Some(c) = entry.cont {
@@ -413,13 +419,8 @@ impl ProdigyPrefetcher {
             // size, so element boundaries align with line boundaries.
             let e0 = first_elem.max(line);
             let e1 = last_elem.min(line + LINE_BYTES - 1);
-            let mut ea = e0;
-            let mut elems = Vec::with_capacity((LINE_BYTES / sz) as usize);
-            while ea <= e1 {
-                elems.push(ea);
-                ea += sz;
-            }
-            self.stats.range_elements_tracked += elems.len() as u64;
+            let count = (e1 - e0) / sz + 1;
+            self.stats.range_elements_tracked += count;
             let next_line = line + LINE_BYTES;
             let cont = if n == window - 1 && next_line <= last_elem {
                 Some(RangeCont {
@@ -429,7 +430,7 @@ impl ProdigyPrefetcher {
             } else {
                 None
             };
-            self.request_line(ctx, dst, &elems, trigger, depth + 1, cont, tag);
+            self.request_line(ctx, dst, e0, count, trigger, depth + 1, cont, tag);
             line = next_line;
             n += 1;
         }
@@ -449,8 +450,13 @@ impl ProdigyPrefetcher {
         }
         self.stats.elements_advanced += 1;
         let value = ctx.read_uint(elem_addr, node.data_size.min(8));
-        let outs: Vec<EdgeRecord> = self.edges.from(node.id).copied().collect();
-        for e in outs {
+        // Indexed, not iterated: the walk below needs `&mut self`. Nothing
+        // it calls changes the edge table.
+        for i in 0..self.edges.rows().len() {
+            let e = self.edges.rows()[i];
+            if e.src != node.id {
+                continue;
+            }
             let Some(&dst) = self.nodes.by_id(e.dst) else {
                 continue;
             };
@@ -531,16 +537,18 @@ impl Prefetcher for ProdigyPrefetcher {
         // further ahead. "Past" respects the traversal direction; sequences
         // at exactly the demanded element stay alive until the core moves
         // beyond them, so a just-in-time chain finishes its work.
-        let stale: Vec<u64> = match spec.direction {
-            TraversalDirection::Ascending => self.live.range(..elem_addr).copied().collect(),
-            TraversalDirection::Descending => self.live.range(elem_addr + 1..).copied().collect(),
+        let stale = match spec.direction {
+            TraversalDirection::Ascending => 0..self.live.partition_point(|&t| t < elem_addr),
+            TraversalDirection::Descending => {
+                self.live.partition_point(|&t| t <= elem_addr)..self.live.len()
+            }
         };
-        for t in stale {
-            self.live.remove(&t);
+        for &t in &self.live[stale.clone()] {
             if self.pfhr.drop_sequence(t) > 0 {
                 self.stats.sequences_dropped += 1;
             }
         }
+        self.live.drain(stale);
 
         let lookahead =
             self.cfg
@@ -574,8 +582,9 @@ impl Prefetcher for ProdigyPrefetcher {
                 },
             };
             let taddr = trec.base + target * sz;
-            if !self.live.insert(taddr) {
-                continue; // sequence already initiated
+            match self.live.binary_search(&taddr) {
+                Ok(_) => continue, // sequence already initiated
+                Err(i) => self.live.insert(i, taddr),
             }
             self.stats.sequences_initiated += 1;
             self.stats.trigger_prefetches += 1;
@@ -591,8 +600,7 @@ impl Prefetcher for ProdigyPrefetcher {
         let Some(&node) = self.nodes.by_id(entry.node) else {
             return;
         };
-        let elems: Vec<u64> = entry.pending_elems().collect();
-        for ea in elems {
+        for ea in entry.pending_elems() {
             self.advance_element(ctx, node, ea, entry.trigger_addr, 0);
         }
         // Self-sustaining ranged stream: this fill issues the next window.
@@ -893,7 +901,7 @@ mod tests {
         let (mut pf, [wq, ..]) = bfs_setup(&mut rig);
         rig.demand(&mut pf, wq, 0);
         // Drop all live sequences before any fill is processed.
-        let live: Vec<u64> = pf.live.iter().copied().collect();
+        let live = pf.live.clone();
         for t in live {
             rig.demand(&mut pf, t, 1);
         }

@@ -32,7 +32,8 @@ const DAMPING: f64 = 0.85;
 /// The PageRank kernel.
 #[derive(Debug)]
 pub struct PageRank {
-    csr: Csr,
+    /// Out-degree of each vertex (the CSR is needed for nothing else).
+    out_degree: Vec<u32>,
     csc: Csr,
     iterations: u32,
     sw_prefetch: Option<u64>,
@@ -56,7 +57,7 @@ impl PageRank {
         let n = graph.n() as usize;
         let csc = graph.transpose();
         PageRank {
-            csr: graph,
+            out_degree: (0..graph.n()).map(|v| graph.degree(v)).collect(),
             csc,
             iterations,
             sw_prefetch: None,
@@ -108,15 +109,15 @@ impl Kernel for PageRank {
     }
 
     fn prepare(&mut self, space: &mut AddressSpace) -> Dig {
-        let n = self.csr.n() as u64;
+        let n = self.out_degree.len() as u64;
         let img = load_csr(space, &self.csc);
         let contrib = ArrayHandle::alloc_cold(space, n, 8);
         let scores = ArrayHandle::alloc_cold(space, n, 8);
         let degrees = ArrayHandle::alloc_cold(space, n, 4);
         let init = 1.0 / n as f64;
-        for v in 0..n {
+        for (v, &d) in (0..n).zip(&self.out_degree) {
             space.write_f64(scores.addr(v), init);
-            space.write_u32(degrees.addr(v), self.csr.degree(v as u32));
+            space.write_u32(degrees.addr(v), d);
         }
         self.scores.fill(init);
         self.handles = Some(Handles {
@@ -139,7 +140,7 @@ impl Kernel for PageRank {
 
     fn run(&mut self, runner: &mut dyn PhaseRunner) -> u64 {
         let h = self.handles.expect("prepare() must run first");
-        let n = self.csr.n() as usize;
+        let n = self.out_degree.len();
         let base = (1.0 - DAMPING) / n as f64;
         let mut contrib = vec![0.0f64; n];
 
@@ -150,7 +151,7 @@ impl Kernel for PageRank {
             for chunk in &chunks {
                 let mut b = StreamBuilder::new();
                 for v in chunk.clone() {
-                    let d = self.csr.degree(v as u32);
+                    let d = self.out_degree[v as usize];
                     contrib[v as usize] = if d == 0 {
                         0.0
                     } else {
