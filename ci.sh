@@ -48,6 +48,40 @@ for threads in 1 2; do
 done
 echo "   byte-identical at --threads 1 and 2: OK"
 
+# Gated: every malformed flag set is a usage error (exit 2, a message on
+# stderr), never a panic, a sweep of failed cells, or a run that ignores it.
+# stderr goes to a file: piped into `head`, the closed pipe would make
+# `eprintln!` itself panic.
+echo "== bad flags: each exits 2 without a panic"
+bad_flags=(
+    "--scale 64 --cores 0 fig02"
+    "--scale 8 --cores 100 fig02"
+    "--scale 64 --cores 65 fig02"
+    "--scale 0 fig02"
+    "--threads 0"
+    "--shard 0/2"
+    "--shard 3/2"
+    "--shard x"
+    "--metrics-window 0"
+    "--timeout-secs x"
+    "--scale 64 --host-profile storage"
+    "--trace $tmp/t.json --trace-events bogus"
+    "--trace $tmp/t.json --trace-workload nosuch"
+    "--shard 1/2 --trace $tmp/t.json"
+    "nosuchexperiment"
+)
+for flags in "${bad_flags[@]}"; do
+    rc=0
+    # shellcheck disable=SC2086 # each row is a list of words
+    ./target/release/prodigy-eval $flags >/dev/null 2>"$tmp/badflag.err" || rc=$?
+    if [ "$rc" -ne 2 ] || grep -q panicked "$tmp/badflag.err"; then
+        echo "   prodigy-eval $flags: want exit 2 and no panic, got exit $rc"
+        head -5 "$tmp/badflag.err"
+        exit 1
+    fi
+done
+echo "   ${#bad_flags[@]} bad flag sets exit 2, none panicked: OK"
+
 echo "== trace smoke: Chrome trace JSON validity + determinism"
 ./target/release/prodigy-eval --scale 64 --cores 2 \
     --trace "$tmp/trace1.json" >/dev/null
@@ -100,35 +134,6 @@ print(f"   host (non-gating): {h.get('cells_per_sec', '?')} cells/s, "
       f"{h.get('host_nanos_total', 0)/1e9:.1f}s total cell time, "
       f"p50 {h.get('cell_host_nanos_p50', 0)/1e9:.1f}s / "
       f"p99 {h.get('cell_host_nanos_p99', 0)/1e9:.1f}s per cell")
-PY
-
-echo "== host-profile smoke: profiled run identical to unprofiled same-seed run"
-./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
-    --host-profile --json "$tmp/hp.json" fig02 >/dev/null
-# Gated: profiling observes host time only — the canonical form is
-# byte-identical to the unprofiled run above.
-./target/release/prodigy-diff "$tmp/d1.json" "$tmp/hp.json"
-canon "$tmp/hp.json" "$tmp/hpc.json"
-cmp "$tmp/d1c.json" "$tmp/hpc.json"
-# Gated: the per-component breakdown accounts for >= 90% of each profiled
-# cell's host time (the residual is reported as `other`, never dropped).
-# The per-component self-times themselves vary run to run: non-gating log.
-python3 - "$tmp/hp.json" <<'PY'
-import json, sys
-d = json.load(open(sys.argv[1]))
-hp = d.get("host_profile")
-assert hp, "profiled sweep must carry a top-level host_profile section"
-for cell in d["cells"]:
-    p = cell.get("host_profile")
-    assert p, f"profiled cell {cell['key']} lacks a host_profile section"
-    total = p["host_nanos_total"]
-    named = sum(c["self_ns"] for c in p["components"].values())
-    assert named >= 0.9 * total, (
-        f"{cell['key']}: components cover only {named/total:.0%} of host time")
-total = hp["host_nanos_total"]
-top = max(hp["components"].items(), key=lambda kv: kv[1]["self_ns"])
-print(f"   host profile (non-gating): {total/1e9:.1f}s profiled, top component "
-      f"{top[0]} {top[1]['self_ns']/total:.0%}, other {hp['other_ns']/total:.0%}: OK")
 PY
 
 echo "== slo smoke: satisfied/violated/malformed exit 0/1/2"
@@ -319,6 +324,29 @@ rss = d["metrics"]["peak_rss_mib"]["value"]
 assert rss <= 200, f"perfbench pr-lj: peak rss {rss:.1f} MiB > 200 MiB"
 print(f"   perfbench pr-lj: {d['attempted']} cells run, 0 failed, "
       f"peak rss {rss:.0f} MiB (<= 200): OK")
+PY
+
+# The per-layer ledger: the traced pass times kernel, system, prefetcher and
+# hierarchy from outside through public calls. Gated: it fails any cell whose
+# traced run's stats, telemetry, checksum or Prodigy counters differ from
+# run_workload's (measuring must not perturb the simulation), and every
+# layer it names must have measured time. trace.overhead is for the log.
+echo "== perfbench: traced is pass, per-layer ledger"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload is --seconds 0 --trace 1 >"$tmp/perfbench-trace.txt"
+python3 - "$tmp/perfbench-trace.txt" <<'PY'
+import json, sys
+last = open(sys.argv[1]).read().strip().splitlines()[-1]
+d = json.loads(last)
+assert d["correct"] is True, f"perfbench is --trace 1: not correct: {last}"
+assert d["failed"] == 0, f"perfbench is --trace 1: {d['failed']} failed cells"
+m = {k: v["value"] for k, v in d["metrics"].items()}
+for k in ("kernels.self_s", "system.self_s", "prefetcher.self_s", "hierarchy.ns_per_access"):
+    assert m[k] > 0, f"perfbench is --trace 1: {k} = {m[k]}, want > 0"
+print(f"   perfbench is --trace 1: {d['attempted']} cells traced, 0 failed; kernels "
+      f"{m['kernels.self_s']:.2f}s, system {m['system.self_s']:.2f}s, prefetcher "
+      f"{m['prefetcher.self_s']:.2f}s, hierarchy {m['hierarchy.ns_per_access']:.0f} ns/access; "
+      f"trace.overhead {m['trace.overhead']:.2f}x (non-gating): OK")
 PY
 
 echo "CI green."

@@ -66,7 +66,6 @@ fn main() {
                 seed: 0,
                 trace: false,
                 metrics: None,
-                host_profile: true,
                 cancel: None,
             },
         );
@@ -166,26 +165,6 @@ fn main() {
                 l3.prefetched(),
                 l3.untagged,
                 l3.sources.len(),
-            );
-        }
-        // Host self-profile: where this run's *host* time went, ranked by
-        // scope self-time (children excluded, so rows never double-count).
-        if let Some(hp) = &out.host_profile {
-            let total = out.timing.host_nanos.max(1);
-            let rows: Vec<String> = hp
-                .ranked()
-                .into_iter()
-                .filter(|&(_, ns, allocs)| ns > 0 || allocs > 0)
-                .take(4)
-                .map(|(comp, ns, _)| {
-                    format!("{} {:.0}%", comp.label(), 100.0 * ns as f64 / total as f64)
-                })
-                .collect();
-            println!(
-                "  host profile ({:.1} ms): {}  other {:.0}%",
-                total as f64 / 1e6,
-                rows.join("  "),
-                100.0 * total.saturating_sub(hp.total_self_ns()) as f64 / total as f64,
             );
         }
         if let Some(p) = out.prodigy {

@@ -18,8 +18,8 @@
 //! - exit 2 — usage, I/O, parse, or malformed-SLO error
 //!
 //! Sweep cells are compared in their canonical form: every field except
-//! the host fields (`timing`, `worker`, `disk_hit`, `host_profile`), so a
-//! same-seed pair diffs to zero changes. For a byte-level identity gate,
+//! the host fields (`timing`, `worker`, `disk_hit`, and `host_profile` in
+//! older reports), so a same-seed pair diffs to zero changes. For a byte-level identity gate,
 //! `cmp` the `prodigy-eval --merge` canonical forms of the two reports.
 //!
 //! ## Latency SLOs

@@ -46,6 +46,7 @@
 //! `--json` reports, then stitch with `prodigy-eval --merge a.json b.json
 //! --out merged.json`. Merging the shard reports is byte-identical to
 //! merging the report of one unsharded run.
+#![forbid(unsafe_code)]
 
 use prodigy::throttle::ThrottleSpec;
 use prodigy::ProdigyConfig;
@@ -54,41 +55,12 @@ use prodigy_bench::experiments::{run_all, shard_cells, Ctx, ShardSpec, EXPERIMEN
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::{all_29, WorkloadSpec};
 use prodigy_sim::json::{parse_json, Json, ToJson};
+use prodigy_sim::mem::coherence::Directory;
 use prodigy_sim::telemetry::parse_category_filter;
 use prodigy_sim::{chrome_trace_json, HistQuantiles, Log2Hist, MetricsConfig, TraceCategory};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig};
 use std::path::Path;
 use std::time::Duration;
-
-/// Counting allocator: forwards to the system allocator, attributing each
-/// allocation to the innermost open host-profiling scope. `note_alloc` is
-/// one relaxed atomic load when profiling is off, so the unprofiled path
-/// costs nothing measurable (the zero-allocation test in the sim crate pins
-/// the disabled layer down). This is the only unsafe code in the repo; the
-/// library crates all `forbid(unsafe_code)`.
-struct CountingAlloc;
-
-// SAFETY: delegates allocation verbatim to `std::alloc::System`; the extra
-// bookkeeping (`note_alloc`) touches only `Cell`-based thread-locals and
-// never allocates, recurses, or unwinds.
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        prodigy_sim::hostprof::note_alloc();
-        unsafe { std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        prodigy_sim::hostprof::note_alloc();
-        unsafe { std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Reports a bad-input error and exits with status 2 (the same convention
 /// as `prodigy-diff`).
@@ -109,7 +81,6 @@ fn main() {
     let mut metrics_window: u64 = MetricsConfig::default().window_cycles;
     let mut cell_cache: Option<String> = None;
     let mut shard: Option<ShardSpec> = None;
-    let mut host_profile = false;
     let mut merge = false;
     let mut sweep = SweepConfig::default();
     let mut filters: Vec<String> = Vec::new();
@@ -120,13 +91,16 @@ fn main() {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a number"));
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage("--scale needs a number >= 1"));
             }
             "--cores" => {
+                let max = Directory::MAX_CORES;
                 cores = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--cores needs a number")),
+                        .filter(|&n| (1..=max as u32).contains(&n))
+                        .unwrap_or_else(|| usage(&format!("--cores needs a number in 1..={max}"))),
                 );
             }
             "--threads" => {
@@ -193,7 +167,6 @@ fn main() {
                 let spec = args.next().unwrap_or_else(|| usage("--shard needs K/N"));
                 shard = Some(ShardSpec::parse(&spec).unwrap_or_else(|e| usage(&e)));
             }
-            "--host-profile" => host_profile = true,
             "--merge" => merge = true,
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
@@ -242,7 +215,6 @@ fn main() {
     }
 
     let mut ctx = Ctx::new(scale).with_sweep(sweep);
-    ctx.host_profile = host_profile;
     if let Some(c) = cores {
         ctx.sys = ctx.sys.with_cores(c);
     }
@@ -279,7 +251,6 @@ fn main() {
             filter.as_deref(),
             metrics.as_deref(),
             metrics_window,
-            host_profile,
         );
         return;
     }
@@ -335,7 +306,6 @@ fn main() {
 /// events appear), optionally traced as Chrome trace-event JSON and/or
 /// metered as a windowed metrics time-series with per-DIG-node prefetch
 /// attribution. Finishes with a timeliness summary on stdout.
-#[allow(clippy::too_many_arguments)]
 fn run_single(
     ctx: &Ctx,
     spec: &WorkloadSpec,
@@ -343,7 +313,6 @@ fn run_single(
     filter: Option<&[TraceCategory]>,
     metrics_path: Option<&str>,
     metrics_window: u64,
-    host_profile: bool,
 ) {
     println!(
         "prodigy-eval: {} under prodigy (throttled), scale 1/{}, {} cores, seed {}",
@@ -366,7 +335,6 @@ fn run_single(
                 window_cycles: metrics_window,
                 ..MetricsConfig::default()
             }),
-            host_profile,
             cancel: None,
         },
     );
@@ -452,39 +420,6 @@ fn run_single(
         "activity: {} dig transitions, {} throttle ups, {} throttle downs",
         tel.dig_transitions, tel.throttle_ups, tel.throttle_downs
     );
-    if let Some(hp) = &outcome.host_profile {
-        let total = outcome.timing.host_nanos;
-        println!(
-            "host profile (where the time goes, {:.1} ms total):",
-            total as f64 / 1e6
-        );
-        let pct = |ns: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * ns as f64 / total as f64
-            }
-        };
-        for (comp, ns, allocs) in hp.ranked() {
-            if ns == 0 && allocs == 0 {
-                continue;
-            }
-            println!(
-                "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  {}",
-                pct(ns),
-                ns as f64 / 1e6,
-                allocs,
-                comp.label()
-            );
-        }
-        let other = total.saturating_sub(hp.total_self_ns());
-        println!(
-            "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  other",
-            pct(other),
-            other as f64 / 1e6,
-            hp.allocs[prodigy_sim::hostprof::COMPONENTS]
-        );
-    }
 }
 
 /// Every experiment name, space-separated, in run order.
@@ -500,7 +435,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: prodigy-eval [--scale N] [--cores N] [--threads N] [--seed N]\n\
          \x20                  [--timeout-secs N] [--out FILE] [--json FILE]\n\
-         \x20                  [--cell-cache DIR] [--shard K/N] [--host-profile]\n\
+         \x20                  [--cell-cache DIR] [--shard K/N]\n\
          \x20                  [--trace FILE [--trace-events cat,cat]]\n\
          \x20                  [--metrics FILE [--metrics-window N]]\n\
          \x20                  [--trace-workload NAME] [experiments...]\n\
@@ -523,10 +458,6 @@ fn usage(err: &str) -> ! {
          shard K of N (1-based); figures are skipped. stitch the shards'\n\
          --json reports with --merge (byte-identical to merging one\n\
          unsharded run's report).\n\
-         --host-profile: per-component host-time + allocation accounting\n\
-         for every simulated cell (ranked table on stderr; host_profile\n\
-         sections in --json). simulated stats/checksums are byte-identical\n\
-         with or without it — only host telemetry is added.\n\
          determinism: any --threads value yields byte-identical figure tables\n\
          (traces, metrics) for the same --scale/--seed; --seed 0 keeps the\n\
          seed inputs. exit status 3 if any cell failed (see stderr / --json).\n\

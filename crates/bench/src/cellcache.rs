@@ -328,7 +328,6 @@ mod tests {
             telemetry,
             trace: None,
             metrics: None,
-            host_profile: None,
         }
     }
 

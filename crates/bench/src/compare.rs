@@ -697,8 +697,8 @@ mod tests {
             .replace("\"wall_nanos\":12345", "\"wall_nanos\":999999")
             .replace("\"host_nanos\":5", "\"host_nanos\":777")
             .replace("\"busy_nanos\":99", "\"busy_nanos\":1")
-            // A profiled run gains a host_profile section; it must be as
-            // invisible to the diff as the rest of the host timing.
+            // Older reports carry a per-cell host_profile section; it must
+            // be as invisible to the diff as the rest of the host timing.
             .replace(
                 "\"worker\":0,",
                 "\"worker\":0,\"host_profile\":{\"host_nanos_total\":777,\"other_ns\":9,\

@@ -136,10 +136,6 @@ pub struct Ctx {
     pub sys: SystemConfig,
     /// Sweep execution knobs (threads, base seed, per-cell timeout).
     pub sweep: SweepConfig,
-    /// Enable per-component host self-profiling for every simulated cell
-    /// (see [`prodigy_sim::hostprof`]). Host telemetry only: simulated
-    /// stats, checksums and telemetry are byte-identical either way.
-    pub host_profile: bool,
     cache: SingleFlightCache<Arc<RunOutcome>>,
     cell_cache: Option<CellCache>,
     code_rev: String,
@@ -157,7 +153,6 @@ fn execute_cell(
     cell: &Cell,
     sys: SystemConfig,
     base_seed: u64,
-    host_profile: bool,
     cancel: Arc<std::sync::atomic::AtomicBool>,
 ) -> RunOutcome {
     let v = cell.variant;
@@ -181,7 +176,6 @@ fn execute_cell(
         seed: cell.spec.identity_hash() ^ base_seed,
         trace: false,
         metrics: None,
-        host_profile,
         cancel: Some(cancel),
     };
     run_workload(kernel.as_mut(), &cfg)
@@ -196,7 +190,6 @@ impl Ctx {
             scale,
             sys: SystemConfig::bench(),
             sweep: SweepConfig::default(),
-            host_profile: false,
             cache: SingleFlightCache::new(),
             cell_cache: None,
             code_rev: code_rev(),
@@ -254,10 +247,6 @@ impl Ctx {
                         timing: prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
                         worker,
                         disk_hit: true,
-                        // Disk hits carry no profile: nothing was simulated
-                        // in this process and the cache never persists host
-                        // timing.
-                        host_profile: None,
                         outcome: Some(Arc::clone(&o)),
                         error: None,
                     });
@@ -267,9 +256,8 @@ impl Ctx {
             let owned = cell.clone();
             let sys = self.sys;
             let base_seed = self.sweep.base_seed;
-            let profile = self.host_profile;
             let out = run_isolated(&key, self.sweep.cell_timeout, move |cancel| {
-                execute_cell(&owned, sys, base_seed, profile, cancel)
+                execute_cell(&owned, sys, base_seed, cancel)
             });
             let (res, timing) = match out {
                 Ok(o) => {
@@ -302,7 +290,6 @@ impl Ctx {
                 timing,
                 worker,
                 disk_hit: false,
-                host_profile: res.as_ref().ok().and_then(|o| o.host_profile),
                 outcome: res.as_ref().ok().cloned(),
                 error: res.as_ref().err().map(|e| e.reason.clone()),
             });

@@ -525,10 +525,6 @@ pub struct CellTiming {
     /// Whether the result was loaded from the persistent cell cache rather
     /// than simulated (`timing` then measures the disk load, not a run).
     pub disk_hit: bool,
-    /// Per-component host-time/allocation breakdown; `Some` only when the
-    /// sweep ran with host profiling enabled and the cell was actually
-    /// simulated (disk hits carry no profile).
-    pub host_profile: Option<prodigy_sim::HostProfile>,
     /// The simulated result; `None` for failed cells.
     pub outcome: Option<Arc<RunOutcome>>,
     /// The recorded failure, if the cell diverged or panicked.
@@ -537,23 +533,24 @@ pub struct CellTiming {
 
 /// A report cell's host fields: how, where and how fast it ran. Every other
 /// field of a cell is simulated and deterministic for a given seed.
-const CELL_HOST_FIELDS: [&str; 4] = ["timing", "worker", "disk_hit", "host_profile"];
+const CELL_HOST_FIELDS: [&str; 4] = [
+    "timing",
+    "worker",
+    "disk_hit",
+    // No longer written; older reports carry it and must still canonicalize.
+    "host_profile",
+];
 
 /// `{"key", <host fields>, "stats": <CellStats view>, <RunOutcome fields>,
 /// "error"}`. A failed cell has `"stats":null` and no outcome fields.
 impl ToJson for CellTiming {
     fn to_json(&self) -> Json {
         let worker = (self.worker != CALLER_THREAD).then_some(self.worker);
-        let host_profile = self.host_profile.as_ref();
         let mut o = vec![
             ("key".to_string(), self.key.to_json()),
             ("timing".to_string(), self.timing.to_json()),
             ("worker".to_string(), worker.to_json()),
             ("disk_hit".to_string(), self.disk_hit.to_json()),
-            (
-                "host_profile".to_string(),
-                host_profile.map_or(Json::Null, |hp| hp.to_json(self.timing.host_nanos)),
-            ),
             (
                 "stats".to_string(),
                 self.outcome
@@ -571,9 +568,9 @@ impl ToJson for CellTiming {
 }
 
 /// The deterministic part of a report cell: `cell` without its host fields
-/// (`timing`, `worker`, `disk_hit`, `host_profile`). `--merge` writes cells
-/// in this form and `prodigy-diff` compares it; its outcome fields are
-/// exactly the object the cell cache stores.
+/// (`timing`, `worker`, `disk_hit`, and `host_profile` in older reports).
+/// `--merge` writes cells in this form and `prodigy-diff` compares it; its
+/// outcome fields are exactly the object the cell cache stores.
 pub fn canonical_cell(cell: &Json) -> Json {
     match cell {
         Json::Obj(m) => Json::Obj(
@@ -661,24 +658,6 @@ impl SweepReport {
         v[rank - 1]
     }
 
-    /// Sweep-wide host profile: element-wise sum over every profiled cell,
-    /// plus the summed `host_nanos` of those cells (the denominator for the
-    /// `other` residual). `None` when no cell carried a profile (profiling
-    /// off, or everything came from cache).
-    pub fn aggregate_host_profile(&self) -> Option<(prodigy_sim::HostProfile, u64)> {
-        let mut acc = prodigy_sim::HostProfile::default();
-        let mut total: u64 = 0;
-        let mut any = false;
-        for t in &self.cell_timings {
-            if let Some(hp) = &t.host_profile {
-                acc.merge(hp);
-                total = total.saturating_add(t.timing.host_nanos);
-                any = true;
-            }
-        }
-        any.then_some((acc, total))
-    }
-
     /// The `n` slowest cells, slowest first.
     pub fn slowest(&self, n: usize) -> Vec<&CellTiming> {
         let mut v: Vec<&CellTiming> = self.cell_timings.iter().collect();
@@ -715,38 +694,6 @@ impl SweepReport {
         }
         for e in &self.errors {
             out.push_str(&format!("  error: {} — {}\n", e.key, e.reason));
-        }
-        if let Some((hp, total)) = self.aggregate_host_profile() {
-            out.push_str(&format!(
-                "  host profile (where the time goes, {:.1} ms profiled):\n",
-                total as f64 / 1e6
-            ));
-            let pct = |ns: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    100.0 * ns as f64 / total as f64
-                }
-            };
-            for (comp, ns, allocs) in hp.ranked() {
-                if ns == 0 && allocs == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "    {:>5.1}%  {:>10.2} ms  {:>10} allocs  {}\n",
-                    pct(ns),
-                    ns as f64 / 1e6,
-                    allocs,
-                    comp.label()
-                ));
-            }
-            let other = total.saturating_sub(hp.total_self_ns());
-            out.push_str(&format!(
-                "    {:>5.1}%  {:>10.2} ms  {:>10} allocs  other\n",
-                pct(other),
-                other as f64 / 1e6,
-                hp.allocs[prodigy_sim::hostprof::COMPONENTS]
-            ));
         }
         out
     }
@@ -791,11 +738,6 @@ impl ToJson for SweepReport {
             ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
             ("utilization", Json::fixed(self.utilization(), 4)),
             ("host", host),
-            (
-                "host_profile",
-                self.aggregate_host_profile()
-                    .map_or(Json::Null, |(hp, total)| hp.to_json(total)),
-            ),
             ("workers", Json::Arr(workers.collect())),
             ("errors", self.errors.to_json()),
             ("cells", self.cell_timings.to_json()),
@@ -1018,7 +960,6 @@ mod tests {
             telemetry: Default::default(),
             trace: None,
             metrics: None,
-            host_profile: None,
         };
         out.summary.stats.l1d.misses = 10;
         out.summary.stats.l3.misses = 2;
@@ -1039,7 +980,6 @@ mod tests {
             timing: prodigy_sim::RunTiming { host_nanos: nanos },
             worker: CALLER_THREAD,
             disk_hit: false,
-            host_profile: None,
             error: outcome.is_none().then(|| "timed out after 1.0s".into()),
             outcome: outcome.map(Arc::new),
         }
@@ -1047,12 +987,6 @@ mod tests {
 
     #[test]
     fn report_renders_and_serializes() {
-        let mut profiled = cell("k", 42, Some(outcome()));
-        profiled.host_profile = Some({
-            let mut hp = prodigy_sim::HostProfile::default();
-            hp.self_ns[prodigy_sim::Component::Kernel as usize] = 30;
-            hp
-        });
         let report = SweepReport {
             threads: 2,
             base_seed: 7,
@@ -1078,7 +1012,10 @@ mod tests {
                     jobs: 2,
                 },
             ],
-            cell_timings: vec![profiled, cell("bfs|false|prodigy|16|false|0", 9, None)],
+            cell_timings: vec![
+                cell("k", 42, Some(outcome())),
+                cell("bfs|false|prodigy|16|false|0", 9, None),
+            ],
         };
         let text = report.render();
         assert!(text.contains("5 cells simulated"));
@@ -1099,13 +1036,9 @@ mod tests {
         assert!(
             json.contains(
                 "{\"key\":\"k\",\"timing\":{\"host_nanos\":42},\"worker\":null,\"disk_hit\":false,\
-                 \"host_profile\":{\"host_nanos_total\":42,"
+                 \"stats\":{\"cycles\":1000,\"instructions\":1500,\"ipc\":1.500000,"
             ),
-            "host fields lead the cell, the profile measured against its host time: {json}"
-        );
-        assert!(
-            json.contains("\"stats\":{\"cycles\":1000,\"instructions\":1500,\"ipc\":1.500000,"),
-            "derived stats view follows: {json}"
+            "host fields lead the cell, the derived stats view follows: {json}"
         );
         assert!(
             json.contains(
@@ -1118,7 +1051,7 @@ mod tests {
         assert!(
             json.contains(
                 "{\"key\":\"bfs|false|prodigy|16|false|0\",\"timing\":{\"host_nanos\":9},\
-                 \"worker\":null,\"disk_hit\":false,\"host_profile\":null,\"stats\":null,\
+                 \"worker\":null,\"disk_hit\":false,\"stats\":null,\
                  \"error\":\"timed out after 1.0s\"}"
             ),
             "a failed cell has no outcome: {json}"
@@ -1130,12 +1063,6 @@ mod tests {
             "host throughput section present"
         );
         assert!(json.contains("\"host_nanos_total\":51"));
-        assert!(
-            text.contains("host profile (where the time goes"),
-            "aggregated ranked table rendered: {text}"
-        );
-        assert!(text.contains("kernel"), "ranked row names the component");
-        assert!(text.contains("other"), "residual reported, not dropped");
         assert_eq!(report.total_cell_nanos(), 51);
     }
 
@@ -1172,8 +1099,7 @@ mod tests {
         };
         assert_eq!(canon.as_obj().unwrap()[2..8], stored[..]);
         // Host fields never change the canonical form.
-        let mut other = cell("k", 7, Some(outcome()));
-        other.host_profile = Some(prodigy_sim::HostProfile::default());
+        let other = cell("k", 7, Some(outcome()));
         assert_eq!(canonical_cell(&other.to_json()), canon);
     }
 

@@ -64,7 +64,7 @@ pub enum ApiCall {
 /// prologue.apply(&mut pf);            // programs Prodigy hardware
 /// let mut none = prodigy_sim::NullPrefetcher::new();
 /// prologue.apply(&mut none);          // harmless on anything else
-/// assert!(prologue.classifier()(0x1010));
+/// assert_eq!(prologue.annotated_ranges(), [(0x1000, 0x1100), (0x2000, 0x2100)]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DigProgram {
@@ -163,13 +163,6 @@ impl DigProgram {
             })
             .collect()
     }
-
-    /// A classifier closure over [`DigProgram::annotated_ranges`], ready for
-    /// [`prodigy_sim::MemorySystem::set_llc_miss_classifier`].
-    pub fn classifier(&self) -> Box<dyn Fn(u64) -> bool + Send> {
-        let ranges = self.annotated_ranges();
-        Box::new(move |addr| ranges.iter().any(|&(lo, hi)| (lo..hi).contains(&addr)))
-    }
 }
 
 #[cfg(test)]
@@ -207,14 +200,6 @@ mod tests {
         let p = DigProgram::from_dig(&sample_dig());
         let mut null = NullPrefetcher::new();
         p.apply(&mut null); // must not panic
-    }
-
-    #[test]
-    fn classifier_matches_annotated_ranges_only() {
-        let p = DigProgram::from_dig(&sample_dig());
-        let f = p.classifier();
-        assert!(f(0x1000) && f(0x103f) && f(0x2000));
-        assert!(!f(0x1040) && !f(0x0fff) && !f(0x9000));
     }
 
     #[test]

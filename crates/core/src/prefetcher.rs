@@ -516,7 +516,6 @@ impl Prefetcher for ProdigyPrefetcher {
     }
 
     fn on_demand(&mut self, ctx: &mut PrefetchCtx<'_>, access: &DemandAccess) {
-        let _hp = prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::DigWalk);
         if access.is_write {
             return;
         }
@@ -593,7 +592,6 @@ impl Prefetcher for ProdigyPrefetcher {
     }
 
     fn on_fill(&mut self, ctx: &mut PrefetchCtx<'_>, fill: &FillEvent) {
-        let _hp = prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::DigWalk);
         let Some(entry) = self.pfhr.take(fill.line_addr) else {
             return; // sequence was dropped, or a leaf fill
         };

@@ -122,7 +122,8 @@ impl FarMemConfig {
 /// Full system configuration (Table I plus prefetcher-neutral knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
-    /// Number of cores (paper: 8).
+    /// Number of cores (paper: 8; at most
+    /// [`crate::mem::coherence::Directory::MAX_CORES`]).
     pub cores: u32,
     /// Core parameters.
     pub core: CoreConfig,

@@ -35,7 +35,6 @@ pub mod config;
 pub mod core;
 pub mod energy;
 pub mod fxhash;
-pub mod hostprof;
 pub mod json;
 pub mod mem;
 pub mod metrics;
@@ -46,7 +45,6 @@ pub mod telemetry;
 
 pub use config::{CacheConfig, CoreConfig, DramConfig, FarMemConfig, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use hostprof::{Component, HostProfile, ScopeGuard};
 pub use mem::address_space::{AddressSpace, Tier, TierMap};
 pub use mem::cache::{Provenance, VictimHit};
 pub use mem::hierarchy::{AccessKind, AccessResult, MemorySystem, ServedBy};
@@ -56,9 +54,8 @@ pub use stats::{CpiStack, LevelStats, PrefetchUse, RunTiming, Stats};
 pub use system::{PhaseStats, RunSummary, System};
 pub use telemetry::{
     chrome_trace_json, source_tag_label, AttributionTable, HistQuantiles, LevelOccupancy, Log2Hist,
-    MemorySink, NullSink, OccupancySnapshot, PollutionCounts, SourceCounts, SourceTag,
-    TelemetrySummary, TierSplit, TierTelemetry, Timeliness, TraceCategory, TraceEvent,
-    TraceEventKind, TraceSink, Tracer,
+    OccupancySnapshot, PollutionCounts, SourceCounts, SourceTag, TelemetrySummary, TierSplit,
+    TierTelemetry, Timeliness, TraceCategory, TraceEvent, TraceEventKind, Tracer,
 };
 
 /// Size of a cache line in bytes throughout the simulator (Table I: 64 B).

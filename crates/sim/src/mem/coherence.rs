@@ -34,6 +34,9 @@ pub struct Directory {
 }
 
 impl Directory {
+    /// Most cores a machine can have: the width of the sharer mask.
+    pub const MAX_CORES: usize = u64::BITS as usize;
+
     /// No sharers, no owner.
     pub fn empty() -> Self {
         Self::default()
@@ -42,9 +45,13 @@ impl Directory {
     /// Marks `core` as holding the line.
     ///
     /// # Panics
-    /// Panics if `core >= 64`.
+    /// Panics if `core >= Directory::MAX_CORES`.
     pub fn add_sharer(&mut self, core: usize) {
-        assert!(core < 64, "directory supports up to 64 cores");
+        assert!(
+            core < Self::MAX_CORES,
+            "directory supports up to {} cores",
+            Self::MAX_CORES
+        );
         self.sharers |= 1 << core;
     }
 

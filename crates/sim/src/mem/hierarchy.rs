@@ -13,7 +13,6 @@ use super::coherence::{Directory, Mesi};
 use super::dram::{Dram, DramAccess};
 use super::tlb::Tlb;
 use crate::config::SystemConfig;
-use crate::hostprof::{Component, ScopeGuard};
 use crate::stats::Stats;
 use crate::telemetry::{
     LevelOccupancy, OccupancySnapshot, SourceTag, TelemetrySummary, TraceEvent, TraceEventKind,
@@ -89,39 +88,10 @@ pub struct MemorySystem {
     /// the exact pre-tier DRAM path.
     far: Option<Dram>,
     tiers: TierMap,
-    classifier: Option<Classifier>,
+    /// DIG-annotated `[lo, hi)` ranges that classify LLC misses as
+    /// prefetchable or other (Fig. 13/16); `None` counts neither.
+    classifier: Option<Vec<(u64, u64)>>,
     tel: Tracer,
-}
-
-/// Predicate over LLC-miss addresses used by the Fig. 13/16 experiments.
-pub type ClassifierFn = Box<dyn Fn(u64) -> bool + Send>;
-
-/// An LLC-miss classifier, devirtualized for the common case: DIG-annotated
-/// address ranges are matched with a direct scan instead of an indirect call
-/// through a boxed closure. Arbitrary predicates remain available via
-/// [`Classifier::Custom`].
-pub enum Classifier {
-    /// Match when the address falls in any `[lo, hi)` range.
-    Ranges(Vec<(u64, u64)>),
-    /// Arbitrary boxed predicate (tests, ad-hoc experiments).
-    Custom(ClassifierFn),
-}
-
-impl Classifier {
-    /// Whether `addr` is classified as prefetchable.
-    #[inline]
-    pub fn matches(&self, addr: u64) -> bool {
-        match self {
-            Classifier::Ranges(rs) => rs.iter().any(|&(lo, hi)| addr >= lo && addr < hi),
-            Classifier::Custom(f) => f(addr),
-        }
-    }
-}
-
-impl From<ClassifierFn> for Classifier {
-    fn from(f: ClassifierFn) -> Self {
-        Classifier::Custom(f)
-    }
 }
 
 impl std::fmt::Debug for MemorySystem {
@@ -138,8 +108,16 @@ impl MemorySystem {
     /// Builds the hierarchy described by `cfg`: one private L1D/L2/TLB per
     /// core, and `cfg.l3_slices` shared L3 slices (decoupled from the core
     /// count — see [`SystemConfig::l3_slices`]).
+    ///
+    /// # Panics
+    /// Panics if `cfg.cores` exceeds [`Directory::MAX_CORES`].
     pub fn new(cfg: SystemConfig) -> Self {
         let n = cfg.cores as usize;
+        assert!(
+            n <= Directory::MAX_CORES,
+            "directory supports up to {} cores, got {n}",
+            Directory::MAX_CORES
+        );
         let slices = cfg.l3_slices as usize;
         MemorySystem {
             l1d: (0..n).map(|_| Cache::new(&cfg.l1d)).collect(),
@@ -176,7 +154,6 @@ impl MemorySystem {
     /// Routes a line read to the owning tier's controller.
     #[inline]
     fn mem_read(&mut self, line: u64, at: u64) -> (DramAccess, Tier) {
-        let _hp = ScopeGuard::enter(Component::DramTick);
         match self.tier_of(line) {
             Tier::Far => {
                 let far = self
@@ -208,9 +185,9 @@ impl MemorySystem {
         }
     }
 
-    /// The telemetry hub: always-on counters plus the optional event sink.
-    /// Drivers install a sink here to trace a run, and prefetchers reach it
-    /// through [`crate::PrefetchCtx`] to emit their own events.
+    /// The telemetry hub: always-on counters plus the optional event buffer.
+    /// Drivers start a trace here, and prefetchers reach it through
+    /// [`crate::PrefetchCtx`] to emit their own events.
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tel
     }
@@ -220,16 +197,11 @@ impl MemorySystem {
         self.tel.counters()
     }
 
-    /// Installs a predicate that classifies LLC-miss addresses as
-    /// "prefetchable" (inside DIG-annotated structures) for Fig. 13/16.
-    pub fn set_llc_miss_classifier(&mut self, f: Option<ClassifierFn>) {
-        self.classifier = f.map(Classifier::Custom);
-    }
-
-    /// [`MemorySystem::set_llc_miss_classifier`] for the common case — a
-    /// DIG-annotated range set — avoiding the boxed call per LLC miss.
+    /// Classifies LLC misses for Fig. 13/16 from now on: a miss inside any
+    /// `[lo, hi)` range (the DIG-annotated structures) counts as
+    /// prefetchable, every other miss as other.
     pub fn set_llc_miss_classifier_ranges(&mut self, ranges: Vec<(u64, u64)>) {
-        self.classifier = Some(Classifier::Ranges(ranges));
+        self.classifier = Some(ranges);
     }
 
     /// The configuration the hierarchy was built with.
@@ -256,7 +228,6 @@ impl MemorySystem {
     }
 
     fn tlb_latency(&mut self, core: usize, vaddr: u64, now: u64, stats: &mut Stats) -> u64 {
-        let _hp = ScopeGuard::enter(Component::TlbTick);
         if self.tlb[core].access(vaddr) {
             stats.tlb_hits += 1;
             0
@@ -273,7 +244,7 @@ impl MemorySystem {
     }
 
     /// Emits the issue→fill span of an accepted prefetch (id assignment is
-    /// skipped entirely when no sink is installed).
+    /// skipped entirely when no trace is started).
     fn trace_prefetch_issued(
         &mut self,
         core: usize,
@@ -516,7 +487,6 @@ impl MemorySystem {
         now: u64,
         stats: &mut Stats,
     ) -> AccessResult {
-        let _hp = ScopeGuard::enter(Component::HierarchyWalk);
         let line = line_of(vaddr);
         let write = kind == AccessKind::Write;
         let mut lat = self.tlb_latency(core, vaddr, now, stats);
@@ -705,8 +675,8 @@ impl MemorySystem {
         stats.l3.misses += 1;
         self.probe_victim(2, slice, line);
         lat += self.cfg.l3.tag_latency;
-        if let Some(c) = &self.classifier {
-            if c.matches(vaddr) {
+        if let Some(ranges) = &self.classifier {
+            if ranges.iter().any(|&(lo, hi)| vaddr >= lo && vaddr < hi) {
                 stats.llc_misses_prefetchable += 1;
             } else {
                 stats.llc_misses_other += 1;
@@ -793,7 +763,6 @@ impl MemorySystem {
         stats: &mut Stats,
         tag: Option<SourceTag>,
     ) -> Option<PrefetchIssued> {
-        let _hp = ScopeGuard::enter(Component::PrefetchIssue);
         let line = line_of(vaddr);
         if self.l1d[core].contains(line) {
             stats.prefetches_redundant += 1;
@@ -923,7 +892,6 @@ impl MemorySystem {
         stats: &mut Stats,
         tag: Option<SourceTag>,
     ) -> Option<PrefetchIssued> {
-        let _hp = ScopeGuard::enter(Component::PrefetchIssue);
         let line = line_of(vaddr);
         let slice = self.slice_of(line);
         if self.l3[slice].contains(line) {
@@ -989,7 +957,6 @@ impl MemorySystem {
     /// map entry per distinct live source), so the metrics sampler can
     /// call it every window.
     pub fn occupancy(&self) -> OccupancySnapshot {
-        let _hp = ScopeGuard::enter(Component::Telemetry);
         let mut snap = OccupancySnapshot::default();
         for c in &self.l1d {
             c.for_each_resident(|l, p| snap.levels[0].count(l.prefetched, p.src));
@@ -1120,13 +1087,35 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "directory supports up to 64 cores, got 65")]
+    fn core_count_beyond_the_directory_fails_at_construction() {
+        let m = MemorySystem::new(SystemConfig::scaled(64).with_cores(64));
+        assert_eq!(m.l1d.len(), Directory::MAX_CORES);
+        let _ = MemorySystem::new(SystemConfig::scaled(64).with_cores(65));
+    }
+
+    #[test]
     fn llc_miss_classifier_counts() {
         let (mut m, mut s) = tiny();
-        m.set_llc_miss_classifier(Some(Box::new(|a| a < 0x8_0000)));
+        m.demand_access(0, 0x5_0000, AccessKind::Read, 0, &mut s);
+        assert_eq!(s.l3.misses, 1);
+        assert_eq!(
+            (s.llc_misses_prefetchable, s.llc_misses_other),
+            (0, 0),
+            "no classifier installed: neither counter moves"
+        );
+        m.set_llc_miss_classifier_ranges(vec![(0x7_0000, 0x8_0000)]);
         m.demand_access(0, 0x7_0000, AccessKind::Read, 0, &mut s);
         m.demand_access(0, 0x9_0000, AccessKind::Read, 0, &mut s);
         assert_eq!(s.llc_misses_prefetchable, 1);
         assert_eq!(s.llc_misses_other, 1);
+        m.set_llc_miss_classifier_ranges(Vec::new());
+        m.demand_access(0, 0x7_1000, AccessKind::Read, 0, &mut s);
+        assert_eq!(
+            (s.llc_misses_prefetchable, s.llc_misses_other),
+            (1, 2),
+            "an empty range list counts every miss as other"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::mem::hierarchy::MemorySystem;
 use crate::metrics::{MetricsConfig, MetricsRegistry};
 use crate::prefetch::{FillEvent, FillQueue, NullPrefetcher, PrefetchCtx, Prefetcher};
 use crate::stats::Stats;
-use crate::telemetry::{TelemetrySummary, TraceEvent, TraceEventKind, TraceSink};
+use crate::telemetry::{TelemetrySummary, TraceEvent, TraceEventKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -113,15 +113,16 @@ impl<P: Prefetcher + 'static> System<P> {
         self.cancel = Some(flag);
     }
 
-    /// Installs an event sink on the memory system's tracer; every
-    /// component emits structured [`TraceEvent`]s into it from now on.
-    pub fn install_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.mem.tracer_mut().install_sink(sink);
+    /// Starts a trace on the memory system's tracer; every component's
+    /// structured [`TraceEvent`]s are buffered from now on.
+    pub fn start_trace(&mut self) {
+        self.mem.tracer_mut().start_trace();
     }
 
-    /// Removes and returns the trace sink, if one was installed.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.mem.tracer_mut().take_sink()
+    /// Stops tracing and returns the buffered events, in emission order,
+    /// if a trace was started.
+    pub fn take_trace(&mut self) -> Option<Vec<TraceEvent>> {
+        self.mem.tracer_mut().take_trace()
     }
 
     /// Installs a windowed [`MetricsRegistry`]; from now on the phase
@@ -307,12 +308,7 @@ impl<P: Prefetcher + 'static> System<P> {
                         &mut self.stats,
                         &mut fills[c],
                     );
-                    {
-                        let _hp = crate::hostprof::ScopeGuard::enter(
-                            crate::hostprof::Component::PrefetchTrain,
-                        );
-                        prefetchers[c].on_demand(&mut ctx, &access);
-                    }
+                    prefetchers[c].on_demand(&mut ctx, &access);
                     next_fill[c] = fills[c].peek().map_or(u64::MAX, |r| r.0.at);
                 }
             }
@@ -381,7 +377,6 @@ impl<P: Prefetcher + 'static> System<P> {
                 at: q.at,
             };
             let mut ctx = PrefetchCtx::new(core, q.at, mem, space, stats, queue);
-            let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::PrefetchTrain);
             prefetcher.on_fill(&mut ctx, &event);
         }
     }

@@ -9,12 +9,12 @@
 //!    merged into sweep reports, but deliberately kept *outside*
 //!    [`crate::Stats`] so the determinism fingerprint of existing runs is
 //!    byte-for-byte unchanged.
-//! 2. **Opt-in event tracing** ([`TraceSink`]): when a sink is installed on
-//!    the [`Tracer`], every component (cache hierarchy, DRAM controller,
-//!    TLB, prefetchers, the Prodigy DIG walker and throttle) emits
-//!    structured [`TraceEvent`]s. With no sink installed — the default —
-//!    the emit path is a single predicted branch and no event is even
-//!    constructed, so untraced runs pay nothing.
+//! 2. **Opt-in event tracing** ([`Tracer::start_trace`]): once a trace is
+//!    started, every component (cache hierarchy, DRAM controller, TLB,
+//!    prefetchers, the Prodigy DIG walker and throttle) appends structured
+//!    [`TraceEvent`]s to the tracer's buffer. With no trace started — the
+//!    default — the emit path is a single predicted branch and no event is
+//!    even constructed, so untraced runs pay nothing.
 //!
 //! Traces serialize to Chrome trace-event JSON ([`chrome_trace_json`]),
 //! loadable in Perfetto / `chrome://tracing`. Output is fully
@@ -25,7 +25,6 @@ use crate::fxhash::FxBuildHasher;
 use crate::json::{Fields, FromJson, Json, ToJson};
 use crate::mem::hierarchy::ServedBy;
 use crate::metrics::{MetricsConfig, MetricsRegistry};
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 
 /// Number of buckets in a [`Log2Hist`] (bucket `i` holds values whose
@@ -336,53 +335,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], filter: Option<&[TraceCategory]>
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// Consumer of trace events. Implementations must be cheap: the hierarchy
-/// calls [`TraceSink::record`] on hot paths whenever a sink is installed.
-pub trait TraceSink: Send {
-    /// Receives one event.
-    fn record(&mut self, ev: &TraceEvent);
-
-    /// Downcasting hook so drivers can recover a concrete sink (and its
-    /// collected events) after a run.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// A sink that discards every event. Installing it exercises the full emit
-/// path (event construction included) without retaining anything — the
-/// no-op-path tests use it to prove tracing never perturbs `Stats`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A sink that buffers every event in memory, in emission order.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// Collected events.
-    pub events: Vec<TraceEvent>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.events.push(*ev);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A log2-bucketed histogram of cycle counts.
@@ -1159,11 +1111,12 @@ crate::json_object!(TelemetrySummary {
 });
 
 /// The telemetry hub owned by the memory system: always-on counters plus an
-/// optional event sink and an optional windowed metrics registry.
+/// optional event buffer and an optional windowed metrics registry.
 #[derive(Default)]
 pub struct Tracer {
     counters: TelemetrySummary,
-    sink: Option<Box<dyn TraceSink>>,
+    /// Events in emission order, while a trace is started.
+    events: Option<Vec<TraceEvent>>,
     metrics: Option<Box<MetricsRegistry>>,
     /// Source tags of prefetched lines whose fate is not yet known; the
     /// entry is removed (and its source credited) at first use or unused
@@ -1178,31 +1131,33 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("counters", &self.counters)
-            .field("sink", &self.sink.is_some())
+            .field("events", &self.events.as_ref().map(Vec::len))
             .field("metrics", &self.metrics.is_some())
             .finish()
     }
 }
 
 impl Tracer {
-    /// Creates a tracer with no sink installed.
+    /// Creates a tracer with no trace started.
     pub fn new() -> Self {
         Tracer::default()
     }
 
-    /// Installs (or replaces) the event sink.
-    pub fn install_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Starts (or restarts) buffering events; emitted events are kept from
+    /// now on.
+    pub fn start_trace(&mut self) {
+        self.events = Some(Vec::new());
     }
 
-    /// Removes and returns the sink, if any.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+    /// Stops tracing and returns the buffered events, if a trace was
+    /// started.
+    pub fn take_trace(&mut self) -> Option<Vec<TraceEvent>> {
+        self.events.take()
     }
 
-    /// Whether a sink is installed (events are being constructed).
+    /// Whether a trace is started (events are being constructed).
     pub fn is_tracing(&self) -> bool {
-        self.sink.is_some()
+        self.events.is_some()
     }
 
     /// Installs (or replaces) a windowed metrics registry; sampling hooks
@@ -1233,12 +1188,12 @@ impl Tracer {
         &mut self.counters
     }
 
-    /// Emits an event if a sink is installed. The closure runs only when
+    /// Buffers an event if a trace is started. The closure runs only when
     /// tracing is on, so disabled runs never construct events.
     #[inline]
     pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(s) = &mut self.sink {
-            s.record(&f());
+        if let Some(events) = &mut self.events {
+            events.push(f());
         }
     }
 
@@ -1254,7 +1209,6 @@ impl Tracer {
     /// (use or unused eviction) resolves it.
     #[inline]
     pub fn prefetch_tag_issued(&mut self, line: u64, tag: SourceTag) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.attribution.record_issued(tag);
         self.pending_tags.insert(line, tag);
     }
@@ -1271,7 +1225,6 @@ impl Tracer {
         line: u64,
         l1_miss: bool,
     ) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.load_to_use.record(latency);
         if served == ServedBy::Dram {
             self.counters.dram_round_trip.record(latency);
@@ -1300,7 +1253,6 @@ impl Tracer {
         residual: u64,
         slack: u64,
     ) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         if residual == 0 {
             self.counters.timeliness.timely += 1;
             self.counters.fill_to_use.record(slack);
@@ -1329,7 +1281,6 @@ impl Tracer {
     /// Records a prefetched line leaving the hierarchy unused.
     #[inline]
     pub fn prefetch_evicted_unused(&mut self, now: u64, line: u64) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.timeliness.inaccurate += 1;
         if let Some(tag) = self.pending_tags.remove(&line) {
             self.counters.attribution.record_inaccurate(tag);
@@ -1350,7 +1301,6 @@ impl Tracer {
     /// attribution row, and pollution must not create one).
     #[inline]
     pub fn prefetch_polluted(&mut self, level: usize, src: Option<SourceTag>) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         match level {
             0 => self.counters.pollution.l1 += 1,
             1 => self.counters.pollution.l2 += 1,
@@ -1365,7 +1315,6 @@ impl Tracer {
     /// the drop to its static source when the issuer supplied one.
     #[inline]
     pub fn prefetch_dropped(&mut self, core: usize, now: u64, line: u64, tag: Option<SourceTag>) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.timeliness.dropped += 1;
         if let Some(tag) = tag {
             self.counters.attribution.record_dropped(tag);
@@ -1490,21 +1439,17 @@ mod tests {
         assert_eq!(t.counters().timeliness.timely, 1);
         assert_eq!(t.counters().timeliness.dropped, 1);
         assert_eq!(t.counters().fill_to_use.count(), 1);
-        assert!(t.take_sink().is_none());
+        assert!(t.take_trace().is_none());
     }
 
     #[test]
-    fn tracer_with_memory_sink_records_events() {
+    fn started_trace_records_events() {
         let mut t = Tracer::new();
-        t.install_sink(Box::new(MemorySink::new()));
+        t.start_trace();
         t.demand_done(1, 10, 150, ServedBy::Dram, 0x2000, true);
         t.prefetch_used(1, 20, 0x2040, ServedBy::Dram, 30, 0);
-        let mut sink = t.take_sink().expect("sink installed");
-        let events = &sink
-            .as_any_mut()
-            .downcast_mut::<MemorySink>()
-            .expect("memory sink")
-            .events;
+        let events = t.take_trace().expect("trace started");
+        assert!(!t.is_tracing());
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].category(), TraceCategory::Dram);
         assert_eq!(events[0].dur, 150);

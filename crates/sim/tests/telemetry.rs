@@ -1,12 +1,10 @@
 //! No-op-path and determinism guarantees of the telemetry layer:
-//! installing a sink must never perturb `Stats`, and traced output must be
+//! starting a trace must never perturb `Stats`, and traced output must be
 //! byte-identical across identically-seeded runs.
 
 use prodigy_sim::core::StreamBuilder;
 use prodigy_sim::prefetch::{DemandAccess, PrefetchCtx, Prefetcher};
-use prodigy_sim::{
-    chrome_trace_json, MemorySink, NullSink, Stats, System, SystemConfig, TraceEvent, TraceSink,
-};
+use prodigy_sim::{chrome_trace_json, Stats, System, SystemConfig, TraceEvent};
 use std::any::Any;
 
 /// A deterministic prefetcher that fetches the next two lines on every
@@ -33,11 +31,11 @@ impl Prefetcher for NextLines {
 }
 
 /// Runs a fixed two-phase pointer-chase-ish workload; returns the final
-/// stats and any events the sink collected.
-fn run(sink: Option<Box<dyn TraceSink>>) -> (Stats, Vec<TraceEvent>) {
+/// stats and the events traced (none when `traced` is false).
+fn run(traced: bool) -> (Stats, Vec<TraceEvent>) {
     let mut sys = System::with_prefetchers(SystemConfig::scaled(64).with_cores(2), |_| NextLines);
-    if let Some(s) = sink {
-        sys.install_trace_sink(s);
+    if traced {
+        sys.start_trace();
     }
     for phase in 0..2u64 {
         let mut streams = Vec::new();
@@ -62,40 +60,27 @@ fn run(sink: Option<Box<dyn TraceSink>>) -> (Stats, Vec<TraceEvent>) {
         sys.run_phase(streams);
     }
     let stats = sys.stats().clone();
-    let events = match sys.take_trace_sink() {
-        Some(mut s) => s
-            .as_any_mut()
-            .downcast_mut::<MemorySink>()
-            .map(|m| std::mem::take(&mut m.events))
-            .unwrap_or_default(),
-        None => Vec::new(),
-    };
+    let events = sys.take_trace().unwrap_or_default();
     (stats, events)
 }
 
 #[test]
-fn null_sink_run_is_byte_identical_to_untraced_run() {
-    let (untraced, _) = run(None);
-    let (nulled, _) = run(Some(Box::new(NullSink)));
+fn traced_run_is_byte_identical_to_untraced_run() {
+    let (untraced, none) = run(false);
+    assert!(none.is_empty(), "an untraced run keeps no events");
+    let (traced, events) = run(true);
+    assert!(!events.is_empty(), "tracing should capture events");
     assert_eq!(
         format!("{untraced:?}"),
-        format!("{nulled:?}"),
-        "installing a sink must not perturb Stats"
+        format!("{traced:?}"),
+        "starting a trace must not perturb Stats"
     );
 }
 
 #[test]
-fn traced_run_is_byte_identical_to_untraced_run() {
-    let (untraced, _) = run(None);
-    let (traced, events) = run(Some(Box::new(MemorySink::new())));
-    assert!(!events.is_empty(), "tracing should capture events");
-    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
-}
-
-#[test]
 fn two_traced_runs_produce_identical_trace_bytes() {
-    let (_, a) = run(Some(Box::new(MemorySink::new())));
-    let (_, b) = run(Some(Box::new(MemorySink::new())));
+    let (_, a) = run(true);
+    let (_, b) = run(true);
     assert!(!a.is_empty());
     let ja = chrome_trace_json(&a, None);
     let jb = chrome_trace_json(&b, None);
@@ -104,7 +89,7 @@ fn two_traced_runs_produce_identical_trace_bytes() {
 
 #[test]
 fn trace_covers_the_major_categories_with_monotonic_cycles() {
-    let (stats, events) = run(Some(Box::new(MemorySink::new())));
+    let (stats, events) = run(true);
     let cats: std::collections::BTreeSet<&str> =
         events.iter().map(|e| e.category().name()).collect();
     for want in ["cache", "dram", "prefetcher", "core"] {

@@ -12,7 +12,7 @@ use crate::dispatch::AnyPrefetcher;
 use crate::kernels::Kernel;
 use prodigy::{DigProgram, ProdigyConfig, ProdigyPrefetcher, ProdigyStats};
 use prodigy_sim::{
-    MemorySink, MetricsConfig, MetricsRegistry, NullPrefetcher, RunSummary, System, SystemConfig,
+    MetricsConfig, MetricsRegistry, NullPrefetcher, RunSummary, System, SystemConfig,
     TelemetrySummary, TraceEvent,
 };
 use std::sync::atomic::AtomicBool;
@@ -94,21 +94,15 @@ pub struct RunConfig {
     /// same kernel and config always produce identical [`RunOutcome`] stats
     /// regardless of host, thread, or execution order.
     pub seed: u64,
-    /// Collect cycle-level trace events (an in-memory sink is installed and
-    /// its events returned in [`RunOutcome::trace`]). Tracing never perturbs
-    /// `Stats` — only host time and memory footprint grow.
+    /// Collect cycle-level trace events (buffered in memory and returned in
+    /// [`RunOutcome::trace`]). Tracing never perturbs `Stats` — only host
+    /// time and memory footprint grow.
     pub trace: bool,
     /// Collect a windowed time-series of derived rates (IPC, miss rates,
     /// MLP, prefetch accuracy, ...) in [`RunOutcome::metrics`]. Like
     /// tracing, metering never perturbs `Stats`; unmetered runs allocate
     /// nothing.
     pub metrics: Option<MetricsConfig>,
-    /// Profile *host* time per simulator component (see
-    /// [`prodigy_sim::hostprof`]): enables the process-wide profiling
-    /// layer, resets this thread's counters before the run, and snapshots
-    /// them into [`RunOutcome::host_profile`] afterwards. Never perturbs
-    /// simulated `Stats`, telemetry or checksums — only host time grows.
-    pub host_profile: bool,
     /// Cooperative cancellation flag, polled at the phase scheduler's
     /// event-loop boundary. Sweep drivers that abandon a timed-out cell
     /// raise it so the detached worker unwinds promptly (with a
@@ -127,7 +121,6 @@ impl Default for RunConfig {
             seed: 0,
             trace: false,
             metrics: None,
-            host_profile: false,
             cancel: None,
         }
     }
@@ -158,10 +151,6 @@ pub struct RunOutcome {
     pub trace: Option<Vec<TraceEvent>>,
     /// Windowed metrics series, when [`RunConfig::metrics`] was set.
     pub metrics: Option<MetricsRegistry>,
-    /// Per-component host-time/allocation breakdown, when
-    /// [`RunConfig::host_profile`] was set. Host telemetry only — not part
-    /// of the outcome's JSON, like [`RunOutcome::timing`].
-    pub host_profile: Option<prodigy_sim::HostProfile>,
 }
 
 // The deterministic outcome as JSON: the sweep report splices these fields
@@ -177,7 +166,6 @@ prodigy_sim::json_object!(RunOutcome {
     timing: skip,
     trace: skip,
     metrics: skip,
-    host_profile: skip,
 });
 
 /// Runs `kernel` once under `cfg`.
@@ -189,25 +177,14 @@ prodigy_sim::json_object!(RunOutcome {
 /// returned stats and checksum are bit-identical on every host and under
 /// any thread interleaving.
 pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
-    if cfg.host_profile {
-        // Enabling is monotonic for the process lifetime: concurrent
-        // profiled cells each account into their own thread-local store,
-        // and a finishing cell must not turn the layer off under a
-        // still-running sibling.
-        prodigy_sim::hostprof::set_enabled(true);
-        prodigy_sim::hostprof::reset_thread();
-    }
     let host_start = std::time::Instant::now();
-    let setup_scope = cfg
-        .host_profile
-        .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Setup));
     // `System<AnyPrefetcher>`: the per-instruction prefetcher dispatch is a
     // match over a closed enum (see `crate::dispatch`), not a vtable call.
     // A no-op placeholder is attached while the kernel lays out memory.
     let mut sys: System<AnyPrefetcher> =
         System::with_prefetchers(cfg.sys, |_| AnyPrefetcher::None(NullPrefetcher::new()));
     if cfg.trace {
-        sys.install_trace_sink(Box::new(MemorySink::new()));
+        sys.start_trace();
     }
     if let Some(mcfg) = cfg.metrics {
         sys.install_metrics(mcfg);
@@ -231,20 +208,11 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
     // hardware is Prodigy).
     sys.program_prefetchers(|p| program.apply(p));
     if cfg.classify_llc {
-        // Install the raw range list, not a boxed closure over it — the
-        // common no-classifier case then costs one `Option` branch per LLC
-        // miss and the classifying case an inline range scan.
         sys.memory_mut()
             .set_llc_miss_classifier_ranges(program.annotated_ranges());
     }
-    drop(setup_scope);
 
-    let checksum = {
-        let _kernel_scope = cfg
-            .host_profile
-            .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Kernel));
-        kernel.run(&mut sys)
-    };
+    let checksum = kernel.run(&mut sys);
 
     let mut prodigy_stats: Option<ProdigyStats> = None;
     let mut storage_bits = 0;
@@ -265,25 +233,12 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
         }
     });
 
-    let telemetry = {
-        let _harvest_scope = cfg
-            .host_profile
-            .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Telemetry));
-        // Stamp the end-of-run cache occupancy into the summary before
-        // harvesting: reports carry the final per-source cache contents.
-        sys.memory_mut().capture_occupancy();
-        sys.telemetry().clone()
-    };
+    // Stamp the end-of-run cache occupancy into the summary before
+    // harvesting: reports carry the final per-source cache contents.
+    sys.memory_mut().capture_occupancy();
+    let telemetry = sys.telemetry().clone();
     let metrics = sys.take_metrics();
-    let trace = sys.take_trace_sink().map(|mut s| {
-        s.as_any_mut()
-            .downcast_mut::<MemorySink>()
-            .map(|m| std::mem::take(&mut m.events))
-            .unwrap_or_default()
-    });
-    let host_profile = cfg
-        .host_profile
-        .then(prodigy_sim::hostprof::snapshot_thread);
+    let trace = sys.take_trace();
 
     RunOutcome {
         summary: sys.summary(),
@@ -295,7 +250,6 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
         telemetry,
         trace,
         metrics,
-        host_profile,
     }
 }
 
@@ -371,47 +325,6 @@ mod tests {
             .expect("harvest stamps the final cache contents");
         assert!(occ.levels[2].total() > 0, "LLC holds lines at run end");
         assert_eq!(occ.tiers, None, "single-tier machine has no split");
-    }
-
-    #[test]
-    fn host_profile_never_perturbs_simulation_and_accounts_time() {
-        let g = rmat(512, 4096, 2, (0.57, 0.19, 0.19));
-        let base = {
-            let mut k = Bfs::new(g.clone(), 0);
-            run_workload(&mut k, &tiny_cfg(PrefetcherKind::Prodigy))
-        };
-        let prof = {
-            let mut k = Bfs::new(g, 0);
-            let mut cfg = tiny_cfg(PrefetcherKind::Prodigy);
-            cfg.host_profile = true;
-            run_workload(&mut k, &cfg)
-        };
-        assert!(base.host_profile.is_none());
-        // The profiling layer reads no simulated state: everything the
-        // determinism contract covers stays bit-identical.
-        assert_eq!(base.checksum, prof.checksum);
-        assert_eq!(base.summary.stats.cycles, prof.summary.stats.cycles);
-        assert_eq!(
-            base.summary.stats.instructions,
-            prof.summary.stats.instructions
-        );
-        assert_eq!(base.summary.stats.dram_reads, prof.summary.stats.dram_reads);
-        assert_eq!(base.telemetry.load_to_use, prof.telemetry.load_to_use);
-        assert_eq!(base.telemetry.timeliness, prof.telemetry.timeliness);
-        // The breakdown attributes the bulk of the measured host time:
-        // every major layer is inside some scope, so the uncovered
-        // residual is only the end-of-run harvest glue.
-        let hp = prof.host_profile.expect("profiled run carries a profile");
-        let kernel = hp.self_ns[prodigy_sim::Component::Kernel as usize];
-        let walk = hp.self_ns[prodigy_sim::Component::HierarchyWalk as usize];
-        let dig = hp.self_ns[prodigy_sim::Component::DigWalk as usize];
-        assert!(kernel > 0 && walk > 0 && dig > 0, "{hp:?}");
-        assert!(
-            hp.total_self_ns() as f64 >= 0.9 * prof.timing.host_nanos as f64,
-            "components must cover >=90% of host time: {} of {}",
-            hp.total_self_ns(),
-            prof.timing.host_nanos
-        );
     }
 
     #[test]

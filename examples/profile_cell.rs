@@ -155,53 +155,6 @@ fn main() {
         );
     }
 
-    // 4.5 hostprof self-profile of one simulated cell: the same breakdown
-    // `prodigy-eval --host-profile` reports, without sweep machinery. The
-    // ranked table answers "where does host time go" per component with
-    // scope self-time (children excluded), so rows sum to the profiled
-    // total rather than double-counting nested scopes.
-    {
-        use prodigy_sim::hostprof;
-        hostprof::set_enabled(true);
-        hostprof::reset_thread();
-        let t = Instant::now();
-        let mut k = spec.instantiate_seeded(0);
-        let cfg = RunConfig {
-            sys: prodigy_sim::SystemConfig::scaled(scale as u64),
-            prefetcher: PrefetcherKind::Prodigy,
-            host_profile: true,
-            ..RunConfig::default()
-        };
-        let out = run_workload(k.as_mut(), &cfg);
-        let total = t.elapsed().as_nanos() as u64;
-        let hp = out.host_profile.unwrap_or_default();
-        eprintln!(
-            "host profile (prodigy, {:.1} ms total):",
-            total as f64 / 1e6
-        );
-        for (comp, ns, allocs) in hp.ranked() {
-            if ns == 0 && allocs == 0 {
-                continue;
-            }
-            eprintln!(
-                "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  {}",
-                100.0 * ns as f64 / total.max(1) as f64,
-                ns as f64 / 1e6,
-                allocs,
-                comp.label()
-            );
-        }
-        let other = total.saturating_sub(hp.total_self_ns());
-        eprintln!(
-            "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  other",
-            100.0 * other as f64 / total.max(1) as f64,
-            other as f64 / 1e6,
-            hp.allocs[hostprof::COMPONENTS],
-        );
-        hostprof::set_enabled(false);
-        hostprof::reset_thread();
-    }
-
     // 5. demand_access random-miss throughput (the hierarchy walk alone,
     // no core model): most accesses miss all levels and go to DRAM.
     {
