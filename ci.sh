@@ -291,7 +291,11 @@ PY
 # perfbench (the repository's benchmark) is a cargo workspace of its own
 # that builds against crates/ by path, so nothing above compiles it: a
 # public-API change could break the benchmark unnoticed.
-echo "== perfbench: build, tests, one-pass is smoke"
+# Gated: is's peak RSS stays under 100 MiB. The peak is set by the ranking
+# phase's instruction streams, so this is a tripwire for a stream encoding
+# that grows per instruction again (~121 MiB with 7-byte records, ~71 MiB
+# with dictionary-coded ones).
+echo "== perfbench: build, tests, one-pass is smoke, peak RSS tripwire"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
@@ -302,8 +306,10 @@ last = open(sys.argv[1]).read().strip().splitlines()[-1]
 d = json.loads(last)
 assert d["correct"] is True, f"perfbench is: not correct: {last}"
 assert d["failed"] == 0, f"perfbench is: {d['failed']} failed cells"
+rss = d["metrics"]["peak_rss_mib"]["value"]
+assert rss <= 100, f"perfbench is: peak rss {rss:.1f} MiB > 100 MiB"
 print(f"   perfbench is: {d['attempted']} cells run, 0 failed, "
-      f"peak rss {d['metrics']['peak_rss_mib']['value']:.0f} MiB (non-gating): OK")
+      f"peak rss {rss:.0f} MiB (<= 100): OK")
 PY
 
 # pr-lj runs the PageRank and GHB G/DC code the is smoke does not, under

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical structures: the
 //! PFHR file, the cache array, DIG programming, branch prediction,
-//! instruction-stream encoding and decoding, GHB G/DC training, and
+//! instruction-stream encoding and decoding (on a PageRank-gather and a
+//! NAS-IS-ranking shape), GHB G/DC training, and
 //! end-to-end simulator throughput (instructions simulated per second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -11,7 +12,6 @@ use prodigy_sim::core::{Gshare, Op, StreamBuilder};
 use prodigy_sim::mem::cache::{demand_line, Cache};
 use prodigy_sim::mem::coherence::Mesi;
 use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
-use prodigy_sim::Provenance;
 use prodigy_sim::{AddressSpace, CacheConfig, MemorySystem, ServedBy, Stats, System, SystemConfig};
 
 fn bench_pfhr(c: &mut Criterion) {
@@ -46,7 +46,7 @@ fn bench_cache(c: &mut Criterion) {
                 for i in 0..512u64 {
                     cache.insert(
                         demand_line(i * 64, Mesi::Exclusive, 0, ServedBy::Dram),
-                        Provenance::demand(0),
+                        None,
                     );
                 }
                 let mut hits = 0;
@@ -123,36 +123,62 @@ fn pr_gather(b: &mut StreamBuilder, n: usize) {
     }
 }
 
+/// Appends NAS-IS-ranking-shaped instructions (the ranking loop of
+/// `kernels::is` over 500k buckets: five instruction templates) to `b`
+/// until it holds `n`.
+fn is_ranking(b: &mut StreamBuilder, n: usize) {
+    let (keys, count, rank) = (0x10_0000u64, 0x90_0000, 0x110_0000);
+    let mut x = 0x9002u64;
+    let mut i = 0;
+    while b.len() < n {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let k = (x >> 33) % 500_000;
+        let ld_k = b.load_at(900, keys + 4 * i, 4, &[]);
+        let ld_c = b.load_at(903, count + 4 * k, 4, &[ld_k]);
+        let inc = b.compute(1, &[ld_c]);
+        b.store_at(904, rank + 4 * i, 4, &[inc]);
+        b.store_at(902, count + 4 * k, 4, &[inc]);
+        i += 1;
+    }
+}
+
+/// Appends a kernel-shaped instruction mix to a builder until it holds
+/// the given count.
+type Shape = fn(&mut StreamBuilder, usize);
+
 fn bench_stream(c: &mut Criterion) {
     const N: usize = 1_000_000;
     let mut g = c.benchmark_group("stream");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("encode", |b| {
-        b.iter(|| {
-            let mut sb = StreamBuilder::new();
-            pr_gather(&mut sb, N);
-            sb.finish()
-        })
-    });
-    let mut sb = StreamBuilder::new();
-    pr_gather(&mut sb, N);
-    let stream = sb.finish();
-    g.bench_function("decode", |b| {
-        b.iter(|| {
-            // Read every field, as the core model does.
-            stream.iter().fold(0u64, |acc, insn| {
-                let v = match insn.op {
-                    Op::Load { addr, size, pc } | Op::Store { addr, size, pc } => {
-                        addr ^ size as u64 ^ pc as u64
-                    }
-                    Op::Compute { latency } => latency as u64,
-                    Op::Branch { pc, taken } => pc as u64 ^ taken as u64,
-                    Op::Prefetch { addr } => addr,
-                };
-                acc.wrapping_add(v ^ insn.dep1 as u64 ^ (insn.dep2 as u64) << 16)
+    let shapes: [(&str, Shape); 2] = [("", pr_gather), ("_is", is_ranking)];
+    for (suffix, shape) in shapes {
+        g.bench_function(&format!("encode{suffix}"), |b| {
+            b.iter(|| {
+                let mut sb = StreamBuilder::new();
+                shape(&mut sb, N);
+                sb.finish()
             })
-        })
-    });
+        });
+        let mut sb = StreamBuilder::new();
+        shape(&mut sb, N);
+        let stream = sb.finish();
+        g.bench_function(&format!("decode{suffix}"), |b| {
+            b.iter(|| {
+                // Read every field, as the core model does.
+                stream.iter().fold(0u64, |acc, insn| {
+                    let v = match insn.op {
+                        Op::Load { addr, size, pc } | Op::Store { addr, size, pc } => {
+                            addr ^ size as u64 ^ pc as u64
+                        }
+                        Op::Compute { latency } => latency as u64,
+                        Op::Branch { pc, taken } => pc as u64 ^ taken as u64,
+                        Op::Prefetch { addr } => addr,
+                    };
+                    acc.wrapping_add(v ^ insn.dep1 as u64 ^ (insn.dep2 as u64) << 16)
+                })
+            })
+        });
+    }
     g.finish();
 }
 

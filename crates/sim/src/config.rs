@@ -203,7 +203,18 @@ impl SystemConfig {
     /// (clamped so each level keeps at least one full set). Latencies,
     /// associativities and core parameters are unchanged, so CPI-stack
     /// behaviour is preserved as long as data sets shrink by the same factor.
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is not a nonzero power of two: any other factor leaves
+    /// a cache with a set count that is not a power of two (and, for 3,
+    /// a TLB of 21 entries), which [`crate::MemorySystem::new`] cannot
+    /// build.
     pub fn scaled(factor: u64) -> Self {
+        assert!(
+            factor.is_power_of_two(),
+            "cache scale factor {factor} must be a nonzero power of two"
+        );
         let p = Self::paper();
         SystemConfig {
             l1d: p.l1d.scaled(factor),
@@ -347,6 +358,18 @@ mod tests {
     #[should_panic(expected = "scale must be >= 1")]
     fn zero_far_scale_rejected() {
         let _ = SystemConfig::paper().with_far_scale(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache scale factor 3 must be a nonzero power of two")]
+    fn non_power_of_two_scale_rejected() {
+        let _ = SystemConfig::scaled(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache scale factor 0 must be a nonzero power of two")]
+    fn zero_scale_rejected() {
+        let _ = SystemConfig::scaled(0);
     }
 
     #[test]

@@ -9,14 +9,31 @@
 //!
 //! A kernel builds all of a phase's streams before the phase runs, so their
 //! host memory grows with the input. An [`InsnStream`] therefore holds no
-//! [`Insn`] values (24 bytes each): [`StreamBuilder`] appends every
-//! instruction as one variable-length byte record, and
-//! [`InsnStream::iter`] decodes the records in program order. A record is a
-//! header byte followed by only the fields its operation has; a memory
-//! address is stored as the zigzag-encoded delta from the previous memory
-//! address in the same stream, which mostly needs far fewer than 8 bytes.
-//! The bundled kernels encode at 7–9 bytes per instruction. DESIGN.md §13
-//! gives the record table.
+//! [`Insn`] per instruction (24 bytes each). Kernels repeat a handful of
+//! instruction shapes, so each stream keeps a dictionary of *templates*:
+//! one `Insn` per site with every field but the memory address (op kind,
+//! pc, size or latency, branch direction, dep1 and dep2). A site is an
+//! instruction without its address and deps, and its template takes the
+//! deps of its first instruction. Deps stay out of the site because a
+//! distance can grow with a loop (an inner-loop load that depends on a
+//! load before the loop), which would mint a template per iteration. The
+//! dictionary therefore holds at most one template per static site, however
+//! long the stream.
+//!
+//! [`StreamBuilder`] appends each instruction as one variable-length byte
+//! record: a header byte naming the template (ids from 15 on follow as a
+//! `u32`), both deps only when they differ from the template's, and, for a
+//! memory operation, the zigzag-encoded delta from the last address in the
+//! template's delta slot. There are 16 slots. A template takes slot
+//! `id % 16`, or shares the slot whose last address equals its first one (a
+//! store back to the address just loaded). A delta equal to the template's
+//! last delta (a strided access) takes no bytes. [`InsnStream::iter`] copies each
+//! record's template and fills in its deps and address. The bundled kernels
+//! encode at 1.7–3.5 bytes per instruction. DESIGN.md §13 gives the record
+//! table.
+
+use crate::fxhash::FxBuildHasher;
+use std::collections::HashMap;
 
 /// Operation performed by one instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,33 +91,30 @@ pub struct Insn {
     pub dep2: u16,
 }
 
-// Record layout (DESIGN.md §13): a header byte, then the fields the
-// operation has, in this order: size or latency (1 byte); pc (`u16`);
-// the zigzag address delta (0–8 bytes); each nonzero dep (`u16`); and last,
-// only when the `u16` pc is `PC_ESCAPE`, the full pc (`u32`). Every field
-// but the deps and that rare tail sits at an offset fixed by the op kind,
-// so neither side loops over bytes: both work on a fixed-size view of the
-// record and read or write each field with one little-endian load or store.
+// Record layout (DESIGN.md §13): a header byte; only when the header's id
+// field is `ID_ESCAPE`, the template id as a `u32`; only when the header's
+// deps bit is set, dep1 and dep2 as two `u16`s; and last, for a memory
+// operation, the zigzag address delta (0–8 bytes). Every field sits at an
+// offset the header fixes, so neither side loops over bytes: both work on
+// a fixed-size view of the record and read or write each field with one
+// little-endian load or store.
 //
-// Header: bits 0-2 the op kind, bit 3 set when dep1 is nonzero, bit 4 set
-// when dep2 is nonzero, bits 5-7 a field that holds a branch's direction or
-// a memory operation's address-delta width class.
-const KIND_MASK: u8 = 0b111;
-const KIND_LOAD: u8 = 0;
-const KIND_STORE: u8 = 1;
-const KIND_COMPUTE: u8 = 2;
-const KIND_BRANCH: u8 = 3;
-const KIND_PREFETCH: u8 = 4;
-const DEP1_SHIFT: u32 = 3;
-const DEP2_SHIFT: u32 = 4;
-const FIELD_SHIFT: u32 = 5;
+// Header: bits 0-2 the address-delta class (0 unless the template is a
+// memory operation), bit 3 set when the deps differ from the template's,
+// bits 4-7 the template id (`ID_ESCAPE`: the id follows).
+const CLASS_MASK: u8 = 0b111;
+const DEPS_BIT: u8 = 1 << 3;
+const ID_SHIFT: u32 = 4;
 
-/// A `u16` pc field equal to this means the full `u32` pc ends the record.
-const PC_ESCAPE: u16 = u16::MAX;
+/// A header id field equal to this means the template id follows as a
+/// `u32`; ids below it are stored in the header itself.
+const ID_ESCAPE: u32 = 15;
 
-/// Longest record: header, size, pc, 8-byte address delta, two deps and
-/// the escaped pc.
-const MAX_RECORD: usize = 20;
+/// Delta slots (see [`Template::slot`]).
+const SLOTS: usize = 16;
+
+/// Longest record: header, escaped id, both deps and an 8-byte delta.
+const MAX_RECORD: usize = 17;
 
 /// Zero bytes after a stream's last record. Both sides work on a
 /// `MAX_RECORD`-byte view from the start of each record, even a one-byte
@@ -108,8 +122,13 @@ const MAX_RECORD: usize = 20;
 /// never decoded.
 const PAD: usize = MAX_RECORD;
 
-/// Bytes an address delta takes in each width class.
-const DELTA_WIDTH: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 8];
+/// The delta class meaning "the template's last delta again": a strided
+/// access takes no delta bytes.
+const REPEAT: usize = 5;
+
+/// Bytes the delta takes in each class: 0 is a zero delta, 1–4 and 6 that
+/// many bytes, `REPEAT` none, 7 eight bytes.
+const DELTA_WIDTH: [usize; 8] = [0, 1, 2, 3, 4, 0, 6, 8];
 
 /// Mask keeping the low `DELTA_WIDTH[class]` bytes of a `u64`.
 const DELTA_MASK: [u64; 8] = [
@@ -118,18 +137,52 @@ const DELTA_MASK: [u64; 8] = [
     0xffff,
     0xff_ffff,
     0xffff_ffff,
-    0xff_ffff_ffff,
+    0,
     0xffff_ffff_ffff,
     u64::MAX,
 ];
 
-/// An immutable instruction stream for one core in one phase, held as
-/// byte records (see the module docs).
+/// The class storing a zigzag delta that needs `n` bytes, by `n`.
+const CLASS_OF_BYTES: [u8; 9] = [0, 1, 2, 3, 4, 6, 6, 7, 7];
+
+/// Both deps in one word, as a record stores them: dep1 low, dep2 high.
+fn deps_word(insn: &Insn) -> u32 {
+    insn.dep1 as u32 | (insn.dep2 as u32) << 16
+}
+
+/// One dictionary entry.
+#[derive(Debug, Clone, Copy)]
+struct Template {
+    /// A site's fields and the deps of its first instruction, with the
+    /// address left 0.
+    insn: Insn,
+    /// The delta slot of a memory operation: the slot whose last address
+    /// equalled the site's first address, if one did (a store back to the
+    /// address just loaded shares the load's slot and takes a zero delta),
+    /// else `id % SLOTS`.
+    slot: u8,
+}
+
+/// The address state the encoder and the decoder keep alike, all 0
+/// before the first memory operation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Deltas {
+    /// The last address in each delta slot.
+    addr: [u64; SLOTS],
+    /// Each template's last delta, by `id % SLOTS`.
+    last: [u64; SLOTS],
+}
+
+/// An immutable instruction stream for one core in one phase, held as a
+/// dictionary of instruction templates plus byte records (see the module
+/// docs).
 #[derive(Clone, Default)]
 pub struct InsnStream {
     /// The records in program order, then `PAD` bytes; empty if no
     /// instruction was ever appended.
     bytes: Vec<u8>,
+    /// The templates, indexed by id.
+    dict: Box<[Template]>,
     len: usize,
 }
 
@@ -148,8 +201,9 @@ impl InsnStream {
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             bytes: &self.bytes,
+            dict: &self.dict,
             pos: 0,
-            prev_addr: 0,
+            deltas: Deltas::default(),
             remaining: self.len,
         }
     }
@@ -176,17 +230,17 @@ impl FromIterator<Insn> for InsnStream {
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
     bytes: &'a [u8],
+    dict: &'a [Template],
     /// Offset of the next record.
     pos: usize,
-    /// Address of the last memory operation decoded (0 before the first).
-    prev_addr: u64,
+    deltas: Deltas,
     remaining: usize,
 }
 
 impl Iter<'_> {
-    /// Decodes the record at `pos`. The buffer is private to the stream and
-    /// only [`StreamBuilder`] writes it, so the records are trusted to be
-    /// well formed.
+    /// Decodes the record at `pos`. The buffer and the dictionary are
+    /// private to the stream and only [`StreamBuilder`] writes them, so the
+    /// records are trusted to be well formed.
     #[inline(always)]
     fn decode(&mut self) -> Insn {
         let at = self.pos;
@@ -194,59 +248,35 @@ impl Iter<'_> {
             .try_into()
             .expect("padded record view");
         let h = rec[0];
-        let class = (h >> FIELD_SHIFT) as usize;
-        let has1 = (h >> DEP1_SHIFT) as usize & 1;
-        let has2 = (h >> DEP2_SHIFT) as usize & 1;
-        let dep_bytes = 2 * (has1 + has2);
-        let u16_at = |i: usize| u16::from_le_bytes([rec[i], rec[i + 1]]);
-        let u64_at = |i: usize| u64::from_le_bytes(rec[i..i + 8].try_into().expect("8 bytes"));
-        // An escaped pc's `u32` follows the deps of a record whose fields
-        // before them take `body` bytes.
-        let mut tail = 0;
-        let mut pc = |short: u16, body: usize| {
-            if short != PC_ESCAPE {
-                return short as u32;
+        let u32_at = |i: usize| u32::from_le_bytes(rec[i..i + 4].try_into().expect("4 bytes"));
+        let mut id = (h >> ID_SHIFT) as u32;
+        let mut n = 1;
+        if id == ID_ESCAPE {
+            id = u32_at(1);
+            n = 5;
+        }
+        let Template { mut insn, slot } = self.dict[id as usize];
+        if h & DEPS_BIT != 0 {
+            let deps = u32_at(n);
+            insn.dep1 = deps as u16;
+            insn.dep2 = (deps >> 16) as u16;
+            n += 4;
+        }
+        if let Op::Load { addr, .. } | Op::Store { addr, .. } | Op::Prefetch { addr } = &mut insn.op
+        {
+            let class = (h & CLASS_MASK) as usize;
+            let z =
+                u64::from_le_bytes(rec[n..n + 8].try_into().expect("8 bytes")) & DELTA_MASK[class];
+            let (s, d) = (slot as usize % SLOTS, id as usize % SLOTS);
+            if class != REPEAT {
+                self.deltas.last[d] = (z >> 1) ^ (z & 1).wrapping_neg();
             }
-            let end = body + dep_bytes;
-            tail = 4;
-            u32::from_le_bytes(rec[end..end + 4].try_into().expect("4-byte pc"))
-        };
-        let mut addr = |z: u64| {
-            let z = z & DELTA_MASK[class];
-            self.prev_addr = self
-                .prev_addr
-                .wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
-            self.prev_addr
-        };
-        let (op, body) = match h & KIND_MASK {
-            KIND_COMPUTE => (Op::Compute { latency: rec[1] }, 2),
-            KIND_BRANCH => {
-                let (pc, taken) = (pc(u16_at(1), 3), class != 0);
-                (Op::Branch { pc, taken }, 3)
-            }
-            KIND_PREFETCH => {
-                let addr = addr(u64_at(1));
-                (Op::Prefetch { addr }, 1 + DELTA_WIDTH[class])
-            }
-            kind => {
-                let body = 4 + DELTA_WIDTH[class];
-                let (size, pc, addr) = (rec[1], pc(u16_at(2), body), addr(u64_at(4)));
-                let op = if kind == KIND_LOAD {
-                    Op::Load { addr, size, pc }
-                } else {
-                    Op::Store { addr, size, pc }
-                };
-                (op, body)
-            }
-        };
-        // Both deps from one read (`body` is at most 12, so the mask only
-        // shows the compiler the read is in bounds): a present dep takes
-        // two bytes, an absent one none, and the masks zero what is absent.
-        let deps = u32::from_le_bytes(rec[body & 15..][..4].try_into().expect("4 bytes"));
-        let dep1 = deps as u16 & (has1 as u16).wrapping_neg();
-        let dep2 = (deps >> (16 * has1)) as u16 & (has2 as u16).wrapping_neg();
-        self.pos = at + body + dep_bytes + tail;
-        Insn { op, dep1, dep2 }
+            *addr = self.deltas.addr[s].wrapping_add(self.deltas.last[d]);
+            self.deltas.addr[s] = *addr;
+            n += DELTA_WIDTH[class];
+        }
+        self.pos = at + n;
+        insn
     }
 }
 
@@ -274,6 +304,34 @@ impl ExactSizeIterator for Iter<'_> {
     }
 }
 
+/// Entries of [`StreamBuilder`]'s site cache.
+const SITE_CACHE: usize = 64;
+
+/// A site: every field of an instruction but its address and deps, packed
+/// as op kind (bits 0-7, from 1, so no site is 0), size, latency or branch
+/// direction (bits 8-15) and pc (bits 32-63); plus the address, for a
+/// memory operation.
+fn site(op: &Op) -> (u64, Option<u64>) {
+    let pack = |kind: u64, small: u8, pc: u32| kind | (small as u64) << 8 | (pc as u64) << 32;
+    match *op {
+        Op::Load { addr, size, pc } => (pack(1, size, pc), Some(addr)),
+        Op::Store { addr, size, pc } => (pack(2, size, pc), Some(addr)),
+        Op::Compute { latency } => (pack(3, latency, 0), None),
+        Op::Branch { pc, taken } => (pack(4, taken as u8, pc), None),
+        Op::Prefetch { addr } => (pack(5, 0, 0), Some(addr)),
+    }
+}
+
+/// One site cache entry: a site and its template's id, deps and delta
+/// slot. Site 0 marks an empty entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct CachedSite {
+    site: u64,
+    id: u32,
+    deps: u32,
+    slot: u8,
+}
+
 /// Incremental builder for an [`InsnStream`]. Emitting methods return the
 /// instruction's index, which later instructions can name as a dependency.
 ///
@@ -287,18 +345,36 @@ impl ExactSizeIterator for Iter<'_> {
 /// b.compute(1, &[val]);
 /// assert_eq!(b.finish().len(), 3);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StreamBuilder {
     bytes: Vec<u8>,
     len: usize,
-    /// Address of the last memory operation appended (0 before the first).
-    prev_addr: u64,
+    dict: Vec<Template>,
+    /// Template id of every site seen, for appends the site cache misses.
+    ids: HashMap<u64, u32, FxBuildHasher>,
+    /// Direct-mapped (see `append`): the last site seen at each entry, so
+    /// the common append finds its template without `ids`.
+    cache: [CachedSite; SITE_CACHE],
+    deltas: Deltas,
+}
+
+impl Default for StreamBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl StreamBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        Self::default()
+        StreamBuilder {
+            bytes: Vec::new(),
+            len: 0,
+            dict: Vec::new(),
+            ids: HashMap::default(),
+            cache: [CachedSite::default(); SITE_CACHE],
+            deltas: Deltas::default(),
+        }
     }
 
     /// Index the next emitted instruction will get.
@@ -333,59 +409,95 @@ impl StreamBuilder {
         (out[0], out[1])
     }
 
-    /// Encodes `insn` as the next record.
-    #[inline]
-    fn append(&mut self, insn: Insn) {
-        // The fields the op has: kind, size or latency, pc, address, and
-        // the header field (a branch's direction; a delta class set below).
-        let (kind, byte, pc, addr, mut field) = match insn.op {
-            Op::Load { addr, size, pc } => (KIND_LOAD, Some(size), Some(pc), Some(addr), 0),
-            Op::Store { addr, size, pc } => (KIND_STORE, Some(size), Some(pc), Some(addr), 0),
-            Op::Compute { latency } => (KIND_COMPUTE, Some(latency), None, None, 0),
-            Op::Branch { pc, taken } => (KIND_BRANCH, None, Some(pc), None, taken as u8),
-            Op::Prefetch { addr } => (KIND_PREFETCH, None, None, Some(addr), 0),
+    /// The template of `insn`'s site, found in or added to the dictionary;
+    /// refills the site cache entry `entry`.
+    #[cold]
+    fn template(&mut self, site: u64, insn: Insn, entry: usize) -> CachedSite {
+        let (dict, last_addr) = (&mut self.dict, &self.deltas.addr);
+        let id = *self.ids.entry(site).or_insert_with(|| {
+            let id = dict.len();
+            let mut t = Template {
+                insn,
+                slot: (id % SLOTS) as u8,
+            };
+            if let Op::Load { addr, .. } | Op::Store { addr, .. } | Op::Prefetch { addr } =
+                &mut t.insn.op
+            {
+                if let Some(s) = last_addr.iter().position(|&a| a == *addr) {
+                    t.slot = s as u8;
+                }
+                *addr = 0;
+            }
+            dict.push(t);
+            u32::try_from(id).expect("template ids fit a u32")
+        });
+        let t = self.dict[id as usize];
+        let cached = CachedSite {
+            site,
+            id,
+            deps: deps_word(&t.insn),
+            slot: t.slot,
         };
+        self.cache[entry] = cached;
+        cached
+    }
+
+    /// Encodes `insn` as the next record. Forced inline: as a call of its
+    /// own (the compiler's choice once the dictionary path was added),
+    /// encoding took about 27 ns per instruction instead of 8.
+    #[inline(always)]
+    fn append(&mut self, insn: Insn) {
+        let (site, addr) = site(&insn.op);
+        // A kernel numbers its static sites consecutively, so the pc's low
+        // four bits pick a group of four entries, and the low two bits of
+        // kind ^ size (or latency, or direction) tell apart the op kinds,
+        // compute latencies and branch directions that share a pc. The
+        // bundled kernels' sites then never share an entry.
+        let entry = ((site >> 30) + ((site ^ site >> 8) & 3)) as usize % SITE_CACHE;
+        let mut t = self.cache[entry];
+        if t.site != site {
+            t = self.template(site, insn, entry);
+        }
         // Room for the longest record, written in place field by field;
         // the room left past the record is cut off at the end.
         let start = self.bytes.len();
         self.bytes.extend_from_slice(&[0; MAX_RECORD]);
         let rec: &mut [u8; MAX_RECORD] =
             (&mut self.bytes[start..]).try_into().expect("record room");
+        let mut h = (t.id.min(ID_ESCAPE) as u8) << ID_SHIFT;
         let mut n = 1;
-        if let Some(byte) = byte {
-            rec[n] = byte;
-            n += 1;
+        if t.id >= ID_ESCAPE {
+            rec[1..5].copy_from_slice(&t.id.to_le_bytes());
+            n = 5;
         }
-        if let Some(pc) = pc {
-            let short = pc.min(PC_ESCAPE as u32) as u16;
-            rec[n..n + 2].copy_from_slice(&short.to_le_bytes());
-            n += 2;
-        }
-        if let Some(addr) = addr {
-            let delta = addr.wrapping_sub(self.prev_addr) as i64;
-            self.prev_addr = addr;
-            let z = ((delta << 1) ^ (delta >> 63)) as u64;
-            // Bytes the delta needs, 0..=8; seven-byte deltas take class 7.
-            let class = ((71 - z.leading_zeros()) / 8).min(7);
-            rec[n..n + 8].copy_from_slice(&z.to_le_bytes());
-            n += DELTA_WIDTH[class as usize];
-            field = class as u8;
-        }
-        let (has1, has2) = (insn.dep1 != 0, insn.dep2 != 0);
-        rec[n..n + 2].copy_from_slice(&insn.dep1.to_le_bytes());
-        n += 2 * has1 as usize;
-        rec[n..n + 2].copy_from_slice(&insn.dep2.to_le_bytes());
-        n += 2 * has2 as usize;
-        if let Some(pc) = pc.filter(|&pc| pc >= PC_ESCAPE as u32) {
-            rec[n..n + 4].copy_from_slice(&pc.to_le_bytes());
+        let deps = deps_word(&insn);
+        if deps != t.deps {
+            h |= DEPS_BIT;
+            rec[n..n + 4].copy_from_slice(&deps.to_le_bytes());
             n += 4;
         }
-        rec[0] =
-            kind | (has1 as u8) << DEP1_SHIFT | (has2 as u8) << DEP2_SHIFT | field << FIELD_SHIFT;
+        if let Some(addr) = addr {
+            let (s, d) = (t.slot as usize % SLOTS, t.id as usize % SLOTS);
+            let delta = addr.wrapping_sub(self.deltas.addr[s]);
+            let class = if delta == self.deltas.last[d] {
+                REPEAT
+            } else {
+                let d = delta as i64;
+                let z = ((d << 1) ^ (d >> 63)) as u64;
+                rec[n..n + 8].copy_from_slice(&z.to_le_bytes());
+                CLASS_OF_BYTES[(71 - z.leading_zeros() as usize) / 8] as usize
+            };
+            self.deltas.addr[s] = addr;
+            self.deltas.last[d] = delta;
+            n += DELTA_WIDTH[class];
+            h |= class as u8;
+        }
+        rec[0] = h;
         self.bytes.truncate(start + n);
         self.len += 1;
     }
 
+    #[inline(always)]
     fn push(&mut self, op: Op, deps: &[usize]) -> usize {
         let (dep1, dep2) = self.encode_deps(deps);
         self.append(Insn { op, dep1, dep2 });
@@ -429,6 +541,7 @@ impl StreamBuilder {
         }
         InsnStream {
             bytes: self.bytes,
+            dict: self.dict.into_boxed_slice(),
             len: self.len,
         }
     }
@@ -464,6 +577,29 @@ mod tests {
     }
 
     #[test]
+    fn strides_and_stores_back_take_no_delta_bytes() {
+        // a[i] += 1 over an 8-byte array. The load's first two deltas are
+        // stored (3 and 2 bytes with headers); from then on it repeats its
+        // last delta, and the store shares the load's delta slot and
+        // repeats its zero delta, so every other record is a header alone.
+        let mut b = StreamBuilder::new();
+        for i in 0..1000 {
+            let ld = b.load_at(1, 0x1000 + 8 * i, 8, &[]);
+            let inc = b.compute(1, &[ld]);
+            b.store_at(2, 0x1000 + 8 * i, 8, &[inc]);
+        }
+        let s = b.finish();
+        assert_eq!(s.bytes.len() - PAD, 3000 + 2 + 1);
+        let last = s.iter().last().map(|insn| insn.op);
+        let want = Op::Store {
+            addr: 0x1000 + 8 * 999,
+            size: 8,
+            pc: 2,
+        };
+        assert_eq!(last, Some(want));
+    }
+
+    #[test]
     fn stream_collects_from_iterator() {
         let s: InsnStream = (0..4)
             .map(|i| Insn {
@@ -486,9 +622,11 @@ mod tests {
         assert_eq!(s.iter().next(), None);
     }
 
-    /// Bytes per instruction of a finished stream, padding included.
+    /// Bytes per instruction of a finished stream, padding and dictionary
+    /// included.
     fn bytes_per_insn(s: &InsnStream) -> f64 {
-        s.bytes.len() as f64 / s.len() as f64
+        let dict = std::mem::size_of_val(&*s.dict);
+        (s.bytes.len() + dict) as f64 / s.len() as f64
     }
 
     /// A 64-bit LCG step (the kernels' input generators use the same one).
@@ -525,7 +663,7 @@ mod tests {
         let s = b.finish();
         assert!(s.len() > 500_000);
         let bpi = bytes_per_insn(&s);
-        assert!(bpi <= 10.0, "pr gather: {bpi:.2} bytes per instruction");
+        assert!(bpi <= 4.0, "pr gather: {bpi:.2} bytes per instruction");
     }
 
     #[test]
@@ -545,6 +683,6 @@ mod tests {
         }
         let s = b.finish();
         let bpi = bytes_per_insn(&s);
-        assert!(bpi <= 10.0, "is ranking: {bpi:.2} bytes per instruction");
+        assert!(bpi <= 4.0, "is ranking: {bpi:.2} bytes per instruction");
     }
 }

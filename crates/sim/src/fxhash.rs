@@ -7,8 +7,10 @@
 //! out locally because the offline build vendors no third-party crates.
 //!
 //! Only safe for maps whose **iteration order is never observed**: the
-//! [`crate::AddressSpace`] page table (iterated only for `len()`) and the
-//! telemetry pending-tag table (pure insert/remove). Anything serialized or
+//! [`crate::AddressSpace`] page table (iterated only for `len()`), the
+//! telemetry pending-tag table (pure insert/remove) and
+//! [`crate::core::StreamBuilder`]'s site-to-template map (pure
+//! lookup/insert). Anything serialized or
 //! iterated for output must stay on `BTreeMap` — see `telemetry.rs`'s
 //! `AttributionTable`.
 

@@ -46,7 +46,7 @@ pub mod telemetry;
 pub use config::{CacheConfig, CoreConfig, DramConfig, FarMemConfig, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use mem::address_space::{AddressSpace, Tier, TierMap};
-pub use mem::cache::{Provenance, VictimHit};
+pub use mem::cache::VictimHit;
 pub use mem::hierarchy::{AccessKind, AccessResult, MemorySystem, ServedBy};
 pub use metrics::{MetricSample, MetricsConfig, MetricsRegistry};
 pub use prefetch::{DemandAccess, FillEvent, NullPrefetcher, PrefetchCtx, Prefetcher};

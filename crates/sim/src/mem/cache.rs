@@ -15,31 +15,6 @@ use super::coherence::{Directory, Mesi};
 use crate::line_of;
 use crate::SourceTag;
 
-/// Install provenance for one resident line: which prefetch source (if
-/// any) installed it, and the cycle its fill completed. Kept in a sidecar
-/// array parallel to the line storage — the demand hot path never reads
-/// it, so the extra state costs nothing on lookups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Provenance {
-    /// `None` for demand fills (and untagged prefetches); `Some(tag)` for
-    /// fills installed by a tagged prefetch source.
-    pub src: Option<SourceTag>,
-    /// Cycle at which the installing fill completed.
-    pub at: u64,
-}
-
-impl Provenance {
-    /// Provenance of a demand fill completing at `at`.
-    pub fn demand(at: u64) -> Self {
-        Provenance { src: None, at }
-    }
-
-    /// Provenance of a prefetch fill from `src` completing at `at`.
-    pub fn prefetch(src: Option<SourceTag>, at: u64) -> Self {
-        Provenance { src, at }
-    }
-}
-
 /// Shadow victim-table ways per set. Four entries is enough to catch the
 /// common pollution pattern (a burst of prefetch fills displacing one or
 /// two hot lines per set) without growing the per-set state past one host
@@ -87,8 +62,6 @@ pub struct Evicted {
     pub prefetched_unused: bool,
     /// Its directory record (meaningful for L3 back-invalidation).
     pub dir: Directory,
-    /// Install provenance the victim carried while resident.
-    pub prov: Provenance,
 }
 
 /// A single set-associative cache array (flat struct-of-arrays storage).
@@ -102,10 +75,12 @@ pub struct Cache {
     /// victim scan of a full 16-way set reads two host cache lines instead
     /// of walking 16 fat line structs.
     last: Box<[u64]>,
-    /// Per-slot install provenance, parallel to `tags`. Sidecar rather
-    /// than a [`Line`] field so the hot-path line copies stay the same
-    /// size as before the provenance layer existed.
-    prov: Box<[Provenance]>,
+    /// Per-slot install provenance, parallel to `tags`: the tagged
+    /// prefetch source that installed the line, `None` for a demand fill
+    /// or an untagged prefetch. Sidecar rather than a [`Line`] field so
+    /// the hot-path line copies stay the same size as before the
+    /// provenance layer existed; the demand hot path never reads it.
+    src: Box<[Option<SourceTag>]>,
     /// Occupied ways per set.
     len: Box<[u8]>,
     /// Shadow victim table, [`VICTIM_WAYS`] entries per set: line address
@@ -142,7 +117,7 @@ impl Cache {
             tags: vec![u64::MAX; sets * ways].into_boxed_slice(),
             lines: vec![filler; sets * ways].into_boxed_slice(),
             last: vec![0u64; sets * ways].into_boxed_slice(),
-            prov: vec![Provenance::demand(0); sets * ways].into_boxed_slice(),
+            src: vec![None; sets * ways].into_boxed_slice(),
             len: vec![0u8; sets].into_boxed_slice(),
             vt_addr: vec![u64::MAX; sets * VICTIM_WAYS].into_boxed_slice(),
             vt_src: vec![u32::MAX; sets * VICTIM_WAYS].into_boxed_slice(),
@@ -231,10 +206,12 @@ impl Cache {
     /// Inserts a line, evicting the LRU way if the set is full. If the line
     /// is already present it is updated in place (state/ready/prefetch are
     /// overwritten only where the new fill is "stronger"; the original
-    /// installer keeps the provenance). When a *prefetch* insert displaces
-    /// a demand-installed or previously-used line, the victim is recorded
-    /// in the set's shadow victim table, credited to the evicting source.
-    pub fn insert(&mut self, mut new: Line, new_prov: Provenance) -> Option<Evicted> {
+    /// installer keeps the provenance). `src` is the installing prefetch
+    /// source (`None`: a demand fill or an untagged prefetch). When a
+    /// *prefetch* insert displaces a demand-installed or previously-used
+    /// line, the victim is recorded in the set's shadow victim table,
+    /// credited to the evicting source.
+    pub fn insert(&mut self, mut new: Line, src: Option<SourceTag>) -> Option<Evicted> {
         new.addr = line_of(new.addr);
         self.clock += 1;
         let idx = self.set_index(new.addr);
@@ -256,7 +233,7 @@ impl Cache {
             self.tags[base + n] = new.addr;
             self.lines[base + n] = new;
             self.last[base + n] = self.clock;
-            self.prov[base + n] = new_prov;
+            self.src[base + n] = src;
             self.len[idx] = (n + 1) as u8;
             return None;
         }
@@ -274,20 +251,19 @@ impl Cache {
         self.tags[victim_i] = new.addr;
         self.last[victim_i] = self.clock;
         let victim = std::mem::replace(&mut self.lines[victim_i], new);
-        let victim_prov = std::mem::replace(&mut self.prov[victim_i], new_prov);
+        self.src[victim_i] = src;
         // Pollution candidate: a prefetch displacing a line the program
         // actually used (`!prefetched` covers both demand installs and
         // prefetches later demanded, since the first demand hit clears
         // the bit).
         if new.prefetched && !victim.prefetched {
-            self.record_victim(idx, victim.addr, new_prov.src);
+            self.record_victim(idx, victim.addr, src);
         }
         Some(Evicted {
             addr: victim.addr,
             dirty: victim.dirty,
             prefetched_unused: victim.prefetched,
             dir: victim.dir,
-            prov: victim_prov,
         })
     }
 
@@ -304,7 +280,7 @@ impl Cache {
         self.tags[pos] = self.tags[last];
         self.lines[pos] = self.lines[last];
         self.last[pos] = self.last[last];
-        self.prov[pos] = self.prov[last];
+        self.src[pos] = self.src[last];
         self.tags[last] = u64::MAX;
         self.len[idx] -= 1;
         Some(victim)
@@ -356,20 +332,20 @@ impl Cache {
         None
     }
 
-    /// Install provenance of the line at `slot` (see [`Cache::find_slot`]
-    /// for slot-validity rules).
+    /// Prefetch source that installed the line at `slot` (see
+    /// [`Cache::find_slot`] for slot-validity rules).
     #[inline]
-    pub fn provenance(&self, slot: usize) -> Provenance {
-        self.prov[slot]
+    pub fn source(&self, slot: usize) -> Option<SourceTag> {
+        self.src[slot]
     }
 
-    /// Visits every resident line with its install provenance (occupancy
+    /// Visits every resident line with its installing source (occupancy
     /// scans). Allocation-free; visit order is set-major, way-minor.
-    pub fn for_each_resident(&self, mut f: impl FnMut(&Line, Provenance)) {
+    pub fn for_each_resident(&self, mut f: impl FnMut(&Line, Option<SourceTag>)) {
         for idx in 0..self.len.len() {
             let base = idx * self.ways;
             for slot in base..base + self.len[idx] as usize {
-                f(&self.lines[slot], self.prov[slot]);
+                f(&self.lines[slot], self.src[slot]);
             }
         }
     }
@@ -423,14 +399,10 @@ mod tests {
         l
     }
 
-    fn dp() -> Provenance {
-        Provenance::demand(0)
-    }
-
     #[test]
     fn hit_after_insert() {
         let mut c = small_cache();
-        c.insert(line(0x1000), dp());
+        c.insert(line(0x1000), None);
         assert!(c.lookup(0x1010).is_some(), "same line, different byte");
         assert!(c.lookup(0x1040).is_none(), "next line");
     }
@@ -439,10 +411,10 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut c = small_cache();
         // Addresses 0x0, 0x80, 0x100 map to set 0 (stride 2 lines).
-        c.insert(line(0x000), dp());
-        c.insert(line(0x080), dp());
+        c.insert(line(0x000), None);
+        c.insert(line(0x080), None);
         c.lookup(0x000); // refresh 0x0
-        let ev = c.insert(line(0x100), dp()).expect("set overflow evicts");
+        let ev = c.insert(line(0x100), None).expect("set overflow evicts");
         assert_eq!(ev.addr, 0x080);
         assert!(c.contains(0x000) && c.contains(0x100));
     }
@@ -450,10 +422,10 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place_without_eviction() {
         let mut c = small_cache();
-        c.insert(line(0x000), dp());
+        c.insert(line(0x000), None);
         let mut l = line(0x000);
         l.dirty = true;
-        assert!(c.insert(l, dp()).is_none());
+        assert!(c.insert(l, None).is_none());
         assert!(c.peek(0x000).unwrap().dirty);
         assert_eq!(c.len(), 1);
     }
@@ -461,7 +433,7 @@ mod tests {
     #[test]
     fn invalidate_removes() {
         let mut c = small_cache();
-        c.insert(line(0x40), dp());
+        c.insert(line(0x40), None);
         assert!(c.invalidate(0x40).is_some());
         assert!(!c.contains(0x40));
         assert!(c.invalidate(0x40).is_none());
@@ -470,48 +442,53 @@ mod tests {
     #[test]
     fn eviction_reports_prefetched_unused() {
         let mut c = small_cache();
-        c.insert(pf_line(0x000), Provenance::prefetch(Some(3), 0));
-        c.insert(line(0x080), dp());
-        c.insert(line(0x100), dp()); // evicts 0x000 (LRU)
-                                     // 0x000 was the least-recently-used and prefetched+never demanded.
-                                     // (insert refreshes LRU, so victim is 0x000.)
+        // 0x000, 0x080 and 0x100 share set 0; the third insert evicts the
+        // LRU line, the never-demanded prefetch of 0x000.
+        c.insert(pf_line(0x000), Some(3));
+        c.insert(line(0x080), None);
+        let ev = c.insert(line(0x100), None).expect("set overflow evicts");
+        assert_eq!(ev.addr, 0x000);
+        assert!(ev.prefetched_unused);
+        // The next victim, 0x080, was demand-installed.
+        let ev = c.insert(line(0x180), None).expect("set overflow evicts");
+        assert_eq!(ev.addr, 0x080);
+        assert!(!ev.prefetched_unused);
     }
 
     #[test]
     fn set_mapping_distributes() {
         let mut c = small_cache();
-        c.insert(line(0x000), dp()); // set 0
-        c.insert(line(0x040), dp()); // set 1
-        c.insert(line(0x080), dp()); // set 0
-        c.insert(line(0x0c0), dp()); // set 1
+        c.insert(line(0x000), None); // set 0
+        c.insert(line(0x040), None); // set 1
+        c.insert(line(0x080), None); // set 0
+        c.insert(line(0x0c0), None); // set 1
         assert_eq!(c.len(), 4, "no eviction across distinct sets");
     }
 
     #[test]
     fn provenance_sidecar_tracks_the_installer() {
         let mut c = small_cache();
-        c.insert(pf_line(0x000), Provenance::prefetch(Some(0x0102), 7));
+        c.insert(pf_line(0x000), Some(0x0102));
         let slot = c.find_slot(0x000).unwrap();
-        assert_eq!(c.provenance(slot), Provenance::prefetch(Some(0x0102), 7));
-        // An in-place refresh keeps the original installer's provenance.
-        c.insert(line(0x000), Provenance::demand(99));
+        assert_eq!(c.source(slot), Some(0x0102));
+        // An in-place refresh keeps the original installer's source.
+        c.insert(line(0x000), None);
         let slot = c.find_slot(0x000).unwrap();
-        assert_eq!(c.provenance(slot).src, Some(0x0102));
-        assert_eq!(c.provenance(slot).at, 7);
-        // swap_remove compaction moves provenance with the line.
-        c.insert(pf_line(0x080), Provenance::prefetch(Some(0x0203), 11));
+        assert_eq!(c.source(slot), Some(0x0102));
+        // swap_remove compaction moves the source with the line.
+        c.insert(pf_line(0x080), Some(0x0203));
         c.invalidate(0x000);
         let slot = c.find_slot(0x080).unwrap();
-        assert_eq!(c.provenance(slot), Provenance::prefetch(Some(0x0203), 11));
+        assert_eq!(c.source(slot), Some(0x0203));
     }
 
     #[test]
     fn prefetch_evicting_a_used_line_is_recorded_as_a_victim() {
         let mut c = small_cache();
-        c.insert(line(0x000), dp());
-        c.insert(line(0x080), dp());
+        c.insert(line(0x000), None);
+        c.insert(line(0x080), None);
         c.lookup(0x080); // make 0x000 the LRU victim
-        c.insert(pf_line(0x100), Provenance::prefetch(Some(5), 10));
+        c.insert(pf_line(0x100), Some(5));
         let hit = c.take_victim(0x000).expect("victim recorded");
         assert_eq!(hit.evictor, Some(5));
         // One-shot: consumed on the first probe.
@@ -522,51 +499,51 @@ mod tests {
     fn demand_evictions_and_prefetch_victims_do_not_pollute() {
         let mut c = small_cache();
         // A demand insert displacing a demand line records nothing.
-        c.insert(line(0x000), dp());
-        c.insert(line(0x080), dp());
-        c.insert(line(0x100), dp());
+        c.insert(line(0x000), None);
+        c.insert(line(0x080), None);
+        c.insert(line(0x100), None);
         assert!(c.take_victim(0x000).is_none());
         // A prefetch displacing an unused prefetch records nothing either.
         let mut c = small_cache();
-        c.insert(pf_line(0x000), Provenance::prefetch(Some(1), 0));
-        c.insert(line(0x080), dp());
+        c.insert(pf_line(0x000), Some(1));
+        c.insert(line(0x080), None);
         c.lookup(0x080);
-        c.insert(pf_line(0x100), Provenance::prefetch(Some(2), 1));
+        c.insert(pf_line(0x100), Some(2));
         assert!(c.take_victim(0x000).is_none());
     }
 
     #[test]
     fn reinserting_the_victim_clears_its_entry() {
         let mut c = small_cache();
-        c.insert(line(0x000), dp());
-        c.insert(line(0x080), dp());
+        c.insert(line(0x000), None);
+        c.insert(line(0x080), None);
         c.lookup(0x080);
-        c.insert(pf_line(0x100), Provenance::prefetch(Some(5), 10));
+        c.insert(pf_line(0x100), Some(5));
         // 0x000 comes back (e.g. a prefetch re-fill) before any demand
         // miss probes the table: the stale entry must not fire later.
         c.lookup(0x100); // make 0x080 the LRU victim
-        c.insert(pf_line(0x000), Provenance::prefetch(None, 20));
+        c.insert(pf_line(0x000), None);
         assert!(c.take_victim(0x000).is_none());
     }
 
     #[test]
     fn untagged_evictor_round_trips_as_none() {
         let mut c = small_cache();
-        c.insert(line(0x000), dp());
-        c.insert(line(0x080), dp());
+        c.insert(line(0x000), None);
+        c.insert(line(0x080), None);
         c.lookup(0x080);
-        c.insert(pf_line(0x100), Provenance::prefetch(None, 0));
+        c.insert(pf_line(0x100), None);
         assert_eq!(c.take_victim(0x000).unwrap().evictor, None);
     }
 
     #[test]
     fn for_each_resident_visits_every_line_once() {
         let mut c = small_cache();
-        c.insert(line(0x000), Provenance::demand(1));
-        c.insert(pf_line(0x040), Provenance::prefetch(Some(9), 2));
-        c.insert(pf_line(0x080), Provenance::prefetch(None, 3));
+        c.insert(line(0x000), None);
+        c.insert(pf_line(0x040), Some(9));
+        c.insert(pf_line(0x080), None);
         let mut seen = Vec::new();
-        c.for_each_resident(|l, p| seen.push((l.addr, l.prefetched, p.src)));
+        c.for_each_resident(|l, src| seen.push((l.addr, l.prefetched, src)));
         seen.sort();
         assert_eq!(
             seen,

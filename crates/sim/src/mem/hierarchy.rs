@@ -8,7 +8,7 @@
 //! This models MSHR merges and in-flight prefetches without an event queue.
 
 use super::address_space::{Tier, TierMap};
-use super::cache::{Cache, Evicted, Line, Provenance};
+use super::cache::{Cache, Evicted, Line};
 use super::coherence::{Directory, Mesi};
 use super::dram::{Dram, DramAccess};
 use super::tlb::Tlb;
@@ -433,14 +433,14 @@ impl MemorySystem {
         }
     }
 
-    fn insert_l1(&mut self, core: usize, line: Line, prov: Provenance, stats: &mut Stats) {
-        if let Some(ev) = self.l1d[core].insert(line, prov) {
+    fn insert_l1(&mut self, core: usize, line: Line, src: Option<SourceTag>, stats: &mut Stats) {
+        if let Some(ev) = self.l1d[core].insert(line, src) {
             self.on_l1_evict(core, ev, stats);
         }
     }
 
-    fn insert_l2(&mut self, core: usize, line: Line, prov: Provenance, stats: &mut Stats) {
-        if let Some(ev) = self.l2[core].insert(line, prov) {
+    fn insert_l2(&mut self, core: usize, line: Line, src: Option<SourceTag>, stats: &mut Stats) {
+        if let Some(ev) = self.l2[core].insert(line, src) {
             self.on_l2_evict(core, ev, stats);
         }
     }
@@ -449,11 +449,11 @@ impl MemorySystem {
         &mut self,
         slice: usize,
         line: Line,
-        prov: Provenance,
+        src: Option<SourceTag>,
         now: u64,
         stats: &mut Stats,
     ) {
-        if let Some(ev) = self.l3[slice].insert(line, prov) {
+        if let Some(ev) = self.l3[slice].insert(line, src) {
             self.on_l3_evict(ev, now, stats);
         }
     }
@@ -585,7 +585,7 @@ impl MemorySystem {
             let new_state = if write { Mesi::Modified } else { state };
             let mut fill = super::cache::demand_line(line, new_state, ready, served);
             fill.dirty = write;
-            self.insert_l1(core, fill, Provenance::demand(ready), stats);
+            self.insert_l1(core, fill, None, stats);
             if !write {
                 self.mshr[core].push(ready);
             }
@@ -661,8 +661,8 @@ impl MemorySystem {
             };
             let mut fill = super::cache::demand_line(line, state, ready, served);
             fill.dirty = write;
-            self.insert_l2(core, fill, Provenance::demand(ready), stats);
-            self.insert_l1(core, fill, Provenance::demand(ready), stats);
+            self.insert_l2(core, fill, None, stats);
+            self.insert_l1(core, fill, None, stats);
             if !write {
                 self.mshr[core].push(ready);
             }
@@ -714,7 +714,7 @@ impl MemorySystem {
         }
         let mut l3fill = super::cache::demand_line(line, Mesi::Exclusive, ready, served);
         l3fill.dir = dir;
-        self.insert_l3(slice, l3fill, Provenance::demand(ready), now, stats);
+        self.insert_l3(slice, l3fill, None, now, stats);
 
         let state = if write {
             Mesi::Modified
@@ -723,8 +723,8 @@ impl MemorySystem {
         };
         let mut fill = super::cache::demand_line(line, state, ready, served);
         fill.dirty = write;
-        self.insert_l2(core, fill, Provenance::demand(ready), stats);
-        self.insert_l1(core, fill, Provenance::demand(ready), stats);
+        self.insert_l2(core, fill, None, stats);
+        self.insert_l1(core, fill, None, stats);
         if !write {
             self.mshr[core].push(ready);
         }
@@ -779,7 +779,7 @@ impl MemorySystem {
             let ready = now + lat;
             let mut fill = super::cache::demand_line(line, state, ready, ServedBy::L2);
             fill.prefetched = true;
-            self.insert_l1(core, fill, Provenance::prefetch(tag, ready), stats);
+            self.insert_l1(core, fill, tag, stats);
             stats.prefetches_issued += 1;
             if let Some(t) = tag {
                 self.tel.prefetch_tag_issued(line, t);
@@ -812,8 +812,8 @@ impl MemorySystem {
             self.l3[slice].slot_mut(slot).dir.add_sharer(core);
             let mut fill = super::cache::demand_line(line, Mesi::Shared, ready, ServedBy::L3);
             fill.prefetched = true;
-            self.insert_l2(core, fill, Provenance::prefetch(tag, ready), stats);
-            self.insert_l1(core, fill, Provenance::prefetch(tag, ready), stats);
+            self.insert_l2(core, fill, tag, stats);
+            self.insert_l1(core, fill, tag, stats);
             stats.prefetches_issued += 1;
             if let Some(t) = tag {
                 self.tel.prefetch_tag_issued(line, t);
@@ -850,11 +850,11 @@ impl MemorySystem {
         let mut l3fill = super::cache::demand_line(line, Mesi::Exclusive, ready, ServedBy::Dram);
         l3fill.dir = dir;
         l3fill.prefetched = true;
-        self.insert_l3(slice, l3fill, Provenance::prefetch(tag, ready), now, stats);
+        self.insert_l3(slice, l3fill, tag, now, stats);
         let mut fill = super::cache::demand_line(line, Mesi::Exclusive, ready, ServedBy::Dram);
         fill.prefetched = true;
-        self.insert_l2(core, fill, Provenance::prefetch(tag, ready), stats);
-        self.insert_l1(core, fill, Provenance::prefetch(tag, ready), stats);
+        self.insert_l2(core, fill, tag, stats);
+        self.insert_l1(core, fill, tag, stats);
         stats.prefetches_issued += 1;
         if let Some(t) = tag {
             self.tel.prefetch_tag_issued(line, t);
@@ -915,7 +915,7 @@ impl MemorySystem {
         let mut l3fill = super::cache::demand_line(line, Mesi::Exclusive, ready, ServedBy::Dram);
         l3fill.prefetched = true;
         l3fill.dir = Directory::empty();
-        self.insert_l3(slice, l3fill, Provenance::prefetch(tag, ready), now, stats);
+        self.insert_l3(slice, l3fill, tag, now, stats);
         stats.prefetches_issued += 1;
         if let Some(t) = tag {
             self.tel.prefetch_tag_issued(line, t);
@@ -959,27 +959,27 @@ impl MemorySystem {
     pub fn occupancy(&self) -> OccupancySnapshot {
         let mut snap = OccupancySnapshot::default();
         for c in &self.l1d {
-            c.for_each_resident(|l, p| snap.levels[0].count(l.prefetched, p.src));
+            c.for_each_resident(|l, src| snap.levels[0].count(l.prefetched, src));
         }
         for c in &self.l2 {
-            c.for_each_resident(|l, p| snap.levels[1].count(l.prefetched, p.src));
+            c.for_each_resident(|l, src| snap.levels[1].count(l.prefetched, src));
         }
         if self.far.is_some() {
             let mut tiers = [LevelOccupancy::default(), LevelOccupancy::default()];
             for c in &self.l3 {
-                c.for_each_resident(|l, p| {
-                    snap.levels[2].count(l.prefetched, p.src);
+                c.for_each_resident(|l, src| {
+                    snap.levels[2].count(l.prefetched, src);
                     let t = match self.tiers.tier_of(l.addr) {
                         Tier::Near => &mut tiers[0],
                         Tier::Far => &mut tiers[1],
                     };
-                    t.count(l.prefetched, p.src);
+                    t.count(l.prefetched, src);
                 });
             }
             snap.tiers = Some(tiers);
         } else {
             for c in &self.l3 {
-                c.for_each_resident(|l, p| snap.levels[2].count(l.prefetched, p.src));
+                c.for_each_resident(|l, src| snap.levels[2].count(l.prefetched, src));
             }
         }
         snap

@@ -7,7 +7,7 @@ use prodigy_sim::mem::cache::{demand_line, Cache};
 use prodigy_sim::mem::coherence::Mesi;
 use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
 use prodigy_sim::{
-    AccessKind, AddressSpace, CacheConfig, MemorySystem, Provenance, ServedBy, Stats, SystemConfig,
+    AccessKind, AddressSpace, CacheConfig, MemorySystem, ServedBy, Stats, SystemConfig,
 };
 use prodigy_workloads::graph::csr::Csr;
 use prodigy_workloads::graph::reorder::{apply, hubsort};
@@ -23,7 +23,7 @@ proptest! {
         let capacity_lines = (cfg.capacity / 64) as usize;
         let mut c = Cache::new(&cfg);
         for &a in &addrs {
-            c.insert(demand_line(a, Mesi::Exclusive, 0, ServedBy::Dram), Provenance::demand(0));
+            c.insert(demand_line(a, Mesi::Exclusive, 0, ServedBy::Dram), None);
             prop_assert!(c.lookup(a).is_some(), "line just inserted must be present");
             prop_assert!(c.len() <= capacity_lines);
         }
