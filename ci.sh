@@ -332,6 +332,26 @@ print(f"   perfbench pr-lj: {d['attempted']} cells run, 0 failed, "
       f"peak rss {rss:.0f} MiB (<= 200): OK")
 PY
 
+# nopf runs bfs, sssp and spmv with no prefetcher, each under its kernel's
+# reference check. Gated: its peak RSS stays under 90 MiB, a tripwire for
+# instruction streams that store loop-grown deps per instruction again. The
+# peak is set while spmv's single 8.5M-instruction phase is built (~100 MiB
+# when each edge load's deps take 4 bytes, ~81 MiB with predicted deps).
+echo "== perfbench: one-pass nopf smoke, peak RSS tripwire"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload nopf --seconds 0 --trace 0 >"$tmp/perfbench-nopf.txt"
+python3 - "$tmp/perfbench-nopf.txt" <<'PY'
+import json, sys
+last = open(sys.argv[1]).read().strip().splitlines()[-1]
+d = json.loads(last)
+assert d["correct"] is True, f"perfbench nopf: not correct: {last}"
+assert d["failed"] == 0, f"perfbench nopf: {d['failed']} failed cells"
+rss = d["metrics"]["peak_rss_mib"]["value"]
+assert rss <= 90, f"perfbench nopf: peak rss {rss:.1f} MiB > 90 MiB"
+print(f"   perfbench nopf: {d['attempted']} cells run, 0 failed, "
+      f"peak rss {rss:.0f} MiB (<= 90): OK")
+PY
+
 # The per-layer ledger: the traced pass times kernel, system, prefetcher and
 # hierarchy from outside through public calls. Gated: it fails any cell whose
 # traced run's stats, telemetry, checksum or Prodigy counters differ from

@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the performance-critical structures: the
 //! PFHR file, the cache array, DIG programming, branch prediction,
-//! instruction-stream encoding and decoding (on a PageRank-gather and a
-//! NAS-IS-ranking shape), GHB G/DC training, and
-//! end-to-end simulator throughput (instructions simulated per second).
+//! instruction-stream encoding and decoding (on a PageRank-gather, a
+//! NAS-IS-ranking and an HPCG-spmv shape), the hierarchy walk (L1 hits and
+//! DRAM misses), GHB G/DC training, and end-to-end simulator throughput
+//! (instructions simulated per second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use prodigy::dig::NodeId;
@@ -12,7 +13,9 @@ use prodigy_sim::core::{Gshare, Op, StreamBuilder};
 use prodigy_sim::mem::cache::{demand_line, Cache};
 use prodigy_sim::mem::coherence::Mesi;
 use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
-use prodigy_sim::{AddressSpace, CacheConfig, MemorySystem, ServedBy, Stats, System, SystemConfig};
+use prodigy_sim::{
+    AccessKind, AddressSpace, CacheConfig, MemorySystem, ServedBy, Stats, System, SystemConfig,
+};
 
 fn bench_pfhr(c: &mut Criterion) {
     c.bench_function("pfhr/allocate_take", |b| {
@@ -142,6 +145,34 @@ fn is_ranking(b: &mut StreamBuilder, n: usize) {
     }
 }
 
+/// Appends HPCG-spmv-shaped instructions (the row loop of `kernels::spmv`
+/// on a 40³ 27-point stencil: per nonzero a column and a value load off the
+/// row's offset load, the x gather, a multiply and an accumulate, whose
+/// compute shapes alternate at one latency) to `b` until it holds `n`.
+fn spmv_rows(b: &mut StreamBuilder, n: usize) {
+    const SIDE: i64 = 40;
+    const ROWS: i64 = SIDE * SIDE * SIDE;
+    let (off, col, val, x, y) = (0x10_0000u64, 0x20_0000, 0x80_0000, 0x180_0000, 0x1a0_0000);
+    let (mut r, mut k) = (0, 0);
+    while b.len() < n {
+        let lo = b.load_at(20, off + 4 * r as u64, 4, &[]);
+        b.load_at(21, off + 4 * (r as u64 + 1), 4, &[]);
+        let mut acc = b.compute(1, &[]);
+        for nz in 0..27 {
+            let (dx, dy, dz) = (nz % 3 - 1, nz / 3 % 3 - 1, nz / 9 - 1);
+            let c = (r + dx + SIDE * dy + SIDE * SIDE * dz).rem_euclid(ROWS) as u64;
+            let ld_c = b.load_at(22, col + 4 * k, 4, &[lo]);
+            let ld_v = b.load_at(23, val + 8 * k, 8, &[lo]);
+            let ld_x = b.load_at(24, x + 8 * c, 8, &[ld_c]);
+            let mul = b.compute(4, &[ld_v, ld_x]);
+            acc = b.compute(4, &[mul, acc]);
+            k += 1;
+        }
+        b.store_at(25, y + 8 * r as u64, 8, &[acc]);
+        r = (r + 1) % ROWS;
+    }
+}
+
 /// Appends a kernel-shaped instruction mix to a builder until it holds
 /// the given count.
 type Shape = fn(&mut StreamBuilder, usize);
@@ -150,7 +181,7 @@ fn bench_stream(c: &mut Criterion) {
     const N: usize = 1_000_000;
     let mut g = c.benchmark_group("stream");
     g.throughput(Throughput::Elements(N as u64));
-    let shapes: [(&str, Shape); 2] = [("", pr_gather), ("_is", is_ranking)];
+    let shapes: [(&str, Shape); 3] = [("", pr_gather), ("_is", is_ranking), ("_spmv", spmv_rows)];
     for (suffix, shape) in shapes {
         g.bench_function(&format!("encode{suffix}"), |b| {
             b.iter(|| {
@@ -256,6 +287,57 @@ fn bench_ghb(c: &mut Criterion) {
     g.finish();
 }
 
+/// Demand reads through an 8-core `SystemConfig::bench()` memory system,
+/// 1M per iteration, so ms/iter is ns per access: `l1_hit` re-reads 64
+/// lines one core has already loaded; `dram_miss` reads random lines of a
+/// 64 MiB region from all eight cores in turn, advancing the clock by each
+/// access's latency over 8 as `zero_alloc.rs`'s stream does.
+fn bench_hierarchy(c: &mut Criterion) {
+    const N: u64 = 1_000_000;
+    let mut g = c.benchmark_group("hierarchy");
+    g.throughput(Throughput::Elements(N));
+    let cfg = SystemConfig::bench();
+    let cores = cfg.cores as u64;
+    g.bench_function("l1_hit", |b| {
+        b.iter_batched(
+            || {
+                let (mut mem, mut stats) = (MemorySystem::new(cfg), Stats::default());
+                for i in 0..64 {
+                    mem.demand_access(0, 64 * i, AccessKind::Read, i, &mut stats);
+                }
+                (mem, stats)
+            },
+            |(mut mem, mut stats)| {
+                let mut now = 1_000;
+                for i in 0..N {
+                    let r = mem.demand_access(0, 64 * (i % 64), AccessKind::Read, now, &mut stats);
+                    now += 1 + r.latency / 8;
+                }
+                stats.l1d.hits
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("dram_miss", |b| {
+        b.iter_batched(
+            || (MemorySystem::new(cfg), Stats::default()),
+            |(mut mem, mut stats)| {
+                let (mut x, mut now) = (0x9002u64, 0);
+                for i in 0..N {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let addr = (x >> 16) % (64 << 20);
+                    let core = (i % cores) as usize;
+                    let r = mem.demand_access(core, addr, AccessKind::Read, now, &mut stats);
+                    now += 1 + r.latency / 8;
+                }
+                stats.l1d.misses
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_simulator_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     const N: u64 = 100_000;
@@ -293,6 +375,7 @@ criterion_group!(
     bench_dig_programming,
     bench_bpred,
     bench_stream,
+    bench_hierarchy,
     bench_ghb,
     bench_simulator_throughput
 );

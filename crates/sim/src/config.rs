@@ -71,8 +71,6 @@ pub struct DramConfig {
     /// `channels` and the clock this sets peak bandwidth (§VI-F discusses a
     /// 100 GB/s limit; 8 channels × 64 B / 13 cycles ≈ 105 GB/s at 2.66 GHz).
     pub cycles_per_transfer: u64,
-    /// Memory-controller queue entries per channel; a full queue back-pressures.
-    pub queue_depth: u32,
 }
 
 /// Far-memory (CXL-style remote pool) controller parameters. Mirrors
@@ -87,14 +85,12 @@ pub struct FarMemConfig {
     pub channels: u32,
     /// Cycles a channel is occupied per 64 B transfer.
     pub cycles_per_transfer: u64,
-    /// Controller queue entries per channel.
-    pub queue_depth: u32,
 }
 
 impl FarMemConfig {
     /// Derives a far tier from the local DRAM numbers with latency and
-    /// per-transfer occupancy scaled by `far_latency_scale` (channel count
-    /// and queue depth carry over). Scale 1 is a pool exactly as fast as
+    /// per-transfer occupancy scaled by `far_latency_scale` (the channel
+    /// count carries over). Scale 1 is a pool exactly as fast as
     /// DRAM — useful for isolating the routing overhead, which must be
     /// zero.
     pub fn scaled_from(dram: &DramConfig, far_latency_scale: u64) -> Self {
@@ -103,7 +99,6 @@ impl FarMemConfig {
             access_latency: dram.access_latency * far_latency_scale,
             channels: dram.channels,
             cycles_per_transfer: dram.cycles_per_transfer * far_latency_scale,
-            queue_depth: dram.queue_depth,
         }
     }
 
@@ -114,7 +109,6 @@ impl FarMemConfig {
             access_latency: self.access_latency,
             channels: self.channels,
             cycles_per_transfer: self.cycles_per_transfer,
-            queue_depth: self.queue_depth,
         }
     }
 }
@@ -189,7 +183,6 @@ impl SystemConfig {
                 access_latency: 120,
                 channels: 8,
                 cycles_per_transfer: 13,
-                queue_depth: 32,
             },
             far: None,
             mshrs: 10,
@@ -347,7 +340,6 @@ mod tests {
         assert_eq!(f.access_latency, 480);
         assert_eq!(f.cycles_per_transfer, 52);
         assert_eq!(f.channels, c.dram.channels);
-        assert_eq!(f.queue_depth, c.dram.queue_depth);
         assert_eq!(f.as_dram().access_latency, 480);
         // The default machine has no far tier at all.
         assert_eq!(SystemConfig::paper().far, None);

@@ -16,21 +16,28 @@
 //! instruction without its address and deps, and its template takes the
 //! deps of its first instruction. Deps stay out of the site because a
 //! distance can grow with a loop (an inner-loop load that depends on a
-//! load before the loop), which would mint a template per iteration. The
-//! dictionary therefore holds at most one template per static site, however
-//! long the stream.
+//! load before the loop), which would mint a template per iteration. A
+//! site without an address (compute, branch) takes a second template when
+//! its deps alternate between two shapes (spmv's multiply and add share a
+//! latency), so the dictionary holds at most two templates per static
+//! site, however long the stream.
 //!
 //! [`StreamBuilder`] appends each instruction as one variable-length byte
 //! record: a header byte naming the template (ids from 15 on follow as a
-//! `u32`), both deps only when they differ from the template's, and, for a
-//! memory operation, the zigzag-encoded delta from the last address in the
-//! template's delta slot. There are 16 slots. A template takes slot
-//! `id % 16`, or shares the slot whose last address equals its first one (a
-//! store back to the address just loaded). A delta equal to the template's
-//! last delta (a strided access) takes no bytes. [`InsnStream::iter`] copies each
-//! record's template and fills in its deps and address. The bundled kernels
-//! encode at 1.7–3.5 bytes per instruction. DESIGN.md §13 gives the record
-//! table.
+//! `u32`), a rule byte only when no template of the site predicts the
+//! deps, and, for a memory operation, the zigzag-encoded delta from the
+//! last address in the template's delta slot. Each template keeps a deps
+//! prediction, alike on both sides: fixed distances, or distances to fixed
+//! producers, which grow with the index. A rule byte replaces it with the
+//! template's own deps, the producers of its last instance, an explicit
+//! pair, or the producers of its own deps at this instruction (a loop
+//! entered again). There are 16 delta slots. A template takes slot
+//! `id % 16`, or shares the slot whose last address equals its first one
+//! (a store back to the address just loaded). A delta equal to the
+//! template's last delta (a strided access) takes no bytes.
+//! [`InsnStream::iter`] copies each record's template and fills in its
+//! deps and address. The bundled kernels encode at 1.2–1.8 bytes per
+//! instruction. DESIGN.md §13 gives the record table.
 
 use crate::fxhash::FxBuildHasher;
 use std::collections::HashMap;
@@ -93,17 +100,18 @@ pub struct Insn {
 
 // Record layout (DESIGN.md §13): a header byte; only when the header's id
 // field is `ID_ESCAPE`, the template id as a `u32`; only when the header's
-// deps bit is set, dep1 and dep2 as two `u16`s; and last, for a memory
-// operation, the zigzag address delta (0–8 bytes). Every field sits at an
-// offset the header fixes, so neither side loops over bytes: both work on
-// a fixed-size view of the record and read or write each field with one
-// little-endian load or store.
+// rule bit is set, a rule byte, and after an `EXPLICIT` rule byte dep1 and
+// dep2 as two `u16`s; and last, for a memory operation, the zigzag address
+// delta (0–8 bytes). Every field sits at an offset the header and the rule
+// byte fix, so neither side loops over bytes: both work on a fixed-size
+// view of the record and read or write each field with one little-endian
+// load or store.
 //
 // Header: bits 0-2 the address-delta class (0 unless the template is a
-// memory operation), bit 3 set when the deps differ from the template's,
-// bits 4-7 the template id (`ID_ESCAPE`: the id follows).
+// memory operation), bit 3 set when a rule byte follows, bits 4-7 the
+// template id (`ID_ESCAPE`: the id follows).
 const CLASS_MASK: u8 = 0b111;
-const DEPS_BIT: u8 = 1 << 3;
+const RULE_BIT: u8 = 1 << 3;
 const ID_SHIFT: u32 = 4;
 
 /// A header id field equal to this means the template id follows as a
@@ -113,8 +121,32 @@ const ID_ESCAPE: u32 = 15;
 /// Delta slots (see [`Template::slot`]).
 const SLOTS: usize = 16;
 
-/// Longest record: header, escaped id, both deps and an 8-byte delta.
-const MAX_RECORD: usize = 17;
+// Rule byte: bits 0-1 the rule, bits 2-7 the gap back to the template's
+// last instance (`SAME` only). Each template keeps a prediction of its
+// instances' deps (see `Prediction`), and a record without a rule byte
+// takes it; a rule byte first replaces the prediction, and the record then
+// takes the new one.
+/// The template's own deps, as a fixed pair: a fixed shape, or the first
+/// iteration of a loop whose body depends on an instruction before it.
+const OWN: u8 = 0;
+/// The producers of the template's last instance, `gap` instructions back:
+/// each distance then grows with the index, as in a loop body that depends
+/// on an instruction before the loop.
+const SAME: u8 = 1;
+/// An explicit pair follows the rule byte, and becomes a fixed prediction.
+const EXPLICIT: u8 = 2;
+/// The template's own deps, whose producers the prediction then names:
+/// the next entry into a loop whose body depends on an instruction before
+/// it, for a template already predicting from producers.
+const ANCHOR: u8 = 3;
+const RULE_MASK: u8 = 0b11;
+const GAP_SHIFT: u32 = 2;
+/// The longest gap a `SAME` rule byte holds.
+const MAX_GAP: u16 = 0xff >> GAP_SHIFT;
+
+/// Longest record: header, escaped id, rule byte, both deps and an 8-byte
+/// delta.
+const MAX_RECORD: usize = 18;
 
 /// Zero bytes after a stream's last record. Both sides work on a
 /// `MAX_RECORD`-byte view from the start of each record, even a one-byte
@@ -145,22 +177,94 @@ const DELTA_MASK: [u64; 8] = [
 /// The class storing a zigzag delta that needs `n` bytes, by `n`.
 const CLASS_OF_BYTES: [u8; 9] = [0, 1, 2, 3, 4, 6, 6, 7, 7];
 
+/// A template's deps prediction. At instruction index `i` it is, for each
+/// dep, `k + (i & grow)` mod 2^16: `grow` is 0 for a fixed pair, and all
+/// ones for a dep that names a fixed producer (`k` is then the distance
+/// minus the index). The encoder and each decoding cursor keep every
+/// template's prediction alike, starting from its own deps; only a rule
+/// byte changes it. Working mod 2^16 keeps every prediction a `u16`: a
+/// producer more than `u16::MAX` back (where `encode_deps` drops the edge)
+/// wraps, but the encoder takes a prediction only when it equals the
+/// instruction's pair, so that costs bytes, never exactness.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Prediction {
+    k: [u16; 2],
+    grow: [u16; 2],
+}
+
+impl Prediction {
+    /// The fixed pair `deps`.
+    fn fixed(deps: [u16; 2]) -> Self {
+        Prediction {
+            k: deps,
+            grow: [0; 2],
+        }
+    }
+
+    /// The deps predicted at instruction index `i` (mod 2^16).
+    #[inline(always)]
+    fn at(&self, i: u16) -> [u16; 2] {
+        [
+            self.k[0].wrapping_add(i & self.grow[0]),
+            self.k[1].wrapping_add(i & self.grow[1]),
+        ]
+    }
+
+    /// The prediction naming the producers of `deps` at index `j`: each at
+    /// `j - dep` (none when 0).
+    #[inline(always)]
+    fn producers(deps: [u16; 2], j: u16) -> Self {
+        let grow = deps.map(|d| if d == 0 { 0 } else { u16::MAX });
+        Prediction {
+            k: [0, 1].map(|d| deps[d].wrapping_sub(j) & grow[d]),
+            grow,
+        }
+    }
+
+    /// The prediction the rule byte `byte` at index `i` replaces this one
+    /// with, given the template's own deps `own` and the explicit `pair`.
+    /// Out of line, so the decoding loop keeps its state in registers.
+    #[cold]
+    #[inline(never)]
+    fn rule(&self, byte: u8, i: u16, own: [u16; 2], pair: [u16; 2]) -> Prediction {
+        match byte & RULE_MASK {
+            OWN => Prediction::fixed(own),
+            SAME => {
+                // The last instance, at index `j`.
+                let j = i.wrapping_sub((byte >> GAP_SHIFT) as u16);
+                Prediction::producers(self.at(j), j)
+            }
+            EXPLICIT => Prediction::fixed(pair),
+            _ => Prediction::producers(own, i),
+        }
+    }
+}
+
 /// Both deps in one word, as a record stores them: dep1 low, dep2 high.
-fn deps_word(insn: &Insn) -> u32 {
-    insn.dep1 as u32 | (insn.dep2 as u32) << 16
+fn deps_word(deps: [u16; 2]) -> u32 {
+    deps[0] as u32 | (deps[1] as u32) << 16
+}
+
+/// The deps of a [`deps_word`].
+fn split(word: u32) -> [u16; 2] {
+    [word as u16, (word >> 16) as u16]
 }
 
 /// One dictionary entry.
 #[derive(Debug, Clone, Copy)]
 struct Template {
-    /// A site's fields and the deps of its first instruction, with the
-    /// address left 0.
+    /// A site's fields with the address left 0, and as its deps those of
+    /// the instruction that minted the template. In a decoding cursor's
+    /// copy, the deps and `grow` are the template's current [`Prediction`]
+    /// instead.
     insn: Insn,
     /// The delta slot of a memory operation: the slot whose last address
     /// equalled the site's first address, if one did (a store back to the
     /// address just loaded shares the load's slot and takes a zero delta),
     /// else `id % SLOTS`.
     slot: u8,
+    /// 0 in the stream's dictionary.
+    grow: [u16; 2],
 }
 
 /// The address state the encoder and the decoder keep alike, all 0
@@ -202,8 +306,10 @@ impl InsnStream {
         Iter {
             bytes: &self.bytes,
             dict: &self.dict,
+            work: self.dict.clone(),
             pos: 0,
             deltas: Deltas::default(),
+            count: self.len,
             remaining: self.len,
         }
     }
@@ -230,10 +336,15 @@ impl FromIterator<Insn> for InsnStream {
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
     bytes: &'a [u8],
+    /// The stream's dictionary, for each template's own deps.
     dict: &'a [Template],
+    /// A copy of it holding each template's current deps prediction.
+    work: Box<[Template]>,
     /// Offset of the next record.
     pos: usize,
     deltas: Deltas,
+    /// Instructions in the stream.
+    count: usize,
     remaining: usize,
 }
 
@@ -255,12 +366,29 @@ impl Iter<'_> {
             id = u32_at(1);
             n = 5;
         }
-        let Template { mut insn, slot } = self.dict[id as usize];
-        if h & DEPS_BIT != 0 {
-            let deps = u32_at(n);
-            insn.dep1 = deps as u16;
-            insn.dep2 = (deps >> 16) as u16;
-            n += 4;
+        let t = &mut self.work[id as usize];
+        if h & RULE_BIT != 0 {
+            let (byte, pair) = (rec[n], split(u32_at(n + 1)));
+            let i = (self.count - self.remaining - 1) as u16;
+            let own = &self.dict[id as usize].insn;
+            let pred = Prediction {
+                k: [t.insn.dep1, t.insn.dep2],
+                grow: t.grow,
+            };
+            let pred = pred.rule(byte, i, [own.dep1, own.dep2], pair);
+            [t.insn.dep1, t.insn.dep2] = pred.k;
+            t.grow = pred.grow;
+            n += if byte & RULE_MASK == EXPLICIT { 5 } else { 1 };
+        }
+        let Template {
+            mut insn,
+            slot,
+            grow,
+        } = *t;
+        if grow != [0; 2] {
+            let i = (self.count - self.remaining - 1) as u16;
+            insn.dep1 = insn.dep1.wrapping_add(i & grow[0]);
+            insn.dep2 = insn.dep2.wrapping_add(i & grow[1]);
         }
         if let Op::Load { addr, .. } | Op::Store { addr, .. } | Op::Prefetch { addr } = &mut insn.op
         {
@@ -283,7 +411,8 @@ impl Iter<'_> {
 impl Iterator for Iter<'_> {
     type Item = Insn;
 
-    #[inline]
+    /// Forced inline: the decoding loop is its caller's loop.
+    #[inline(always)]
     fn next(&mut self) -> Option<Insn> {
         if self.remaining == 0 {
             return None;
@@ -322,13 +451,27 @@ fn site(op: &Op) -> (u64, Option<u64>) {
     }
 }
 
-/// One site cache entry: a site and its template's id, deps and delta
-/// slot. Site 0 marks an empty entry.
+/// The second id of a site without a second template.
+const NO_TWIN: u32 = u32::MAX;
+
+/// A template's deps prediction, as the encoder keeps it, with the indices
+/// (mod 2^16) of its last instance and of its last `ANCHOR` record.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tracked {
+    pred: Prediction,
+    last: u16,
+    anchor: u16,
+}
+
+/// One site cache entry: a site, its templates' ids (the second `NO_TWIN`
+/// until the site has one) and predictions, and its delta slot. Site 0
+/// marks an empty entry. While a site is cached its entry holds its
+/// templates' predictions, and `StreamBuilder::work` holds them otherwise.
 #[derive(Debug, Clone, Copy, Default)]
 struct CachedSite {
     site: u64,
-    id: u32,
-    deps: u32,
+    ids: [u32; 2],
+    tracked: [Tracked; 2],
     slot: u8,
 }
 
@@ -350,12 +493,15 @@ pub struct StreamBuilder {
     bytes: Vec<u8>,
     len: usize,
     dict: Vec<Template>,
-    /// Template id of every site seen, for appends the site cache misses.
-    ids: HashMap<u64, u32, FxBuildHasher>,
+    /// Template ids of every site seen (the second `NO_TWIN` until the
+    /// site has one), for appends the site cache misses.
+    ids: HashMap<u64, [u32; 2], FxBuildHasher>,
     /// Direct-mapped (see `append`): the last site seen at each entry, so
     /// the common append finds its template without `ids`.
     cache: [CachedSite; SITE_CACHE],
     deltas: Deltas,
+    /// Each template's prediction while its site is not cached.
+    work: Vec<Tracked>,
 }
 
 impl Default for StreamBuilder {
@@ -374,6 +520,7 @@ impl StreamBuilder {
             ids: HashMap::default(),
             cache: [CachedSite::default(); SITE_CACHE],
             deltas: Deltas::default(),
+            work: Vec::new(),
         }
     }
 
@@ -409,37 +556,120 @@ impl StreamBuilder {
         (out[0], out[1])
     }
 
-    /// The template of `insn`'s site, found in or added to the dictionary;
-    /// refills the site cache entry `entry`.
-    #[cold]
-    fn template(&mut self, site: u64, insn: Insn, entry: usize) -> CachedSite {
-        let (dict, last_addr) = (&mut self.dict, &self.deltas.addr);
-        let id = *self.ids.entry(site).or_insert_with(|| {
-            let id = dict.len();
-            let mut t = Template {
-                insn,
-                slot: (id % SLOTS) as u8,
-            };
-            if let Op::Load { addr, .. } | Op::Store { addr, .. } | Op::Prefetch { addr } =
-                &mut t.insn.op
-            {
-                if let Some(s) = last_addr.iter().position(|&a| a == *addr) {
-                    t.slot = s as u8;
-                }
-                *addr = 0;
-            }
-            dict.push(t);
-            u32::try_from(id).expect("template ids fit a u32")
+    /// Adds `insn` as the next template, its address left 0 and its delta
+    /// slot `slot`, and returns its id.
+    fn mint(&mut self, mut insn: Insn, slot: u8) -> u32 {
+        let id = u32::try_from(self.dict.len()).expect("template ids fit a u32");
+        if let Op::Load { addr, .. } | Op::Store { addr, .. } | Op::Prefetch { addr } = &mut insn.op
+        {
+            *addr = 0;
+        }
+        self.dict.push(Template {
+            insn,
+            slot,
+            grow: [0; 2],
         });
-        let t = self.dict[id as usize];
-        let cached = CachedSite {
-            site,
-            id,
-            deps: deps_word(&t.insn),
-            slot: t.slot,
+        self.work.push(Tracked {
+            pred: Prediction::fixed([insn.dep1, insn.dep2]),
+            ..Tracked::default()
+        });
+        id
+    }
+
+    /// Refills the site cache entry `entry` with `insn`'s site, its template
+    /// found in or added to the dictionary, first putting back the
+    /// predictions of the site it held.
+    #[cold]
+    fn template(&mut self, site: u64, insn: Insn, entry: usize) {
+        let old = self.cache[entry];
+        for (&id, &tracked) in old.ids.iter().zip(&old.tracked) {
+            if old.site != 0 && id != NO_TWIN {
+                self.work[id as usize] = tracked;
+            }
+        }
+        let ids = match self.ids.get(&site) {
+            Some(&ids) => ids,
+            None => {
+                let mut slot = (self.dict.len() % SLOTS) as u8;
+                if let (_, Some(addr)) = self::site(&insn.op) {
+                    if let Some(s) = self.deltas.addr.iter().position(|&a| a == addr) {
+                        slot = s as u8;
+                    }
+                }
+                let ids = [self.mint(insn, slot), NO_TWIN];
+                self.ids.insert(site, ids);
+                ids
+            }
         };
-        self.cache[entry] = cached;
-        cached
+        let tracked = |id: u32| self.work.get(id as usize).copied().unwrap_or_default();
+        self.cache[entry] = CachedSite {
+            site,
+            ids,
+            tracked: ids.map(tracked),
+            slot: self.dict[ids[0] as usize].slot,
+        };
+    }
+
+    /// The template and rule byte of `insn`, whose site is cached at
+    /// `entry`, when neither of its templates' predictions holds and
+    /// `append` did not re-anchor the first, in order of preference: a
+    /// second template minted with `insn`'s deps (for a site without an
+    /// address and without one yet), a rule byte replacing either
+    /// template's prediction, an explicit pair on the first. Applies the
+    /// rule byte and records the instance.
+    #[cold]
+    fn choose(&mut self, entry: usize, insn: Insn) -> (u32, Option<u8>) {
+        let (i, want) = (self.len as u16, [insn.dep1, insn.dep2]);
+        let t = &mut self.cache[entry];
+        if t.ids[1] == NO_TWIN && site(&insn.op).1.is_none() {
+            let id = u32::try_from(self.dict.len()).expect("template ids fit a u32");
+            t.ids[1] = id;
+            t.tracked[1] = Tracked {
+                pred: Prediction::fixed(want),
+                last: i,
+                anchor: 0,
+            };
+            self.ids.insert(t.site, t.ids);
+            self.mint(insn, (id as usize % SLOTS) as u8);
+            return (id, None);
+        }
+        for w in 0..2 {
+            let id = t.ids[w];
+            if id == NO_TWIN {
+                break;
+            }
+            let own = &self.dict[id as usize].insn;
+            let own = [own.dep1, own.dep2];
+            let tracked = &mut t.tracked[w];
+            if own == want {
+                // Predicting from producers, a loop is entered again: keep
+                // doing so from the new ones, unless the last entry's
+                // anchor was not followed by a hit.
+                let byte = if tracked.pred.grow != [0; 2] && tracked.last != tracked.anchor {
+                    tracked.anchor = i;
+                    ANCHOR
+                } else {
+                    OWN
+                };
+                tracked.pred = tracked.pred.rule(byte, i, own, want);
+                tracked.last = i;
+                return (id, Some(byte));
+            }
+            // `SAME`: the last instance's deps, each naming a producer that
+            // is now `gap` further back.
+            let gap = i.wrapping_sub(tracked.last);
+            let last = tracked.pred.at(tracked.last);
+            let same = last.map(|d| if d == 0 { 0 } else { d.wrapping_add(gap) });
+            if (1..=MAX_GAP).contains(&gap) && same == want {
+                let byte = SAME | (gap as u8) << GAP_SHIFT;
+                tracked.pred = tracked.pred.rule(byte, i, own, want);
+                tracked.last = i;
+                return (id, Some(byte));
+            }
+        }
+        t.tracked[0].pred = Prediction::fixed(want);
+        t.tracked[0].last = i;
+        (t.ids[0], Some(EXPLICIT))
     }
 
     /// Encodes `insn` as the next record. Forced inline: as a call of its
@@ -454,30 +684,63 @@ impl StreamBuilder {
         // compute latencies and branch directions that share a pc. The
         // bundled kernels' sites then never share an entry.
         let entry = ((site >> 30) + ((site ^ site >> 8) & 3)) as usize % SITE_CACHE;
-        let mut t = self.cache[entry];
-        if t.site != site {
-            t = self.template(site, insn, entry);
+        if self.cache[entry].site != site {
+            self.template(site, insn, entry);
         }
+        let (i, deps) = (self.len as u16, [insn.dep1, insn.dep2]);
+        let t = &mut self.cache[entry];
+        let slot = t.slot;
+        let first = &mut t.tracked[0];
+        // Most predictions are a fixed pair: compare it without the index.
+        let p = &first.pred;
+        let hit = if p.grow == [0; 2] {
+            p.k == deps
+        } else {
+            p.at(i) == deps
+        };
+        let (id, byte) = if hit {
+            first.last = i;
+            (t.ids[0], None)
+        } else if t.ids[1] != NO_TWIN && t.tracked[1].pred.at(i) == deps {
+            t.tracked[1].last = i;
+            (t.ids[1], None)
+        } else if t.tracked[0].pred.grow != [0; 2] && t.tracked[0].last != t.tracked[0].anchor && {
+            let own = &self.dict[t.ids[0] as usize].insn;
+            [own.dep1, own.dep2] == deps
+        } {
+            // A loop entered again: `choose`'s `ANCHOR`, without the call.
+            t.tracked[0] = Tracked {
+                pred: Prediction::producers(deps, i),
+                last: i,
+                anchor: i,
+            };
+            (t.ids[0], Some(ANCHOR))
+        } else {
+            self.choose(entry, insn)
+        };
         // Room for the longest record, written in place field by field;
         // the room left past the record is cut off at the end.
         let start = self.bytes.len();
         self.bytes.extend_from_slice(&[0; MAX_RECORD]);
         let rec: &mut [u8; MAX_RECORD] =
             (&mut self.bytes[start..]).try_into().expect("record room");
-        let mut h = (t.id.min(ID_ESCAPE) as u8) << ID_SHIFT;
+        let mut h = (id.min(ID_ESCAPE) as u8) << ID_SHIFT;
         let mut n = 1;
-        if t.id >= ID_ESCAPE {
-            rec[1..5].copy_from_slice(&t.id.to_le_bytes());
+        if id >= ID_ESCAPE {
+            rec[1..5].copy_from_slice(&id.to_le_bytes());
             n = 5;
         }
-        let deps = deps_word(&insn);
-        if deps != t.deps {
-            h |= DEPS_BIT;
-            rec[n..n + 4].copy_from_slice(&deps.to_le_bytes());
-            n += 4;
+        if let Some(byte) = byte {
+            h |= RULE_BIT;
+            rec[n] = byte;
+            if byte == EXPLICIT {
+                rec[n + 1..n + 5].copy_from_slice(&deps_word(deps).to_le_bytes());
+                n += 4;
+            }
+            n += 1;
         }
         if let Some(addr) = addr {
-            let (s, d) = (t.slot as usize % SLOTS, t.id as usize % SLOTS);
+            let (s, d) = (slot as usize % SLOTS, id as usize % SLOTS);
             let delta = addr.wrapping_sub(self.deltas.addr[s]);
             let class = if delta == self.deltas.last[d] {
                 REPEAT
@@ -600,6 +863,60 @@ mod tests {
     }
 
     #[test]
+    fn loop_deps_take_rule_bytes_only_at_loop_entry() {
+        // for v { lo = off[v]; hi = off[v + 1]; acc; 4 x ld(edg[w]) after
+        // lo }: each edge load depends on the load before its loop.
+        let mut b = StreamBuilder::new();
+        let mut w = 0;
+        for v in 0..100 {
+            let lo = b.load_at(1, 0x1000 + 4 * v, 4, &[]);
+            b.load_at(2, 0x1004 + 4 * v, 4, &[]);
+            b.compute(1, &[]);
+            for _ in 0..4 {
+                b.load_at(3, 0x8000 + 4 * w, 4, &[lo]);
+                w += 1;
+            }
+        }
+        let s = b.finish();
+        assert_eq!(s.dict.len(), 4);
+        // A header per instruction; the first two deltas of each load site
+        // (2 + 1, 2 + 1 and 3 + 1 bytes), then strides; and one rule byte
+        // per loop: the first vertex's second edge switches to naming its
+        // last instance's producer, and every later vertex's first edge
+        // anchors that at its own distance (3) from the new producer. No
+        // record stores deps.
+        assert_eq!(s.bytes.len() - PAD, 700 + 10 + (1 + 99));
+        let edges: Vec<u16> = s.iter().skip(3).take(4).map(|i| i.dep1).collect();
+        assert_eq!(edges, [3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn alternating_shapes_take_at_most_two_templates() {
+        // Three compute shapes cycle at one latency: the site gets a second
+        // template and no third, and the third shape's deps are explicit.
+        let mut b = StreamBuilder::new();
+        let mut want = Vec::new();
+        let ld = b.load_at(1, 0x1000, 8, &[]);
+        for k in 0..300 {
+            let deps: &[usize] = match k % 3 {
+                0 => &[ld],
+                1 => &[b.next_index() - 1, ld],
+                _ => &[],
+            };
+            let i = b.compute(4, deps);
+            let d = |j: usize| deps.get(j).map_or(0, |&p| (i - p) as u16);
+            want.push(Insn {
+                op: Op::Compute { latency: 4 },
+                dep1: d(0),
+                dep2: d(1),
+            });
+        }
+        let s = b.finish();
+        assert_eq!(s.dict.len(), 3, "the load's template and two compute");
+        assert_eq!(s.iter().skip(1).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
     fn stream_collects_from_iterator() {
         let s: InsnStream = (0..4)
             .map(|i| Insn {
@@ -663,7 +980,41 @@ mod tests {
         let s = b.finish();
         assert!(s.len() > 500_000);
         let bpi = bytes_per_insn(&s);
-        assert!(bpi <= 4.0, "pr gather: {bpi:.2} bytes per instruction");
+        assert!(bpi <= 2.1, "pr gather: {bpi:.2} bytes per instruction");
+    }
+
+    #[test]
+    fn spmv_row_stream_encodes_compactly() {
+        // HPCG spmv on a 27-point stencil: per row two offset loads and an
+        // accumulator, per nonzero a column and a value load off the row's
+        // offset load, the x gather, a multiply and the accumulate (two
+        // compute shapes at one latency); then the y store.
+        const SIDE: i64 = 40;
+        const ROWS: i64 = SIDE * SIDE * SIDE;
+        let (off, col, val) = (0x10_0000u64, 0x20_0000u64, 0x80_0000u64);
+        let (x, y) = (0x180_0000u64, 0x1a0_0000u64);
+        let mut b = StreamBuilder::new();
+        let mut k = 0;
+        for r in 0..20_000 {
+            let lo = b.load_at(20, off + 4 * r as u64, 4, &[]);
+            b.load_at(21, off + 4 * (r as u64 + 1), 4, &[]);
+            let mut acc = b.compute(1, &[]);
+            for nz in 0..27 {
+                let (dx, dy, dz) = (nz % 3 - 1, nz / 3 % 3 - 1, nz / 9 - 1);
+                let c = (r + dx + SIDE * dy + SIDE * SIDE * dz).rem_euclid(ROWS) as u64;
+                let ld_c = b.load_at(22, col + 4 * k, 4, &[lo]);
+                let ld_v = b.load_at(23, val + 8 * k, 8, &[lo]);
+                let ld_x = b.load_at(24, x + 8 * c, 8, &[ld_c]);
+                let mul = b.compute(4, &[ld_v, ld_x]);
+                acc = b.compute(4, &[mul, acc]);
+                k += 1;
+            }
+            b.store_at(25, y + 8 * r as u64, 8, &[acc]);
+        }
+        let s = b.finish();
+        assert!(s.len() > 2_000_000);
+        let bpi = bytes_per_insn(&s);
+        assert!(bpi <= 1.33, "spmv rows: {bpi:.2} bytes per instruction");
     }
 
     #[test]
