@@ -115,6 +115,20 @@ canon "$tmp/d2.json" "$tmp/d2c.json"
 ./target/release/prodigy-diff "$tmp/d1.json" "$tmp/d2.json"
 cmp "$tmp/d1c.json" "$tmp/d2c.json"
 echo "   same-seed canonical forms byte-identical: OK"
+# Gated: each prefetch fate is credited to one source, the one stored with
+# the cache copy the fate names, so in every cell each attribution
+# category sums to the global Fig. 19 count and the issued column to the
+# issue count.
+python3 - "$tmp/d1.json" <<'PY'
+import json, sys
+cells = json.load(open(sys.argv[1]))["cells"]
+for c in cells:
+    t = c["telemetry"]
+    want = dict(t["timeliness"], issued=c["summary"]["stats"]["prefetches_issued"])
+    got = {k: sum(row[k] for row in t["attribution"]) for k in want}
+    assert got == want, f"{c['key']}: attribution rows sum to {got}, want {want}"
+print(f"   {len(cells)} cells: attribution rows sum to the global fates and issues: OK")
+PY
 # Gated: the live run reproduces the checked-in baseline exactly.
 if ! cmp BENCH_pr8_scale1.json "$tmp/d1c.json"; then
     ./target/release/prodigy-diff BENCH_pr8_scale1.json "$tmp/d1.json" || true

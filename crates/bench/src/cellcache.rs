@@ -226,7 +226,6 @@ mod tests {
             tlb_misses: count(rng),
             prefetches_issued: count(rng),
             prefetches_redundant: count(rng),
-            prefetches_throttled: count(rng),
             llc_misses_prefetchable: count(rng),
             llc_misses_other: count(rng),
             ..Default::default()

@@ -328,7 +328,7 @@ impl ProdigyPrefetcher {
             return;
         }
         if self.edges.is_leaf(node.id) {
-            ctx.prefetch_tagged(first, tag);
+            ctx.prefetch(first, tag);
             return;
         }
         let line = line_of(first);
@@ -346,7 +346,7 @@ impl ProdigyPrefetcher {
         if !any {
             return; // structural drop of the whole line (continuation lost)
         }
-        let issued = ctx.prefetch_tagged(first, tag);
+        let issued = ctx.prefetch(first, tag);
         if issued || had_entry {
             return; // a fill will (eventually) advance the chain
         }
@@ -403,7 +403,7 @@ impl ProdigyPrefetcher {
                 let e0 = first_elem.max(line);
                 let e1 = last_elem.min(line + LINE_BYTES - 1);
                 self.stats.range_elements_tracked += (e1 - e0) / sz + 1;
-                ctx.prefetch_tagged(line, tag);
+                ctx.prefetch(line, tag);
                 line += LINE_BYTES;
                 n += 1;
             }

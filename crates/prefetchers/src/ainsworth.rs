@@ -71,7 +71,7 @@ impl AinsworthJonesPrefetcher {
             Action::OffsetPair(_) => 1,
             Action::EdgeElem(_) => 2,
         };
-        let issued = ctx.prefetch_tagged(addr, tag);
+        let issued = ctx.prefetch(addr, tag);
         if !issued && ctx.l1_contains(addr) && !self.pending.contains_key(&line) {
             // Data already on chip: advance the chain directly.
             self.advance(ctx, action);
@@ -97,7 +97,7 @@ impl AinsworthJonesPrefetcher {
                         // The pair may straddle a line boundary.
                         let second = pair + off.elem_size as u64;
                         if line_of(second) != line_of(pair) {
-                            ctx.prefetch_tagged(second, 1);
+                            ctx.prefetch(second, 1);
                         }
                     }
                 } else {
@@ -105,7 +105,7 @@ impl AinsworthJonesPrefetcher {
                     for p in self.hint.properties.clone() {
                         let t = p.elem_addr(v);
                         if p.contains(t) {
-                            ctx.prefetch_tagged(t, 3);
+                            ctx.prefetch(t, 3);
                         }
                     }
                 }
@@ -155,7 +155,7 @@ impl AinsworthJonesPrefetcher {
                 for p in self.hint.properties.clone() {
                     let t = p.elem_addr(v);
                     if p.contains(t) {
-                        ctx.prefetch_tagged(t, 3);
+                        ctx.prefetch(t, 3);
                     }
                 }
             }

@@ -53,7 +53,7 @@ impl DropletPrefetcher {
                 let t = p.elem_addr(v);
                 if p.contains(t) {
                     // Tag 0 = edge stream; 1+i = i-th property array (MPP).
-                    ctx.prefetch_llc_tagged(t, 1 + pi as u16);
+                    ctx.prefetch_llc(t, 1 + pi as u16);
                 }
             }
             ea += sz;
@@ -80,7 +80,7 @@ impl Prefetcher for DropletPrefetcher {
         for d in 1..=self.stream_degree {
             let next = line_of(a.vaddr) + d * LINE_BYTES;
             if edges.contains(next) {
-                ctx.prefetch_llc_tagged(next, 0);
+                ctx.prefetch_llc(next, 0);
             }
         }
         // The demand edge line itself wakes the memory-side property

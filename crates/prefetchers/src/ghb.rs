@@ -141,7 +141,7 @@ impl Prefetcher for GhbGdcPrefetcher {
         self.train(a.vaddr, |o| match o {
             Output::CorrelationHit => ctx.trace_note("ghb-correlation-hit", a.vaddr),
             Output::Prefetch { addr, depth } => {
-                ctx.prefetch_tagged(addr, depth);
+                ctx.prefetch(addr, depth);
             }
         });
     }

@@ -175,7 +175,7 @@ impl Prefetcher for ImpPrefetcher {
             if ahead > 0 {
                 let ahead = ahead as u64;
                 // Tag 0 = index-stream prefetch, 1 = learned indirection.
-                ctx.prefetch_tagged(ahead, 0);
+                ctx.prefetch(ahead, 0);
                 if self.learned.contains_key(&a.pc) {
                     let entry = self.pending.entry(line_of(ahead)).or_default();
                     if entry.len() < 16 {
@@ -192,7 +192,7 @@ impl Prefetcher for ImpPrefetcher {
                         if let Some(l) = self.learned.get(&a.pc) {
                             let v = ctx.read_uint(ahead, a.size.min(8));
                             if let Some(t) = indirect_target(l.base, v, l.shift) {
-                                ctx.prefetch_tagged(t, 1);
+                                ctx.prefetch(t, 1);
                             }
                         }
                     }
@@ -213,7 +213,7 @@ impl Prefetcher for ImpPrefetcher {
             if let Some(l) = self.learned.get(&pc) {
                 let v = ctx.read_uint(elem_addr, size.min(8));
                 if let Some(t) = indirect_target(l.base, v, l.shift) {
-                    ctx.prefetch_tagged(t, 1);
+                    ctx.prefetch(t, 1);
                 }
             }
         }

@@ -73,7 +73,7 @@ impl Prefetcher for StreamPrefetcher {
             if s.confidence >= 2 {
                 for d in 1..=self.degree {
                     // Attribute to the stream slot for a per-stream breakdown.
-                    ctx.prefetch_tagged(line + d * LINE_BYTES, slot as u16);
+                    ctx.prefetch(line + d * LINE_BYTES, slot as u16);
                 }
             }
             return;

@@ -89,7 +89,7 @@ impl Prefetcher for StridePrefetcher {
                 if target > 0 {
                     // Attribute the prefetch to its reference-prediction-table
                     // row, giving a per-entry timeliness breakdown.
-                    ctx.prefetch_tagged(target as u64, idx as u16);
+                    ctx.prefetch(target as u64, idx as u16);
                 }
             }
         }

@@ -194,7 +194,7 @@ impl CoreTiming {
                 // Non-binding: the fill proceeds in the background, the
                 // instruction itself retires immediately. No hardware
                 // prefetcher is notified — software owns the chain.
-                mem.prefetch(core, addr, issue, stats);
+                mem.prefetch(core, addr, issue, stats, None);
                 (issue + 1, StallCause::Other)
             }
             Op::Branch { pc, taken } => {

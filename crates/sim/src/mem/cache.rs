@@ -51,8 +51,9 @@ pub struct Line {
     pub dir: Directory,
 }
 
-/// What `insert` pushed out of the set, if anything.
-#[derive(Debug, Clone)]
+/// A line that left the cache: what `insert` pushed out of the set, or
+/// what `invalidate` removed.
+#[derive(Debug, Clone, Copy)]
 pub struct Evicted {
     /// Address of the evicted line.
     pub addr: u64,
@@ -62,6 +63,21 @@ pub struct Evicted {
     pub prefetched_unused: bool,
     /// Its directory record (meaningful for L3 back-invalidation).
     pub dir: Directory,
+    /// The prefetch source that installed it (`None`: a demand fill or an
+    /// untagged prefetch).
+    pub src: Option<SourceTag>,
+}
+
+impl Evicted {
+    fn of(l: &Line, src: Option<SourceTag>) -> Evicted {
+        Evicted {
+            addr: l.addr,
+            dirty: l.dirty,
+            prefetched_unused: l.prefetched,
+            dir: l.dir,
+            src,
+        }
+    }
 }
 
 /// A single set-associative cache array (flat struct-of-arrays storage).
@@ -79,7 +95,10 @@ pub struct Cache {
     /// prefetch source that installed the line, `None` for a demand fill
     /// or an untagged prefetch. Sidecar rather than a [`Line`] field so
     /// the hot-path line copies stay the same size as before the
-    /// provenance layer existed; the demand hot path never reads it.
+    /// provenance layer existed. It is the only record of a prefetch's
+    /// source: the hierarchy reads it to credit a fate, at a prefetched
+    /// line's first use and when one leaves unused, and a plain demand hit
+    /// never reads it.
     src: Box<[Option<SourceTag>]>,
     /// Occupied ways per set.
     len: Box<[u8]>,
@@ -159,6 +178,12 @@ impl Cache {
     }
 
     /// Direct slot access (see [`Cache::find_slot`] for validity rules).
+    #[inline]
+    pub(crate) fn slot(&self, slot: usize) -> &Line {
+        &self.lines[slot]
+    }
+
+    /// Mutable [`Cache::slot`].
     #[inline]
     pub(crate) fn slot_mut(&mut self, slot: usize) -> &mut Line {
         &mut self.lines[slot]
@@ -251,7 +276,7 @@ impl Cache {
         self.tags[victim_i] = new.addr;
         self.last[victim_i] = self.clock;
         let victim = std::mem::replace(&mut self.lines[victim_i], new);
-        self.src[victim_i] = src;
+        let victim_src = std::mem::replace(&mut self.src[victim_i], src);
         // Pollution candidate: a prefetch displacing a line the program
         // actually used (`!prefetched` covers both demand installs and
         // prefetches later demanded, since the first demand hit clears
@@ -259,31 +284,26 @@ impl Cache {
         if new.prefetched && !victim.prefetched {
             self.record_victim(idx, victim.addr, src);
         }
-        Some(Evicted {
-            addr: victim.addr,
-            dirty: victim.dirty,
-            prefetched_unused: victim.prefetched,
-            dir: victim.dir,
-        })
+        Some(Evicted::of(&victim, victim_src))
     }
 
-    /// Removes a line (back-invalidation); returns it if present.
-    /// Compacts by moving the set's last slot into the hole, exactly as
-    /// `Vec::swap_remove` did.
-    pub fn invalidate(&mut self, addr: u64) -> Option<Line> {
+    /// Removes a line (back-invalidation) and reports it as [`Cache::insert`]
+    /// reports a victim. Compacts by moving the set's last slot into the
+    /// hole, exactly as `Vec::swap_remove` did.
+    pub fn invalidate(&mut self, addr: u64) -> Option<Evicted> {
         let line = line_of(addr);
         let idx = self.set_index(line);
         let pos = self.find(idx, line)?;
         let base = idx * self.ways;
         let last = base + self.len[idx] as usize - 1;
-        let victim = self.lines[pos];
+        let gone = Evicted::of(&self.lines[pos], self.src[pos]);
         self.tags[pos] = self.tags[last];
         self.lines[pos] = self.lines[last];
         self.last[pos] = self.last[last];
         self.src[pos] = self.src[last];
         self.tags[last] = u64::MAX;
         self.len[idx] -= 1;
-        Some(victim)
+        Some(gone)
     }
 
     /// Clears any shadow victim entry for `line` in set `idx`.
@@ -449,10 +469,19 @@ mod tests {
         let ev = c.insert(line(0x100), None).expect("set overflow evicts");
         assert_eq!(ev.addr, 0x000);
         assert!(ev.prefetched_unused);
+        assert_eq!(ev.src, Some(3), "the victim carries its installer");
         // The next victim, 0x080, was demand-installed.
         let ev = c.insert(line(0x180), None).expect("set overflow evicts");
         assert_eq!(ev.addr, 0x080);
         assert!(!ev.prefetched_unused);
+        assert_eq!(ev.src, None);
+        // Invalidation reports the line it removes the same way.
+        c.insert(pf_line(0x040), Some(4));
+        let ev = c.invalidate(0x040).expect("resident");
+        assert_eq!(
+            (ev.addr, ev.prefetched_unused, ev.src),
+            (0x040, true, Some(4))
+        );
     }
 
     #[test]

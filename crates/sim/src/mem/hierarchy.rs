@@ -10,7 +10,7 @@
 use super::address_space::{Tier, TierMap};
 use super::cache::{Cache, Evicted, Line};
 use super::coherence::{Directory, Mesi};
-use super::dram::{Dram, DramAccess};
+use super::dram::Dram;
 use super::tlb::Tlb;
 use crate::config::SystemConfig;
 use crate::stats::Stats;
@@ -151,38 +151,63 @@ impl MemorySystem {
         }
     }
 
-    /// Routes a line read to the owning tier's controller.
-    #[inline]
-    fn mem_read(&mut self, line: u64, at: u64) -> (DramAccess, Tier) {
-        match self.tier_of(line) {
-            Tier::Far => {
-                let far = self
-                    .far
-                    .as_mut()
-                    .expect("far tier routed implies far configured");
-                (far.read(line, at), Tier::Far)
-            }
-            Tier::Near => (self.dram.read(line, at), Tier::Near),
-        }
-    }
-
-    /// Records one tier-routed read into the per-tier telemetry (no-op on
-    /// single-tier machines, where the split is never materialised).
-    #[inline]
-    fn note_tier_read(&mut self, tier: Tier, queue_wait: u64, demand: bool) {
+    /// Reads `line` from its tier's controller at cycle `at` and books the
+    /// read: stats, the queue-wait histogram, the per-tier split (tiered
+    /// machines only), the trace's backlog sample and the metrics
+    /// registry's MLP and backlog gauges (backlog in pending line transfers:
+    /// queueing delay over the tier's per-line transfer time). Returns the
+    /// read's latency and tier.
+    fn read_memory(
+        &mut self,
+        core: usize,
+        line: u64,
+        at: u64,
+        demand: bool,
+        stats: &mut Stats,
+    ) -> (u64, Tier) {
+        let tier = self.tier_of(line);
+        // Far-tier channels are numbered after the DRAM channels in trace
+        // samples, so single-tier traces are unchanged.
+        let (ctl, first_channel, per_xfer) = match (tier, &mut self.far, &self.cfg.far) {
+            (Tier::Far, Some(far), Some(f)) => (far, self.cfg.dram.channels, f.cycles_per_transfer),
+            _ => (&mut self.dram, 0, self.cfg.dram.cycles_per_transfer),
+        };
+        let dr = ctl.read(line, at);
+        let backlog = self.tel.is_tracing().then(|| ctl.queue_backlog(line, at));
+        stats.dram_reads += 1;
+        stats.dram_queue_cycles += dr.queue_wait;
+        self.tel
+            .counters_mut()
+            .dram_queue_wait
+            .record(dr.queue_wait);
         if self.far.is_some() {
             let split = self.tel.counters_mut().tiers_mut();
             let t = match tier {
                 Tier::Near => &mut split.near,
                 Tier::Far => &mut split.far,
             };
-            t.queue_wait.record(queue_wait);
+            t.queue_wait.record(dr.queue_wait);
             if demand {
                 t.demand_reads += 1;
             } else {
                 t.prefetch_reads += 1;
             }
         }
+        if let Some((channel, backlog)) = backlog {
+            self.tel.emit(|| TraceEvent {
+                cycle: at,
+                dur: 0,
+                core: core as u32,
+                kind: TraceEventKind::DramQueueSample {
+                    channel: channel + first_channel,
+                    backlog,
+                },
+            });
+        }
+        if let Some(m) = self.tel.metrics_mut() {
+            m.observe_dram(dr.latency, dr.queue_wait / per_xfer.max(1));
+        }
+        (dr.latency, tier)
     }
 
     /// The telemetry hub: always-on counters plus the optional event buffer.
@@ -243,65 +268,69 @@ impl MemorySystem {
         }
     }
 
-    /// Emits the issue→fill span of an accepted prefetch (id assignment is
-    /// skipped entirely when no trace is started).
-    fn trace_prefetch_issued(
+    /// The first demand of a prefetched copy, found at `level` in `slot`:
+    /// counts the use at that level, clears the line's prefetched flag at
+    /// every level `core` could see it, and classifies the use timely or
+    /// late, credited to the source stored with the copy that was hit.
+    fn first_use(
+        &mut self,
+        core: usize,
+        line: u64,
+        level: ServedBy,
+        slot: usize,
+        arrival: u64,
+        stats: &mut Stats,
+    ) {
+        let cache = match level {
+            ServedBy::L1 => {
+                stats.prefetch_use.hit_l1 += 1;
+                &self.l1d[core]
+            }
+            ServedBy::L2 => {
+                stats.prefetch_use.hit_l2 += 1;
+                &self.l2[core]
+            }
+            _ => {
+                stats.prefetch_use.hit_l3 += 1;
+                &self.l3[self.slice_of(line)]
+            }
+        };
+        let src = cache.source(slot);
+        let l = cache.slot(slot);
+        let (fill_src, ready_at) = (l.fill_src, l.ready_at);
+        self.clear_prefetch_flag(core, line);
+        self.tel
+            .prefetch_used(core, arrival, line, fill_src, ready_at, src);
+    }
+
+    /// Books an accepted prefetch: the issue count, its source's `issued`
+    /// credit and the issue→fill trace span.
+    fn accepted(
         &mut self,
         core: usize,
         now: u64,
-        ready: u64,
+        issued: PrefetchIssued,
+        tag: Option<SourceTag>,
+        stats: &mut Stats,
+    ) -> Option<PrefetchIssued> {
+        stats.prefetches_issued += 1;
+        self.tel.prefetch_issued(core, now, issued, tag);
+        Some(issued)
+    }
+
+    /// Books a prefetch dropped before issue because its line is already
+    /// in the target cache (resident or in flight).
+    fn dropped(
+        &mut self,
+        core: usize,
+        now: u64,
         line: u64,
-        src: ServedBy,
-    ) {
-        if self.tel.is_tracing() {
-            let id = self.tel.next_prefetch_id();
-            self.tel.emit(|| TraceEvent {
-                cycle: now,
-                dur: ready - now,
-                core: core as u32,
-                kind: TraceEventKind::PrefetchIssued {
-                    id,
-                    line,
-                    served: src,
-                },
-            });
-        }
-    }
-
-    /// Samples the owning controller's backlog for `line` at `at` (right
-    /// after a read was enqueued) into the trace. Far-tier channels reuse
-    /// the same event shape with their index offset by the DRAM channel
-    /// count, so single-tier traces are byte-identical.
-    fn sample_dram_queue(&mut self, core: usize, line: u64, at: u64, tier: Tier) {
-        if self.tel.is_tracing() {
-            let (channel, backlog) = match (tier, &self.far) {
-                (Tier::Far, Some(far)) => {
-                    let (ch, backlog) = far.queue_backlog(line, at);
-                    (ch + self.cfg.dram.channels, backlog)
-                }
-                _ => self.dram.queue_backlog(line, at),
-            };
-            self.tel.emit(|| TraceEvent {
-                cycle: at,
-                dur: 0,
-                core: core as u32,
-                kind: TraceEventKind::DramQueueSample { channel, backlog },
-            });
-        }
-    }
-
-    /// Feeds the windowed metrics registry (when installed) with one memory
-    /// read: total service latency for the MLP accumulator, and controller
-    /// backlog depth in pending line transfers (queueing delay over the
-    /// owning tier's per-line transfer time).
-    fn observe_dram_metrics(&mut self, latency: u64, queue_wait: u64, tier: Tier) {
-        let per_xfer = match (tier, &self.cfg.far) {
-            (Tier::Far, Some(f)) => f.cycles_per_transfer.max(1),
-            _ => self.cfg.dram.cycles_per_transfer.max(1),
-        };
-        if let Some(m) = self.tel.metrics_mut() {
-            m.observe_dram(latency, queue_wait / per_xfer);
-        }
+        tag: Option<SourceTag>,
+        stats: &mut Stats,
+    ) -> Option<PrefetchIssued> {
+        stats.prefetches_redundant += 1;
+        self.tel.prefetch_dropped(core, now, line, tag);
+        None
     }
 
     /// Clears the prefetched flag of `line` at every level it could carry it
@@ -391,18 +420,21 @@ impl MemorySystem {
 
     /// Handles an L3 eviction: back-invalidate every sharer's private caches
     /// (inclusion), write dirty data to DRAM, and close out the prefetch
-    /// usefulness record (Fig. 15 "evicted before demanded").
+    /// usefulness record (Fig. 15 "evicted before demanded"). The unused
+    /// verdict credits the LLC copy's source when that copy is a prefetch,
+    /// else the first still-prefetched private copy's (sharers in core
+    /// order, L1 before L2): one credit per verdict.
     fn on_l3_evict(&mut self, ev: Evicted, now: u64, stats: &mut Stats) {
         let mut dirty = ev.dirty;
-        let mut prefetched_unused = ev.prefetched_unused;
+        let mut unused = ev.prefetched_unused.then_some(ev.src);
         for sharer in ev.dir.sharer_iter() {
-            if let Some(l) = self.l1d[sharer].invalidate(ev.addr) {
-                dirty |= l.dirty;
-                prefetched_unused |= l.prefetched;
-            }
-            if let Some(l) = self.l2[sharer].invalidate(ev.addr) {
-                dirty |= l.dirty;
-                prefetched_unused |= l.prefetched;
+            let l1 = self.l1d[sharer].invalidate(ev.addr);
+            let l2 = self.l2[sharer].invalidate(ev.addr);
+            for copy in [l1, l2].into_iter().flatten() {
+                dirty |= copy.dirty;
+                if copy.prefetched_unused && unused.is_none() {
+                    unused = Some(copy.src);
+                }
             }
         }
         if dirty {
@@ -427,9 +459,9 @@ impl MemorySystem {
                 }
             }
         }
-        if prefetched_unused {
+        if let Some(src) = unused {
             stats.prefetch_use.evicted_unused += 1;
-            self.tel.prefetch_evicted_unused(now, ev.addr);
+            self.tel.prefetch_evicted_unused(now, ev.addr, src);
         }
     }
 
@@ -492,13 +524,13 @@ impl MemorySystem {
         let mut lat = self.tlb_latency(core, vaddr, now, stats);
 
         // ---- L1 ----
-        if let Some(l) = self.l1d[core].lookup(vaddr) {
+        if let Some(slot) = self.l1d[core].lookup_slot(vaddr) {
             let arrival = now + lat;
+            let l = self.l1d[core].slot_mut(slot);
             let residual = Self::residual_wait(l.ready_at, arrival);
             let was_pf = l.prefetched;
             let fill_src = l.fill_src;
             let state = l.state;
-            let ready_at = l.ready_at;
             l.prefetched = false;
             if write {
                 l.dirty = true;
@@ -506,16 +538,7 @@ impl MemorySystem {
             }
             stats.l1d.hits += 1;
             if was_pf {
-                stats.prefetch_use.hit_l1 += 1;
-                self.clear_prefetch_flag(core, line);
-                self.tel.prefetch_used(
-                    core,
-                    arrival,
-                    line,
-                    fill_src,
-                    residual,
-                    arrival.saturating_sub(ready_at),
-                );
+                self.first_use(core, line, ServedBy::L1, slot, arrival, stats);
             }
             let mut extra = 0;
             if write && !state.can_write_silently() {
@@ -554,26 +577,17 @@ impl MemorySystem {
         }
 
         // ---- L2 ----
-        if let Some(l) = self.l2[core].lookup(vaddr) {
+        if let Some(slot) = self.l2[core].lookup_slot(vaddr) {
             let arrival = now + lat;
+            let l = self.l2[core].slot_mut(slot);
             let residual = Self::residual_wait(l.ready_at, arrival);
             let was_pf = l.prefetched;
             let fill_src = l.fill_src;
             let state = l.state;
-            let ready_at = l.ready_at;
             l.prefetched = false;
             stats.l2.hits += 1;
             if was_pf {
-                stats.prefetch_use.hit_l2 += 1;
-                self.clear_prefetch_flag(core, line);
-                self.tel.prefetch_used(
-                    core,
-                    arrival,
-                    line,
-                    fill_src,
-                    residual,
-                    arrival.saturating_sub(ready_at),
-                );
+                self.first_use(core, line, ServedBy::L2, slot, arrival, stats);
             }
             let mut extra = 0;
             if write && !state.can_write_silently() {
@@ -607,25 +621,16 @@ impl MemorySystem {
             // update below re-uses the slot instead of a second tag walk
             // (the intervening RFO only invalidates private caches, never
             // this L3 slice's slots).
-            let (residual, was_pf, fill_src, dir, ready_at) = {
+            let (residual, was_pf, fill_src, dir) = {
                 let l = self.l3[slice].slot_mut(slot);
                 let residual = Self::residual_wait(l.ready_at, l3_arrival);
-                let info = (residual, l.prefetched, l.fill_src, l.dir, l.ready_at);
+                let info = (residual, l.prefetched, l.fill_src, l.dir);
                 l.prefetched = false;
                 info
             };
             stats.l3.hits += 1;
             if was_pf {
-                stats.prefetch_use.hit_l3 += 1;
-                self.clear_prefetch_flag(core, line);
-                self.tel.prefetch_used(
-                    core,
-                    l3_arrival,
-                    line,
-                    fill_src,
-                    residual,
-                    l3_arrival.saturating_sub(ready_at),
-                );
+                self.first_use(core, line, ServedBy::L3, slot, l3_arrival, stats);
             }
             // Coherence: a remote Modified owner must supply the data.
             let mut extra = 0;
@@ -684,18 +689,8 @@ impl MemorySystem {
         }
 
         // ---- memory (DRAM or far tier) ----
-        let at = now + lat;
-        let (dr, tier) = self.mem_read(line, at);
-        stats.dram_reads += 1;
-        stats.dram_queue_cycles += dr.queue_wait;
-        self.tel
-            .counters_mut()
-            .dram_queue_wait
-            .record(dr.queue_wait);
-        self.note_tier_read(tier, dr.queue_wait, true);
-        self.sample_dram_queue(core, line, at, tier);
-        self.observe_dram_metrics(dr.latency, dr.queue_wait, tier);
-        lat += dr.latency;
+        let (latency, tier) = self.read_memory(core, line, now + lat, true, stats);
+        lat += latency;
         if self.far.is_some() {
             let split = self.tel.counters_mut().tiers_mut();
             match tier {
@@ -737,6 +732,11 @@ impl MemorySystem {
 
     /// Issues a non-binding prefetch of the line containing `vaddr` into
     /// `core`'s L1D (the paper places prefetch fills in the L1D, §I).
+    /// `tag` names the static source of the request (a DIG node or edge, a
+    /// stream slot, ...); the cache stores it with every copy the prefetch
+    /// installs, and the attribution table credits the copy's fate to it.
+    /// Hardware prefetchers always name one; `None` is a software prefetch
+    /// instruction.
     ///
     /// Returns `None` when the prefetch is dropped: the line is already
     /// resident or in flight in the L1 ("redundant"). There is no
@@ -748,26 +748,11 @@ impl MemorySystem {
         vaddr: u64,
         now: u64,
         stats: &mut Stats,
-    ) -> Option<PrefetchIssued> {
-        self.prefetch_tagged(core, vaddr, now, stats, None)
-    }
-
-    /// [`MemorySystem::prefetch`] with a [`SourceTag`] identifying the
-    /// static source of the request (a DIG node/edge, a stream slot, ...)
-    /// so the telemetry attribution table can follow the line's fate.
-    pub fn prefetch_tagged(
-        &mut self,
-        core: usize,
-        vaddr: u64,
-        now: u64,
-        stats: &mut Stats,
         tag: Option<SourceTag>,
     ) -> Option<PrefetchIssued> {
         let line = line_of(vaddr);
         if self.l1d[core].contains(line) {
-            stats.prefetches_redundant += 1;
-            self.tel.prefetch_dropped(core, now, line, tag);
-            return None;
+            return self.dropped(core, now, line, tag, stats);
         }
         let mut lat = self.tlb_latency(core, vaddr, now, stats) + self.cfg.l1d.tag_latency;
 
@@ -780,16 +765,12 @@ impl MemorySystem {
             let mut fill = super::cache::demand_line(line, state, ready, ServedBy::L2);
             fill.prefetched = true;
             self.insert_l1(core, fill, tag, stats);
-            stats.prefetches_issued += 1;
-            if let Some(t) = tag {
-                self.tel.prefetch_tag_issued(line, t);
-            }
-            self.trace_prefetch_issued(core, now, ready, line, ServedBy::L2);
-            return Some(PrefetchIssued {
+            let issued = PrefetchIssued {
                 line_addr: line,
                 fill_time: ready,
                 served: ServedBy::L2,
-            });
+            };
+            return self.accepted(core, now, issued, tag, stats);
         }
         lat += self.cfg.l2.tag_latency;
 
@@ -814,16 +795,12 @@ impl MemorySystem {
             fill.prefetched = true;
             self.insert_l2(core, fill, tag, stats);
             self.insert_l1(core, fill, tag, stats);
-            stats.prefetches_issued += 1;
-            if let Some(t) = tag {
-                self.tel.prefetch_tag_issued(line, t);
-            }
-            self.trace_prefetch_issued(core, now, ready, line, ServedBy::L3);
-            return Some(PrefetchIssued {
+            let issued = PrefetchIssued {
                 line_addr: line,
                 fill_time: ready,
                 served: ServedBy::L3,
-            });
+            };
+            return self.accepted(core, now, issued, tag, stats);
         }
         lat += self.cfg.l3.tag_latency;
 
@@ -831,19 +808,8 @@ impl MemorySystem {
         // leaves throttling to future work (§IV-G). Contention is modelled
         // naturally — prefetch transfers occupy memory channels and delay
         // demand fills behind them.
-        let at = now + lat;
-        let (dr, tier) = self.mem_read(line, at);
-        stats.dram_reads += 1;
-        stats.dram_queue_cycles += dr.queue_wait;
-        self.tel
-            .counters_mut()
-            .dram_queue_wait
-            .record(dr.queue_wait);
-        self.note_tier_read(tier, dr.queue_wait, false);
-        self.sample_dram_queue(core, line, at, tier);
-        self.observe_dram_metrics(dr.latency, dr.queue_wait, tier);
-        lat += dr.latency;
-        let ready = now + lat;
+        let (latency, _) = self.read_memory(core, line, now + lat, false, stats);
+        let ready = now + lat + latency;
 
         let mut dir = Directory::empty();
         dir.add_sharer(core);
@@ -855,36 +821,21 @@ impl MemorySystem {
         fill.prefetched = true;
         self.insert_l2(core, fill, tag, stats);
         self.insert_l1(core, fill, tag, stats);
-        stats.prefetches_issued += 1;
-        if let Some(t) = tag {
-            self.tel.prefetch_tag_issued(line, t);
-        }
-        self.trace_prefetch_issued(core, now, ready, line, ServedBy::Dram);
-        Some(PrefetchIssued {
+        let issued = PrefetchIssued {
             line_addr: line,
             fill_time: ready,
             served: ServedBy::Dram,
-        })
+        };
+        self.accepted(core, now, issued, tag, stats)
     }
 
     /// Issues a *memory-side* prefetch: the line is brought into the shared
     /// L3 only, never into private caches. This models DRAM-side designs
     /// like DROPLET, whose prefetchers sit at the memory controller and
     /// cannot push data into a core's L1D — the placement disadvantage the
-    /// paper's comparison turns on (§VI-C).
+    /// paper's comparison turns on (§VI-C). `tag` is as for
+    /// [`MemorySystem::prefetch`].
     pub fn prefetch_llc(
-        &mut self,
-        core: usize,
-        vaddr: u64,
-        now: u64,
-        stats: &mut Stats,
-    ) -> Option<PrefetchIssued> {
-        self.prefetch_llc_tagged(core, vaddr, now, stats, None)
-    }
-
-    /// [`MemorySystem::prefetch_llc`] with a [`SourceTag`] for per-source
-    /// attribution (DROPLET's per-table breakdown).
-    pub fn prefetch_llc_tagged(
         &mut self,
         core: usize,
         vaddr: u64,
@@ -895,37 +846,21 @@ impl MemorySystem {
         let line = line_of(vaddr);
         let slice = self.slice_of(line);
         if self.l3[slice].contains(line) {
-            stats.prefetches_redundant += 1;
-            self.tel.prefetch_dropped(core, now, line, tag);
-            return None;
+            return self.dropped(core, now, line, tag, stats);
         }
         let lat = self.cfg.l3.tag_latency;
-        let at = now + lat;
-        let (dr, tier) = self.mem_read(line, at);
-        stats.dram_reads += 1;
-        stats.dram_queue_cycles += dr.queue_wait;
-        self.tel
-            .counters_mut()
-            .dram_queue_wait
-            .record(dr.queue_wait);
-        self.note_tier_read(tier, dr.queue_wait, false);
-        self.sample_dram_queue(core, line, at, tier);
-        self.observe_dram_metrics(dr.latency, dr.queue_wait, tier);
-        let ready = now + lat + dr.latency;
+        let (latency, _) = self.read_memory(core, line, now + lat, false, stats);
+        let ready = now + lat + latency;
         let mut l3fill = super::cache::demand_line(line, Mesi::Exclusive, ready, ServedBy::Dram);
         l3fill.prefetched = true;
         l3fill.dir = Directory::empty();
         self.insert_l3(slice, l3fill, tag, now, stats);
-        stats.prefetches_issued += 1;
-        if let Some(t) = tag {
-            self.tel.prefetch_tag_issued(line, t);
-        }
-        self.trace_prefetch_issued(core, now, ready, line, ServedBy::Dram);
-        Some(PrefetchIssued {
+        let issued = PrefetchIssued {
             line_addr: line,
             fill_time: ready,
             served: ServedBy::Dram,
-        })
+        };
+        self.accepted(core, now, issued, tag, stats)
     }
 
     /// Whether the line containing `vaddr` is resident (ready or in flight)
@@ -1042,7 +977,7 @@ mod tests {
     #[test]
     fn prefetch_then_demand_is_l1_hit_and_counted_useful() {
         let (mut m, mut s) = tiny();
-        let p = m.prefetch(0, 0x3_0000, 0, &mut s).expect("issued");
+        let p = m.prefetch(0, 0x3_0000, 0, &mut s, None).expect("issued");
         assert_eq!(p.served, ServedBy::Dram);
         let r = m.demand_access(0, 0x3_0000, AccessKind::Read, p.fill_time + 1, &mut s);
         assert_eq!(r.served, ServedBy::L1);
@@ -1055,8 +990,9 @@ mod tests {
     #[test]
     fn redundant_prefetch_is_dropped() {
         let (mut m, mut s) = tiny();
-        m.prefetch(0, 0x4_0000, 0, &mut s).expect("first issues");
-        assert!(m.prefetch(0, 0x4_0000, 1, &mut s).is_none());
+        m.prefetch(0, 0x4_0000, 0, &mut s, None)
+            .expect("first issues");
+        assert!(m.prefetch(0, 0x4_0000, 1, &mut s, None).is_none());
         assert_eq!(s.prefetches_redundant, 1);
         assert_eq!(s.prefetches_issued, 1);
     }
@@ -1064,7 +1000,7 @@ mod tests {
     #[test]
     fn untimely_prefetch_partially_hides_latency() {
         let (mut m, mut s) = tiny();
-        let p = m.prefetch(0, 0x5_0000, 0, &mut s).expect("issued");
+        let p = m.prefetch(0, 0x5_0000, 0, &mut s, None).expect("issued");
         let mid = p.fill_time / 2;
         let r = m.demand_access(0, 0x5_0000, AccessKind::Read, mid, &mut s);
         assert_eq!(r.served, ServedBy::Dram, "residual wait attributed to DRAM");
@@ -1149,7 +1085,7 @@ mod tests {
         let lines_in_llc = cfg.llc_capacity() / LINE_BYTES;
         let mut m = MemorySystem::new(cfg);
         let mut s = Stats::default();
-        m.prefetch(0, 0, 0, &mut s).expect("issued");
+        m.prefetch(0, 0, 0, &mut s, None).expect("issued");
         let mut t = 1000;
         for i in 1..=(lines_in_llc * 4) {
             m.demand_access(0, i * LINE_BYTES * 3, AccessKind::Read, t, &mut s);
@@ -1157,6 +1093,66 @@ mod tests {
         }
         assert_eq!(s.prefetch_use.evicted_unused, 1);
         assert_eq!(s.prefetch_use.hit_l1, 0);
+    }
+
+    #[test]
+    fn each_first_use_credits_the_source_of_the_copy_it_hit() {
+        // Two cores prefetch one line under different sources; each core's
+        // first use credits the source stored with its own copy, not the
+        // line's last issuer.
+        let (mut m, mut s) = tiny();
+        let (a, b): (SourceTag, SourceTag) = (1, 2);
+        let line = 0x3_0000;
+        let pa = m.prefetch(0, line, 0, &mut s, Some(a)).expect("issued");
+        let pb = m.prefetch(1, line, 1, &mut s, Some(b)).expect("issued");
+        let t = pa.fill_time.max(pb.fill_time) + 1;
+        m.demand_access(1, line, AccessKind::Read, t, &mut s);
+        m.demand_access(0, line, AccessKind::Read, t + 1, &mut s);
+        let tel = m.telemetry();
+        assert_eq!(tel.timeliness.timely, 2);
+        for tag in [a, b] {
+            let c = tel.attribution.get(tag).expect("issued");
+            assert_eq!((c.issued, c.timely), (1, 1), "source {tag}");
+        }
+    }
+
+    #[test]
+    fn unused_llc_eviction_credits_the_llc_copy_else_the_first_private_copy() {
+        // Cores 0 and 1 hold prefetched copies of line 0 under sources A
+        // and B, B issued last; then core 2 streams enough lines through
+        // the LLC to evict line 0 from the whole hierarchy.
+        const A: SourceTag = 1;
+        const B: SourceTag = 2;
+        let run = |llc_copy_is_demand: bool| {
+            let cfg = SystemConfig::scaled(1024).with_cores(3);
+            let lines_in_llc = cfg.llc_capacity() / LINE_BYTES;
+            let mut m = MemorySystem::new(cfg);
+            let mut s = Stats::default();
+            let (a_core, b_core) = if llc_copy_is_demand {
+                // Core 2's demand installs the LLC copy.
+                m.demand_access(2, 0, AccessKind::Read, 0, &mut s);
+                (0, 1)
+            } else {
+                // A's prefetch installs the LLC copy from core 1.
+                (1, 0)
+            };
+            m.prefetch(a_core, 0, 1000, &mut s, Some(A))
+                .expect("issued");
+            m.prefetch(b_core, 0, 1001, &mut s, Some(B))
+                .expect("issued");
+            let mut t = 2000;
+            for i in 1..=(lines_in_llc * 4) {
+                m.demand_access(2, i * LINE_BYTES * 3, AccessKind::Read, t, &mut s);
+                t += 200;
+            }
+            assert!(!m.llc_contains(0), "line 0 left the LLC");
+            assert_eq!(s.prefetch_use.evicted_unused, 1, "one verdict");
+            let tel = m.telemetry();
+            assert_eq!(tel.timeliness.inaccurate, 1);
+            [A, B].map(|tag| tel.attribution.get(tag).expect("issued").inaccurate)
+        };
+        assert_eq!(run(false), [1, 0], "the LLC copy's source, not core 0's");
+        assert_eq!(run(true), [1, 0], "a demand LLC copy: core 0's copy first");
     }
 
     #[test]
@@ -1174,7 +1170,7 @@ mod tests {
         let mut t = r.latency + 1;
         let tag: SourceTag = 7;
         for i in 2..=(lines_in_llc * 4) {
-            m.prefetch_tagged(0, i * LINE_BYTES, t, &mut s, Some(tag));
+            m.prefetch(0, i * LINE_BYTES, t, &mut s, Some(tag));
             t += 200;
         }
         assert!(!m.l1_contains(0, hot), "flood displaced the hot line");
@@ -1202,9 +1198,9 @@ mod tests {
     fn occupancy_snapshot_matches_resident_lines_and_sources() {
         let (mut m, mut s) = tiny();
         m.demand_access(0, 0x1_0000, AccessKind::Read, 0, &mut s);
-        m.prefetch_tagged(0, 0x2_0000, 0, &mut s, Some(3));
-        m.prefetch_tagged(1, 0x3_0000, 0, &mut s, Some((1 << 8) | 2));
-        m.prefetch(1, 0x4_0000, 0, &mut s);
+        m.prefetch(0, 0x2_0000, 0, &mut s, Some(3));
+        m.prefetch(1, 0x3_0000, 0, &mut s, Some((1 << 8) | 2));
+        m.prefetch(1, 0x4_0000, 0, &mut s, None);
         let snap = m.occupancy();
         let resident = m.resident_lines();
         for (lvl, occ) in snap.levels.iter().enumerate() {
@@ -1232,7 +1228,7 @@ mod tests {
         m.set_tier_map(map);
         let mut s = Stats::default();
         m.demand_access(0, 0x1_0000, AccessKind::Read, 0, &mut s);
-        m.prefetch_tagged(0, 0x11_0000, 0, &mut s, Some(9));
+        m.prefetch(0, 0x11_0000, 0, &mut s, Some(9));
         let snap = m.occupancy();
         let [near, far] = snap.tiers.expect("tiered machine splits the L3");
         assert_eq!(near.total() + far.total(), snap.levels[2].total());
@@ -1266,7 +1262,7 @@ mod tests {
         assert_eq!(t.far.load_to_use.count(), 1);
         assert!(t.far.load_to_use.sum() >= cfg.far.unwrap().access_latency);
         // Prefetches route and are attributed per tier too.
-        m.prefetch(1, 0x11_0000, 0, &mut s).expect("issued");
+        m.prefetch(1, 0x11_0000, 0, &mut s, None).expect("issued");
         assert_eq!(m.telemetry().tiers.unwrap().far.prefetch_reads, 1);
     }
 

@@ -9,7 +9,7 @@
 //! oracle), which is what lets data-driven prefetchers chase indirections.
 
 use crate::mem::address_space::AddressSpace;
-use crate::mem::hierarchy::{MemorySystem, ServedBy};
+use crate::mem::hierarchy::{MemorySystem, PrefetchIssued, ServedBy};
 use crate::stats::Stats;
 use crate::telemetry::{SourceTag, TraceEvent, TraceEventKind};
 use std::any::Any;
@@ -102,71 +102,41 @@ impl<'a> PrefetchCtx<'a> {
     }
 
     /// Issues a non-binding prefetch of the line containing `vaddr` into
-    /// this core's L1D. Returns `true` if the request was accepted (not
-    /// redundant/throttled). The eventual fill will be delivered to
+    /// this core's L1D. `tag` names the structure that generated the
+    /// request (DIG edge, stream slot, stride table entry, ...); the
+    /// telemetry layer credits the prefetch's fate — timely / late /
+    /// inaccurate / dropped — to it. Returns `true` if the request was
+    /// accepted (not redundant). The eventual fill will be delivered to
     /// [`Prefetcher::on_fill`].
-    pub fn prefetch(&mut self, vaddr: u64) -> bool {
-        match self.mem.prefetch(self.core, vaddr, self.now, self.stats) {
-            Some(issued) => {
-                self.fills.push(Reverse(QueuedFill {
-                    at: issued.fill_time,
-                    line_addr: issued.line_addr,
-                    served: issued.served,
-                }));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// [`PrefetchCtx::prefetch`] with a [`SourceTag`] naming the structure
-    /// that generated the request (DIG edge, stream slot, stride table
-    /// entry, ...). The telemetry layer attributes the prefetch's eventual
-    /// fate — timely / late / inaccurate / dropped — back to this tag.
-    pub fn prefetch_tagged(&mut self, vaddr: u64, tag: SourceTag) -> bool {
-        match self
+    pub fn prefetch(&mut self, vaddr: u64, tag: SourceTag) -> bool {
+        let issued = self
             .mem
-            .prefetch_tagged(self.core, vaddr, self.now, self.stats, Some(tag))
-        {
-            Some(issued) => {
-                self.fills.push(Reverse(QueuedFill {
-                    at: issued.fill_time,
-                    line_addr: issued.line_addr,
-                    served: issued.served,
-                }));
-                true
-            }
-            None => false,
-        }
+            .prefetch(self.core, vaddr, self.now, self.stats, Some(tag));
+        self.schedule_fill(issued)
     }
 
     /// Issues a memory-side prefetch into the shared LLC only (DRAM-side
-    /// designs like DROPLET cannot fill a core's private caches). The fill
-    /// is still delivered to [`Prefetcher::on_fill`].
-    pub fn prefetch_llc(&mut self, vaddr: u64) -> bool {
-        self.prefetch_llc_impl(vaddr, None)
-    }
-
-    /// [`PrefetchCtx::prefetch_llc`] with a [`SourceTag`] for attribution.
-    pub fn prefetch_llc_tagged(&mut self, vaddr: u64, tag: SourceTag) -> bool {
-        self.prefetch_llc_impl(vaddr, Some(tag))
-    }
-
-    fn prefetch_llc_impl(&mut self, vaddr: u64, tag: Option<SourceTag>) -> bool {
-        match self
+    /// designs like DROPLET cannot fill a core's private caches), credited
+    /// to `tag` as for [`PrefetchCtx::prefetch`]. The fill is still
+    /// delivered to [`Prefetcher::on_fill`].
+    pub fn prefetch_llc(&mut self, vaddr: u64, tag: SourceTag) -> bool {
+        let issued = self
             .mem
-            .prefetch_llc_tagged(self.core, vaddr, self.now, self.stats, tag)
-        {
-            Some(issued) => {
-                self.fills.push(Reverse(QueuedFill {
-                    at: issued.fill_time,
-                    line_addr: issued.line_addr,
-                    served: issued.served,
-                }));
-                true
-            }
-            None => false,
-        }
+            .prefetch_llc(self.core, vaddr, self.now, self.stats, Some(tag));
+        self.schedule_fill(issued)
+    }
+
+    /// Queues an accepted prefetch's fill for delivery; `false` if dropped.
+    fn schedule_fill(&mut self, issued: Option<PrefetchIssued>) -> bool {
+        let Some(issued) = issued else {
+            return false;
+        };
+        self.fills.push(Reverse(QueuedFill {
+            at: issued.fill_time,
+            line_addr: issued.line_addr,
+            served: issued.served,
+        }));
+        true
     }
 
     /// Reads a little-endian unsigned value from simulated memory — the
@@ -299,8 +269,8 @@ mod tests {
         let mut stats = Stats::default();
         let mut fills = FillQueue::new();
         let mut ctx = PrefetchCtx::new(0, 0, &mut mem, &space, &mut stats, &mut fills);
-        assert!(ctx.prefetch(0x1234));
-        assert!(!ctx.prefetch(0x1236), "same line is redundant");
+        assert!(ctx.prefetch(0x1234, 0));
+        assert!(!ctx.prefetch(0x1236, 0), "same line is redundant");
         assert_eq!(fills.len(), 1);
         let f = fills.pop().unwrap().0;
         assert_eq!(f.line_addr, crate::line_of(0x1234));

@@ -255,9 +255,6 @@ pub struct Stats {
     pub prefetches_issued: u64,
     /// Prefetch requests dropped (line already resident or in flight).
     pub prefetches_redundant: u64,
-    /// Prefetch requests dropped because the target DRAM channel backlog
-    /// exceeded the controller queue depth.
-    pub prefetches_throttled: u64,
     /// Usefulness classification of prefetched lines.
     pub prefetch_use: PrefetchUse,
     /// LLC misses whose address fell inside DIG-annotated structures
@@ -277,11 +274,6 @@ impl Stats {
         } else {
             self.instructions as f64 / self.cycles as f64
         }
-    }
-
-    /// Total LLC (L3) misses.
-    pub fn llc_misses(&self) -> u64 {
-        self.l3.misses
     }
 
     /// Prefetch coverage over the run: useful prefetches against the LLC
@@ -317,7 +309,6 @@ impl Stats {
         self.tlb_misses += o.tlb_misses;
         self.prefetches_issued += o.prefetches_issued;
         self.prefetches_redundant += o.prefetches_redundant;
-        self.prefetches_throttled += o.prefetches_throttled;
         self.prefetch_use.hit_l1 += o.prefetch_use.hit_l1;
         self.prefetch_use.hit_l2 += o.prefetch_use.hit_l2;
         self.prefetch_use.hit_l3 += o.prefetch_use.hit_l3;
@@ -392,7 +383,6 @@ crate::json_object!(Stats {
     tlb_misses,
     prefetches_issued,
     prefetches_redundant,
-    prefetches_throttled,
     prefetch_use,
     llc_misses_prefetchable,
     llc_misses_other,

@@ -63,7 +63,6 @@ pub struct System<P: Prefetcher> {
     stats: Stats,
     time: u64,
     phase_idx: u64,
-    energy_model: EnergyModel,
     cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -98,7 +97,6 @@ impl<P: Prefetcher + 'static> System<P> {
             stats: Stats::default(),
             time: 0,
             phase_idx: 0,
-            energy_model: EnergyModel::default(),
             cancel: None,
             cfg,
         }
@@ -193,11 +191,6 @@ impl<P: Prefetcher + 'static> System<P> {
     /// Current global time (cycle of the last barrier).
     pub fn time(&self) -> u64 {
         self.time
-    }
-
-    /// Replaces the energy model used by [`System::summary`].
-    pub fn set_energy_model(&mut self, m: EnergyModel) {
-        self.energy_model = m;
     }
 
     /// Runs one parallel phase. `streams[i]` executes on core `i`; missing
@@ -385,7 +378,7 @@ impl<P: Prefetcher + 'static> System<P> {
     pub fn summary(&self) -> RunSummary {
         RunSummary {
             stats: self.stats.clone(),
-            energy: self.energy_model.evaluate(&self.stats, &self.cfg),
+            energy: EnergyModel::default().evaluate(&self.stats, &self.cfg),
             prefetcher: self
                 .prefetchers
                 .first()
@@ -454,7 +447,7 @@ mod tests {
             "next-line"
         }
         fn on_demand(&mut self, ctx: &mut PrefetchCtx<'_>, a: &DemandAccess) {
-            ctx.prefetch(a.vaddr + crate::LINE_BYTES);
+            ctx.prefetch(a.vaddr + crate::LINE_BYTES, 0);
         }
         fn on_fill(&mut self, _: &mut PrefetchCtx<'_>, _: &crate::prefetch::FillEvent) {}
         fn storage_bits(&self) -> u64 {

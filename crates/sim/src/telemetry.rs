@@ -16,16 +16,22 @@
 //!    default — the emit path is a single predicted branch and no event is
 //!    even constructed, so untraced runs pay nothing.
 //!
+//! The per-source [`AttributionTable`] splits the Fig. 19 fates by the
+//! static source of each prefetch (a DIG node or edge, a stream slot, ...).
+//! The tracer keeps no record of its own of who issued a line: the cache
+//! stores the installing source with every copy, and the hierarchy passes
+//! each fate the source of the copy it names, so per category the rows sum
+//! to [`TelemetrySummary::timeliness`].
+//!
 //! Traces serialize to Chrome trace-event JSON ([`chrome_trace_json`]),
 //! loadable in Perfetto / `chrome://tracing`. Output is fully
 //! deterministic: events are ordered by `(cycle, core, sequence)`, IDs are
 //! sequential per run, and no host time is ever recorded.
 
-use crate::fxhash::FxBuildHasher;
 use crate::json::{Fields, FromJson, Json, ToJson};
-use crate::mem::hierarchy::ServedBy;
+use crate::mem::hierarchy::{PrefetchIssued, ServedBy};
 use crate::metrics::{MetricsConfig, MetricsRegistry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Number of buckets in a [`Log2Hist`] (bucket `i` holds values whose
 /// bit-length is `i`, i.e. `v in [2^(i-1), 2^i)`; bucket 0 holds zeros).
@@ -1118,12 +1124,7 @@ pub struct Tracer {
     /// Events in emission order, while a trace is started.
     events: Option<Vec<TraceEvent>>,
     metrics: Option<Box<MetricsRegistry>>,
-    /// Source tags of prefetched lines whose fate is not yet known; the
-    /// entry is removed (and its source credited) at first use or unused
-    /// eviction, so the map stays bounded by resident prefetched lines.
-    /// Pure insert/remove — never iterated — so it uses the fast hasher
-    /// (unlike [`AttributionTable`], whose `BTreeMap` order is serialized).
-    pending_tags: HashMap<u64, SourceTag, FxBuildHasher>,
+    /// Id of the next `prefetch` span; counts only while a trace is started.
     next_prefetch_id: u64,
 }
 
@@ -1197,20 +1198,33 @@ impl Tracer {
         }
     }
 
-    /// Hands out the next sequential prefetch id (deterministic per run).
-    pub fn next_prefetch_id(&mut self) -> u64 {
-        let id = self.next_prefetch_id;
-        self.next_prefetch_id += 1;
-        id
-    }
-
-    /// Records an accepted prefetch carrying a source tag: credits the
-    /// source's `issued` count and remembers the tag until the line's fate
-    /// (use or unused eviction) resolves it.
+    /// Records a prefetch `core` issued at `now`: credits `issued` to its
+    /// source, if it names one, and emits the issue→fill `prefetch` span
+    /// with the next sequential id when a trace is started.
     #[inline]
-    pub fn prefetch_tag_issued(&mut self, line: u64, tag: SourceTag) {
-        self.counters.attribution.record_issued(tag);
-        self.pending_tags.insert(line, tag);
+    pub fn prefetch_issued(
+        &mut self,
+        core: usize,
+        now: u64,
+        issued: PrefetchIssued,
+        tag: Option<SourceTag>,
+    ) {
+        if let Some(tag) = tag {
+            self.counters.attribution.record_issued(tag);
+        }
+        if let Some(events) = &mut self.events {
+            events.push(TraceEvent {
+                cycle: now,
+                dur: issued.fill_time - now,
+                core: core as u32,
+                kind: TraceEventKind::PrefetchIssued {
+                    id: self.next_prefetch_id,
+                    line: issued.line_addr,
+                    served: issued.served,
+                },
+            });
+            self.next_prefetch_id += 1;
+        }
     }
 
     /// Records a demand access completing: feeds the load-to-use histogram
@@ -1239,10 +1253,11 @@ impl Tracer {
         }
     }
 
-    /// Records the first demand of a prefetched line: classifies it timely
-    /// (`residual == 0`) or late, feeds the matching histogram, and emits a
-    /// `prefetch-used` event. `slack` is how long the line sat ready before
-    /// this demand (meaningful only when timely).
+    /// Records the first demand of a prefetched copy, arriving at `now` at
+    /// a copy whose fill lands at `ready_at`: classifies it timely (landed
+    /// already) or late, feeds the fill-to-use or late-wait histogram,
+    /// credits `src` (the source stored with that copy) and emits a
+    /// `prefetch-used` event.
     #[inline]
     pub fn prefetch_used(
         &mut self,
@@ -1250,19 +1265,20 @@ impl Tracer {
         now: u64,
         line: u64,
         level: ServedBy,
-        residual: u64,
-        slack: u64,
+        ready_at: u64,
+        src: Option<SourceTag>,
     ) {
+        let residual = ready_at.saturating_sub(now);
         if residual == 0 {
             self.counters.timeliness.timely += 1;
-            self.counters.fill_to_use.record(slack);
-            if let Some(tag) = self.pending_tags.remove(&line) {
+            self.counters.fill_to_use.record(now - ready_at);
+            if let Some(tag) = src {
                 self.counters.attribution.record_timely(tag);
             }
         } else {
             self.counters.timeliness.late += 1;
             self.counters.late_wait.record(residual);
-            if let Some(tag) = self.pending_tags.remove(&line) {
+            if let Some(tag) = src {
                 self.counters.attribution.record_late(tag);
             }
         }
@@ -1278,11 +1294,12 @@ impl Tracer {
         });
     }
 
-    /// Records a prefetched line leaving the hierarchy unused.
+    /// Records a prefetched line leaving the hierarchy unused, credited to
+    /// `src`, the source of the copy the verdict names.
     #[inline]
-    pub fn prefetch_evicted_unused(&mut self, now: u64, line: u64) {
+    pub fn prefetch_evicted_unused(&mut self, now: u64, line: u64, src: Option<SourceTag>) {
         self.counters.timeliness.inaccurate += 1;
-        if let Some(tag) = self.pending_tags.remove(&line) {
+        if let Some(tag) = src {
             self.counters.attribution.record_inaccurate(tag);
         }
         self.emit(|| TraceEvent {
@@ -1434,7 +1451,7 @@ mod tests {
     fn tracer_disabled_collects_counters_but_no_events() {
         let mut t = Tracer::new();
         assert!(!t.is_tracing());
-        t.prefetch_used(0, 100, 0x1000, ServedBy::L1, 0, 7);
+        t.prefetch_used(0, 100, 0x1000, ServedBy::L1, 93, None);
         t.prefetch_dropped(0, 101, 0x1040, None);
         assert_eq!(t.counters().timeliness.timely, 1);
         assert_eq!(t.counters().timeliness.dropped, 1);
@@ -1447,7 +1464,7 @@ mod tests {
         let mut t = Tracer::new();
         t.start_trace();
         t.demand_done(1, 10, 150, ServedBy::Dram, 0x2000, true);
-        t.prefetch_used(1, 20, 0x2040, ServedBy::Dram, 30, 0);
+        t.prefetch_used(1, 20, 0x2040, ServedBy::Dram, 50, None);
         let events = t.take_trace().expect("trace started");
         assert!(!t.is_tracing());
         assert_eq!(events.len(), 2);
@@ -1504,18 +1521,28 @@ mod tests {
         }
     }
 
+    fn issue(t: &mut Tracer, line: u64, tag: Option<SourceTag>) {
+        let p = PrefetchIssued {
+            line_addr: line,
+            fill_time: 40,
+            served: ServedBy::Dram,
+        };
+        t.prefetch_issued(0, 10, p, tag);
+    }
+
     #[test]
     fn attribution_follows_the_prefetch_lifecycle() {
         let mut t = Tracer::new();
+        t.start_trace();
         // Edge tag 0->2 issues three lines; one timely, one late, one
         // evicted unused; a fourth request is dropped before issue.
         let tag = (1u16 << 8) | 2;
-        t.prefetch_tag_issued(0x1000, tag);
-        t.prefetch_tag_issued(0x1040, tag);
-        t.prefetch_tag_issued(0x1080, tag);
-        t.prefetch_used(0, 50, 0x1000, ServedBy::L1, 0, 9);
-        t.prefetch_used(0, 60, 0x1040, ServedBy::Dram, 12, 0);
-        t.prefetch_evicted_unused(70, 0x1080);
+        for line in [0x1000, 0x1040, 0x1080] {
+            issue(&mut t, line, Some(tag));
+        }
+        t.prefetch_used(0, 50, 0x1000, ServedBy::L1, 40, Some(tag));
+        t.prefetch_used(0, 28, 0x1040, ServedBy::Dram, 40, Some(tag));
+        t.prefetch_evicted_unused(70, 0x1080, Some(tag));
         t.prefetch_dropped(0, 80, 0x10c0, Some(tag));
         let c = *t.counters().attribution.get(tag).expect("tag present");
         assert_eq!(
@@ -1523,9 +1550,24 @@ mod tests {
             (3, 1, 1, 1, 1)
         );
         assert_eq!(c.accuracy(), Some(2.0 / 3.0));
-        // Untagged lines never enter the table.
-        t.prefetch_used(0, 90, 0x2000, ServedBy::L1, 0, 1);
+        assert_eq!(t.counters().fill_to_use.sum(), 10, "sat ready 50 - 40");
+        assert_eq!(t.counters().late_wait.sum(), 12, "waited 40 - 28");
+        // Untagged prefetches count globally but never enter the table.
+        issue(&mut t, 0x2000, None);
+        t.prefetch_used(0, 90, 0x2000, ServedBy::L1, 40, None);
         assert_eq!(t.counters().attribution.iter().count(), 1);
+        assert_eq!(t.counters().timeliness.timely, 2);
+        // Issue spans carry sequential ids, tagged or not.
+        let ids: Vec<u64> = t
+            .take_trace()
+            .expect("trace started")
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::PrefetchIssued { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
         assert_eq!(source_tag_label(tag), "0->2");
         assert_eq!(source_tag_label(7), "7");
         let j = t.counters().attribution.to_json().to_string();
@@ -1617,7 +1659,7 @@ mod tests {
     #[test]
     fn pollution_is_counted_per_level_and_per_tagged_source() {
         let mut t = Tracer::new();
-        t.prefetch_tag_issued(0x1000, 7);
+        issue(&mut t, 0x1000, Some(7));
         t.prefetch_polluted(0, Some(7));
         t.prefetch_polluted(2, Some(7));
         t.prefetch_polluted(1, None); // untagged: level counter only

@@ -210,8 +210,8 @@ proptest! {
             match op {
                 0 => { m.demand_access(core, vaddr, AccessKind::Read, now, &mut s); }
                 1 => { m.demand_access(core, vaddr, AccessKind::Write, now, &mut s); }
-                2 => { m.prefetch(core, vaddr, now, &mut s); }
-                _ => { m.prefetch_tagged(core, vaddr, now, &mut s, Some(tag)); }
+                2 => { m.prefetch(core, vaddr, now, &mut s, None); }
+                _ => { m.prefetch(core, vaddr, now, &mut s, Some(tag)); }
             }
             now += 50;
             // Sample at a metrics-window cadence, not only at the end, so

@@ -133,7 +133,7 @@ fn prefetch_llc_never_touches_private_caches() {
     let mut stats = Stats::default();
     for i in 0..200u64 {
         let addr = 0x40_0000 + i * 64;
-        let issued = mem.prefetch_llc(0, addr, i * 10, &mut stats);
+        let issued = mem.prefetch_llc(0, addr, i * 10, &mut stats, Some(0));
         assert!(issued.is_some());
         assert!(mem.llc_contains(addr));
         assert!(!mem.l1_contains(0, addr));

@@ -44,12 +44,6 @@ impl SimRng {
         lo + (((self.next_u64() >> 32) * span) >> 32) as u32
     }
 
-    /// Uniform `u64` in `[lo, hi)`.
-    pub fn gen_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + self.next_u64() % (hi - lo)
-    }
-
     /// Uniform index in `[0, n)`, for slice/permutation indexing.
     pub fn gen_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "empty index range");

@@ -2,7 +2,7 @@
 //! valid DIG, deterministic checksums across core counts, and a real
 //! simulated run under Prodigy that matches the functional result.
 
-use prodigy_sim::SystemConfig;
+use prodigy_sim::{SystemConfig, Timeliness};
 use prodigy_workloads::graph::csr::{Csr, WeightedCsr};
 use prodigy_workloads::graph::generators::{rmat, stencil27, uniform};
 use prodigy_workloads::kernels::{
@@ -177,5 +177,49 @@ fn prodigy_issues_prefetches_on_every_kernel() {
         );
         let ps = out.prodigy.expect("prodigy stats present");
         assert!(ps.sequences_initiated > 0, "{name}: no sequences");
+    }
+}
+
+/// Every hardware prefetcher names the source of each prefetch, and each
+/// fate is credited to the source stored with the copy it names, so per
+/// category the attribution rows add up to the global Fig. 19 counts.
+/// The caches are tiny, so that unused prefetches are evicted too and
+/// every category occurs on some run.
+#[test]
+fn per_source_fates_sum_to_the_global_counts() {
+    let sys = SystemConfig::scaled(1024).with_cores(2);
+    let g = graph();
+    let st = stencil27(6, 6, 6);
+    for kind in PrefetcherKind::ALL {
+        if kind == PrefetcherKind::None {
+            continue;
+        }
+        let mut kernels: Vec<(&str, Box<dyn Kernel>)> =
+            vec![("pr", Box::new(PageRank::new(g.clone(), 2)))];
+        if !kind.graph_specific() {
+            kernels.push(("spmv", Box::new(Spmv::new(st.clone(), 9))));
+        }
+        for (name, mut k) in kernels {
+            let cfg = RunConfig {
+                sys,
+                prefetcher: kind,
+                ..RunConfig::default()
+            };
+            let out = run_workload(k.as_mut(), &cfg);
+            let (mut sum, mut issued) = (Timeliness::default(), 0);
+            for (_, c) in out.telemetry.attribution.iter() {
+                sum.merge(&Timeliness {
+                    timely: c.timely,
+                    late: c.late,
+                    inaccurate: c.inaccurate,
+                    dropped: c.dropped,
+                });
+                issued += c.issued;
+            }
+            let what = format!("{name}/{}", kind.name());
+            assert_eq!(sum, out.telemetry.timeliness, "{what}");
+            assert_eq!(issued, out.summary.stats.prefetches_issued, "{what}");
+            assert!(issued > 0, "{what}: no prefetch issued");
+        }
     }
 }
