@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the Prodigy reproduction. Runs entirely offline: the only
-# third-party crates (crossbeam/proptest/criterion) are vendored shims
-# under vendor/, path-resolved through the workspace, so no registry or
-# network access is required.
+# third-party crates (proptest/criterion) are vendored shims under
+# vendor/, path-resolved through the workspace, so no registry or network
+# access is required.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -227,6 +227,48 @@ cold, warm = int(sys.argv[2]), int(sys.argv[3])
 speedup = cold / max(warm, 1)
 assert speedup >= 10, f"warm pass only {speedup:.1f}x faster than cold shards"
 print(f"   warm pass: 0 simulated, 4 disk hits, {speedup:.0f}x faster: OK")
+PY
+
+# Gated: every simulated result is a registry cell. The four experiments
+# whose runs once bypassed the registry (swpf, limits_tc, ext_dobfs,
+# ext_throttle) report all 12 of their cells, and a warm cache re-renders
+# their tables with nothing simulated.
+echo "== cell-cache smoke: swpf, limits_tc, ext_dobfs, ext_throttle cold then warm"
+four=(swpf limits_tc ext_dobfs ext_throttle)
+for pass in cold warm; do
+    ./target/release/prodigy-eval --scale 64 --threads 2 $timeout \
+        --cell-cache "$tmp/cellcache4" --out "$tmp/four-$pass.txt" \
+        --json "$tmp/four-$pass.json" "${four[@]}" >/dev/null
+done
+cmp "$tmp/four-cold.txt" "$tmp/four-warm.txt"
+python3 - "$tmp/four-cold.json" "$tmp/four-warm.json" <<'PY'
+import json, sys
+cold, warm = (json.load(open(p)) for p in sys.argv[1:])
+keys = {c["key"] for c in cold["cells"]}
+assert len(cold["cells"]) == len(keys) == 12, (
+    f"cold run reported {len(cold['cells'])} cells with {len(keys)} keys, want 12")
+assert warm["cells_simulated"] == 0, f"warm cache simulated {warm['cells_simulated']} cells"
+assert warm["disk_hits"] == 12, f"expected 12 disk hits, got {warm['disk_hits']}"
+print("   12 cells; warm pass: 0 simulated, 12 disk hits, identical tables: OK")
+PY
+
+# Gated: a cell runs at most once per process, whatever its outcome. With a
+# zero budget every cell times out; fig02, fig04 and fig14 hold 60 distinct
+# cells, and each must be attempted exactly once (a memo that evicted
+# timeouts made 94 attempts here).
+echo "== timeout probe: every cell fails once, exit 3"
+rc=0
+./target/release/prodigy-eval --scale 64 --threads 2 --timeout-secs 0 \
+    --json "$tmp/probe.json" fig02 fig04 fig14 >/dev/null 2>"$tmp/probe.err" || rc=$?
+[ "$rc" -eq 3 ] || { echo "   want exit 3, got $rc"; head -5 "$tmp/probe.err"; exit 1; }
+python3 - "$tmp/probe.json" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+keys = [c["key"] for c in d["cells"]]
+assert len(keys) == 60 and len(set(keys)) == 60, (
+    f"{len(keys)} attempts for {len(set(keys))} keys, want 60 for 60")
+assert all(c["error"] for c in d["cells"]), "every cell must fail under a zero budget"
+print("   60 attempts for 60 keys, all failed: OK")
 PY
 
 echo "== metrics smoke: windowed series + attribution, same-seed identical"

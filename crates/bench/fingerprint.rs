@@ -5,17 +5,16 @@
 // compile time, and `tests/fingerprint.rs` includes it to prove the
 // fingerprint domain covers every source root — the vendored stand-in
 // crates in particular, which an earlier revision omitted (a cached
-// cell produced by a patched `vendor/crossbeam` executor would have
-// been served under an unchanged code rev).
+// cell produced under a patched vendored crate would have been served
+// under an unchanged code rev).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Source roots (relative to this crate's manifest dir) whose contents
 /// determine simulation results. The vendored stand-ins ship inside the
-/// repo and are compiled into the workspace (`crossbeam` backs the sweep
-/// executor), so they are part of the code rev like any first-party
-/// crate.
+/// repo and are compiled into the workspace, so they are part of the code
+/// rev like any first-party crate.
 const SOURCE_ROOTS: &[&str] = &[
     "src",
     "../core/src",
@@ -23,7 +22,6 @@ const SOURCE_ROOTS: &[&str] = &[
     "../prefetchers/src",
     "../compiler/src",
     "../workloads/src",
-    "../../vendor/crossbeam/src",
     "../../vendor/criterion/src",
     "../../vendor/proptest/src",
 ];

@@ -48,10 +48,10 @@
 //! merging the report of one unsharded run.
 #![forbid(unsafe_code)]
 
-use prodigy::throttle::ThrottleSpec;
-use prodigy::ProdigyConfig;
 use prodigy_bench::compare::merge_reports;
-use prodigy_bench::experiments::{run_all, shard_cells, Ctx, ShardSpec, EXPERIMENTS};
+use prodigy_bench::experiments::{
+    run_all, shard_cells, Cell, Ctx, ShardSpec, Variant, EXPERIMENTS,
+};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::{all_29, WorkloadSpec};
 use prodigy_sim::json::{parse_json, Json, ToJson};
@@ -302,10 +302,10 @@ fn main() {
     }
 }
 
-/// Single-run mode: one Prodigy run of `spec` (throttled, so throttle
-/// events appear), optionally traced as Chrome trace-event JSON and/or
-/// metered as a windowed metrics time-series with per-DIG-node prefetch
-/// attribution. Finishes with a timeliness summary on stdout.
+/// Single-run mode: one run of `spec`'s Prodigy cell with the throttle on
+/// (so throttle events appear), optionally traced as Chrome trace-event
+/// JSON and/or metered as a windowed metrics time-series with per-DIG-node
+/// prefetch attribution. Finishes with a timeliness summary on stdout.
 fn run_single(
     ctx: &Ctx,
     spec: &WorkloadSpec,
@@ -318,24 +318,19 @@ fn run_single(
         "prodigy-eval: {} under prodigy (throttled), scale 1/{}, {} cores, seed {}",
         spec.name, ctx.scale, ctx.sys.cores, ctx.sweep.base_seed
     );
-    let mut kernel = spec.instantiate_seeded(ctx.sweep.base_seed);
+    let cell = Cell {
+        spec: spec.clone(),
+        variant: Variant::new(PrefetcherKind::Prodigy).with_throttle(),
+    };
+    let base_seed = ctx.sweep.base_seed;
     let outcome = run_workload(
-        kernel.as_mut(),
+        spec.instantiate_seeded(base_seed).as_mut(),
         &RunConfig {
-            sys: ctx.sys,
-            prefetcher: PrefetcherKind::Prodigy,
-            prodigy: ProdigyConfig {
-                throttle: Some(ThrottleSpec::default()),
-                ..ProdigyConfig::default()
-            },
-            classify_llc: false,
-            seed: spec.identity_hash() ^ ctx.sweep.base_seed,
             trace: trace_path.is_some(),
             metrics: metrics_path.map(|_| MetricsConfig {
                 window_cycles: metrics_window,
-                ..MetricsConfig::default()
             }),
-            cancel: None,
+            ..cell.run_config(ctx.sys, base_seed)
         },
     );
     if let Some(path) = trace_path {

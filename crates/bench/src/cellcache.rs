@@ -17,10 +17,10 @@
 //!   result-identical builds.
 //!
 //! Only *successful* results are ever persisted. Failures — panics,
-//! timeouts — must never poison the disk cache: a panic is retried on the
-//! next process (where the bug may be fixed), a timeout on the next request
-//! (where the budget may be bigger). [`CellCache::store`] therefore only
-//! accepts a finished [`RunOutcome`].
+//! timeouts — must never poison the disk cache: within a process a failed
+//! cell is not run again, but the next process retries it (the bug may be
+//! fixed, the budget bigger). [`CellCache::store`] therefore only accepts a
+//! finished [`RunOutcome`].
 //!
 //! The stored payload is the simulated [`RunOutcome`] as JSON — exactly the
 //! outcome fields a sweep report cell carries — and loads back through

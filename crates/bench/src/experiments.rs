@@ -1,9 +1,12 @@
 //! The paper's evaluation as one registry: each entry of [`EXPERIMENTS`]
 //! declares one table or figure's grid of memoised simulation cells
 //! (workload rows × hardware variants) and the renderer that turns the
-//! warmed grid into the text it prints. [`run_all`] warms and renders the
-//! selected entries; [`shard_cells`] enumerates the same grids for
-//! `--shard K/N` sweeps.
+//! warmed grid into the text it prints. Every simulation the evaluation
+//! makes is such a cell, so every result runs on the worker pool under the
+//! per-cell timeout, through the disk cache and the shard planner, and
+//! lands in the `--json` report. [`run_all`] warms and renders the selected
+//! entries; [`shard_cells`] enumerates the same grids for `--shard K/N`
+//! sweeps.
 
 use crate::cellcache::{code_rev, composite_key, CellCache};
 use crate::report::{geomean, mean, pct, pct_opt, x, x_opt, Table};
@@ -12,15 +15,15 @@ use crate::sweep::{
     SingleFlightCache, SweepConfig, SweepReport, WorkerStat, CALLER_THREAD,
 };
 use crate::workload_set::{all_29, per_algorithm, WorkloadSpec, GRAPH_ALGS};
+use prodigy::throttle::ThrottleSpec;
 use prodigy::{ProdigyConfig, ProdigyPrefetcher};
 use prodigy_sim::prefetch::Prefetcher;
 use prodigy_sim::SystemConfig;
-use prodigy_workloads::kernels::{Kernel, PageRank};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -43,11 +46,14 @@ pub struct Variant {
     /// only when nonzero so legacy single-tier keys — and the disk-cache
     /// entries derived from them — stay unchanged.
     pub far: u64,
+    /// Prodigy's feedback-directed throttle (§IV-G future work). Appended to
+    /// the cache key only when set, like `far`.
+    pub throttle: bool,
 }
 
 impl Variant {
     /// `kind` with default knobs (16 PFHR entries, no classifier, context
-    /// core count, single-tier machine).
+    /// core count, single-tier machine, no throttle).
     pub const fn new(kind: PrefetcherKind) -> Self {
         Variant {
             kind,
@@ -55,6 +61,7 @@ impl Variant {
             classify: false,
             cores: 0,
             far: 0,
+            throttle: false,
         }
     }
 
@@ -79,6 +86,14 @@ impl Variant {
     /// With a far tier at `far`× DRAM latency.
     pub const fn with_far(self, far: u64) -> Self {
         Variant { far, ..self }
+    }
+
+    /// With Prodigy's feedback-directed throttle.
+    pub const fn with_throttle(self) -> Self {
+        Variant {
+            throttle: true,
+            ..self
+        }
     }
 }
 
@@ -115,14 +130,48 @@ impl Cell {
         if v.far != 0 {
             k.push_str(&format!("|far{}", v.far));
         }
+        if v.throttle {
+            k.push_str("|throttle");
+        }
         k
     }
 
     /// Whether the variant applies to the workload: the graph-specific
     /// prefetchers (A&J, DROPLET) have no layout to walk on non-graph
-    /// workloads, so grids skip those cells.
+    /// workloads, and a kernel carrying software prefetches runs without
+    /// a hardware prefetcher (§VI-C compares the two, it does not combine
+    /// them), so grids skip those cells.
     fn applies(&self) -> bool {
-        !self.variant.kind.graph_specific() || self.spec.is_graph()
+        let kind = self.variant.kind;
+        (!kind.graph_specific() || self.spec.is_graph())
+            && (!self.spec.software_prefetch || kind == PrefetcherKind::None)
+    }
+
+    /// This cell's run on machine `sys` under sweep seed `base_seed`: the
+    /// one place a cell's knobs become a [`RunConfig`]. Tracing, metering
+    /// and cancellation are the caller's to add.
+    pub fn run_config(&self, sys: SystemConfig, base_seed: u64) -> RunConfig {
+        let v = self.variant;
+        let mut sys = if v.cores == 0 {
+            sys
+        } else {
+            sys.with_cores(v.cores)
+        };
+        if v.far != 0 {
+            sys = sys.with_far_scale(v.far);
+        }
+        RunConfig {
+            sys,
+            prefetcher: v.kind,
+            prodigy: ProdigyConfig {
+                pfhr_entries: v.pfhr,
+                throttle: v.throttle.then(ThrottleSpec::default),
+                ..ProdigyConfig::default()
+            },
+            classify_llc: v.classify,
+            seed: self.spec.identity_hash() ^ base_seed,
+            ..RunConfig::default()
+        }
     }
 }
 
@@ -153,30 +202,12 @@ fn execute_cell(
     cell: &Cell,
     sys: SystemConfig,
     base_seed: u64,
-    cancel: Arc<std::sync::atomic::AtomicBool>,
+    cancel: Arc<AtomicBool>,
 ) -> RunOutcome {
-    let v = cell.variant;
     let mut kernel = cell.spec.instantiate_seeded(base_seed);
-    let mut sys = if v.cores == 0 {
-        sys
-    } else {
-        sys.with_cores(v.cores)
-    };
-    if v.far != 0 {
-        sys = sys.with_far_scale(v.far);
-    }
     let cfg = RunConfig {
-        sys,
-        prefetcher: v.kind,
-        prodigy: ProdigyConfig {
-            pfhr_entries: v.pfhr,
-            ..ProdigyConfig::default()
-        },
-        classify_llc: v.classify,
-        seed: cell.spec.identity_hash() ^ base_seed,
-        trace: false,
-        metrics: None,
         cancel: Some(cancel),
+        ..cell.run_config(sys, base_seed)
     };
     run_workload(kernel.as_mut(), &cfg)
 }
@@ -229,7 +260,8 @@ impl Ctx {
     }
 
     /// Runs one cell (memoised, single-flight, isolated), returning the
-    /// recorded error if the cell panicked or timed out.
+    /// recorded error if the cell panicked or timed out. Each distinct cell
+    /// runs at most once per context, whatever its outcome.
     pub fn try_run(&self, cell: &Cell) -> Result<Arc<RunOutcome>, CellError> {
         self.try_run_on(CALLER_THREAD, cell)
     }
@@ -279,7 +311,6 @@ impl Ctx {
                     let err = CellError {
                         key: key.clone(),
                         reason: e.reason,
-                        timed_out: e.timed_out,
                     };
                     self.errors.lock().unwrap().push(err.clone());
                     (Err(err), prodigy_sim::RunTiming::from_elapsed(t0.elapsed()))
@@ -346,20 +377,6 @@ fn speedup(base: &RunOutcome, v: &RunOutcome) -> f64 {
     base.summary.stats.cycles as f64 / v.summary.stats.cycles.max(1) as f64
 }
 
-/// One un-memoised run of `kernel` on the context's machine, for the runs
-/// a [`Cell`] cannot express (an instrumented or differently sized
-/// kernel, or counters `RunOutcome` does not carry).
-fn run_direct(ctx: &Ctx, kernel: &mut dyn Kernel, prefetcher: PrefetcherKind) -> RunOutcome {
-    run_workload(
-        kernel,
-        &RunConfig {
-            sys: ctx.sys,
-            prefetcher,
-            ..RunConfig::default()
-        },
-    )
-}
-
 /// One workload row of an experiment's grid: the workload and the warmed
 /// outcome of each of the experiment's variants, in registry order.
 struct Row {
@@ -403,7 +420,7 @@ pub struct Experiment {
     /// The grid's hardware variants, in column order.
     variants: &'static [Variant],
     /// Renders the warmed rows; reads the context only for its machine and
-    /// scale (and for [`run_direct`]).
+    /// scale.
     render: fn(&Ctx, &[Row]) -> String,
 }
 
@@ -472,7 +489,6 @@ impl Experiment {
             ctx.errors.lock().unwrap().push(CellError {
                 key: self.name.into(),
                 reason,
-                timed_out: false,
             });
             text
         })
@@ -873,16 +889,12 @@ fn stat_ranged_share(_ctx: &Ctx, rows: &[Row]) -> String {
 }
 
 /// §VI-C: software prefetching vs Prodigy on PageRank.
-fn stat_software_prefetch(ctx: &Ctx, rows: &[Row]) -> String {
+fn stat_software_prefetch(_ctx: &Ctx, rows: &[Row]) -> String {
     let (base, pro) = (&rows[0][0], &rows[0][1]);
-    // Software-prefetch variant: same graph, instrumented kernel, no
-    // hardware prefetcher.
-    let g = crate::workload_set::dataset_graph("lj", ctx.scale, false);
-    let mut k = PageRank::new((*g).clone(), 3)
-        .with_software_prefetch(prodigy_workloads::swpf::SwPrefetchSpec::default().distance);
-    let sw = run_direct(ctx, &mut k, PrefetcherKind::None);
+    // Same graph, instrumented kernel, no hardware prefetcher.
+    let sw = &rows[1][0];
     let mut t = Table::new(&["variant", "speedup over baseline"]);
-    t.row(vec!["software prefetching".into(), x(speedup(base, &sw))]);
+    t.row(vec!["software prefetching".into(), x(speedup(base, sw))]);
     t.row(vec!["prodigy".into(), x(speedup(base, pro))]);
     format!(
         "§VI-C — software prefetching on pr (paper: +7.6% for software vs ~2x for Prodigy)\n{}",
@@ -978,27 +990,23 @@ fn scalability(ctx: &Ctx, rows: &[Row]) -> String {
 
 /// Extension (paper §V-B footnote 3): direction-optimizing BFS with
 /// runtime DIG reconfiguration at each direction switch.
-fn ext_dobfs(ctx: &Ctx, _rows: &[Row]) -> String {
-    use prodigy_workloads::kernels::DoBfs;
-    let g = crate::workload_set::dataset_graph("lj", ctx.scale, false);
-    let src = crate::workload_set::best_source(&g);
-    let mut rows = Vec::new();
-    let mut base_cycles = 0u64;
-    for kind in [PrefetcherKind::None, PrefetcherKind::Prodigy] {
-        let mut k = DoBfs::new((*g).clone(), src, 15);
-        let out = run_direct(ctx, &mut k, kind);
-        let c = out.summary.stats.cycles;
-        if kind == PrefetcherKind::None {
-            base_cycles = c;
-        }
-        rows.push((
-            kind.name(),
-            c,
-            base_cycles as f64 / c.max(1) as f64,
-            k.switches,
-            k.bottom_up_levels,
-        ));
-    }
+fn ext_dobfs(ctx: &Ctx, rows: &[Row]) -> String {
+    use prodigy_workloads::kernels::{DoBfs, FunctionalRunner};
+    use prodigy_workloads::{Kernel, PhaseRunner};
+    let row = &rows[0];
+    // The kernel switches direction by comparing frontier edges with m/α,
+    // so its switch counts are the algorithm's, not the machine's: one
+    // functional run counts them for every row.
+    let spec = &row.spec;
+    let g = crate::workload_set::dataset_graph(
+        spec.dataset.expect("dobfs runs on a data set"),
+        spec.scale,
+        spec.reorder,
+    );
+    let mut k = DoBfs::new((*g).clone(), crate::workload_set::best_source(&g));
+    let mut runner = FunctionalRunner::new(ctx.sys.cores as usize);
+    k.prepare(runner.space_mut());
+    k.run(&mut runner);
     let mut t = Table::new(&[
         "prefetcher",
         "cycles",
@@ -1006,13 +1014,13 @@ fn ext_dobfs(ctx: &Ctx, _rows: &[Row]) -> String {
         "dir switches",
         "bottom-up levels",
     ]);
-    for (n, c, s, sw, bu) in rows {
+    for (v, out) in row.iter() {
         t.row(vec![
-            n.into(),
-            c.to_string(),
-            x(s),
-            sw.to_string(),
-            bu.to_string(),
+            v.kind.name().into(),
+            out.summary.stats.cycles.to_string(),
+            x(speedup(&row[0], out)),
+            k.switches.to_string(),
+            k.bottom_up_levels.to_string(),
         ]);
     }
     format!(
@@ -1022,31 +1030,15 @@ fn ext_dobfs(ctx: &Ctx, _rows: &[Row]) -> String {
 }
 
 /// §VI-G limitations case study: triangle counting's branch-dependent
-/// loads defeat Prodigy's control-flow-blind prefetching.
-fn limits_tc(ctx: &Ctx, _rows: &[Row]) -> String {
-    use prodigy_workloads::kernels::{Bfs, Tc};
-    // Triangle counting touches Θ(Σ deg²) edge pairs; run it on a smaller
-    // instance of the same graph family than the streaming kernels use.
-    let g = crate::workload_set::dataset_graph("po", ctx.scale.saturating_mul(8).max(8), false);
-    let src = crate::workload_set::best_source(&g);
+/// loads defeat Prodigy's control-flow-blind prefetching, contrasted with
+/// bfs on the same input.
+fn limits_tc(_ctx: &Ctx, rows: &[Row]) -> String {
     let mut t = Table::new(&["workload", "prodigy speedup", "prefetch accuracy"]);
-    let mut row = |name: &str, base: RunOutcome, pro: RunOutcome| {
+    for (r, name) in rows.iter().zip(["bfs (control)", "tc (branch-dependent)"]) {
+        let (base, pro) = (&r[0], &r[1]);
         let acc = pro.summary.stats.prefetch_use.accuracy();
-        t.row(vec![name.into(), x(speedup(&base, &pro)), pct_opt(acc)]);
-    };
-    // Contrast against bfs on the same input.
-    let bfs = |kind| run_direct(ctx, &mut Bfs::new((*g).clone(), src), kind);
-    row(
-        "bfs (control)",
-        bfs(PrefetcherKind::None),
-        bfs(PrefetcherKind::Prodigy),
-    );
-    let tc = |kind| run_direct(ctx, &mut Tc::new((*g).clone()), kind);
-    row(
-        "tc (branch-dependent)",
-        tc(PrefetcherKind::None),
-        tc(PrefetcherKind::Prodigy),
-    );
+        t.row(vec![name.into(), x(speedup(base, pro)), pct_opt(acc)]);
+    }
     format!(
         "§VI-G — limitations: tc's ID-pruned traversal gives Prodigy less to win (paper predicts muted gains)\n{}",
         t.render()
@@ -1054,30 +1046,16 @@ fn limits_tc(ctx: &Ctx, _rows: &[Row]) -> String {
 }
 
 /// Extension (paper §IV-G future work): feedback-directed throttling.
-fn ext_throttle(ctx: &Ctx, rows: &[Row]) -> String {
-    use prodigy::throttle::ThrottleSpec;
+fn ext_throttle(_ctx: &Ctx, rows: &[Row]) -> String {
     let row = &rows[0];
-    let (base, plain) = (&row[0], &row[1]);
-    // Throttled run (not memoised: a cell has no throttle knob).
-    let throttled = run_workload(
-        row.spec.instantiate().as_mut(),
-        &RunConfig {
-            sys: ctx.sys,
-            prefetcher: PrefetcherKind::Prodigy,
-            prodigy: ProdigyConfig {
-                throttle: Some(ThrottleSpec::default()),
-                ..ProdigyConfig::default()
-            },
-            ..RunConfig::default()
-        },
-    );
+    let (base, plain, throttled) = (&row[0], &row[1], &row[2]);
     let mut t = Table::new(&["variant", "speedup", "prefetch accuracy"]);
     let acc = |o: &RunOutcome| pct_opt(o.summary.stats.prefetch_use.accuracy());
     t.row(vec!["prodigy".into(), x(speedup(base, plain)), acc(plain)]);
     t.row(vec![
         "prodigy + FDP throttle".into(),
-        x(speedup(base, &throttled)),
-        acc(&throttled),
+        x(speedup(base, throttled)),
+        acc(throttled),
     ]);
     format!(
         "Extension — feedback-directed throttling (§IV-G future work) on cc-lj\n{}",
@@ -1259,8 +1237,31 @@ fn pr_lj(scale: u32) -> Vec<WorkloadSpec> {
     vec![WorkloadSpec::graph("pr", "lj", scale)]
 }
 
+/// §VI-C's rows: pr on `lj`, then the same kernel with software prefetches.
+fn pr_lj_and_swpf(scale: u32) -> Vec<WorkloadSpec> {
+    let pr = WorkloadSpec::graph("pr", "lj", scale);
+    vec![pr.clone(), pr.with_software_prefetch()]
+}
+
 fn cc_lj(scale: u32) -> Vec<WorkloadSpec> {
     vec![WorkloadSpec::graph("cc", "lj", scale)]
+}
+
+fn dobfs_lj(scale: u32) -> Vec<WorkloadSpec> {
+    vec![WorkloadSpec::graph("dobfs", "lj", scale)]
+}
+
+/// §VI-G's rows: bfs (the control) and tc on `po`. Triangle counting
+/// touches Θ(Σ deg²) edge pairs, so both run on an 8× smaller instance of
+/// the graph than the streaming kernels use, named apart from fig04's
+/// full-size `bfs-po` (a cell key does not carry the scale).
+fn po_8x(scale: u32) -> Vec<WorkloadSpec> {
+    let scale = scale.saturating_mul(8).max(8);
+    let spec = |alg| WorkloadSpec {
+        name: format!("{alg}-po-8x"),
+        ..WorkloadSpec::graph(alg, "po", scale)
+    };
+    vec![spec("bfs"), spec("tc")]
 }
 
 /// The five GAP kernels on `lj`: the graph rows of [`per_algorithm`].
@@ -1282,7 +1283,7 @@ fn gap_reordered(scale: u32) -> Vec<WorkloadSpec> {
 /// Every experiment, in run order: its name, row workloads, hardware
 /// variants and renderer. Cells are memoised by key across the whole run,
 /// so grids that entries share (fig14, table3 and fig19 all read `all_29`
-/// × {none, prodigy}) simulate once.
+/// × {none, prodigy}) simulate once, and a cell that fails fails once.
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("table1", no_rows, &[], table1),
     Experiment::new("table2", no_rows, &[], table2),
@@ -1334,12 +1335,22 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("fig18", gap_reordered, &[NONE, PRODIGY], fig18),
     Experiment::new("fig19", all_29, &[NONE, PRODIGY], fig19),
     Experiment::new("ranged", gap_lj, &[PRODIGY], stat_ranged_share),
-    Experiment::new("swpf", pr_lj, &[NONE, PRODIGY], stat_software_prefetch),
+    Experiment::new(
+        "swpf",
+        pr_lj_and_swpf,
+        &[NONE, PRODIGY],
+        stat_software_prefetch,
+    ),
     Experiment::new("storage", no_rows, &[], table_storage),
     Experiment::new("scalability", pr_lj, &SCALABILITY, scalability),
-    Experiment::new("limits_tc", no_rows, &[], limits_tc),
-    Experiment::new("ext_dobfs", no_rows, &[], ext_dobfs),
-    Experiment::new("ext_throttle", cc_lj, &[NONE, PRODIGY], ext_throttle),
+    Experiment::new("limits_tc", po_8x, &[NONE, PRODIGY], limits_tc),
+    Experiment::new("ext_dobfs", dobfs_lj, &[NONE, PRODIGY], ext_dobfs),
+    Experiment::new(
+        "ext_throttle",
+        cc_lj,
+        &[NONE, PRODIGY, PRODIGY.with_throttle()],
+        ext_throttle,
+    ),
     Experiment::new("farmem", gap_lj, &FARMEM, farmem),
     Experiment::new("pollution", gap_lj, &EVERY_PREFETCHER, pollution),
 ];
@@ -1415,6 +1426,7 @@ pub fn run_all(ctx: &Ctx, filters: &[String]) -> String {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::time::Duration;
 
     fn quick_ctx() -> Ctx {
         // Very small inputs; machine scaled accordingly.
@@ -1530,12 +1542,12 @@ mod tests {
             ("fig18", 20),
             ("fig19", 58),
             ("ranged", 5),
-            ("swpf", 2),
+            ("swpf", 3),
             ("storage", 0),
             ("scalability", 8),
-            ("limits_tc", 0),
-            ("ext_dobfs", 0),
-            ("ext_throttle", 2),
+            ("limits_tc", 4),
+            ("ext_dobfs", 2),
+            ("ext_throttle", 3),
             ("farmem", 80),
             ("pollution", 40),
         ];
@@ -1552,7 +1564,7 @@ mod tests {
             .flat_map(|e| e.cells(64))
             .map(|c| c.key())
             .collect();
-        assert_eq!(keys.len(), 245);
+        assert_eq!(keys.len(), 253);
         // Shards 1..3 of 3 partition exactly those keys.
         let ctx = Ctx::new(64);
         let mut sharded: Vec<String> = (1..=3)
@@ -1575,6 +1587,108 @@ mod tests {
         assert_eq!(knobs("farmem"), far.collect());
         let every = PrefetcherKind::ALL.iter().map(|&k| (k, 0));
         assert_eq!(knobs("pollution"), every.collect());
+    }
+
+    #[test]
+    fn throttle_extends_the_key_and_legacy_keys_stay() {
+        let key =
+            |name| -> Vec<String> { experiment(name).cells(64).iter().map(Cell::key).collect() };
+        assert_eq!(
+            key("fig02"),
+            [
+                "pr-lj|false|none|16|false|0",
+                "pr-lj|false|ghb-gdc|16|false|0",
+                "pr-lj|false|droplet|16|false|0",
+                "pr-lj|false|prodigy|16|false|0",
+            ]
+        );
+        // The cells of the runs that once bypassed the registry: two of
+        // swpf's are fig02's, and limits_tc's 8x rows are named apart from
+        // fig04's full-size bfs-po.
+        assert_eq!(
+            key("swpf"),
+            [
+                "pr-lj|false|none|16|false|0",
+                "pr-lj|false|prodigy|16|false|0",
+                "pr-lj-swpf|false|none|16|false|0",
+            ]
+        );
+        assert_eq!(
+            key("limits_tc"),
+            [
+                "bfs-po-8x|false|none|16|false|0",
+                "bfs-po-8x|false|prodigy|16|false|0",
+                "tc-po-8x|false|none|16|false|0",
+                "tc-po-8x|false|prodigy|16|false|0",
+            ]
+        );
+        assert_eq!(
+            key("ext_dobfs"),
+            [
+                "dobfs-lj|false|none|16|false|0",
+                "dobfs-lj|false|prodigy|16|false|0",
+            ]
+        );
+        assert_eq!(
+            key("ext_throttle"),
+            [
+                "cc-lj|false|none|16|false|0",
+                "cc-lj|false|prodigy|16|false|0",
+                "cc-lj|false|prodigy|16|false|0|throttle",
+            ]
+        );
+        // The throttle reaches the run only where the variant sets it.
+        let cells = experiment("ext_throttle").cells(64);
+        let throttled = |c: &Cell| c.run_config(SystemConfig::bench(), 0).prodigy.throttle;
+        assert!(throttled(&cells[1]).is_none());
+        assert!(throttled(&cells[2]).is_some());
+    }
+
+    #[test]
+    fn every_simulation_is_a_cell() {
+        let dir = std::env::temp_dir().join(format!("prodigy-every-cell-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let render = |ctx: &Ctx| -> String {
+            ["swpf", "limits_tc", "ext_dobfs", "ext_throttle"]
+                .into_iter()
+                .map(|name| experiment(name).run(ctx))
+                .collect()
+        };
+        let cold = quick_ctx().with_cell_cache(&dir).unwrap();
+        let text = render(&cold);
+        let report = cold.report();
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        let keys: HashSet<&str> = report.cell_timings.iter().map(|t| t.key.as_str()).collect();
+        assert_eq!((report.cell_timings.len(), keys.len()), (12, 12));
+        assert_eq!(report.cells_simulated, 12);
+        // A second process on the same disk cache simulates nothing.
+        let warm = quick_ctx().with_cell_cache(&dir).unwrap();
+        assert_eq!(render(&warm), text);
+        let report = warm.report();
+        assert_eq!((report.cells_simulated, report.disk_hits), (0, 12));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cell_runs_once_even_when_it_times_out() {
+        let ctx = quick_ctx().with_sweep(SweepConfig {
+            threads: 2,
+            base_seed: 0,
+            cell_timeout: Some(Duration::ZERO),
+        });
+        // swpf shares two cells with fig02.
+        for name in ["fig02", "swpf"] {
+            let text = experiment(name).run(&ctx);
+            assert!(text.contains("FAILED"), "{text}");
+        }
+        let report = ctx.report();
+        let mut keys: Vec<&str> = report.cell_timings.iter().map(|t| t.key.as_str()).collect();
+        keys.sort_unstable();
+        let attempts = keys.len();
+        keys.dedup();
+        assert_eq!(attempts, keys.len(), "a timed-out cell ran twice: {keys:?}");
+        assert_eq!(attempts, 5, "fig02's four cells and swpf's own one");
+        assert_eq!(report.errors.len(), 5);
     }
 
     #[test]

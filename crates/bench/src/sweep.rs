@@ -7,19 +7,18 @@
 //!
 //! * [`SingleFlightCache`] — a memoizing result cache where concurrent
 //!   requests for the same key block on one in-flight computation instead
-//!   of duplicating it (duplicate cells across figures simulate once);
+//!   of duplicating it (duplicate cells across figures simulate once, and
+//!   a failed cell fails once);
 //! * [`run_isolated`] — per-cell panic *and* timeout isolation, so one
 //!   diverging simulation fails that cell with a recorded error instead of
 //!   aborting the whole sweep;
-//! * [`run_pool`] — a bounded worker pool over `crossbeam` scoped threads
-//!   and channels, reporting per-worker busy time for the utilization
-//!   report.
+//! * [`run_pool`] — a bounded worker pool over `std::thread::scope`,
+//!   reporting per-worker busy time for the utilization report.
 //!
 //! Determinism: cells are seeded from their spec identity (never from
 //! execution order, thread id, or time), so a parallel sweep is
 //! bit-identical to a serial one — `tests/determinism.rs` locks this in.
 
-use crossbeam::channel;
 use prodigy_sim::json::{Json, ToJson};
 use prodigy_workloads::RunOutcome;
 use std::collections::HashMap;
@@ -65,21 +64,10 @@ pub struct CellError {
     pub key: String,
     /// Human-readable cause.
     pub reason: String,
-    /// Whether the failure was a wall-clock timeout. Timeouts are
-    /// *transient* — a later request under a bigger budget (or a less
-    /// loaded host) may succeed — so they are never memoised by
-    /// [`SingleFlightCache`] and never persisted by the disk cell cache.
-    /// Panics are deterministic for a given build and stay cached.
-    pub timed_out: bool,
 }
 
-// `{"key":..,"reason":..}`: the report's `errors` rows. Whether the failure
-// was a timeout matters only to the run that saw it.
-prodigy_sim::json_object!(CellError {
-    key,
-    reason,
-    timed_out: skip,
-});
+// `{"key":..,"reason":..}`: the report's `errors` rows.
+prodigy_sim::json_object!(CellError { key, reason });
 
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -95,11 +83,10 @@ type SlotOf<T> = Arc<OnceLock<Result<T, CellError>>>;
 ///
 /// The first requester of a key runs the computation; concurrent requesters
 /// of the same key block until that one computation finishes and then share
-/// its result. Deterministic failures (panics) are cached too — a diverging
-/// cell is not retried by every figure that references it — but *timeouts*
-/// are evicted as soon as the flight lands: the waiters who shared that
-/// flight all see the timeout, and the next fresh request re-runs the cell
-/// (see [`CellError::timed_out`]).
+/// its result. Failures are cached like successes, timeouts included, so a
+/// key's computation runs at most once per cache: a hung cell costs one
+/// budget, not one per figure that references it. (The disk cell cache
+/// persists successes only, so the next process retries a failure.)
 ///
 /// The computation closure must not panic — wrap fallible work in
 /// [`run_isolated`] and return `Err` instead (a panic inside `get_or_run`
@@ -154,17 +141,6 @@ impl<T: Clone> SingleFlightCache<T> {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        // Timeouts are transient: evict the slot so the *next* request
-        // re-runs the cell. Only the thread that ran the flight evicts, and
-        // only if the map still holds this exact slot (a fresh retry slot
-        // inserted meanwhile must not be clobbered). Waiters that shared
-        // this flight still all observe the same timeout error.
-        if ran && matches!(&out, Err(e) if e.timed_out) {
-            let mut slots = self.slots.lock().unwrap();
-            if slots.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                slots.remove(key);
-            }
-        }
         out
     }
 
@@ -189,17 +165,12 @@ impl<T: Clone> SingleFlightCache<T> {
     }
 }
 
-/// Structured failure from [`run_isolated`]: the message plus whether the
-/// job was abandoned on timeout (in which case its thread keeps running,
-/// detached — see [`run_isolated`]).
+/// Structured failure from [`run_isolated`]: the message plus whether a
+/// timed-out job's thread had to be detached (see [`run_isolated`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IsolatedError {
     /// Human-readable cause (panic message or timeout notice).
     pub reason: String,
-    /// True when the job exceeded its wall-clock budget. The error stays a
-    /// timeout (transient, never cached) even when the worker honoured the
-    /// cancel flag and exited inside the grace window.
-    pub timed_out: bool,
     /// True when the timed-out worker was still running after the
     /// post-cancel grace window and had to be detached. Only these threads
     /// keep burning a core; the caller counts them toward
@@ -225,10 +196,10 @@ const CANCEL_GRACE: Duration = Duration::from_millis(200);
 /// `recv_timeout`; on expiry the cancel flag is raised and the worker gets a
 /// short grace window ([`CANCEL_GRACE`]) to honour it. A cancel-aware job
 /// unwinds at its next scheduler boundary, lands inside the window, and is
-/// joined — the error then carries `timed_out: true, leaked: false`. A
-/// truly divergent cell that never reaches a cancellation point is
-/// *detached*, not killed (Rust has no safe thread cancellation), and the
-/// error carries `leaked: true` so callers can account for the abandonment
+/// joined — the error then carries `leaked: false`. A truly divergent cell
+/// that never reaches a cancellation point is *detached*, not killed (Rust
+/// has no safe thread cancellation), and the error carries `leaked: true`
+/// so callers can account for the abandonment
 /// ([`SweepReport::threads_leaked`]). Without a timeout the job runs inline
 /// under `catch_unwind` — no extra thread.
 pub fn run_isolated<T: Send + 'static>(
@@ -238,7 +209,6 @@ pub fn run_isolated<T: Send + 'static>(
 ) -> Result<T, IsolatedError> {
     let panic_err = |p: Box<dyn std::any::Any + Send>| IsolatedError {
         reason: panic_message(p.as_ref()),
-        timed_out: false,
         leaked: false,
     };
     let cancel = Arc::new(AtomicBool::new(false));
@@ -248,7 +218,7 @@ pub fn run_isolated<T: Send + 'static>(
             catch_unwind(AssertUnwindSafe(move || job(flag))).map_err(panic_err)
         }
         Some(budget) => {
-            let (tx, rx) = channel::bounded(1);
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
             let thread_name = format!("cell-{}", label.chars().take(24).collect::<String>());
             let flag = Arc::clone(&cancel);
             let handle = std::thread::Builder::new()
@@ -287,7 +257,6 @@ pub fn run_isolated<T: Send + 'static>(
                     };
                     Err(IsolatedError {
                         reason: format!("timed out after {:.1}s", budget.as_secs_f64()),
-                        timed_out: true,
                         leaked,
                     })
                 }
@@ -319,10 +288,10 @@ pub struct WorkerStat {
 
 /// Runs `f` over `items` on a bounded pool of `threads` scoped workers.
 ///
-/// Items are distributed through a bounded MPMC channel, so a slow cell
-/// never strands queued work behind one worker. Returns per-worker busy
-/// time and job counts (for the utilization report). `f` must not panic —
-/// route fallible work through [`run_isolated`].
+/// Workers take the next item from one shared queue, so a slow cell never
+/// strands queued work behind one worker. Returns per-worker busy time and
+/// job counts (for the utilization report). `f` must not panic — route
+/// fallible work through [`run_isolated`].
 pub fn run_pool<T, F>(items: Vec<T>, threads: usize, f: F) -> Vec<WorkerStat>
 where
     T: Send,
@@ -332,17 +301,19 @@ where
         return Vec::new();
     }
     let threads = threads.clamp(1, items.len());
-    let (tx, rx) = channel::bounded::<T>(threads * 2);
+    let queue = Mutex::new(items.into_iter());
     let stats: Mutex<Vec<WorkerStat>> = Mutex::new(Vec::new());
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..threads {
-            let rx = rx.clone();
-            let f = &f;
-            let stats = &stats;
-            s.spawn(move |_| {
+            let (f, queue, stats) = (&f, &queue, &stats);
+            s.spawn(move || {
                 let mut busy = Duration::ZERO;
                 let mut jobs = 0u64;
-                while let Ok(item) = rx.recv() {
+                loop {
+                    // Its own statement, so the queue is unlocked before
+                    // the job runs.
+                    let next = queue.lock().expect("no job runs under the lock").next();
+                    let Some(item) = next else { break };
                     let t0 = Instant::now();
                     f(w, item);
                     busy += t0.elapsed();
@@ -355,12 +326,7 @@ where
                 });
             });
         }
-        for item in items {
-            tx.send(item).expect("pool workers alive");
-        }
-        drop(tx);
-    })
-    .expect("sweep worker panicked");
+    });
     let mut v = stats.into_inner().unwrap();
     v.sort_by_key(|s| s.worker);
     v
@@ -769,12 +735,12 @@ mod tests {
         let cache: SingleFlightCache<u64> = SingleFlightCache::new();
         let computes = AtomicUsize::new(0);
         let results: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..16 {
                 let cache = &cache;
                 let computes = &computes;
                 let results = &results;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let r = cache
                         .get_or_run("same-key", || {
                             computes.fetch_add(1, Ordering::SeqCst);
@@ -787,8 +753,7 @@ mod tests {
                     results.lock().unwrap().push(r);
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(computes.load(Ordering::SeqCst), 1, "single flight");
         let results = results.into_inner().unwrap();
         assert_eq!(results.len(), 16);
@@ -800,60 +765,28 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_caches_panics_without_retrying() {
-        let cache: SingleFlightCache<u64> = SingleFlightCache::new();
-        let computes = AtomicUsize::new(0);
-        for _ in 0..3 {
-            let e = cache
-                .get_or_run("bad", || {
-                    computes.fetch_add(1, Ordering::SeqCst);
-                    Err(CellError {
-                        key: "bad".into(),
-                        reason: "boom".into(),
-                        timed_out: false,
+    fn single_flight_caches_failures_without_retrying() {
+        // A panic and a timeout alike: later requests are served from the
+        // memo, so a failed key runs once.
+        for reason in ["panicked: boom", "timed out after 0.1s"] {
+            let cache: SingleFlightCache<u64> = SingleFlightCache::new();
+            let computes = AtomicUsize::new(0);
+            for _ in 0..3 {
+                let e = cache
+                    .get_or_run("bad", || {
+                        computes.fetch_add(1, Ordering::SeqCst);
+                        Err(CellError {
+                            key: "bad".into(),
+                            reason: reason.into(),
+                        })
                     })
-                })
-                .unwrap_err();
-            assert_eq!(e.reason, "boom");
+                    .unwrap_err();
+                assert_eq!(e.reason, reason);
+            }
+            assert_eq!(computes.load(Ordering::SeqCst), 1, "{reason}: ran again");
+            assert_eq!((cache.computes(), cache.hits()), (1, 2));
+            assert!(cache.contains("bad"), "{reason}: slot stays resident");
         }
-        assert_eq!(
-            computes.load(Ordering::SeqCst),
-            1,
-            "deterministic failures are cached"
-        );
-        assert!(cache.contains("bad"), "panic slot stays resident");
-    }
-
-    #[test]
-    fn single_flight_retries_timeouts() {
-        let cache: SingleFlightCache<u64> = SingleFlightCache::new();
-        let computes = AtomicUsize::new(0);
-        // First two requests time out; each one must actually run.
-        for _ in 0..2 {
-            let e = cache
-                .get_or_run("slow", || {
-                    computes.fetch_add(1, Ordering::SeqCst);
-                    Err(CellError {
-                        key: "slow".into(),
-                        reason: "timed out after 0.1s".into(),
-                        timed_out: true,
-                    })
-                })
-                .unwrap_err();
-            assert!(e.timed_out);
-            assert!(!cache.contains("slow"), "timeout slot must be evicted");
-        }
-        assert_eq!(computes.load(Ordering::SeqCst), 2, "timeouts re-run");
-        // Third request succeeds and IS memoised.
-        let v = cache
-            .get_or_run("slow", || {
-                computes.fetch_add(1, Ordering::SeqCst);
-                Ok(99)
-            })
-            .unwrap();
-        assert_eq!(v, 99);
-        assert_eq!(cache.get_or_run("slow", || unreachable!()).unwrap(), 99);
-        assert_eq!(computes.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -861,7 +794,8 @@ mod tests {
         let r: Result<(), _> = run_isolated("t", None, |_| panic!("kaboom {}", 7));
         let e = r.unwrap_err();
         assert!(e.reason.contains("kaboom 7"));
-        assert!(!e.timed_out, "a panic is not a timeout");
+        assert!(!e.reason.contains("timed out"), "a panic is not a timeout");
+        assert!(!e.leaked);
         let ok = run_isolated("t", None, |_| 5u32).unwrap();
         assert_eq!(ok, 5);
     }
@@ -872,8 +806,7 @@ mod tests {
             std::thread::sleep(Duration::from_secs(30));
         });
         let e = r.unwrap_err();
-        assert!(e.reason.contains("timed out"));
-        assert!(e.timed_out, "timeout flagged");
+        assert!(e.reason.contains("timed out"), "{}", e.reason);
         assert!(
             e.leaked,
             "a job that ignores the cancel flag outlives the grace window"
@@ -904,7 +837,11 @@ mod tests {
             panic!("run cancelled");
         });
         let e = r.unwrap_err();
-        assert!(e.timed_out, "the job still exceeded its budget");
+        assert!(
+            e.reason.contains("timed out"),
+            "the job still exceeded its budget: {}",
+            e.reason
+        );
         assert!(
             !e.leaked,
             "a cancel-honouring worker exits in the grace window and is joined, not leaked"
@@ -997,7 +934,6 @@ mod tests {
             errors: vec![CellError {
                 key: "bfs|false|prodigy|16|false|0".into(),
                 reason: "timed out after 1.0s".into(),
-                timed_out: true,
             }],
             wall: Duration::from_millis(1500),
             workers: vec![

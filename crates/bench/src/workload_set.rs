@@ -1,10 +1,14 @@
 //! The paper's 29-workload roster (§V-B): five GAP graph algorithms × five
-//! Table II data sets, plus spmv, symgs, cg and is.
+//! Table II data sets, plus spmv, symgs, cg and is. Three more workloads
+//! serve single experiments: triangle counting (§VI-G), direction-optimizing
+//! BFS (§V-B) and PageRank with software prefetches (§VI-C).
 
 use prodigy_workloads::graph::csr::{Csr, WeightedCsr};
 use prodigy_workloads::graph::datasets::Dataset;
 use prodigy_workloads::graph::generators;
-use prodigy_workloads::kernels::{Bc, Bfs, Cc, Cg, IntSort, Kernel, PageRank, Spmv, Sssp, Symgs};
+use prodigy_workloads::kernels::{
+    Bc, Bfs, Cc, Cg, DoBfs, IntSort, Kernel, PageRank, Spmv, Sssp, Symgs, Tc,
+};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::sync::{Arc, OnceLock};
@@ -27,6 +31,9 @@ pub struct WorkloadSpec {
     pub scale: u32,
     /// Whether to HubSort-reorder the input graph (Fig. 18).
     pub reorder: bool,
+    /// Whether the kernel carries CGO'17 software prefetches (pr only,
+    /// §VI-C).
+    pub software_prefetch: bool,
 }
 
 type GraphCache = Mutex<HashMap<(String, u32, bool), Arc<Csr>>>;
@@ -88,6 +95,7 @@ impl WorkloadSpec {
             dataset: Some(dataset),
             scale,
             reorder: false,
+            software_prefetch: false,
         }
     }
 
@@ -99,12 +107,21 @@ impl WorkloadSpec {
             dataset: None,
             scale,
             reorder: false,
+            software_prefetch: false,
         }
     }
 
     /// Returns a copy operating on the HubSort-reordered input.
     pub fn reordered(mut self) -> Self {
         self.reorder = true;
+        self
+    }
+
+    /// Returns a copy whose kernel carries CGO'17 software prefetches,
+    /// named `<name>-swpf` (PageRank only).
+    pub fn with_software_prefetch(mut self) -> Self {
+        self.software_prefetch = true;
+        self.name.push_str("-swpf");
         self
     }
 
@@ -177,7 +194,7 @@ impl WorkloadSpec {
     /// or data-set name as an error instead of panicking.
     pub fn try_instantiate_seeded(&self, base_seed: u64) -> Result<Box<dyn Kernel + Send>, String> {
         Ok(match self.alg {
-            "bc" | "bfs" | "cc" | "pr" | "sssp" => {
+            "bc" | "bfs" | "cc" | "pr" | "sssp" | "tc" | "dobfs" => {
                 let Some(dataset) = self.dataset else {
                     return Err(format!("graph algorithm {:?} needs a dataset", self.alg));
                 };
@@ -187,7 +204,12 @@ impl WorkloadSpec {
                     "bc" => Box::new(Bc::new((*g).clone(), src)) as Box<dyn Kernel + Send>,
                     "bfs" => Box::new(Bfs::new((*g).clone(), src)),
                     "cc" => Box::new(Cc::new((*g).clone(), 6)),
+                    "pr" if self.software_prefetch => {
+                        Box::new(PageRank::new((*g).clone(), 3).with_software_prefetch())
+                    }
                     "pr" => Box::new(PageRank::new((*g).clone(), 3)),
+                    "tc" => Box::new(Tc::new((*g).clone())),
+                    "dobfs" => Box::new(DoBfs::new((*g).clone(), src)),
                     "sssp" => {
                         let w = self.derived_seed(base_seed, 71);
                         Box::new(Sssp::new(
@@ -224,7 +246,12 @@ impl WorkloadSpec {
                 Box::new(IntSort::new(keys, (keys / 4).max(64) as u32, seed))
             }
             other => {
-                let valid: Vec<&str> = GRAPH_ALGS.iter().chain(&NON_GRAPH_ALGS).copied().collect();
+                let valid: Vec<&str> = GRAPH_ALGS
+                    .iter()
+                    .chain(&["tc", "dobfs"])
+                    .chain(&NON_GRAPH_ALGS)
+                    .copied()
+                    .collect();
                 return Err(format!(
                     "unknown algorithm {other:?}; valid algorithms: {}",
                     valid.join(" ")

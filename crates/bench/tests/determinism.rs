@@ -163,9 +163,8 @@ fn bfs_run_metered(metered: bool) -> RunOutcome {
             sys: SystemConfig::scaled(64).with_cores(2),
             prefetcher: PrefetcherKind::Prodigy,
             seed: spec.identity_hash(),
-            metrics: metered.then(|| MetricsConfig {
+            metrics: metered.then_some(MetricsConfig {
                 window_cycles: 5_000,
-                ..MetricsConfig::default()
             }),
             ..RunConfig::default()
         },

@@ -24,11 +24,11 @@ fn perturbing_a_vendored_source_changes_the_fingerprint() {
     let root = scratch("vendor");
     let manifest = root.join("crates/bench");
     write(&manifest.join("src/lib.rs"), "pub fn first_party() {}\n");
-    let vendored = root.join("vendor/crossbeam/src/lib.rs");
-    write(&vendored, "pub fn scoped() {}\n");
+    let vendored = root.join("vendor/proptest/src/lib.rs");
+    write(&vendored, "pub fn sample() {}\n");
 
     let before = source_fingerprint(&manifest, SOURCE_ROOTS);
-    write(&vendored, "pub fn scoped() { /* patched */ }\n");
+    write(&vendored, "pub fn sample() { /* patched */ }\n");
     let after = source_fingerprint(&manifest, SOURCE_ROOTS);
     assert_ne!(
         before, after,
@@ -52,5 +52,5 @@ fn baked_fingerprint_matches_a_fresh_walk_over_all_roots() {
     let fresh = format!("{:016x}", source_fingerprint(manifest, SOURCE_ROOTS));
     assert_eq!(env!("PRODIGY_BUILD_FINGERPRINT"), fresh);
     // Sanity: the walk actually saw the vendored crates.
-    assert!(manifest.join("../../vendor/crossbeam/src/lib.rs").is_file());
+    assert!(manifest.join("../../vendor/proptest/src/lib.rs").is_file());
 }

@@ -73,42 +73,18 @@ pub struct DramConfig {
     pub cycles_per_transfer: u64,
 }
 
-/// Far-memory (CXL-style remote pool) controller parameters. Mirrors
-/// [`DramConfig`] but models a second, slower tier: lines whose address
-/// ranges are marked cold in the address-space tier map are filled from
-/// this controller instead of local DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FarMemConfig {
-    /// Uncontended access latency in cycles (typically N× the DRAM number).
-    pub access_latency: u64,
-    /// Independent far-pool channels; requests hash across them.
-    pub channels: u32,
-    /// Cycles a channel is occupied per 64 B transfer.
-    pub cycles_per_transfer: u64,
-}
-
-impl FarMemConfig {
-    /// Derives a far tier from the local DRAM numbers with latency and
-    /// per-transfer occupancy scaled by `far_latency_scale` (the channel
-    /// count carries over). Scale 1 is a pool exactly as fast as
-    /// DRAM — useful for isolating the routing overhead, which must be
-    /// zero.
-    pub fn scaled_from(dram: &DramConfig, far_latency_scale: u64) -> Self {
-        assert!(far_latency_scale >= 1, "far latency scale must be >= 1");
-        FarMemConfig {
-            access_latency: dram.access_latency * far_latency_scale,
-            channels: dram.channels,
-            cycles_per_transfer: dram.cycles_per_transfer * far_latency_scale,
-        }
-    }
-
-    /// View as a [`DramConfig`] so the same controller model serves both
-    /// tiers.
-    pub fn as_dram(&self) -> DramConfig {
+impl DramConfig {
+    /// A controller `k`× slower: latency and per-transfer occupancy scaled
+    /// by `k`, the channel count carried over. This derives a far-memory
+    /// (CXL-style remote pool) tier from the local DRAM numbers; `k = 1` is
+    /// a pool exactly as fast as DRAM, which isolates the routing overhead
+    /// (it must be zero).
+    pub fn scaled(&self, k: u64) -> Self {
+        assert!(k >= 1, "far latency scale must be >= 1");
         DramConfig {
-            access_latency: self.access_latency,
+            access_latency: self.access_latency * k,
             channels: self.channels,
-            cycles_per_transfer: self.cycles_per_transfer,
+            cycles_per_transfer: self.cycles_per_transfer * k,
         }
     }
 }
@@ -133,10 +109,12 @@ pub struct SystemConfig {
     pub l3_slices: u32,
     /// DRAM parameters.
     pub dram: DramConfig,
-    /// Optional far-memory tier. `None` (the default everywhere) models the
-    /// single-tier Table I machine; simulated results are then byte-identical
-    /// to a build without the tier model at all.
-    pub far: Option<FarMemConfig>,
+    /// Optional far-memory tier: lines whose address ranges are marked cold
+    /// in the address-space tier map fill from this second controller
+    /// instead of local DRAM. `None` (the default everywhere) models the
+    /// single-tier Table I machine; simulated results are then
+    /// byte-identical to a build without the tier model at all.
+    pub far: Option<DramConfig>,
     /// Demand-miss MSHRs per core (outstanding L1D misses).
     pub mshrs: u32,
     /// Data TLB entries (fully modelled as set-associative, 4-way).
@@ -260,9 +238,9 @@ impl SystemConfig {
 
     /// Returns a copy with a far-memory tier whose latency and occupancy
     /// are `far_latency_scale`× the DRAM numbers (see
-    /// [`FarMemConfig::scaled_from`]).
+    /// [`DramConfig::scaled`]).
     pub fn with_far_scale(mut self, far_latency_scale: u64) -> Self {
-        self.far = Some(FarMemConfig::scaled_from(&self.dram, far_latency_scale));
+        self.far = Some(self.dram.scaled(far_latency_scale));
         self
     }
 
@@ -340,7 +318,6 @@ mod tests {
         assert_eq!(f.access_latency, 480);
         assert_eq!(f.cycles_per_transfer, 52);
         assert_eq!(f.channels, c.dram.channels);
-        assert_eq!(f.as_dram().access_latency, 480);
         // The default machine has no far tier at all.
         assert_eq!(SystemConfig::paper().far, None);
         assert_eq!(SystemConfig::bench().far, None);

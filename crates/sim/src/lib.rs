@@ -43,7 +43,7 @@ pub mod stats;
 pub mod system;
 pub mod telemetry;
 
-pub use config::{CacheConfig, CoreConfig, DramConfig, FarMemConfig, SystemConfig};
+pub use config::{CacheConfig, CoreConfig, DramConfig, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use mem::address_space::{AddressSpace, Tier, TierMap};
 pub use mem::cache::VictimHit;

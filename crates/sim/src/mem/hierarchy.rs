@@ -126,7 +126,7 @@ impl MemorySystem {
             tlb: (0..n).map(|_| Tlb::new(cfg.tlb_entries)).collect(),
             mshr: vec![Vec::new(); n],
             dram: Dram::new(cfg.dram),
-            far: cfg.far.map(|f| Dram::new(f.as_dram())),
+            far: cfg.far.map(Dram::new),
             tiers: TierMap::default(),
             classifier: None,
             tel: Tracer::new(),

@@ -18,21 +18,21 @@ use crate::json::{Json, ToJson};
 use crate::stats::Stats;
 use crate::telemetry::OccupancySnapshot;
 
+/// Maximum retained samples; the ring overwrites the oldest beyond this
+/// (deterministically), bounding memory on long runs.
+const CAPACITY: usize = 4096;
+
 /// Configuration of the windowed sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Simulated cycles per sampling window.
     pub window_cycles: u64,
-    /// Maximum retained samples; the ring overwrites the oldest beyond
-    /// this (deterministically), bounding memory on long runs.
-    pub capacity: usize,
 }
 
 impl Default for MetricsConfig {
     fn default() -> Self {
         MetricsConfig {
             window_cycles: 100_000,
-            capacity: 4096,
         }
     }
 }
@@ -157,10 +157,9 @@ impl MetricsRegistry {
     /// `cfg.window_cycles`.
     ///
     /// # Panics
-    /// Panics if `window_cycles` is 0 or `capacity` is 0.
+    /// Panics if `window_cycles` is 0.
     pub fn new(cfg: MetricsConfig) -> Self {
         assert!(cfg.window_cycles > 0, "window must be at least one cycle");
-        assert!(cfg.capacity > 0, "need room for at least one sample");
         MetricsRegistry {
             cfg,
             samples: Vec::new(),
@@ -284,11 +283,11 @@ impl MetricsRegistry {
     }
 
     fn push(&mut self, s: MetricSample) {
-        if self.samples.len() < self.cfg.capacity {
+        if self.samples.len() < CAPACITY {
             self.samples.push(s);
         } else {
             self.samples[self.head] = s;
-            self.head = (self.head + 1) % self.cfg.capacity;
+            self.head = (self.head + 1) % CAPACITY;
         }
     }
 
@@ -320,10 +319,7 @@ mod tests {
 
     #[test]
     fn windows_close_on_schedule_with_deltas() {
-        let mut reg = MetricsRegistry::new(MetricsConfig {
-            window_cycles: 100,
-            capacity: 16,
-        });
+        let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 100 });
         let mut stats = Stats {
             instructions: 50,
             ..Stats::default()
@@ -351,10 +347,7 @@ mod tests {
 
     #[test]
     fn long_idle_jump_fills_gap_with_empty_windows() {
-        let mut reg = MetricsRegistry::new(MetricsConfig {
-            window_cycles: 10,
-            capacity: 16,
-        });
+        let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 10 });
         let stats = Stats {
             instructions: 7,
             ..Stats::default()
@@ -369,23 +362,24 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_deterministically() {
-        let mut reg = MetricsRegistry::new(MetricsConfig {
-            window_cycles: 10,
-            capacity: 3,
-        });
+        let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 10 });
         let stats = Stats::default();
-        reg.maybe_sample(60, &stats);
-        assert_eq!(reg.windows_closed(), 6);
+        let windows = CAPACITY as u64 + 3;
+        reg.maybe_sample(10 * windows, &stats);
+        assert_eq!(reg.windows_closed(), windows);
         let cycles: Vec<u64> = reg.samples().iter().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![40, 50, 60], "oldest three were evicted");
+        assert_eq!(cycles.len(), CAPACITY);
+        assert_eq!(cycles[0], 40, "oldest three were evicted");
+        assert_eq!(cycles[CAPACITY - 1], 10 * windows);
+        assert!(
+            cycles.windows(2).all(|w| w[1] == w[0] + 10),
+            "chronological"
+        );
     }
 
     #[test]
     fn gauges_feed_mlp_queue_depth_and_throttle() {
-        let mut reg = MetricsRegistry::new(MetricsConfig {
-            window_cycles: 100,
-            capacity: 4,
-        });
+        let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 100 });
         let stats = Stats::default();
         reg.observe_dram(150, 2);
         reg.observe_dram(250, 4);
@@ -405,10 +399,7 @@ mod tests {
 
     #[test]
     fn occupancy_gauge_holds_and_serializes_only_when_published() {
-        let mut reg = MetricsRegistry::new(MetricsConfig {
-            window_cycles: 10,
-            capacity: 4,
-        });
+        let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 10 });
         let stats = Stats::default();
         reg.maybe_sample(10, &stats);
         let mut snap = OccupancySnapshot::default();
@@ -428,10 +419,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let mut reg = MetricsRegistry::new(MetricsConfig {
-            window_cycles: 10,
-            capacity: 4,
-        });
+        let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 10 });
         reg.maybe_sample(10, &Stats::default());
         let j = reg.to_json().to_string();
         assert!(j.starts_with("{\"window_cycles\":10,\"windows_closed\":1,"));
@@ -442,9 +430,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be at least one cycle")]
     fn zero_window_rejected() {
-        MetricsRegistry::new(MetricsConfig {
-            window_cycles: 0,
-            capacity: 1,
-        });
+        MetricsRegistry::new(MetricsConfig { window_cycles: 0 });
     }
 }

@@ -487,7 +487,6 @@ mod tests {
         let mut sys = System::new(SystemConfig::scaled(64).with_cores(1));
         sys.install_metrics(MetricsConfig {
             window_cycles: 1_000,
-            capacity: 64,
         });
         let mut b = StreamBuilder::new();
         for i in 0..2000u64 {

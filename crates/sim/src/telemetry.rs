@@ -1593,10 +1593,7 @@ mod tests {
     fn tracer_metrics_install_and_take() {
         let mut t = Tracer::new();
         assert!(t.metrics_mut().is_none(), "unmetered by default");
-        t.install_metrics(crate::metrics::MetricsConfig {
-            window_cycles: 10,
-            capacity: 4,
-        });
+        t.install_metrics(crate::metrics::MetricsConfig { window_cycles: 10 });
         t.metrics_mut()
             .expect("installed")
             .maybe_sample(25, &crate::stats::Stats::default());

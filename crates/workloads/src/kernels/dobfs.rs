@@ -5,7 +5,8 @@
 //! Levels run **top-down** (scan the frontier queue's out-edges) while the
 //! frontier is small and switch to **bottom-up** (every unvisited vertex
 //! scans its in-neighbours for a frontier member) when the frontier's edge
-//! count grows past `m/alpha`. The two directions have different DIGs:
+//! count grows past `m/ALPHA` (GAP's default α = 15). The two directions
+//! have different DIGs:
 //!
 //! * top-down: `wq →(w0) off →(w1) edg →(w0) depth`, trigger on the queue;
 //! * bottom-up: `off →(w1) edg →(w0) frontier-bitmap`, trigger on the
@@ -30,13 +31,15 @@ const PC_FBM: u32 = 1005;
 const PC_BR: u32 = 1006;
 const PC_ST: u32 = 1010;
 
+/// The top-down→bottom-up switch threshold α: GAP's default.
+const ALPHA: u64 = 15;
+
 /// The direction-optimizing BFS kernel. The input graph is symmetrised so
 /// out- and in-neighbours coincide (as GAP's undirected inputs do).
 #[derive(Debug)]
 pub struct DoBfs {
     graph: Csr,
     source: u32,
-    alpha: u64,
     handles: Option<Handles>,
     /// Depth of each vertex after `run` (`u32::MAX` = unreachable).
     pub depths: Vec<u32>,
@@ -70,16 +73,14 @@ fn symmetrize(g: &Csr) -> Csr {
 
 impl DoBfs {
     /// Creates a direction-optimizing BFS from `source` (the graph is
-    /// symmetrised internally). `alpha` is the top-down→bottom-up switch
-    /// threshold (GAP default 15).
-    pub fn new(graph: Csr, source: u32, alpha: u64) -> Self {
+    /// symmetrised internally).
+    pub fn new(graph: Csr, source: u32) -> Self {
         assert!(source < graph.n());
         let graph = symmetrize(&graph);
         let n = graph.n() as usize;
         DoBfs {
             graph,
             source,
-            alpha: alpha.max(1),
             handles: None,
             depths: vec![u32::MAX; n],
             switches: 0,
@@ -156,9 +157,9 @@ impl Kernel for DoBfs {
         let mut bottom_up = false;
 
         while !frontier.is_empty() {
-            // Direction heuristic: frontier out-edges vs m/alpha.
+            // Direction heuristic: frontier out-edges vs m/ALPHA.
             let frontier_edges: u64 = frontier.iter().map(|&v| g.degree(v) as u64).sum();
-            let want_bottom_up = frontier_edges > g.m() / self.alpha;
+            let want_bottom_up = frontier_edges > g.m() / ALPHA;
             if want_bottom_up != bottom_up {
                 bottom_up = want_bottom_up;
                 self.switches += 1;
@@ -282,7 +283,7 @@ mod tests {
     #[test]
     fn matches_reference_and_switches_directions() {
         let g = rmat(2048, 16 * 2048, 19, (0.57, 0.19, 0.19));
-        let mut k = DoBfs::new(g, 0, 15);
+        let mut k = DoBfs::new(g, 0);
         let reference = k.reference_depths();
         let mut r = FunctionalRunner::new(4);
         k.prepare(r.space_mut());
@@ -295,7 +296,7 @@ mod tests {
     #[test]
     fn path_graph_stays_top_down() {
         let g = Csr::from_edges(64, &(0..63u32).map(|v| (v, v + 1)).collect::<Vec<_>>());
-        let mut k = DoBfs::new(g, 0, 15);
+        let mut k = DoBfs::new(g, 0);
         let mut r = FunctionalRunner::new(2);
         k.prepare(r.space_mut());
         k.run(&mut r);
@@ -306,7 +307,7 @@ mod tests {
     #[test]
     fn digs_differ_between_directions() {
         let g = rmat(128, 512, 3, (0.57, 0.19, 0.19));
-        let mut k = DoBfs::new(g, 0, 15);
+        let mut k = DoBfs::new(g, 0);
         let mut r = FunctionalRunner::new(1);
         k.prepare(r.space_mut());
         let td = k.top_down_dig();
@@ -324,7 +325,7 @@ mod tests {
     fn checksum_deterministic_across_core_counts() {
         let g = rmat(512, 4096, 23, (0.57, 0.19, 0.19));
         let run = |cores| {
-            let mut k = DoBfs::new(g.clone(), 0, 15);
+            let mut k = DoBfs::new(g.clone(), 0);
             let mut r = FunctionalRunner::new(cores);
             k.prepare(r.space_mut());
             k.run(&mut r)

@@ -13,11 +13,11 @@
 //!   instruction streams an instrumented binary would execute. Every kernel
 //!   returns a verifiable result (BFS depths, PR scores, ...), constructs
 //!   its hand-annotated DIG, and the driver cross-checks prefetchers
-//!   against the same memory image;
+//!   against the same memory image. PageRank also carries the
+//!   software-prefetching transformation (Ainsworth & Jones, CGO'17 model;
+//!   see [`kernels::PageRank::with_software_prefetch`]);
 //! * [`runner`] — the workload × prefetcher driver used by examples, tests
-//!   and the benchmark harness;
-//! * [`swpf`] — the software-prefetching transformation (Ainsworth & Jones,
-//!   CGO'17 model): explicit prefetch loads inserted at a static distance.
+//!   and the benchmark harness.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -27,7 +27,6 @@ pub mod kernels;
 pub mod layout;
 pub mod rng;
 pub mod runner;
-pub mod swpf;
 
 pub use dispatch::AnyPrefetcher;
 pub use graph::csr::{Csr, WeightedCsr};

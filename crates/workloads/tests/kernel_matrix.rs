@@ -33,7 +33,7 @@ fn all_kernels() -> Vec<(&'static str, KernelBuilder)> {
             "dobfs",
             boxed({
                 let g = g.clone();
-                move || Box::new(DoBfs::new(g.clone(), 0, 15)) as _
+                move || Box::new(DoBfs::new(g.clone(), 0)) as _
             }),
         ),
         (
