@@ -202,6 +202,16 @@ cold_ns=$(( $(date +%s%N) - cold_ns ))
 # Gated: merging the two shard reports is byte-identical to the
 # canonicalized unsharded same-seed run and to the checked-in baseline
 # (shards + merge must not perturb any simulated counter).
+# Gated: a shard's utilization is never negative, not even -0 from a
+# shard that owns no cell (keys carry no scale: shard 1/2 owns none of
+# fig02's 4 cells).
+python3 - "$tmp/s1.json" "$tmp/s2.json" <<'PY'
+import json, math, sys
+for path in sys.argv[1:]:
+    u = json.load(open(path))["host"]["utilization"]
+    assert math.copysign(1.0, u) > 0, f"{path}: utilization {u} is negative"
+print("   shard utilizations non-negative: OK")
+PY
 ./target/release/prodigy-eval --merge "$tmp/s1.json" "$tmp/s2.json" --out "$tmp/merged.json"
 ./target/release/prodigy-diff "$tmp/d1.json" "$tmp/merged.json"
 cmp "$tmp/merged.json" "$tmp/d1c.json"
@@ -219,10 +229,10 @@ canon "$tmp/warm.json" "$tmp/warmc.json"
 cmp "$tmp/d1c.json" "$tmp/warmc.json"
 python3 - "$tmp/warm.json" "$cold_ns" "$warm_ns" <<'PY'
 import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["cells_simulated"] == 0, f"warm cache simulated {d['cells_simulated']} cells"
-assert d["disk_hits"] == 4, f"expected 4 disk hits, got {d['disk_hits']}"
-assert d["threads_leaked"] == 0
+h = json.load(open(sys.argv[1]))["host"]
+assert h["cells_simulated"] == 0, f"warm cache simulated {h['cells_simulated']} cells"
+assert h["disk_hits"] == 4, f"expected 4 disk hits, got {h['disk_hits']}"
+assert h["threads_leaked"] == 0
 cold, warm = int(sys.argv[2]), int(sys.argv[3])
 speedup = cold / max(warm, 1)
 assert speedup >= 10, f"warm pass only {speedup:.1f}x faster than cold shards"
@@ -247,28 +257,37 @@ cold, warm = (json.load(open(p)) for p in sys.argv[1:])
 keys = {c["key"] for c in cold["cells"]}
 assert len(cold["cells"]) == len(keys) == 12, (
     f"cold run reported {len(cold['cells'])} cells with {len(keys)} keys, want 12")
-assert warm["cells_simulated"] == 0, f"warm cache simulated {warm['cells_simulated']} cells"
-assert warm["disk_hits"] == 12, f"expected 12 disk hits, got {warm['disk_hits']}"
+h = warm["host"]
+assert h["cells_simulated"] == 0, f"warm cache simulated {h['cells_simulated']} cells"
+assert h["disk_hits"] == 12, f"expected 12 disk hits, got {h['disk_hits']}"
 print("   12 cells; warm pass: 0 simulated, 12 disk hits, identical tables: OK")
 PY
 
 # Gated: a cell runs at most once per process, whatever its outcome. With a
 # zero budget every cell times out; fig02, fig04 and fig14 hold 60 distinct
-# cells, and each must be attempted exactly once (a memo that evicted
-# timeouts made 94 attempts here).
+# cells, and the pool's jobs (its attempts) must number exactly 60 (a memo
+# that evicted timeouts made 94 attempts here). A failed cell is not a
+# simulated one, and a cancelled cell unwinds without a panic report.
 echo "== timeout probe: every cell fails once, exit 3"
 rc=0
 ./target/release/prodigy-eval --scale 64 --threads 2 --timeout-secs 0 \
     --json "$tmp/probe.json" fig02 fig04 fig14 >/dev/null 2>"$tmp/probe.err" || rc=$?
 [ "$rc" -eq 3 ] || { echo "   want exit 3, got $rc"; head -5 "$tmp/probe.err"; exit 1; }
+if grep -q "run cancelled" "$tmp/probe.err"; then
+    echo "   cancelled cells printed panic reports:"
+    grep -m 3 -B 1 "run cancelled" "$tmp/probe.err"
+    exit 1
+fi
 python3 - "$tmp/probe.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-keys = [c["key"] for c in d["cells"]]
-assert len(keys) == 60 and len(set(keys)) == 60, (
-    f"{len(keys)} attempts for {len(set(keys))} keys, want 60 for 60")
+keys = {c["key"] for c in d["cells"]}
+jobs = sum(w["jobs"] for w in d["workers"])
+assert jobs == len(keys) == 60, f"{jobs} attempts for {len(keys)} keys, want 60 for 60"
 assert all(c["error"] for c in d["cells"]), "every cell must fail under a zero budget"
-print("   60 attempts for 60 keys, all failed: OK")
+simulated = d["host"]["cells_simulated"]
+assert simulated == 0, f"{simulated} cells simulated, want 0: none finished"
+print("   60 attempts for 60 keys, all failed, 0 simulated, no panic reports: OK")
 PY
 
 echo "== metrics smoke: windowed series + attribution, same-seed identical"

@@ -297,7 +297,7 @@ fn main() {
         });
         println!("sweep timing written to {path}");
     }
-    if !sweep_report.errors.is_empty() {
+    if !sweep_report.errors().is_empty() {
         std::process::exit(3);
     }
 }

@@ -483,8 +483,8 @@ mod tests {
 
     fn sweep_json(cycles_a: u64, cycles_b: u64) -> String {
         format!(
-            r#"{{"threads":2,"base_seed":0,"cells_simulated":2,"cache_hits":0,
-                "wall_nanos":12345,"cells_per_sec":1.0,"utilization":0.5,
+            r#"{{"threads":2,"base_seed":0,"host":{{"cells_simulated":2,"memo_hits":0,
+                "wall_nanos":12345,"cells_per_sec":1.0,"utilization":0.5}},
                 "workers":[{{"worker":0,"busy_nanos":99,"jobs":2}}],
                 "errors":[],
                 "cells":[

@@ -4,15 +4,17 @@
 //! warmed grid into the text it prints. Every simulation the evaluation
 //! makes is such a cell, so every result runs on the worker pool under the
 //! per-cell timeout, through the disk cache and the shard planner, and
-//! lands in the `--json` report. [`run_all`] warms and renders the selected
-//! entries; [`shard_cells`] enumerates the same grids for `--shard K/N`
-//! sweeps.
+//! lands in the `--json` report. [`Ctx`] keeps one record per cell key:
+//! [`Ctx::warm`] is the only path that runs a cell, and renderers read the
+//! records through [`Ctx::get`], which never simulates. [`run_all`] warms
+//! and renders the selected entries; [`shard_cells`] enumerates the same
+//! grids for `--shard K/N` sweeps.
 
 use crate::cellcache::{code_rev, composite_key, CellCache};
 use crate::report::{geomean, mean, pct, pct_opt, x, x_opt, Table};
 use crate::sweep::{
-    panic_message, run_isolated, run_pool, stable_key_hash, CellError, CellStats, CellTiming,
-    SingleFlightCache, SweepConfig, SweepReport, WorkerStat, CALLER_THREAD,
+    panic_message, run_isolated, run_pool, stable_key_hash, CellError, CellRecord, CellStats,
+    SweepConfig, SweepReport, WorkerStat,
 };
 use crate::workload_set::{all_29, per_algorithm, WorkloadSpec, GRAPH_ALGS};
 use prodigy::throttle::ThrottleSpec;
@@ -20,11 +22,11 @@ use prodigy::{ProdigyConfig, ProdigyPrefetcher};
 use prodigy_sim::prefetch::Prefetcher;
 use prodigy_sim::SystemConfig;
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The hardware knobs of a simulation cell: everything but its workload.
@@ -176,8 +178,8 @@ impl Cell {
 }
 
 /// Shared experiment context: machine configuration, data-set scale, sweep
-/// knobs, and a single-flight memoising run cache so figures reuse each
-/// other's simulations (including across concurrent workers).
+/// knobs, and the cell table — one record per cell key, so figures that
+/// share a cell read one simulation of it.
 pub struct Ctx {
     /// Data-set scale divisor (bigger = smaller inputs = faster).
     pub scale: u32,
@@ -185,31 +187,15 @@ pub struct Ctx {
     pub sys: SystemConfig,
     /// Sweep execution knobs (threads, base seed, per-cell timeout).
     pub sweep: SweepConfig,
-    cache: SingleFlightCache<Arc<RunOutcome>>,
     cell_cache: Option<CellCache>,
     code_rev: String,
-    disk_hits: AtomicU64,
+    /// Cell key → the record its pool worker wrote, once.
+    cells: Mutex<BTreeMap<String, CellRecord>>,
+    memo_hits: AtomicU64,
     threads_leaked: AtomicU64,
-    errors: Mutex<Vec<CellError>>,
-    timings: Mutex<Vec<CellTiming>>,
+    render_errors: Mutex<Vec<CellError>>,
     workers: Mutex<Vec<WorkerStat>>,
     started: Instant,
-}
-
-/// Simulates one cell. A free function (not a method) so the isolation
-/// layer can move an owned copy of everything into a `'static` closure.
-fn execute_cell(
-    cell: &Cell,
-    sys: SystemConfig,
-    base_seed: u64,
-    cancel: Arc<AtomicBool>,
-) -> RunOutcome {
-    let mut kernel = cell.spec.instantiate_seeded(base_seed);
-    let cfg = RunConfig {
-        cancel: Some(cancel),
-        ..cell.run_config(sys, base_seed)
-    };
-    run_workload(kernel.as_mut(), &cfg)
 }
 
 impl Ctx {
@@ -221,13 +207,12 @@ impl Ctx {
             scale,
             sys: SystemConfig::bench(),
             sweep: SweepConfig::default(),
-            cache: SingleFlightCache::new(),
             cell_cache: None,
             code_rev: code_rev(),
-            disk_hits: AtomicU64::new(0),
+            cells: Mutex::new(BTreeMap::new()),
+            memo_hits: AtomicU64::new(0),
             threads_leaked: AtomicU64::new(0),
-            errors: Mutex::new(Vec::new()),
-            timings: Mutex::new(Vec::new()),
+            render_errors: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
             started: Instant::now(),
         }
@@ -259,112 +244,120 @@ impl Ctx {
         )
     }
 
-    /// Runs one cell (memoised, single-flight, isolated), returning the
-    /// recorded error if the cell panicked or timed out. Each distinct cell
-    /// runs at most once per context, whatever its outcome.
-    pub fn try_run(&self, cell: &Cell) -> Result<Arc<RunOutcome>, CellError> {
-        self.try_run_on(CALLER_THREAD, cell)
+    /// The cell table. Its lock guards only map reads and inserts, which do
+    /// not panic.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<String, CellRecord>> {
+        self.cells
+            .lock()
+            .expect("no thread panics holding the cell table")
     }
 
-    fn try_run_on(&self, worker: usize, cell: &Cell) -> Result<Arc<RunOutcome>, CellError> {
+    /// Experiments whose renderer panicked. Its lock guards only a push
+    /// and a clone.
+    fn render_errors(&self) -> MutexGuard<'_, Vec<CellError>> {
+        self.render_errors
+            .lock()
+            .expect("no thread panics holding the renderer errors")
+    }
+
+    /// The warmed result of `cell`: its outcome, or the error it failed
+    /// with. Never simulates — a cell no [`Ctx::warm`] ran is an error.
+    pub fn get(&self, cell: &Cell) -> Result<Arc<RunOutcome>, CellError> {
         let key = cell.key();
-        self.cache.get_or_run(&key, || {
-            let t0 = Instant::now();
-            if let Some(cc) = &self.cell_cache {
-                if let Some(o) = cc.load(&self.disk_key(&key)) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    let o = Arc::new(o);
-                    self.timings.lock().unwrap().push(CellTiming {
-                        key: key.clone(),
-                        timing: prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
-                        worker,
-                        disk_hit: true,
-                        outcome: Some(Arc::clone(&o)),
-                        error: None,
-                    });
-                    return Ok(o);
-                }
-            }
-            let owned = cell.clone();
-            let sys = self.sys;
-            let base_seed = self.sweep.base_seed;
-            let out = run_isolated(&key, self.sweep.cell_timeout, move |cancel| {
-                execute_cell(&owned, sys, base_seed, cancel)
-            });
-            let (res, timing) = match out {
-                Ok(o) => {
-                    if let Some(cc) = &self.cell_cache {
-                        if let Err(e) = cc.store(&self.disk_key(&key), &o) {
-                            eprintln!("warning: cell cache store failed for {key}: {e}");
-                        }
-                    }
-                    let timing = o.timing;
-                    (Ok(Arc::new(o)), timing)
-                }
-                Err(e) => {
-                    // Only truly stuck workers count: a timed-out cell whose
-                    // thread honoured the cancel flag inside the grace
-                    // window was joined, not leaked.
-                    if e.leaked {
-                        self.threads_leaked.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let err = CellError {
-                        key: key.clone(),
-                        reason: e.reason,
-                    };
-                    self.errors.lock().unwrap().push(err.clone());
-                    (Err(err), prodigy_sim::RunTiming::from_elapsed(t0.elapsed()))
-                }
-            };
-            self.timings.lock().unwrap().push(CellTiming {
-                key: key.clone(),
-                timing,
-                worker,
-                disk_hit: false,
-                outcome: res.as_ref().ok().cloned(),
-                error: res.as_ref().err().map(|e| e.reason.clone()),
-            });
-            res
-        })
+        let table = self.table();
+        let Some(record) = table.get(&key) else {
+            let reason = "not warmed".to_string();
+            return Err(CellError { key, reason });
+        };
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        let result = record.result.clone();
+        result.map_err(|reason| CellError { key, reason })
     }
 
-    /// Warms the cache for many cells on the bounded worker pool.
-    ///
-    /// Duplicate and already-cached cells are skipped; failures are
-    /// recorded (visible via [`Ctx::report`]) without aborting the warm.
+    /// Runs every cell whose key the table does not hold yet, once per key,
+    /// on the bounded worker pool, and records each outcome or failure
+    /// (visible via [`Ctx::report`]) without aborting the warm. The only
+    /// path that runs a cell.
     pub fn warm(&self, cells: Vec<Cell>) {
-        let mut todo: Vec<Cell> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for c in cells {
-            let k = c.key();
-            if !self.cache.contains(&k) && seen.insert(k) {
-                todo.push(c);
-            }
-        }
-        if todo.is_empty() {
-            return;
-        }
-        let stats = run_pool(todo, self.sweep.threads, |w, cell: Cell| {
-            let _ = self.try_run_on(w, &cell);
+        let todo: Vec<(String, Cell)> = {
+            let table = self.table();
+            let mut seen = HashSet::new();
+            let keyed = cells.into_iter().map(|c| (c.key(), c));
+            keyed
+                .filter(|(k, _)| !table.contains_key(k) && seen.insert(k.clone()))
+                .collect()
+        };
+        let stats = run_pool(todo, self.sweep.threads, |worker, (key, cell)| {
+            let record = self.run_cell(worker, &key, cell);
+            self.table().insert(key, record);
         });
         self.workers.lock().unwrap().extend(stats);
     }
 
+    /// Pool worker `worker`'s record of `cell`: loaded from the disk cache,
+    /// or simulated in isolation under the per-cell timeout (a success is
+    /// persisted).
+    fn run_cell(&self, worker: usize, key: &str, cell: Cell) -> CellRecord {
+        let t0 = Instant::now();
+        if let Some(cc) = &self.cell_cache {
+            if let Some(o) = cc.load(&self.disk_key(key)) {
+                return CellRecord {
+                    key: key.to_string(),
+                    timing: prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
+                    worker,
+                    disk_hit: true,
+                    result: Ok(Arc::new(o)),
+                };
+            }
+        }
+        let (sys, base_seed) = (self.sys, self.sweep.base_seed);
+        let out = run_isolated(key, self.sweep.cell_timeout, move |cancel| {
+            let cfg = RunConfig {
+                cancel: Some(cancel),
+                ..cell.run_config(sys, base_seed)
+            };
+            run_workload(cell.spec.instantiate_seeded(base_seed).as_mut(), &cfg)
+        });
+        let (timing, result) = match out {
+            Ok(o) => {
+                if let Some(cc) = &self.cell_cache {
+                    if let Err(e) = cc.store(&self.disk_key(key), &o) {
+                        eprintln!("warning: cell cache store failed for {key}: {e}");
+                    }
+                }
+                (o.timing, Ok(Arc::new(o)))
+            }
+            Err(e) => {
+                // Only truly stuck workers count: a timed-out cell whose
+                // thread honoured the cancel flag inside the grace window
+                // was joined, not leaked.
+                if e.leaked {
+                    self.threads_leaked.fetch_add(1, Ordering::Relaxed);
+                }
+                let timing = prodigy_sim::RunTiming::from_elapsed(t0.elapsed());
+                (timing, Err(e.reason))
+            }
+        };
+        CellRecord {
+            key: key.to_string(),
+            timing,
+            worker,
+            disk_hit: false,
+            result,
+        }
+    }
+
     /// Aggregated progress/timing report over everything this context ran.
     pub fn report(&self) -> SweepReport {
-        let cell_timings = self.timings.lock().unwrap().clone();
-        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         SweepReport {
             threads: self.sweep.threads,
             base_seed: self.sweep.base_seed,
-            memo_hits: self.cache.hits(),
-            disk_hits,
-            cells_simulated: self.cache.computes().saturating_sub(disk_hits),
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
             threads_leaked: self.threads_leaked.load(Ordering::Relaxed),
-            errors: self.errors.lock().unwrap().clone(),
+            render_errors: self.render_errors().clone(),
             wall: self.started.elapsed(),
             workers: self.workers.lock().unwrap().clone(),
-            cell_timings,
+            cells: self.table().values().cloned().collect(),
         }
     }
 }
@@ -472,7 +465,7 @@ impl Experiment {
         let row = |(spec, cells): (WorkloadSpec, Vec<Option<Cell>>)| -> Result<Row, CellError> {
             let outs = cells
                 .iter()
-                .map(|c| c.as_ref().map(|c| ctx.try_run(c)).transpose());
+                .map(|c| c.as_ref().map(|c| ctx.get(c)).transpose());
             Ok(Row {
                 spec,
                 variants: self.variants,
@@ -486,7 +479,7 @@ impl Experiment {
         catch_unwind(AssertUnwindSafe(|| (self.render)(ctx, &rows))).unwrap_or_else(|p| {
             let reason = panic_message(p.as_ref());
             let text = format!("{} — FAILED: {reason}\n", self.name);
-            ctx.errors.lock().unwrap().push(CellError {
+            ctx.render_errors().push(CellError {
                 key: self.name.into(),
                 reason,
             });
@@ -1443,9 +1436,14 @@ mod tests {
     fn cells_are_memoised() {
         let ctx = quick_ctx();
         let c = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
-        let a = ctx.try_run(&c).unwrap();
-        let b = ctx.try_run(&c).unwrap();
+        // A lookup never simulates: an unwarmed cell is an error.
+        assert_eq!(ctx.get(&c).unwrap_err().reason, "not warmed");
+        ctx.warm(vec![c.clone()]);
+        let a = ctx.get(&c).unwrap();
+        let b = ctx.get(&c).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        let report = ctx.report();
+        assert_eq!((report.memo_hits, report.cells.len()), (2, 1));
     }
 
     #[test]
@@ -1457,15 +1455,38 @@ mod tests {
             .collect();
         ctx.warm(cells.clone());
         let report = ctx.report();
-        assert_eq!(report.cells_simulated, 2);
-        assert!(report.errors.is_empty());
+        assert_eq!(report.cells_simulated(), 2);
+        assert!(report.errors().is_empty());
         assert!(!report.workers.is_empty(), "pool accounting recorded");
         for c in &cells {
-            assert!(ctx.try_run(c).is_ok());
+            assert!(ctx.get(c).is_ok());
         }
         let report = ctx.report();
-        assert_eq!(report.cells_simulated, 2, "warmed cells are memo hits");
+        assert_eq!(report.cells_simulated(), 2, "warmed cells are memo hits");
         assert_eq!(report.memo_hits, 2);
+    }
+
+    #[test]
+    fn warm_runs_each_key_once() {
+        // Each of two cells passed twice, on more threads than keys, and
+        // warmed twice: one attempt and one record per key, the failed
+        // key included.
+        let ctx = quick_ctx().with_sweep(SweepConfig {
+            threads: 4,
+            base_seed: 0,
+            cell_timeout: None,
+        });
+        let cells = [
+            Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None),
+            Cell::new(WorkloadSpec::plain("no-such-alg", 64), PrefetcherKind::None),
+        ];
+        for _ in 0..2 {
+            ctx.warm([cells.clone(), cells.clone()].concat());
+        }
+        let report = ctx.report();
+        let jobs: u64 = report.workers.iter().map(|w| w.jobs).sum();
+        assert_eq!((jobs, report.cells.len()), (2, 2));
+        assert_eq!((report.cells_simulated(), report.errors().len()), (1, 1));
     }
 
     #[test]
@@ -1474,17 +1495,16 @@ mod tests {
         // An unknown algorithm panics inside instantiation; the isolation
         // layer must convert that into a recorded CellError.
         let bad = Cell::new(WorkloadSpec::plain("no-such-alg", 64), PrefetcherKind::None);
-        let err = ctx.try_run(&bad).unwrap_err();
-        assert!(err.reason.contains("unknown algorithm"), "{}", err.reason);
-        // The failure is cached: a retry does not re-simulate.
-        let err2 = ctx.try_run(&bad).unwrap_err();
-        assert_eq!(err, err2);
-        // And healthy cells still run fine afterwards.
         let good = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
-        assert!(ctx.try_run(&good).is_ok());
-        let report = ctx.report();
-        assert_eq!(report.errors.len(), 1);
-        assert_eq!(report.errors[0].key, bad.key());
+        ctx.warm(vec![bad.clone(), good.clone()]);
+        let err = ctx.get(&bad).unwrap_err();
+        assert!(err.reason.contains("unknown algorithm"), "{}", err.reason);
+        // Every lookup reads the one record.
+        assert_eq!(ctx.get(&bad).unwrap_err(), err);
+        // And healthy cells still run fine beside it.
+        assert!(ctx.get(&good).is_ok());
+        let errors = ctx.report().errors();
+        assert_eq!(errors, [err]);
     }
 
     #[test]
@@ -1495,9 +1515,11 @@ mod tests {
             Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None),
         ];
         ctx.warm(cells.clone());
-        assert!(ctx.try_run(&cells[0]).is_err());
-        assert!(ctx.try_run(&cells[1]).is_ok());
-        assert_eq!(ctx.report().cells_simulated, 2, "failure is cached too");
+        assert!(ctx.get(&cells[0]).is_err());
+        assert!(ctx.get(&cells[1]).is_ok());
+        let report = ctx.report();
+        assert_eq!(report.cells_simulated(), 1, "a failure is not a simulation");
+        assert_eq!(report.errors().len(), 1);
     }
 
     #[test]
@@ -1521,8 +1543,8 @@ mod tests {
             text.starts_with(&format!("bad — FAILED: cell {key} failed: panicked:")),
             "{text}"
         );
-        let errors: Vec<String> = ctx.report().errors.into_iter().map(|e| e.key).collect();
-        assert_eq!(errors, ["boom", key]);
+        let errors: Vec<String> = ctx.report().errors().into_iter().map(|e| e.key).collect();
+        assert_eq!(errors, [key, "boom"], "failed cells, then failed renderers");
     }
 
     #[test]
@@ -1657,15 +1679,13 @@ mod tests {
         let cold = quick_ctx().with_cell_cache(&dir).unwrap();
         let text = render(&cold);
         let report = cold.report();
-        assert!(report.errors.is_empty(), "{:?}", report.errors);
-        let keys: HashSet<&str> = report.cell_timings.iter().map(|t| t.key.as_str()).collect();
-        assert_eq!((report.cell_timings.len(), keys.len()), (12, 12));
-        assert_eq!(report.cells_simulated, 12);
+        assert!(report.errors().is_empty(), "{:?}", report.errors());
+        assert_eq!((report.cells.len(), report.cells_simulated()), (12, 12));
         // A second process on the same disk cache simulates nothing.
         let warm = quick_ctx().with_cell_cache(&dir).unwrap();
         assert_eq!(render(&warm), text);
         let report = warm.report();
-        assert_eq!((report.cells_simulated, report.disk_hits), (0, 12));
+        assert_eq!((report.cells_simulated(), report.disk_hits()), (0, 12));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1682,13 +1702,14 @@ mod tests {
             assert!(text.contains("FAILED"), "{text}");
         }
         let report = ctx.report();
-        let mut keys: Vec<&str> = report.cell_timings.iter().map(|t| t.key.as_str()).collect();
-        keys.sort_unstable();
-        let attempts = keys.len();
-        keys.dedup();
-        assert_eq!(attempts, keys.len(), "a timed-out cell ran twice: {keys:?}");
-        assert_eq!(attempts, 5, "fig02's four cells and swpf's own one");
-        assert_eq!(report.errors.len(), 5);
+        let jobs: u64 = report.workers.iter().map(|w| w.jobs).sum();
+        assert_eq!(
+            (jobs, report.cells.len()),
+            (5, 5),
+            "fig02's four cells and swpf's own one, each attempted once"
+        );
+        assert_eq!(report.cells_simulated(), 0, "no cell finished");
+        assert_eq!(report.errors().len(), 5);
     }
 
     #[test]
@@ -1713,8 +1734,9 @@ mod tests {
             ..base_cell.clone()
         };
         assert!(far_cell.key().ends_with("|far8"), "{}", far_cell.key());
-        let base = ctx.try_run(&base_cell).unwrap();
-        let far = ctx.try_run(&far_cell).unwrap();
+        ctx.warm(vec![base_cell.clone(), far_cell.clone()]);
+        let base = ctx.get(&base_cell).unwrap();
+        let far = ctx.get(&far_cell).unwrap();
         assert_eq!(base.checksum, far.checksum, "placement is timing-only");
         assert!(
             far.summary.stats.cycles > base.summary.stats.cycles,

@@ -2,18 +2,16 @@
 //!
 //! The evaluation grid (workload × prefetcher × knobs `Cell`s, see
 //! [`crate::experiments`]) is embarrassingly parallel: every cell builds its
-//! own [`prodigy_sim::System`] and shares nothing. This module provides the
-//! three pieces the sweep executor is built from:
+//! own [`prodigy_sim::System`] and shares nothing. This module holds the
+//! sweep executor's two pieces and the report it fills:
 //!
-//! * [`SingleFlightCache`] — a memoizing result cache where concurrent
-//!   requests for the same key block on one in-flight computation instead
-//!   of duplicating it (duplicate cells across figures simulate once, and
-//!   a failed cell fails once);
 //! * [`run_isolated`] — per-cell panic *and* timeout isolation, so one
 //!   diverging simulation fails that cell with a recorded error instead of
 //!   aborting the whole sweep;
 //! * [`run_pool`] — a bounded worker pool over `std::thread::scope`,
-//!   reporting per-worker busy time for the utilization report.
+//!   reporting per-worker busy time and jobs for the utilization report;
+//! * [`SweepReport`] — one [`CellRecord`] per cell the sweep ran, from
+//!   which every counter of the report is derived.
 //!
 //! Determinism: cells are seeded from their spec identity (never from
 //! execution order, thread id, or time), so a parallel sweep is
@@ -21,15 +19,10 @@
 
 use prodigy_sim::json::{Json, ToJson};
 use prodigy_workloads::RunOutcome;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Worker id used for cells executed on the calling thread (a direct
-/// `Ctx::try_run` outside any pool) rather than by a pool worker.
-pub const CALLER_THREAD: usize = usize::MAX;
 
 /// Knobs of a sweep run.
 #[derive(Debug, Clone, Copy)]
@@ -57,10 +50,11 @@ impl Default for SweepConfig {
     }
 }
 
-/// Why a cell failed (panic message or timeout).
+/// Why a cell (or an experiment's renderer) failed: panic message or
+/// timeout.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellError {
-    /// The failing cell's cache key.
+    /// The failing cell's cache key, or the failing experiment's name.
     pub key: String,
     /// Human-readable cause.
     pub reason: String,
@@ -72,96 +66,6 @@ prodigy_sim::json_object!(CellError { key, reason });
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "cell {} failed: {}", self.key, self.reason)
-    }
-}
-
-/// One key's slot: concurrent requesters share the `OnceLock`, and exactly
-/// one of them initializes it.
-type SlotOf<T> = Arc<OnceLock<Result<T, CellError>>>;
-
-/// A memoizing cache with single-flight semantics.
-///
-/// The first requester of a key runs the computation; concurrent requesters
-/// of the same key block until that one computation finishes and then share
-/// its result. Failures are cached like successes, timeouts included, so a
-/// key's computation runs at most once per cache: a hung cell costs one
-/// budget, not one per figure that references it. (The disk cell cache
-/// persists successes only, so the next process retries a failure.)
-///
-/// The computation closure must not panic — wrap fallible work in
-/// [`run_isolated`] and return `Err` instead (a panic inside `get_or_run`
-/// would poison the slot for concurrent waiters).
-pub struct SingleFlightCache<T: Clone> {
-    slots: Mutex<HashMap<String, SlotOf<T>>>,
-    hits: AtomicU64,
-    computes: AtomicU64,
-}
-
-impl<T: Clone> Default for SingleFlightCache<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Clone> SingleFlightCache<T> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SingleFlightCache {
-            slots: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            computes: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the cached result for `key`, computing it via `compute` if
-    /// absent. Exactly one concurrent caller per key runs `compute`; the
-    /// rest block and share the outcome.
-    pub fn get_or_run(
-        &self,
-        key: &str,
-        compute: impl FnOnce() -> Result<T, CellError>,
-    ) -> Result<T, CellError> {
-        let slot = {
-            let mut slots = self.slots.lock().unwrap();
-            Arc::clone(
-                slots
-                    .entry(key.to_string())
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
-        let mut ran = false;
-        let out = slot
-            .get_or_init(|| {
-                ran = true;
-                compute()
-            })
-            .clone();
-        if ran {
-            self.computes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Whether `key` has a completed entry.
-    pub fn contains(&self, key: &str) -> bool {
-        self.slots
-            .lock()
-            .unwrap()
-            .get(key)
-            .map(|s| s.get().is_some())
-            .unwrap_or(false)
-    }
-
-    /// Requests served from cache (including waits on an in-flight compute).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Computations actually executed.
-    pub fn computes(&self) -> u64 {
-        self.computes.load(Ordering::Relaxed)
     }
 }
 
@@ -478,23 +382,23 @@ prodigy_sim::json_object!(CellStats {
     far_load_to_use: omit_none,
 });
 
-/// One executed (non-memoised) cell: its host-side record plus, when it
-/// succeeded, the simulated outcome.
+/// One cell a sweep ran: its host-side record plus its simulated outcome or
+/// its failure. The pool worker that simulated or disk-loaded the cell
+/// writes it once; everything the report says about cells derives from
+/// these records.
 #[derive(Debug, Clone)]
-pub struct CellTiming {
+pub struct CellRecord {
     /// The cell's cache key.
     pub key: String,
     /// Host wall-clock time of the simulation.
     pub timing: prodigy_sim::RunTiming,
-    /// Executing worker ([`CALLER_THREAD`] when run outside a pool).
+    /// The pool worker that ran the cell.
     pub worker: usize,
     /// Whether the result was loaded from the persistent cell cache rather
     /// than simulated (`timing` then measures the disk load, not a run).
     pub disk_hit: bool,
-    /// The simulated result; `None` for failed cells.
-    pub outcome: Option<Arc<RunOutcome>>,
-    /// The recorded failure, if the cell diverged or panicked.
-    pub error: Option<String>,
+    /// The simulated outcome, or why the cell panicked or timed out.
+    pub result: Result<Arc<RunOutcome>, String>,
 }
 
 /// A report cell's host fields: how, where and how fast it ran. Every other
@@ -509,26 +413,24 @@ const CELL_HOST_FIELDS: [&str; 4] = [
 
 /// `{"key", <host fields>, "stats": <CellStats view>, <RunOutcome fields>,
 /// "error"}`. A failed cell has `"stats":null` and no outcome fields.
-impl ToJson for CellTiming {
+impl ToJson for CellRecord {
     fn to_json(&self) -> Json {
-        let worker = (self.worker != CALLER_THREAD).then_some(self.worker);
+        let outcome = self.result.as_deref().ok();
         let mut o = vec![
             ("key".to_string(), self.key.to_json()),
             ("timing".to_string(), self.timing.to_json()),
-            ("worker".to_string(), worker.to_json()),
+            ("worker".to_string(), self.worker.to_json()),
             ("disk_hit".to_string(), self.disk_hit.to_json()),
             (
                 "stats".to_string(),
-                self.outcome
-                    .as_deref()
-                    .map(CellStats::from_outcome)
-                    .to_json(),
+                outcome.map(CellStats::from_outcome).to_json(),
             ),
         ];
-        if let Some(Json::Obj(outcome)) = self.outcome.as_deref().map(ToJson::to_json) {
-            o.extend(outcome);
+        if let Some(Json::Obj(fields)) = outcome.map(ToJson::to_json) {
+            o.extend(fields);
         }
-        o.push(("error".to_string(), self.error.to_json()));
+        let error = self.result.as_ref().err().cloned();
+        o.push(("error".to_string(), error.to_json()));
         Json::Obj(o)
     }
 }
@@ -557,65 +459,83 @@ pub struct SweepReport {
     pub threads: usize,
     /// Base seed of the sweep.
     pub base_seed: u64,
-    /// Cell requests served from the in-memory memo cache.
+    /// Cell lookups answered from the sweep's cell table.
     pub memo_hits: u64,
-    /// Cell requests served from the persistent on-disk cell cache.
-    pub disk_hits: u64,
-    /// Cells actually simulated (excludes memo and disk hits).
-    pub cells_simulated: u64,
     /// Threads detached (leaked) by per-cell timeouts this run. Each one
     /// keeps burning a core until its simulation diverges to completion or
     /// the process exits, skewing utilization and cells/s.
     pub threads_leaked: u64,
-    /// Failed cells.
-    pub errors: Vec<CellError>,
+    /// Experiments whose renderer panicked, each under its name. Failed
+    /// cells are among `cells`.
+    pub render_errors: Vec<CellError>,
     /// Wall-clock duration of the whole sweep.
     pub wall: Duration,
-    /// Per-worker accounting from every pool phase.
+    /// Per-worker accounting from every pool phase; the summed `jobs` are
+    /// the sweep's cell attempts.
     pub workers: Vec<WorkerStat>,
-    /// Per-cell timings (execution order; nondeterministic across runs,
-    /// unlike the simulation results themselves).
-    pub cell_timings: Vec<CellTiming>,
+    /// One record per cell the sweep ran, in key order.
+    pub cells: Vec<CellRecord>,
 }
 
 impl SweepReport {
+    /// Cells simulated to an outcome (failures and disk hits excluded).
+    pub fn cells_simulated(&self) -> u64 {
+        self.cells
+            .iter()
+            .filter(|c| c.result.is_ok() && !c.disk_hit)
+            .count() as u64
+    }
+
+    /// Cells loaded from the persistent on-disk cell cache.
+    pub fn disk_hits(&self) -> u64 {
+        self.cells.iter().filter(|c| c.disk_hit).count() as u64
+    }
+
+    /// Every failure: the failed cells in key order, then the experiments
+    /// whose renderer panicked.
+    pub fn errors(&self) -> Vec<CellError> {
+        let cells = self.cells.iter().filter_map(|c| {
+            let reason = c.result.as_ref().err()?;
+            Some(CellError {
+                key: c.key.clone(),
+                reason: reason.clone(),
+            })
+        });
+        cells.chain(self.render_errors.iter().cloned()).collect()
+    }
+
     /// Simulated cells per wall-clock second.
     pub fn cells_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {
             0.0
         } else {
-            self.cells_simulated as f64 / secs
+            self.cells_simulated() as f64 / secs
         }
     }
 
-    /// Mean worker utilization: busy time over `threads × wall`.
+    /// Mean worker utilization: busy time over `threads × wall`; 0 when no
+    /// worker was busy.
     pub fn utilization(&self) -> f64 {
         let denom = self.threads as f64 * self.wall.as_secs_f64();
         if denom <= 0.0 {
             return 0.0;
         }
-        let busy: f64 = self.workers.iter().map(|w| w.busy.as_secs_f64()).sum();
-        (busy / denom).min(1.0)
+        // Summed as a `Duration`: an empty `f64` sum would be -0.0.
+        let busy: Duration = self.workers.iter().map(|w| w.busy).sum();
+        (busy.as_secs_f64() / denom).min(1.0)
     }
 
     /// Total host time spent inside cell simulations (sum over cells; under
     /// an oversubscribed pool this exceeds wall time × cores).
     pub fn total_cell_nanos(&self) -> u128 {
-        self.cell_timings
-            .iter()
-            .map(|t| t.timing.host_nanos as u128)
-            .sum()
+        self.cells.iter().map(|c| c.timing.host_nanos as u128).sum()
     }
 
     /// Nearest-rank percentile of per-cell host time, in nanoseconds.
-    /// `q` in [0, 1]; returns 0 when no cell was simulated.
+    /// `q` in [0, 1]; returns 0 when no cell ran.
     pub fn cell_nanos_percentile(&self, q: f64) -> u64 {
-        let mut v: Vec<u64> = self
-            .cell_timings
-            .iter()
-            .map(|t| t.timing.host_nanos)
-            .collect();
+        let mut v: Vec<u64> = self.cells.iter().map(|c| c.timing.host_nanos).collect();
         if v.is_empty() {
             return 0;
         }
@@ -625,21 +545,22 @@ impl SweepReport {
     }
 
     /// The `n` slowest cells, slowest first.
-    pub fn slowest(&self, n: usize) -> Vec<&CellTiming> {
-        let mut v: Vec<&CellTiming> = self.cell_timings.iter().collect();
-        v.sort_by_key(|t| std::cmp::Reverse(t.timing.host_nanos));
+    pub fn slowest(&self, n: usize) -> Vec<&CellRecord> {
+        let mut v: Vec<&CellRecord> = self.cells.iter().collect();
+        v.sort_by_key(|c| std::cmp::Reverse(c.timing.host_nanos));
         v.truncate(n);
         v
     }
 
     /// Renders the human-facing progress summary (printed to stderr).
     pub fn render(&self) -> String {
+        let errors = self.errors();
         let mut out = format!(
             "sweep: {} cells simulated, {} memo hits, {} disk hits, {} errors | {:.1}s wall, {} threads, {:.0}% utilization, {:.2} cells/s\n",
-            self.cells_simulated,
+            self.cells_simulated(),
             self.memo_hits,
-            self.disk_hits,
-            self.errors.len(),
+            self.disk_hits(),
+            errors.len(),
             self.wall.as_secs_f64(),
             self.threads,
             self.utilization() * 100.0,
@@ -651,31 +572,34 @@ impl SweepReport {
                 self.threads_leaked
             ));
         }
-        for t in self.slowest(5) {
+        for c in self.slowest(5) {
             out.push_str(&format!(
                 "  slow: {:>9.1} ms  {}\n",
-                t.timing.millis(),
-                t.key
+                c.timing.millis(),
+                c.key
             ));
         }
-        for e in &self.errors {
+        for e in &errors {
             out.push_str(&format!("  error: {} — {}\n", e.key, e.reason));
         }
         out
     }
 }
 
-/// The `--json` report: sweep-wide host counters, then per-worker
-/// accounting, the failures, and every executed cell. Only `errors` and the
-/// deterministic part of each cell are simulated results.
+/// The `--json` report: the sweep's identity, every host counter under
+/// `host`, per-worker accounting, the failures, and every cell's record.
+/// Only `errors` and the deterministic part of each cell are simulated
+/// results.
 impl ToJson for SweepReport {
     fn to_json(&self) -> Json {
         let host = Json::obj([
-            ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
-            ("cells_simulated", self.cells_simulated.to_json()),
+            ("cells_simulated", self.cells_simulated().to_json()),
             ("memo_hits", self.memo_hits.to_json()),
-            ("disk_hits", self.disk_hits.to_json()),
+            ("disk_hits", self.disk_hits().to_json()),
             ("threads_leaked", self.threads_leaked.to_json()),
+            ("wall_nanos", self.wall.as_nanos().to_json()),
+            ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
+            ("utilization", Json::fixed(self.utilization(), 4)),
             ("host_nanos_total", self.total_cell_nanos().to_json()),
             (
                 "cell_host_nanos_p50",
@@ -696,17 +620,10 @@ impl ToJson for SweepReport {
         Json::obj([
             ("threads", self.threads.to_json()),
             ("base_seed", self.base_seed.to_json()),
-            ("cells_simulated", self.cells_simulated.to_json()),
-            ("memo_hits", self.memo_hits.to_json()),
-            ("disk_hits", self.disk_hits.to_json()),
-            ("threads_leaked", self.threads_leaked.to_json()),
-            ("wall_nanos", self.wall.as_nanos().to_json()),
-            ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
-            ("utilization", Json::fixed(self.utilization(), 4)),
             ("host", host),
             ("workers", Json::Arr(workers.collect())),
-            ("errors", self.errors.to_json()),
-            ("cells", self.cell_timings.to_json()),
+            ("errors", self.errors().to_json()),
+            ("cells", self.cells.to_json()),
         ])
     }
 }
@@ -729,65 +646,6 @@ pub fn stable_key_hash(s: &str) -> u64 {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn single_flight_runs_each_key_once_under_concurrency() {
-        let cache: SingleFlightCache<u64> = SingleFlightCache::new();
-        let computes = AtomicUsize::new(0);
-        let results: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..16 {
-                let cache = &cache;
-                let computes = &computes;
-                let results = &results;
-                s.spawn(move || {
-                    let r = cache
-                        .get_or_run("same-key", || {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            // Hold the slot long enough that other threads
-                            // genuinely contend.
-                            std::thread::sleep(Duration::from_millis(30));
-                            Ok(42)
-                        })
-                        .unwrap();
-                    results.lock().unwrap().push(r);
-                });
-            }
-        });
-        assert_eq!(computes.load(Ordering::SeqCst), 1, "single flight");
-        let results = results.into_inner().unwrap();
-        assert_eq!(results.len(), 16);
-        assert!(results.iter().all(|&r| r == 42));
-        assert_eq!(cache.computes(), 1);
-        assert_eq!(cache.hits(), 15);
-        assert!(cache.contains("same-key"));
-        assert!(!cache.contains("other-key"));
-    }
-
-    #[test]
-    fn single_flight_caches_failures_without_retrying() {
-        // A panic and a timeout alike: later requests are served from the
-        // memo, so a failed key runs once.
-        for reason in ["panicked: boom", "timed out after 0.1s"] {
-            let cache: SingleFlightCache<u64> = SingleFlightCache::new();
-            let computes = AtomicUsize::new(0);
-            for _ in 0..3 {
-                let e = cache
-                    .get_or_run("bad", || {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        Err(CellError {
-                            key: "bad".into(),
-                            reason: reason.into(),
-                        })
-                    })
-                    .unwrap_err();
-                assert_eq!(e.reason, reason);
-            }
-            assert_eq!(computes.load(Ordering::SeqCst), 1, "{reason}: ran again");
-            assert_eq!((cache.computes(), cache.hits()), (1, 2));
-            assert!(cache.contains("bad"), "{reason}: slot stays resident");
-        }
-    }
 
     #[test]
     fn run_isolated_captures_panics() {
@@ -834,7 +692,8 @@ mod tests {
             while !c.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            panic!("run cancelled");
+            // As the phase scheduler unwinds a cancelled run.
+            std::panic::resume_unwind(Box::new("run cancelled"));
         });
         let e = r.unwrap_err();
         assert!(
@@ -911,67 +770,94 @@ mod tests {
         out
     }
 
-    fn cell(key: &str, nanos: u64, outcome: Option<RunOutcome>) -> CellTiming {
-        CellTiming {
+    fn cell(key: &str, nanos: u64, outcome: Option<RunOutcome>) -> CellRecord {
+        CellRecord {
             key: key.into(),
             timing: prodigy_sim::RunTiming { host_nanos: nanos },
-            worker: CALLER_THREAD,
+            worker: 0,
             disk_hit: false,
-            error: outcome.is_none().then(|| "timed out after 1.0s".into()),
-            outcome: outcome.map(Arc::new),
+            result: outcome
+                .map(Arc::new)
+                .ok_or_else(|| "timed out after 1.0s".into()),
+        }
+    }
+
+    /// A report over `cells` with no worker accounting.
+    fn report(cells: Vec<CellRecord>) -> SweepReport {
+        SweepReport {
+            threads: 2,
+            base_seed: 0,
+            memo_hits: 0,
+            threads_leaked: 0,
+            render_errors: vec![],
+            wall: Duration::from_millis(1),
+            workers: vec![],
+            cells,
         }
     }
 
     #[test]
     fn report_renders_and_serializes() {
+        let mut disk = cell("d", 3, Some(outcome()));
+        disk.disk_hit = true;
         let report = SweepReport {
             threads: 2,
             base_seed: 7,
             memo_hits: 3,
-            disk_hits: 2,
-            cells_simulated: 5,
             threads_leaked: 1,
-            errors: vec![CellError {
-                key: "bfs|false|prodigy|16|false|0".into(),
-                reason: "timed out after 1.0s".into(),
+            render_errors: vec![CellError {
+                key: "fig02".into(),
+                reason: "panicked: output changed".into(),
             }],
             wall: Duration::from_millis(1500),
             workers: vec![
                 WorkerStat {
                     worker: 0,
                     busy: Duration::from_millis(900),
-                    jobs: 3,
+                    jobs: 2,
                 },
                 WorkerStat {
                     worker: 1,
                     busy: Duration::from_millis(600),
-                    jobs: 2,
+                    jobs: 1,
                 },
             ],
-            cell_timings: vec![
-                cell("k", 42, Some(outcome())),
+            cells: vec![
                 cell("bfs|false|prodigy|16|false|0", 9, None),
+                disk,
+                cell("k", 42, Some(outcome())),
             ],
         };
+        // Every counter derives from the records: one simulated, one
+        // loaded, one failed.
+        assert_eq!((report.cells_simulated(), report.disk_hits()), (1, 1));
+        let errors: Vec<String> = report.errors().into_iter().map(|e| e.key).collect();
+        assert_eq!(errors, ["bfs|false|prodigy|16|false|0", "fig02"]);
         let text = report.render();
-        assert!(text.contains("5 cells simulated"));
-        assert!(text.contains("3 memo hits"));
-        assert!(text.contains("2 disk hits"));
-        assert!(text.contains("1 errors"));
+        assert!(text.starts_with(
+            "sweep: 1 cells simulated, 3 memo hits, 1 disk hits, 2 errors | 1.5s wall, 2 threads, 50% utilization, 0.67 cells/s\n"
+        ));
         assert!(
             text.contains("warning: 1 timed-out cell thread(s) leaked"),
             "leak warning in summary"
         );
         let json = report.to_json().to_string();
-        assert!(json.starts_with("{\"threads\":2,\"base_seed\":7,\"cells_simulated\":5,"));
-        assert!(json.contains("\"memo_hits\":3"));
-        assert!(json.contains("\"disk_hits\":2"));
-        assert!(json.contains("\"threads_leaked\":1"));
-        assert!(json.contains("\"cells_per_sec\":3.333,\"utilization\":0.5000"));
-        assert!(json.contains("\"errors\":[{\"key\":\"bfs|false|prodigy|16|false|0\",\"reason\":"));
+        assert!(
+            json.starts_with(
+                "{\"threads\":2,\"base_seed\":7,\"host\":{\"cells_simulated\":1,\"memo_hits\":3,\
+                 \"disk_hits\":1,\"threads_leaked\":1,\"wall_nanos\":1500000000,\"cells_per_sec\":0.667,\
+                 \"utilization\":0.5000,\"host_nanos_total\":54,\"cell_host_nanos_p50\":9,\
+                 \"cell_host_nanos_p99\":42},\"workers\":[{\"worker\":0,"
+            ),
+            "every host counter once, under host: {json}"
+        );
+        assert!(json.contains(
+            "\"errors\":[{\"key\":\"bfs|false|prodigy|16|false|0\",\"reason\":\"timed out after 1.0s\"},\
+             {\"key\":\"fig02\",\"reason\":\"panicked: output changed\"}],\"cells\":["
+        ));
         assert!(
             json.contains(
-                "{\"key\":\"k\",\"timing\":{\"host_nanos\":42},\"worker\":null,\"disk_hit\":false,\
+                "{\"key\":\"k\",\"timing\":{\"host_nanos\":42},\"worker\":0,\"disk_hit\":false,\
                  \"stats\":{\"cycles\":1000,\"instructions\":1500,\"ipc\":1.500000,"
             ),
             "host fields lead the cell, the derived stats view follows: {json}"
@@ -987,19 +873,28 @@ mod tests {
         assert!(
             json.contains(
                 "{\"key\":\"bfs|false|prodigy|16|false|0\",\"timing\":{\"host_nanos\":9},\
-                 \"worker\":null,\"disk_hit\":false,\"stats\":null,\
+                 \"worker\":0,\"disk_hit\":false,\"stats\":null,\
                  \"error\":\"timed out after 1.0s\"}"
             ),
             "a failed cell has no outcome: {json}"
         );
-        assert!((report.utilization() - 0.5).abs() < 1e-9);
-        assert!((report.cells_per_sec() - 5.0 / 1.5).abs() < 1e-9);
-        assert!(
-            json.contains("\"host\":{\"cells_per_sec\":"),
-            "host throughput section present"
+    }
+
+    #[test]
+    fn a_report_with_no_pool_work_reads_zero() {
+        let empty = report(vec![]);
+        assert_eq!(
+            empty.utilization().to_bits(),
+            0.0f64.to_bits(),
+            "+0, not -0"
         );
-        assert!(json.contains("\"host_nanos_total\":51"));
-        assert_eq!(report.total_cell_nanos(), 51);
+        assert!(empty.render().contains(" 0% utilization, 0.00 cells/s"));
+        let json = empty.to_json().to_string();
+        assert!(json.contains("\"utilization\":0.0000,"), "{json}");
+        assert!(
+            json.ends_with("\"workers\":[],\"errors\":[],\"cells\":[]}"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -1080,25 +975,13 @@ mod tests {
     #[test]
     fn cell_percentiles_use_nearest_rank() {
         let cell = |nanos: u64| cell("k", nanos, None);
-        let report = SweepReport {
-            threads: 1,
-            base_seed: 0,
-            memo_hits: 0,
-            disk_hits: 0,
-            cells_simulated: 4,
-            threads_leaked: 0,
-            errors: vec![],
-            wall: Duration::from_millis(1),
-            workers: vec![],
-            cell_timings: vec![cell(40), cell(10), cell(30), cell(20)],
-        };
+        let report = report(vec![cell(40), cell(10), cell(30), cell(20)]);
         assert_eq!(report.cell_nanos_percentile(0.50), 20);
         assert_eq!(report.cell_nanos_percentile(0.99), 40);
         assert_eq!(report.cell_nanos_percentile(0.0), 10);
         assert_eq!(report.total_cell_nanos(), 100);
         let empty = SweepReport {
-            cell_timings: vec![],
-            cells_simulated: 0,
+            cells: vec![],
             ..report
         };
         assert_eq!(empty.cell_nanos_percentile(0.5), 0);

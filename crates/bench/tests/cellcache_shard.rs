@@ -36,10 +36,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The determinism fingerprint of one cell's outcome: everything except
-/// host timing (which a disk hit legitimately changes).
+/// The determinism fingerprint of one warmed cell's outcome: everything
+/// except host timing (which a disk hit legitimately changes).
 fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
-    let out = ctx.try_run(cell).unwrap();
+    let out = ctx.get(cell).unwrap();
     format!(
         "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}|prodigy={:?}|telemetry={:?}",
         cell.key(),
@@ -77,9 +77,13 @@ fn warm_disk_cache_satisfies_a_second_context_bit_identically() {
     let cold = ctx_with_scale(2).with_cell_cache(&dir).unwrap();
     cold.warm(cells.clone());
     let cold_report = cold.report();
-    assert!(cold_report.errors.is_empty(), "{:?}", cold_report.errors);
-    assert_eq!(cold_report.cells_simulated, cells.len() as u64);
-    assert_eq!(cold_report.disk_hits, 0);
+    assert!(
+        cold_report.errors().is_empty(),
+        "{:?}",
+        cold_report.errors()
+    );
+    assert_eq!(cold_report.cells_simulated(), cells.len() as u64);
+    assert_eq!(cold_report.disk_hits(), 0);
     let cold_prints: Vec<String> = cells.iter().map(|c| fingerprint(&cold, c)).collect();
 
     // Warm run in a brand-new context: zero cells simulated, all disk hits,
@@ -87,16 +91,21 @@ fn warm_disk_cache_satisfies_a_second_context_bit_identically() {
     let warm = ctx_with_scale(2).with_cell_cache(&dir).unwrap();
     warm.warm(cells.clone());
     let warm_report = warm.report();
-    assert!(warm_report.errors.is_empty(), "{:?}", warm_report.errors);
+    assert!(
+        warm_report.errors().is_empty(),
+        "{:?}",
+        warm_report.errors()
+    );
     assert_eq!(
-        warm_report.cells_simulated, 0,
+        warm_report.cells_simulated(),
+        0,
         "a warm cache must satisfy every cell from disk"
     );
-    assert_eq!(warm_report.disk_hits, cells.len() as u64);
+    assert_eq!(warm_report.disk_hits(), cells.len() as u64);
     assert!(warm_report
-        .cell_timings
+        .cells
         .iter()
-        .all(|t| t.disk_hit && t.error.is_none()));
+        .all(|c| c.disk_hit && c.result.is_ok()));
     let warm_prints: Vec<String> = cells.iter().map(|c| fingerprint(&warm, c)).collect();
     assert_eq!(cold_prints, warm_prints, "disk round-trip changed results");
 
@@ -104,8 +113,8 @@ fn warm_disk_cache_satisfies_a_second_context_bit_identically() {
     let other_seed = seeded_ctx(2, 7).with_cell_cache(&dir).unwrap();
     other_seed.warm(cells.clone());
     let r = other_seed.report();
-    assert_eq!(r.cells_simulated, cells.len() as u64);
-    assert_eq!(r.disk_hits, 0, "seed must be part of the cache key");
+    assert_eq!(r.cells_simulated(), cells.len() as u64);
+    assert_eq!(r.disk_hits(), 0, "seed must be part of the cache key");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -116,19 +125,25 @@ fn failures_are_never_persisted_to_the_disk_cache() {
     let ctx = ctx_with_scale(1).with_cell_cache(&dir).unwrap();
     let good = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
     let bad = Cell::new(WorkloadSpec::plain("no-such-alg", 64), PrefetcherKind::None);
-    ctx.try_run(&good).unwrap();
-    assert!(ctx.try_run(&bad).is_err());
+    ctx.warm(vec![good.clone(), bad.clone()]);
+    ctx.get(&good).unwrap();
+    assert!(ctx.get(&bad).is_err());
     let entries = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(entries, 1, "only the successful cell may reach the disk");
 
     // A fresh context re-runs the failed cell (no stale failure served)
     // and still loads the good one from disk.
     let again = ctx_with_scale(1).with_cell_cache(&dir).unwrap();
-    assert!(again.try_run(&bad).is_err());
-    again.try_run(&good).unwrap();
+    again.warm(vec![bad.clone(), good.clone()]);
+    assert!(again.get(&bad).is_err());
+    again.get(&good).unwrap();
     let r = again.report();
-    assert_eq!(r.disk_hits, 1);
-    assert_eq!(r.cells_simulated, 1, "the failure simulated again");
+    let jobs: u64 = r.workers.iter().map(|w| w.jobs).sum();
+    assert_eq!(jobs, 2, "the failed cell was attempted again");
+    assert_eq!(
+        (r.cells_simulated(), r.errors().len(), r.disk_hits()),
+        (0, 1, 1)
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -144,7 +159,7 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
     assert_eq!(cells.len(), 4);
     full.warm(cells.clone());
     let full_report = full.report();
-    assert!(full_report.errors.is_empty());
+    assert!(full_report.errors().is_empty());
     let merged_full =
         merge_reports(&[parse_json(&full_report.to_json().to_string()).unwrap()]).unwrap();
 
@@ -161,7 +176,7 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
         owned_total += owned.len();
         ctx.warm(owned);
         let r = ctx.report();
-        assert!(r.errors.is_empty());
+        assert!(r.errors().is_empty());
         shard_jsons.push(parse_json(&r.to_json().to_string()).unwrap());
     }
     assert_eq!(owned_total, cells.len(), "shards must partition the grid");

@@ -43,11 +43,11 @@ fn ctx_with(threads: usize, base_seed: u64) -> Ctx {
     ctx
 }
 
-/// The determinism fingerprint of one cell's outcome: everything except
-/// host timing. `Stats` carries no `PartialEq` (floats in the CPI stack),
-/// so the stable `Debug` rendering is the comparison form.
+/// The determinism fingerprint of one warmed cell's outcome: everything
+/// except host timing. `Stats` carries no `PartialEq` (floats in the CPI
+/// stack), so the stable `Debug` rendering is the comparison form.
 fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
-    let out = ctx.try_run(cell).unwrap();
+    let out = ctx.get(cell).unwrap();
     format!(
         "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}",
         cell.key(),
@@ -65,11 +65,11 @@ fn sweep_fingerprints(threads: usize, base_seed: u64) -> Vec<String> {
     ctx.warm(cells.clone());
     let report = ctx.report();
     assert!(
-        report.errors.is_empty(),
+        report.errors().is_empty(),
         "no cell may fail: {:?}",
-        report.errors
+        report.errors()
     );
-    assert_eq!(report.cells_simulated, cells.len() as u64);
+    assert_eq!(report.cells_simulated(), cells.len() as u64);
     cells.iter().map(|c| fingerprint(&ctx, c)).collect()
 }
 
@@ -97,15 +97,18 @@ fn base_seed_perturbs_seeded_workloads_only() {
     let ctx0 = ctx_with(1, 0);
     let ctx1 = ctx_with(1, 1);
     let is_cell = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
-    let c0 = ctx0.try_run(&is_cell).unwrap();
-    let c1 = ctx1.try_run(&is_cell).unwrap();
+    let bfs_cell = Cell::new(WorkloadSpec::graph("bfs", "lj", 64), PrefetcherKind::None);
+    for ctx in [&ctx0, &ctx1] {
+        ctx.warm(vec![is_cell.clone(), bfs_cell.clone()]);
+    }
+    let c0 = ctx0.get(&is_cell).unwrap();
+    let c1 = ctx1.get(&is_cell).unwrap();
     assert_ne!(c0.checksum, c1.checksum, "seeded inputs should differ");
     assert_ne!(c0.seed, c1.seed);
     // Graph topologies model fixed external data sets: identical across
     // base seeds, so cross-version figure tables stay comparable.
-    let bfs_cell = Cell::new(WorkloadSpec::graph("bfs", "lj", 64), PrefetcherKind::None);
-    let g0 = ctx0.try_run(&bfs_cell).unwrap();
-    let g1 = ctx1.try_run(&bfs_cell).unwrap();
+    let g0 = ctx0.get(&bfs_cell).unwrap();
+    let g1 = ctx1.get(&bfs_cell).unwrap();
     assert_eq!(g0.checksum, g1.checksum, "graphs are not re-randomized");
 }
 
@@ -214,14 +217,16 @@ fn checksums_agree_across_prefetchers_within_a_seed() {
     for base_seed in [0u64, 42] {
         let ctx = ctx_with(2, base_seed);
         let spec = WorkloadSpec::plain("is", 256);
-        let sums: Vec<u64> = [
+        let cells: Vec<Cell> = [
             PrefetcherKind::None,
             PrefetcherKind::Stride,
             PrefetcherKind::Prodigy,
         ]
         .into_iter()
-        .map(|k| ctx.try_run(&Cell::new(spec.clone(), k)).unwrap().checksum)
+        .map(|k| Cell::new(spec.clone(), k))
         .collect();
+        ctx.warm(cells.clone());
+        let sums: Vec<u64> = cells.iter().map(|c| ctx.get(c).unwrap().checksum).collect();
         assert!(
             sums.windows(2).all(|w| w[0] == w[1]),
             "checksum mismatch at base seed {base_seed}: {sums:?}"

@@ -103,10 +103,11 @@ impl<P: Prefetcher + 'static> System<P> {
     }
 
     /// Installs a cooperative cancellation flag. The phase scheduler polls
-    /// it at its event-loop boundary and aborts the run (by panicking with
-    /// `"run cancelled"`) once the flag is raised — sweep drivers that
-    /// abandon a timed-out cell use this to make the detached worker exit
-    /// promptly instead of simulating on.
+    /// it at its event-loop boundary and aborts the run (by unwinding with
+    /// a `"run cancelled"` payload, without running the panic hook) once
+    /// the flag is raised — a sweep that abandons a timed-out cell uses
+    /// this to make the detached worker exit promptly instead of simulating
+    /// on.
     pub fn set_cancel(&mut self, flag: Arc<AtomicBool>) {
         self.cancel = Some(flag);
     }
@@ -253,10 +254,10 @@ impl<P: Prefetcher + 'static> System<P> {
             let Some((t, c)) = best else { break };
             // Cooperative cancellation: abandoning callers (sweep timeouts)
             // raise the flag and this unwinds out of the run. The driver
-            // catches the panic; nobody observes partial results.
+            // catches the unwind; nobody observes partial results.
             if let Some(flag) = &self.cancel {
                 if flag.load(Ordering::Relaxed) {
-                    panic!("run cancelled");
+                    cancelled();
                 }
             }
             // The earliest-core timestamp is monotone across iterations, so
@@ -386,6 +387,15 @@ impl<P: Prefetcher + 'static> System<P> {
                 .unwrap_or_default(),
         }
     }
+}
+
+/// Unwinds out of a cancelled run with a `"run cancelled"` payload.
+/// `resume_unwind` skips the panic hook, so a cancel is not reported as a
+/// crash; out of line, so the run loop only carries the call.
+#[cold]
+#[inline(never)]
+fn cancelled() -> ! {
+    std::panic::resume_unwind(Box::new("run cancelled"))
 }
 
 #[cfg(test)]
@@ -520,7 +530,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run cancelled")]
     fn raised_cancel_flag_aborts_the_phase() {
         let mut sys = System::new(SystemConfig::scaled(64).with_cores(1));
         let flag = Arc::new(AtomicBool::new(true));
@@ -529,7 +538,12 @@ mod tests {
         for i in 0..100u64 {
             b.load_at(1, i * 64, 8, &[]);
         }
-        sys.run_phase(vec![b.finish()]);
+        let stream = b.finish();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.run_phase(vec![stream]);
+        }))
+        .expect_err("a raised flag unwinds out of run_phase");
+        assert_eq!(unwound.downcast_ref::<&str>(), Some(&"run cancelled"));
     }
 
     #[test]
