@@ -12,6 +12,10 @@ cargo fmt --all --check
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A doc link to a renamed, deleted or private item is a rustdoc warning.
+echo "== rustdoc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== tier-1: release build + tests"
 cargo build --release
 cargo test -q
@@ -267,7 +271,8 @@ PY
 # zero budget every cell times out; fig02, fig04 and fig14 hold 60 distinct
 # cells, and the pool's jobs (its attempts) must number exactly 60 (a memo
 # that evicted timeouts made 94 attempts here). A failed cell is not a
-# simulated one, and a cancelled cell unwinds without a panic report.
+# simulated one, its time-to-timeout is not simulation time, and a
+# cancelled cell unwinds without a panic report.
 echo "== timeout probe: every cell fails once, exit 3"
 rc=0
 ./target/release/prodigy-eval --scale 64 --threads 2 --timeout-secs 0 \
@@ -285,9 +290,11 @@ keys = {c["key"] for c in d["cells"]}
 jobs = sum(w["jobs"] for w in d["workers"])
 assert jobs == len(keys) == 60, f"{jobs} attempts for {len(keys)} keys, want 60 for 60"
 assert all(c["error"] for c in d["cells"]), "every cell must fail under a zero budget"
-simulated = d["host"]["cells_simulated"]
-assert simulated == 0, f"{simulated} cells simulated, want 0: none finished"
-print("   60 attempts for 60 keys, all failed, 0 simulated, no panic reports: OK")
+h = d["host"]
+assert h["cells_simulated"] == 0, f"{h['cells_simulated']} cells simulated, want 0: none finished"
+assert h["host_nanos_total"] == 0 and h["cell_host_nanos_p99"] == 0, (
+    f"host time {h['host_nanos_total']} ns, p99 {h['cell_host_nanos_p99']} ns, want 0: nothing simulated")
+print("   60 attempts for 60 keys, all failed, 0 simulated, 0 ns host time, no panic reports: OK")
 PY
 
 echo "== metrics smoke: windowed series + attribution, same-seed identical"

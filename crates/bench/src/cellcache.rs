@@ -257,7 +257,7 @@ mod tests {
                 dropped: count(rng),
                 polluting: count(rng),
             };
-            attribution.insert_counts(rng.next_u64() as u16, counts);
+            *attribution.row(rng.next_u64() as u16) = counts;
         }
         let mut telemetry = TelemetrySummary {
             load_to_use: hist(rng),

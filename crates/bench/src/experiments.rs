@@ -17,7 +17,6 @@ use crate::sweep::{
     SweepConfig, SweepReport, WorkerStat,
 };
 use crate::workload_set::{all_29, per_algorithm, WorkloadSpec, GRAPH_ALGS};
-use prodigy::throttle::ThrottleSpec;
 use prodigy::{ProdigyConfig, ProdigyPrefetcher};
 use prodigy_sim::prefetch::Prefetcher;
 use prodigy_sim::SystemConfig;
@@ -167,7 +166,7 @@ impl Cell {
             prefetcher: v.kind,
             prodigy: ProdigyConfig {
                 pfhr_entries: v.pfhr,
-                throttle: v.throttle.then(ThrottleSpec::default),
+                throttle: v.throttle,
                 ..ProdigyConfig::default()
             },
             classify_llc: v.classify,
@@ -1662,8 +1661,8 @@ mod tests {
         // The throttle reaches the run only where the variant sets it.
         let cells = experiment("ext_throttle").cells(64);
         let throttled = |c: &Cell| c.run_config(SystemConfig::bench(), 0).prodigy.throttle;
-        assert!(throttled(&cells[1]).is_none());
-        assert!(throttled(&cells[2]).is_some());
+        assert!(!throttled(&cells[1]));
+        assert!(throttled(&cells[2]));
     }
 
     #[test]

@@ -98,7 +98,7 @@ const CANCEL_GRACE: Duration = Duration::from_millis(200);
 ///
 /// The timeout path runs the job on a dedicated named thread and waits with
 /// `recv_timeout`; on expiry the cancel flag is raised and the worker gets a
-/// short grace window ([`CANCEL_GRACE`]) to honour it. A cancel-aware job
+/// short grace window (`CANCEL_GRACE`, 200 ms) to honour it. A cancel-aware job
 /// unwinds at its next scheduler boundary, lands inside the window, and is
 /// joined — the error then carries `leaked: false`. A truly divergent cell
 /// that never reaches a cancellation point is *detached*, not killed (Rust
@@ -478,12 +478,18 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Cells simulated to an outcome (failures and disk hits excluded).
-    pub fn cells_simulated(&self) -> u64 {
+    /// The records of cells simulated to an outcome: failures and disk hits
+    /// excluded, so their time-to-timeout and load times are not counted
+    /// as simulation time.
+    fn simulated(&self) -> impl Iterator<Item = &CellRecord> {
         self.cells
             .iter()
             .filter(|c| c.result.is_ok() && !c.disk_hit)
-            .count() as u64
+    }
+
+    /// Cells simulated to an outcome (failures and disk hits excluded).
+    pub fn cells_simulated(&self) -> u64 {
+        self.simulated().count() as u64
     }
 
     /// Cells loaded from the persistent on-disk cell cache.
@@ -526,16 +532,16 @@ impl SweepReport {
         (busy.as_secs_f64() / denom).min(1.0)
     }
 
-    /// Total host time spent inside cell simulations (sum over cells; under
-    /// an oversubscribed pool this exceeds wall time × cores).
+    /// Total host time spent inside cell simulations (sum over simulated
+    /// cells; under an oversubscribed pool this exceeds wall time × cores).
     pub fn total_cell_nanos(&self) -> u128 {
-        self.cells.iter().map(|c| c.timing.host_nanos as u128).sum()
+        self.simulated().map(|c| c.timing.host_nanos as u128).sum()
     }
 
-    /// Nearest-rank percentile of per-cell host time, in nanoseconds.
-    /// `q` in [0, 1]; returns 0 when no cell ran.
+    /// Nearest-rank percentile of per-cell simulation host time, in
+    /// nanoseconds. `q` in [0, 1]; returns 0 when no cell was simulated.
     pub fn cell_nanos_percentile(&self, q: f64) -> u64 {
-        let mut v: Vec<u64> = self.cells.iter().map(|c| c.timing.host_nanos).collect();
+        let mut v: Vec<u64> = self.simulated().map(|c| c.timing.host_nanos).collect();
         if v.is_empty() {
             return 0;
         }
@@ -544,9 +550,9 @@ impl SweepReport {
         v[rank - 1]
     }
 
-    /// The `n` slowest cells, slowest first.
+    /// The `n` slowest simulated cells, slowest first.
     pub fn slowest(&self, n: usize) -> Vec<&CellRecord> {
-        let mut v: Vec<&CellRecord> = self.cells.iter().collect();
+        let mut v: Vec<&CellRecord> = self.simulated().collect();
         v.sort_by_key(|c| std::cmp::Reverse(c.timing.host_nanos));
         v.truncate(n);
         v
@@ -846,7 +852,7 @@ mod tests {
             json.starts_with(
                 "{\"threads\":2,\"base_seed\":7,\"host\":{\"cells_simulated\":1,\"memo_hits\":3,\
                  \"disk_hits\":1,\"threads_leaked\":1,\"wall_nanos\":1500000000,\"cells_per_sec\":0.667,\
-                 \"utilization\":0.5000,\"host_nanos_total\":54,\"cell_host_nanos_p50\":9,\
+                 \"utilization\":0.5000,\"host_nanos_total\":42,\"cell_host_nanos_p50\":42,\
                  \"cell_host_nanos_p99\":42},\"workers\":[{\"worker\":0,"
             ),
             "every host counter once, under host: {json}"
@@ -878,6 +884,22 @@ mod tests {
             ),
             "a failed cell has no outcome: {json}"
         );
+    }
+
+    #[test]
+    fn host_time_counts_only_simulated_cells() {
+        let mut disk = cell("d", 3, Some(outcome()));
+        disk.disk_hit = true;
+        let report = report(vec![
+            cell("f", 9, None),
+            disk,
+            cell("k", 42, Some(outcome())),
+        ]);
+        assert_eq!(report.total_cell_nanos(), 42);
+        assert_eq!(report.cell_nanos_percentile(0.99), 42);
+        let text = report.render();
+        assert_eq!(text.matches("slow:").count(), 1, "{text}");
+        assert!(text.contains(" ms  k\n"), "{text}");
     }
 
     #[test]
@@ -974,7 +996,7 @@ mod tests {
 
     #[test]
     fn cell_percentiles_use_nearest_rank() {
-        let cell = |nanos: u64| cell("k", nanos, None);
+        let cell = |nanos: u64| cell("k", nanos, Some(outcome()));
         let report = report(vec![cell(40), cell(10), cell(30), cell(20)]);
         assert_eq!(report.cell_nanos_percentile(0.50), 20);
         assert_eq!(report.cell_nanos_percentile(0.99), 40);

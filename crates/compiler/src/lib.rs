@@ -19,8 +19,9 @@
 //!
 //! The pass output is a symbolic [`Instrumentation`]; binding it to the
 //! runtime addresses of the allocations yields a [`prodigy::DigProgram`]
-//! identical to hand annotation — a property the workload crate's tests
-//! assert for every kernel.
+//! identical to hand annotation — a property the root package's
+//! `tests/compiler_equivalence.rs` asserts for BFS, PageRank, SpMV and
+//! integer sort.
 //!
 //! ## Example
 //!

@@ -17,24 +17,27 @@
 
 use crate::dig::{edge_tag, node_tag, Dig, EdgeKind, NodeId, TraversalDirection, TriggerSpec};
 use crate::pfhr::{PfhrFile, RangeCont};
-use crate::tables::{EdgeRecord, EdgeTable, NodeRecord, NodeTable};
+use crate::tables::{
+    EdgeRecord, EdgeTable, NodeRecord, NodeTable, EDGE_TABLE_ENTRIES, NODE_TABLE_ENTRIES,
+};
+use crate::throttle::FeedbackThrottle;
 use prodigy_sim::line_of;
 use prodigy_sim::prefetch::{DemandAccess, FillEvent, PrefetchCtx, Prefetcher};
 use std::any::Any;
 
-/// Hardware sizing knobs (defaults follow §VI-E: 16-entry DIG tables,
-/// 16-entry PFHR file, 0.8 KB total).
+/// Cap on lines expanded per ranged indirection *into a leaf node* (leaf
+/// prefetches carry no PFHR, so nothing can stream them).
+const MAX_RANGE_LINES: usize = 16;
+
+/// The settable hardware knobs. Defaults are the paper's evaluated design
+/// (§VI-E: 16 PFHRs beside the fixed 16-row DIG tables, ≈0.8 KB in all).
+/// Fig. 12 sweeps the PFHR count; `range_window` and the two overrides are
+/// the ablations of `examples/design_space.rs`; `throttle` turns on the
+/// §IV-G extension.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProdigyConfig {
     /// PFHR registers (Fig. 12 explores 4–32; 16 is the chosen design).
     pub pfhr_entries: usize,
-    /// Node-table rows.
-    pub node_capacity: usize,
-    /// Edge-table rows.
-    pub edge_capacity: usize,
-    /// Cap on lines expanded per ranged indirection *into a leaf node*
-    /// (leaf prefetches carry no PFHR, so nothing can stream them).
-    pub max_range_lines: usize,
     /// Lines issued per ranged-indirection window; the window's last PFHR
     /// carries a continuation, so long ranges (hub vertices) stream through
     /// the bounded register file fill-by-fill instead of burst-issuing.
@@ -44,22 +47,19 @@ pub struct ProdigyConfig {
     pub lookahead_override: Option<u32>,
     /// Hardware override of the sequences-per-trigger count (ablation knob).
     pub sequences_override: Option<u32>,
-    /// Optional feedback-directed throttling (§IV-G future work; off in the
-    /// paper's evaluated design).
-    pub throttle: Option<crate::throttle::ThrottleSpec>,
+    /// Feedback-directed throttling (§IV-G future work; off in the paper's
+    /// evaluated design).
+    pub throttle: bool,
 }
 
 impl Default for ProdigyConfig {
     fn default() -> Self {
         ProdigyConfig {
             pfhr_entries: 16,
-            node_capacity: 16,
-            edge_capacity: 16,
-            max_range_lines: 16,
             range_window: 4,
             lookahead_override: None,
             sequences_override: None,
-            throttle: None,
+            throttle: false,
         }
     }
 }
@@ -144,7 +144,7 @@ pub struct ProdigyPrefetcher {
     live: Vec<u64>,
     cached_depth: u32,
     stats: ProdigyStats,
-    throttle: Option<crate::throttle::FeedbackThrottle>,
+    throttle: Option<FeedbackThrottle>,
     /// Last sequences-per-trigger value reported to the telemetry layer
     /// (None until the first throttled trigger).
     traced_level: Option<u32>,
@@ -160,15 +160,13 @@ impl ProdigyPrefetcher {
     /// Creates a prefetcher with the given hardware sizing.
     pub fn new(cfg: ProdigyConfig) -> Self {
         ProdigyPrefetcher {
-            nodes: NodeTable::new(cfg.node_capacity),
-            edges: EdgeTable::new(cfg.edge_capacity),
+            nodes: NodeTable::new(NODE_TABLE_ENTRIES),
+            edges: EdgeTable::new(EDGE_TABLE_ENTRIES),
             pfhr: PfhrFile::new(cfg.pfhr_entries),
             live: Vec::new(),
             cached_depth: 0,
             stats: ProdigyStats::default(),
-            throttle: cfg
-                .throttle
-                .map(|spec| crate::throttle::FeedbackThrottle::new(spec, 4)),
+            throttle: cfg.throttle.then(FeedbackThrottle::default),
             traced_level: None,
             cfg,
         }
@@ -250,11 +248,6 @@ impl ProdigyPrefetcher {
             pfhr_drops: self.pfhr.structural_drops,
             ..self.stats
         }
-    }
-
-    /// PFHR structural drops (Fig. 12's limiting hazard).
-    pub fn pfhr_structural_drops(&self) -> u64 {
-        self.pfhr.structural_drops
     }
 
     /// Read-only view of the node table.
@@ -398,7 +391,7 @@ impl ProdigyPrefetcher {
             let sz = dst.data_size as u64;
             let mut line = from_line;
             let mut n = 0;
-            while line <= last_elem && n < self.cfg.max_range_lines {
+            while line <= last_elem && n < MAX_RANGE_LINES {
                 self.stats.ranged_prefetches += 1;
                 let e0 = first_elem.max(line);
                 let e1 = last_elem.min(line + LINE_BYTES - 1);
@@ -869,7 +862,10 @@ mod tests {
             },
         );
         rig.demand(&mut pf, wq, 0);
-        assert!(pf.pfhr_structural_drops() > 0, "1-entry file must overflow");
+        assert!(
+            pf.prodigy_stats().pfhr_drops > 0,
+            "1-entry file must overflow"
+        );
 
         // A 32-register file absorbs the same burst without drops.
         let mut big = ProdigyPrefetcher::new(ProdigyConfig {
@@ -890,7 +886,7 @@ mod tests {
         let mut rig2 = Rig::new();
         rig2.space = std::mem::take(&mut rig.space);
         rig2.demand(&mut big, wq, 0);
-        assert_eq!(big.pfhr_structural_drops(), 0);
+        assert_eq!(big.prodigy_stats().pfhr_drops, 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! overhead table in the benchmarks is computed, not hard-coded.
 
 use crate::prefetcher::ProdigyConfig;
+use crate::tables::{EDGE_TABLE_ENTRIES, NODE_TABLE_ENTRIES};
 
 /// Virtual address width assumed by the paper.
 pub const VADDR_BITS: u64 = 64;
@@ -41,10 +42,11 @@ pub fn pfhr_entry_bits() -> u64 {
     1 + 4 + VADDR_BITS + (PADDR_BITS - LINE_SHIFT) + 16 + ((PADDR_BITS - LINE_SHIFT) + 14)
 }
 
-/// Total DIG-table bits for a configuration.
-pub fn dig_table_bits(cfg: &ProdigyConfig) -> u64 {
-    cfg.node_capacity as u64 * (node_entry_bits() + edge_index_entry_bits())
-        + cfg.edge_capacity as u64 * edge_entry_bits()
+/// Total DIG-table bits: every node-table row with its edge-index row,
+/// plus every edge-table row.
+pub fn dig_table_bits() -> u64 {
+    NODE_TABLE_ENTRIES as u64 * (node_entry_bits() + edge_index_entry_bits())
+        + EDGE_TABLE_ENTRIES as u64 * edge_entry_bits()
 }
 
 /// Total PFHR-file bits.
@@ -54,12 +56,7 @@ pub fn pfhr_bits(cfg: &ProdigyConfig) -> u64 {
 
 /// Total prefetcher storage in bits.
 pub fn total_bits(cfg: &ProdigyConfig) -> u64 {
-    dig_table_bits(cfg) + pfhr_bits(cfg)
-}
-
-/// Total prefetcher storage in kilobytes.
-pub fn total_kib(cfg: &ProdigyConfig) -> f64 {
-    total_bits(cfg) as f64 / 8.0 / 1024.0
+    dig_table_bits() + pfhr_bits(cfg)
 }
 
 #[cfg(test)]
@@ -69,14 +66,14 @@ mod tests {
     #[test]
     fn default_config_matches_papers_point_eight_kb() {
         let cfg = ProdigyConfig::default();
-        let dig_kb = dig_table_bits(&cfg) as f64 / 8.0 / 1024.0;
+        let dig_kb = dig_table_bits() as f64 / 8.0 / 1024.0;
         let pfhr_kb = pfhr_bits(&cfg) as f64 / 8.0 / 1024.0;
         // Paper: DIG tables 0.53 KB, PFHRs 0.26 KB, total 0.8 KB. Our PFHRs
         // carry 56 extra continuation bits each (see pfhr_entry_bits),
         // taking the total to ≈0.9 KB.
         assert!((0.4..0.6).contains(&dig_kb), "DIG tables: {dig_kb} KB");
         assert!((0.25..0.40).contains(&pfhr_kb), "PFHRs: {pfhr_kb} KB");
-        let total = total_kib(&cfg);
+        let total = total_bits(&cfg) as f64 / 8.0 / 1024.0;
         assert!((0.8..1.0).contains(&total), "total: {total} KB");
     }
 

@@ -4,10 +4,15 @@
 //! finds a node's outgoing edges — "mimicking the software offset list in
 //! hardware".
 //!
-//! These are fixed-capacity structures (16 entries each by default, §VI-E);
+//! These are fixed-capacity structures (16 entries each, §VI-E);
 //! registration beyond capacity is rejected, exactly as a real SRAM would be.
 
 use crate::dig::{EdgeKind, NodeId, TriggerSpec};
+
+/// Node-table rows of the Prodigy hardware (§VI-E).
+pub(crate) const NODE_TABLE_ENTRIES: usize = 16;
+/// Edge-table rows of the Prodigy hardware (§VI-E).
+pub(crate) const EDGE_TABLE_ENTRIES: usize = 16;
 
 /// One node-table row (Fig. 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,11 +118,6 @@ impl NodeTable {
         &self.rows
     }
 
-    /// Table capacity in rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Clears all rows (context switch to another DIG, §IV-F).
     pub fn clear(&mut self) {
         self.rows.clear();
@@ -161,19 +161,9 @@ impl EdgeTable {
         self.from(id).next().is_none()
     }
 
-    /// Whether `id` has an incoming edge (used for trigger selection).
-    pub fn has_incoming(&self, id: NodeId) -> bool {
-        self.rows.iter().any(|e| e.dst == id)
-    }
-
     /// All rows.
     pub fn rows(&self) -> &[EdgeRecord] {
         &self.rows
-    }
-
-    /// Table capacity in rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Clears all rows.
@@ -252,8 +242,6 @@ mod tests {
         assert_eq!(e.from(NodeId(0)).count(), 1);
         assert!(!e.is_leaf(NodeId(1)));
         assert!(e.is_leaf(NodeId(2)));
-        assert!(e.has_incoming(NodeId(2)));
-        assert!(!e.has_incoming(NodeId(0)));
     }
 
     #[test]

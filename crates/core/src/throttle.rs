@@ -8,81 +8,60 @@
 //! prefetches that were demanded before eviction, which the cache
 //! hierarchy already tracks) and modulates aggressiveness — the number of
 //! sequences initialised per trigger — between 1 and the software-requested
-//! value. Disabled by default, matching the paper's evaluated design;
-//! `examples/design_space.rs` and the ablation bench exercise it.
+//! value. Disabled by default, matching the paper's evaluated design; the
+//! `ext_throttle` experiment and `prodigy-eval --trace` turn it on. The
+//! paper evaluates no throttle, so its window and bounds are one fixed
+//! setting.
 
 use prodigy_sim::stats::PrefetchUse;
 
-/// Throttle parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThrottleSpec {
-    /// Re-evaluate after this many newly resolved prefetches.
-    pub window: u64,
-    /// Below this accuracy, halve aggressiveness.
-    pub low_accuracy: f64,
-    /// Above this accuracy, restore aggressiveness one step.
-    pub high_accuracy: f64,
-}
-
-impl Default for ThrottleSpec {
-    fn default() -> Self {
-        ThrottleSpec {
-            window: 2048,
-            low_accuracy: 0.40,
-            high_accuracy: 0.75,
-        }
-    }
-}
+/// Re-evaluate after this many newly resolved prefetches.
+const WINDOW: u64 = 2048;
+/// Below this window accuracy, halve aggressiveness.
+const LOW_ACCURACY: f64 = 0.40;
+/// Above this window accuracy, restore aggressiveness one step.
+const HIGH_ACCURACY: f64 = 0.75;
+/// Sequences per trigger before the first adaptation.
+const START_LEVEL: u32 = 4;
 
 /// Runtime state of the feedback loop.
 #[derive(Debug, Clone, Copy)]
 pub struct FeedbackThrottle {
-    spec: ThrottleSpec,
     last_resolved: u64,
     last_useful: u64,
     level: u32,
-    /// Times aggressiveness was reduced (for ablation reporting).
-    pub reductions: u64,
+}
+
+impl Default for FeedbackThrottle {
+    fn default() -> Self {
+        FeedbackThrottle {
+            last_resolved: 0,
+            last_useful: 0,
+            level: START_LEVEL,
+        }
+    }
 }
 
 impl FeedbackThrottle {
-    /// Creates a throttle starting at `max_level` sequences per trigger.
-    pub fn new(spec: ThrottleSpec, max_level: u32) -> Self {
-        FeedbackThrottle {
-            spec,
-            last_resolved: 0,
-            last_useful: 0,
-            level: max_level.max(1),
-            reductions: 0,
-        }
-    }
-
     /// Returns the sequences-per-trigger to use right now, given the
     /// requested maximum and the hierarchy's cumulative usefulness
     /// counters; adapts once per window of resolved prefetches.
     pub fn sequences(&mut self, requested: u32, usefulness: &PrefetchUse) -> u32 {
         let resolved = usefulness.resolved();
         let useful = usefulness.hit_l1 + usefulness.hit_l2 + usefulness.hit_l3;
-        if resolved.saturating_sub(self.last_resolved) >= self.spec.window {
+        if resolved.saturating_sub(self.last_resolved) >= WINDOW {
             let dr = (resolved - self.last_resolved) as f64;
             let du = useful.saturating_sub(self.last_useful) as f64;
             let acc = if dr > 0.0 { du / dr } else { 1.0 };
-            if acc < self.spec.low_accuracy && self.level > 1 {
+            if acc < LOW_ACCURACY && self.level > 1 {
                 self.level = (self.level / 2).max(1);
-                self.reductions += 1;
-            } else if acc > self.spec.high_accuracy && self.level < requested.max(1) {
+            } else if acc > HIGH_ACCURACY && self.level < requested.max(1) {
                 self.level += 1;
             }
             self.last_resolved = resolved;
             self.last_useful = useful;
         }
         self.level.min(requested.max(1))
-    }
-
-    /// Current aggressiveness level (sequences per trigger before the
-    /// requested-maximum clamp).
-    pub fn level(&self) -> u32 {
-        self.level
     }
 }
 
@@ -99,38 +78,32 @@ mod tests {
         }
     }
 
+    /// Usefulness after `windows` full windows of resolved prefetches,
+    /// `useful` of them demanded.
+    fn after(windows: u64, useful: u64) -> PrefetchUse {
+        use_counts(useful, windows * WINDOW - useful)
+    }
+
     #[test]
     fn low_accuracy_halves_aggressiveness() {
-        let mut t = FeedbackThrottle::new(
-            ThrottleSpec {
-                window: 100,
-                ..ThrottleSpec::default()
-            },
-            4,
-        );
-        assert_eq!(t.sequences(4, &use_counts(0, 0)), 4);
-        // 100 resolved, 10 useful → 10% accuracy → halve.
-        assert_eq!(t.sequences(4, &use_counts(10, 90)), 2);
-        // Another bad window → 1, and it floors there.
-        assert_eq!(t.sequences(4, &use_counts(15, 185)), 1);
-        assert_eq!(t.sequences(4, &use_counts(20, 290)), 1);
-        assert_eq!(t.reductions, 2);
+        let mut t = FeedbackThrottle::default();
+        assert_eq!(t.sequences(4, &after(0, 0)), 4);
+        // One window at 10% accuracy → halve.
+        assert_eq!(t.sequences(4, &after(1, WINDOW / 10)), 2);
+        // Another bad window (5%) → 1, and it floors there.
+        assert_eq!(t.sequences(4, &after(2, WINDOW * 15 / 100)), 1);
+        assert_eq!(t.sequences(4, &after(3, WINDOW / 5)), 1);
     }
 
     #[test]
     fn high_accuracy_restores_stepwise() {
-        let mut t = FeedbackThrottle::new(
-            ThrottleSpec {
-                window: 100,
-                ..ThrottleSpec::default()
-            },
-            4,
-        );
-        t.sequences(4, &use_counts(5, 95)); // drop to 2
-        assert_eq!(t.sequences(4, &use_counts(105, 95)), 3); // 100% window
-        assert_eq!(t.sequences(4, &use_counts(205, 95)), 4);
+        let mut t = FeedbackThrottle::default();
+        let bad = WINDOW / 20;
+        assert_eq!(t.sequences(4, &after(1, bad)), 2); // 5% window
+        assert_eq!(t.sequences(4, &after(2, bad + WINDOW)), 3); // 100% window
+        assert_eq!(t.sequences(4, &after(3, bad + 2 * WINDOW)), 4);
         assert_eq!(
-            t.sequences(4, &use_counts(305, 95)),
+            t.sequences(4, &after(4, bad + 3 * WINDOW)),
             4,
             "capped at requested"
         );
@@ -138,9 +111,12 @@ mod tests {
 
     #[test]
     fn no_adaptation_inside_a_window() {
-        let mut t = FeedbackThrottle::new(ThrottleSpec::default(), 4);
+        let mut t = FeedbackThrottle::default();
         for i in 0..10 {
             assert_eq!(t.sequences(4, &use_counts(i, i)), 4);
         }
+        // One resolution short of a window, even a useless one changes
+        // nothing.
+        assert_eq!(t.sequences(4, &use_counts(0, WINDOW - 1)), 4);
     }
 }

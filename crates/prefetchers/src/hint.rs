@@ -93,12 +93,6 @@ impl GraphLayoutHint {
             properties,
         })
     }
-
-    /// Whether the hint describes a CSR traversal (offset/edge structure
-    /// present) — graph-specific prefetchers are only meaningful then.
-    pub fn is_csr_like(&self) -> bool {
-        self.edges.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +121,7 @@ mod tests {
         assert_eq!(h.edges.unwrap().base, 0x3000);
         assert_eq!(h.properties.len(), 1);
         assert_eq!(h.properties[0].base, 0x4000);
-        assert!(h.is_csr_like());
+        assert!(h.edges.is_some(), "a CSR traversal");
     }
 
     #[test]
@@ -161,7 +155,7 @@ mod tests {
         d.edge(a, b, EdgeKind::SingleValued);
         d.trigger(a, TriggerSpec::default());
         let h = GraphLayoutHint::from_dig(&d).unwrap();
-        assert!(!h.is_csr_like());
+        assert!(h.edges.is_none(), "no CSR structure");
         assert_eq!(h.properties.len(), 1, "A[B[i]] property from trigger");
     }
 

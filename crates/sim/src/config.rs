@@ -229,13 +229,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different number of L3 slices.
-    pub fn with_l3_slices(mut self, slices: u32) -> Self {
-        assert!(slices >= 1, "need at least one L3 slice");
-        self.l3_slices = slices;
-        self
-    }
-
     /// Returns a copy with a far-memory tier whose latency and occupancy
     /// are `far_latency_scale`× the DRAM numbers (see
     /// [`DramConfig::scaled`]).
@@ -301,14 +294,11 @@ mod tests {
         // Table I machine keeps its 8 × 2 MB slices however many cores run.
         let c = SystemConfig::paper().with_cores(1);
         assert_eq!(c.llc_capacity(), 16 * 1024 * 1024);
-        let c = SystemConfig::paper().with_l3_slices(4);
+        let c = SystemConfig {
+            l3_slices: 4,
+            ..SystemConfig::paper()
+        };
         assert_eq!(c.llc_capacity(), 8 * 1024 * 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one L3 slice")]
-    fn zero_slices_rejected() {
-        let _ = SystemConfig::paper().with_l3_slices(0);
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl AddressSpace {
         base
     }
 
-    /// Highest address ever allocated (exclusive); the resident footprint.
-    pub fn brk(&self) -> u64 {
-        self.brk
-    }
-
     /// Bytes of memory actually touched (pages materialised × page size).
     pub fn resident_bytes(&self) -> u64 {
         self.pages.len() as u64 * PAGE_BYTES

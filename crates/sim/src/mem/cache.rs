@@ -353,7 +353,7 @@ impl Cache {
     }
 
     /// Prefetch source that installed the line at `slot` (see
-    /// [`Cache::find_slot`] for slot-validity rules).
+    /// `Cache::find_slot` for slot-validity rules).
     #[inline]
     pub fn source(&self, slot: usize) -> Option<SourceTag> {
         self.src[slot]

@@ -69,11 +69,6 @@ impl Directory {
         self.owner = Some(core as u8);
     }
 
-    /// Clears Modified ownership (after a downgrade) but keeps sharing.
-    pub fn clear_owner(&mut self) {
-        self.owner = None;
-    }
-
     /// The core owning the line in Modified state, if any.
     pub fn owner(&self) -> Option<usize> {
         self.owner.map(|c| c as usize)
@@ -144,14 +139,5 @@ mod tests {
         d.add_sharer(0);
         d.add_sharer(7);
         assert_eq!(d.sharer_iter().collect::<Vec<_>>(), vec![0, 7]);
-    }
-
-    #[test]
-    fn clear_owner_keeps_sharing() {
-        let mut d = Directory::empty();
-        d.set_owner(2);
-        d.clear_owner();
-        assert_eq!(d.owner(), None);
-        assert!(d.has_sharer(2));
     }
 }

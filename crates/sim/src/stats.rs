@@ -284,39 +284,6 @@ impl Stats {
     pub fn prefetch_coverage(&self) -> Option<f64> {
         self.prefetch_use.coverage(self.l3.misses)
     }
-
-    /// Merges another run's counters into this one (used across phases).
-    pub fn accumulate(&mut self, o: &Stats) {
-        self.instructions += o.instructions;
-        self.loads += o.loads;
-        self.stores += o.stores;
-        self.branches += o.branches;
-        self.mispredicts += o.mispredicts;
-        self.cycles += o.cycles;
-        for (a, b) in [
-            (&mut self.l1d, &o.l1d),
-            (&mut self.l2, &o.l2),
-            (&mut self.l3, &o.l3),
-        ] {
-            a.hits += b.hits;
-            a.misses += b.misses;
-            a.writebacks += b.writebacks;
-        }
-        self.dram_reads += o.dram_reads;
-        self.dram_writes += o.dram_writes;
-        self.dram_queue_cycles += o.dram_queue_cycles;
-        self.tlb_hits += o.tlb_hits;
-        self.tlb_misses += o.tlb_misses;
-        self.prefetches_issued += o.prefetches_issued;
-        self.prefetches_redundant += o.prefetches_redundant;
-        self.prefetch_use.hit_l1 += o.prefetch_use.hit_l1;
-        self.prefetch_use.hit_l2 += o.prefetch_use.hit_l2;
-        self.prefetch_use.hit_l3 += o.prefetch_use.hit_l3;
-        self.prefetch_use.evicted_unused += o.prefetch_use.evicted_unused;
-        self.llc_misses_prefetchable += o.llc_misses_prefetchable;
-        self.llc_misses_other += o.llc_misses_other;
-        self.cpi.accumulate(&o.cpi);
-    }
 }
 
 /// Host-side wall-clock timing of one simulated run.
@@ -480,24 +447,6 @@ mod tests {
         s.l3.misses = 10;
         assert!((s.prefetch_coverage().unwrap() - 0.75).abs() < 1e-12);
         assert_eq!(Stats::default().prefetch_coverage(), None);
-    }
-
-    #[test]
-    fn stats_accumulate_sums_everything() {
-        let mut a = Stats::default();
-        let mut b = Stats {
-            instructions: 5,
-            dram_reads: 2,
-            ..Stats::default()
-        };
-        b.l1d.hits = 3;
-        b.cpi.no_stall = 1.0;
-        a.accumulate(&b);
-        a.accumulate(&b);
-        assert_eq!(a.instructions, 10);
-        assert_eq!(a.l1d.hits, 6);
-        assert_eq!(a.dram_reads, 4);
-        assert_eq!(a.cpi.no_stall, 2.0);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //!
 //! 1. **Always-on counters** ([`TelemetrySummary`]): cheap histograms and
 //!    the timely / late / inaccurate / dropped prefetch breakdown (the
-//!    paper's Fig. 19 taxonomy). These are collected on every run and
-//!    merged into sweep reports, but deliberately kept *outside*
-//!    [`crate::Stats`] so the determinism fingerprint of existing runs is
-//!    byte-for-byte unchanged.
+//!    paper's Fig. 19 taxonomy). These are collected on every run, but
+//!    deliberately kept *outside* [`crate::Stats`] so the determinism
+//!    fingerprint of existing runs is byte-for-byte unchanged.
 //! 2. **Opt-in event tracing** ([`Tracer::start_trace`]): once a trace is
 //!    started, every component (cache hierarchy, DRAM controller, TLB,
 //!    prefetchers, the Prodigy DIG walker and throttle) appends structured
@@ -584,14 +583,6 @@ impl Timeliness {
             part as f64 / t as f64
         }
     }
-
-    /// Element-wise accumulation.
-    pub fn merge(&mut self, o: &Timeliness) {
-        self.timely += o.timely;
-        self.late += o.late;
-        self.inaccurate += o.inaccurate;
-        self.dropped += o.dropped;
-    }
 }
 
 crate::json_object!(Timeliness {
@@ -686,44 +677,12 @@ pub struct AttributionTable {
 }
 
 impl AttributionTable {
-    /// Counts one accepted prefetch for `tag`.
+    /// The counts of `tag`, created empty on its first fate. A source
+    /// issues before any of its prefetches can be used, evicted or
+    /// pollute, so in a run only an issue or a drop opens a row.
     #[inline]
-    pub fn record_issued(&mut self, tag: SourceTag) {
-        self.entries.entry(tag).or_default().issued += 1;
-    }
-
-    /// Counts one timely use for `tag`.
-    #[inline]
-    pub fn record_timely(&mut self, tag: SourceTag) {
-        self.entries.entry(tag).or_default().timely += 1;
-    }
-
-    /// Counts one late use for `tag`.
-    #[inline]
-    pub fn record_late(&mut self, tag: SourceTag) {
-        self.entries.entry(tag).or_default().late += 1;
-    }
-
-    /// Counts one unused eviction for `tag`.
-    #[inline]
-    pub fn record_inaccurate(&mut self, tag: SourceTag) {
-        self.entries.entry(tag).or_default().inaccurate += 1;
-    }
-
-    /// Counts one pre-issue drop for `tag`.
-    #[inline]
-    pub fn record_dropped(&mut self, tag: SourceTag) {
-        self.entries.entry(tag).or_default().dropped += 1;
-    }
-
-    /// Counts one pollution event against `tag` (a demand miss on a line
-    /// one of its prefetches displaced). Only tagged sources are charged
-    /// here, and a tagged source always has an entry by the time it can
-    /// pollute (its `record_issued` precedes any eviction it causes), so
-    /// pollution alone never creates a new attribution row.
-    #[inline]
-    pub fn record_polluting(&mut self, tag: SourceTag) {
-        self.entries.entry(tag).or_default().polluting += 1;
+    pub fn row(&mut self, tag: SourceTag) -> &mut SourceCounts {
+        self.entries.entry(tag).or_default()
     }
 
     /// Whether no source ever issued a prefetch.
@@ -739,25 +698,6 @@ impl AttributionTable {
     /// The counts for one tag, if it ever issued.
     pub fn get(&self, tag: SourceTag) -> Option<&SourceCounts> {
         self.entries.get(&tag)
-    }
-
-    /// Inserts (accumulating) the full counts for one source, used when
-    /// reconstructing a table from a serialized report.
-    pub fn insert_counts(&mut self, tag: SourceTag, counts: SourceCounts) {
-        let e = self.entries.entry(tag).or_default();
-        e.issued += counts.issued;
-        e.timely += counts.timely;
-        e.late += counts.late;
-        e.inaccurate += counts.inaccurate;
-        e.dropped += counts.dropped;
-        e.polluting += counts.polluting;
-    }
-
-    /// Element-wise accumulation of another table.
-    pub fn merge(&mut self, o: &AttributionTable) {
-        for (tag, c) in &o.entries {
-            self.insert_counts(*tag, *c);
-        }
     }
 }
 
@@ -825,13 +765,6 @@ impl PollutionCounts {
     /// Total pollution events across levels.
     pub fn total(&self) -> u64 {
         self.l1 + self.l2 + self.l3
-    }
-
-    /// Element-wise accumulation.
-    pub fn merge(&mut self, o: &PollutionCounts) {
-        self.l1 += o.l1;
-        self.l2 += o.l2;
-        self.l3 += o.l3;
     }
 }
 
@@ -985,17 +918,6 @@ pub struct TierTelemetry {
     pub writebacks: u64,
 }
 
-impl TierTelemetry {
-    /// Accumulates another run's counters for the same tier.
-    pub fn merge(&mut self, o: &TierTelemetry) {
-        self.load_to_use.merge(&o.load_to_use);
-        self.queue_wait.merge(&o.queue_wait);
-        self.demand_reads += o.demand_reads;
-        self.prefetch_reads += o.prefetch_reads;
-        self.writebacks += o.writebacks;
-    }
-}
-
 crate::json_object!(TierTelemetry {
     load_to_use,
     queue_wait,
@@ -1011,14 +933,6 @@ pub struct TierSplit {
     pub near: TierTelemetry,
     /// Far-memory pool (cold tier).
     pub far: TierTelemetry,
-}
-
-impl TierSplit {
-    /// Accumulates another run's split.
-    pub fn merge(&mut self, o: &TierSplit) {
-        self.near.merge(&o.near);
-        self.far.merge(&o.far);
-    }
 }
 
 crate::json_object!(TierSplit { near, far });
@@ -1059,37 +973,11 @@ pub struct TelemetrySummary {
     /// pre-tier builds.
     pub tiers: Option<TierSplit>,
     /// End-of-run cache-contents scan by installing source, captured by
-    /// the runner just before telemetry is harvested. `None` until then
-    /// (and on merged summaries that never ran).
+    /// the runner just before telemetry is harvested. `None` until then.
     pub occupancy: Option<OccupancySnapshot>,
 }
 
 impl TelemetrySummary {
-    /// Accumulates another run's telemetry into this one.
-    pub fn merge(&mut self, o: &TelemetrySummary) {
-        self.timeliness.merge(&o.timeliness);
-        self.load_to_use.merge(&o.load_to_use);
-        self.fill_to_use.merge(&o.fill_to_use);
-        self.late_wait.merge(&o.late_wait);
-        self.dram_round_trip.merge(&o.dram_round_trip);
-        self.dram_queue_wait.merge(&o.dram_queue_wait);
-        self.throttle_ups += o.throttle_ups;
-        self.throttle_downs += o.throttle_downs;
-        self.dig_transitions += o.dig_transitions;
-        self.pollution.merge(&o.pollution);
-        self.attribution.merge(&o.attribution);
-        match (&mut self.tiers, &o.tiers) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.tiers = Some(*b),
-            _ => {}
-        }
-        // Occupancy is a point-in-time snapshot, not an accumulator: the
-        // most recent run's scan wins.
-        if o.occupancy.is_some() {
-            self.occupancy.clone_from(&o.occupancy);
-        }
-    }
-
     /// The per-tier split, created on first touch. Only the tier-routing
     /// code in the hierarchy calls this, and only on tiered machines.
     pub fn tiers_mut(&mut self) -> &mut TierSplit {
@@ -1210,7 +1098,7 @@ impl Tracer {
         tag: Option<SourceTag>,
     ) {
         if let Some(tag) = tag {
-            self.counters.attribution.record_issued(tag);
+            self.counters.attribution.row(tag).issued += 1;
         }
         if let Some(events) = &mut self.events {
             events.push(TraceEvent {
@@ -1273,13 +1161,13 @@ impl Tracer {
             self.counters.timeliness.timely += 1;
             self.counters.fill_to_use.record(now - ready_at);
             if let Some(tag) = src {
-                self.counters.attribution.record_timely(tag);
+                self.counters.attribution.row(tag).timely += 1;
             }
         } else {
             self.counters.timeliness.late += 1;
             self.counters.late_wait.record(residual);
             if let Some(tag) = src {
-                self.counters.attribution.record_late(tag);
+                self.counters.attribution.row(tag).late += 1;
             }
         }
         self.emit(|| TraceEvent {
@@ -1300,7 +1188,7 @@ impl Tracer {
     pub fn prefetch_evicted_unused(&mut self, now: u64, line: u64, src: Option<SourceTag>) {
         self.counters.timeliness.inaccurate += 1;
         if let Some(tag) = src {
-            self.counters.attribution.record_inaccurate(tag);
+            self.counters.attribution.row(tag).inaccurate += 1;
         }
         self.emit(|| TraceEvent {
             cycle: now,
@@ -1324,7 +1212,7 @@ impl Tracer {
             _ => self.counters.pollution.l3 += 1,
         }
         if let Some(tag) = src {
-            self.counters.attribution.record_polluting(tag);
+            self.counters.attribution.row(tag).polluting += 1;
         }
     }
 
@@ -1334,7 +1222,7 @@ impl Tracer {
     pub fn prefetch_dropped(&mut self, core: usize, now: u64, line: u64, tag: Option<SourceTag>) {
         self.counters.timeliness.dropped += 1;
         if let Some(tag) = tag {
-            self.counters.attribution.record_dropped(tag);
+            self.counters.attribution.row(tag).dropped += 1;
         }
         self.emit(|| TraceEvent {
             cycle: now,
@@ -1575,16 +1463,16 @@ mod tests {
     }
 
     #[test]
-    fn attribution_merge_accumulates_per_tag() {
+    fn attribution_rows_accumulate_per_tag() {
         let mut a = AttributionTable::default();
-        a.record_issued(3);
-        a.record_timely(3);
-        let mut b = AttributionTable::default();
-        b.record_issued(3);
-        b.record_dropped(9);
-        a.merge(&b);
+        a.row(3).issued += 1;
+        a.row(3).timely += 1;
+        a.row(3).issued += 1;
+        a.row(9).dropped += 1;
         assert_eq!(a.get(3).unwrap().issued, 2);
+        assert_eq!(a.get(3).unwrap().timely, 1);
         assert_eq!(a.get(9).unwrap().dropped, 1);
+        assert_eq!(a.iter().map(|(tag, _)| tag).collect::<Vec<_>>(), [3, 9]);
         assert_eq!(AttributionTable::default().to_json().to_string(), "[]");
         assert!(AttributionTable::default().is_empty());
     }
@@ -1603,16 +1491,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_and_json_shape() {
+    fn summary_json_shape() {
         let mut a = TelemetrySummary::default();
         a.timeliness.timely = 2;
+        a.timeliness.dropped = 1;
         a.load_to_use.record(4);
-        let mut b = TelemetrySummary::default();
-        b.timeliness.dropped = 1;
-        b.dig_transitions = 9;
-        a.merge(&b);
+        a.dig_transitions = 9;
         assert_eq!(a.timeliness.total(), 3);
-        assert_eq!(a.dig_transitions, 9);
         let j = a.to_json().to_string();
         assert!(j.contains("\"timeliness\":{\"timely\":2,"));
         assert!(j.contains("\"dig_transitions\":9"));
@@ -1623,18 +1508,15 @@ mod tests {
     }
 
     #[test]
-    fn tier_split_merges_and_serializes_only_when_present() {
+    fn tier_split_is_created_on_touch_and_serializes_only_when_present() {
         let mut a = TelemetrySummary::default();
+        assert_eq!(a.tiers, None);
         a.tiers_mut().far.load_to_use.record(500);
-        a.tiers_mut().far.demand_reads = 1;
+        a.tiers_mut().far.demand_reads = 4;
+        a.tiers_mut().far.prefetch_reads = 4;
         a.tiers_mut().near.writebacks = 2;
-        let mut b = TelemetrySummary::default();
-        b.tiers_mut().far.demand_reads = 3;
-        b.tiers_mut().far.prefetch_reads = 4;
-        a.merge(&b);
-        let t = a.tiers.expect("merged split present");
+        let t = a.tiers.expect("split present once touched");
         assert_eq!(t.far.demand_reads, 4);
-        assert_eq!(t.far.prefetch_reads, 4);
         assert_eq!(t.near.writebacks, 2);
         assert_eq!(t.far.load_to_use.count(), 1);
         let j = a.to_json().to_string();
@@ -1642,15 +1524,9 @@ mod tests {
             j.contains("\"tiers\":{\"near\":{\"load_to_use\""),
             "tiers field precedes attribution: {j}"
         );
+        let at = |field: &str| j.find(field).unwrap();
+        assert!(at("\"tiers\"") < at("\"attribution\""), "{j}");
         assert!(j.contains("\"demand_reads\":4,\"prefetch_reads\":4"));
-        // Merging tiers into a tierless summary adopts them wholesale.
-        let mut c = TelemetrySummary::default();
-        c.merge(&a);
-        assert_eq!(c.tiers.expect("adopted").far.demand_reads, 4);
-        // And merging a tierless summary changes nothing.
-        let mut d = TelemetrySummary::default();
-        d.merge(&TelemetrySummary::default());
-        assert_eq!(d.tiers, None);
     }
 
     #[test]
@@ -1706,16 +1582,10 @@ mod tests {
         assert!(j.contains("\"near\":{\"demand\":0"), "{j}");
         assert!(j.contains("\"far\":{\"demand\":0"), "{j}");
 
-        // A summary serializes occupancy only once captured, and merge
-        // adopts the newest snapshot.
+        // A summary serializes occupancy only once captured.
         let mut s = TelemetrySummary::default();
         assert!(!s.to_json().to_string().contains("\"occupancy\""));
-        let other = TelemetrySummary {
-            occupancy: Some(o.clone()),
-            ..TelemetrySummary::default()
-        };
-        s.merge(&other);
-        assert_eq!(s.occupancy, Some(o));
+        s.occupancy = Some(o);
         assert!(s.to_json().to_string().contains("\"occupancy\":{\"l1\""));
     }
 }

@@ -1,7 +1,7 @@
 //! Static dispatch over every prefetcher the driver knows how to build.
 //!
 //! [`run_workload`](crate::runner::run_workload) attaches one prefetcher per
-//! core, chosen at runtime from [`PrefetcherKind`](crate::PrefetcherKind).
+//! core, chosen at runtime from [`PrefetcherKind`].
 //! Holding them as `Box<dyn Prefetcher>` would put a vtable call on the
 //! per-instruction hot path (`on_demand` fires for every load and store, even
 //! for the no-op baseline). [`AnyPrefetcher`] closes the set instead: one

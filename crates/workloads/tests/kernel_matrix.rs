@@ -208,12 +208,10 @@ fn per_source_fates_sum_to_the_global_counts() {
             let out = run_workload(k.as_mut(), &cfg);
             let (mut sum, mut issued) = (Timeliness::default(), 0);
             for (_, c) in out.telemetry.attribution.iter() {
-                sum.merge(&Timeliness {
-                    timely: c.timely,
-                    late: c.late,
-                    inaccurate: c.inaccurate,
-                    dropped: c.dropped,
-                });
+                sum.timely += c.timely;
+                sum.late += c.late;
+                sum.inaccurate += c.inaccurate;
+                sum.dropped += c.dropped;
                 issued += c.issued;
             }
             let what = format!("{name}/{}", kind.name());
