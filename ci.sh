@@ -52,6 +52,20 @@ for threads in 1 2; do
 done
 echo "   byte-identical at --threads 1 and 2: OK"
 
+# Gated: the design_space example's sweep is byte-identical to its golden.
+# It is the only caller of `range_window` and the only run of non-default
+# trigger specs (look-ahead, sequences per trigger) through run_workload.
+echo "== design_space gate: example output vs BENCH_design_space.txt"
+cargo run --release --offline --example design_space >"$tmp/design_space.txt"
+if ! cmp BENCH_design_space.txt "$tmp/design_space.txt"; then
+    diff BENCH_design_space.txt "$tmp/design_space.txt" || true
+    echo "   design_space output drifted from BENCH_design_space.txt."
+    echo "   If the change is intentional, regenerate it with:"
+    echo "   cargo run --release --offline --example design_space >BENCH_design_space.txt"
+    exit 1
+fi
+echo "   byte-identical to BENCH_design_space.txt: OK"
+
 # Gated: every malformed flag set is a usage error (exit 2, a message on
 # stderr), never a panic, a sweep of failed cells, or a run that ignores it.
 # stderr goes to a file: piped into `head`, the closed pipe would make

@@ -26,5 +26,4 @@ fn main() {
     );
     let h = source_fingerprint(&manifest, SOURCE_ROOTS);
     println!("cargo:rustc-env=PRODIGY_BUILD_FINGERPRINT={h:016x}");
-    println!("cargo:rerun-if-env-changed=PRODIGY_CODE_REV");
 }

@@ -166,7 +166,8 @@ impl Dig {
         self.edges.push(DigEdge { src, dst, kind });
     }
 
-    /// Registers the trigger edge (a self-edge on `node`).
+    /// Registers the trigger edge (a self-edge on `node`), replacing any
+    /// earlier one: a DIG has one trigger.
     pub fn trigger(&mut self, node: NodeId, spec: TriggerSpec) {
         self.trigger = Some((node, spec));
     }
@@ -244,10 +245,12 @@ impl Dig {
     /// short look-ahead already hides the latency, while a shallow chain
     /// must start much further ahead.
     ///
-    /// The absolute values are calibrated to this reproduction's scaled
-    /// machine (swept per depth in `examples/design_space.rs`); the paper
-    /// reports the same monotone shape with distance 1 at depth ≥ 4 on its
-    /// full-size system, and notes ±4× around the ideal barely matters.
+    /// The absolute values are set for this reproduction's scaled machine,
+    /// but no sweep per depth backs them: `examples/design_space.rs` sweeps
+    /// the distance on BFS alone (depth 4), where shorter distances than
+    /// this heuristic's 8 run faster. The paper reports the same monotone
+    /// shape with distance 1 at depth ≥ 4 on its full-size system, and
+    /// notes ±4× around the ideal barely matters.
     pub fn heuristic_lookahead(depth: u32) -> u32 {
         match depth {
             0..=2 => 64,

@@ -15,6 +15,7 @@
 //!   ranged indirection streams `dst[v_i .. v_{i+1}]` — and the chain
 //!   continues until a leaf node.
 
+use crate::api::DigProgram;
 use crate::dig::{edge_tag, node_tag, Dig, EdgeKind, NodeId, TraversalDirection, TriggerSpec};
 use crate::pfhr::{PfhrFile, RangeCont};
 use crate::tables::{
@@ -31,9 +32,10 @@ const MAX_RANGE_LINES: usize = 16;
 
 /// The settable hardware knobs. Defaults are the paper's evaluated design
 /// (§VI-E: 16 PFHRs beside the fixed 16-row DIG tables, ≈0.8 KB in all).
-/// Fig. 12 sweeps the PFHR count; `range_window` and the two overrides are
-/// the ablations of `examples/design_space.rs`; `throttle` turns on the
-/// §IV-G extension.
+/// Fig. 12 sweeps the PFHR count; `range_window` is an ablation of
+/// `examples/design_space.rs`; `throttle` turns on the §IV-G extension.
+/// Look-ahead distance and sequences per trigger are not hardware knobs:
+/// software passes them on the DIG's trigger edge ([`TriggerSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProdigyConfig {
     /// PFHR registers (Fig. 12 explores 4–32; 16 is the chosen design).
@@ -42,11 +44,6 @@ pub struct ProdigyConfig {
     /// carries a continuation, so long ranges (hub vertices) stream through
     /// the bounded register file fill-by-fill instead of burst-issuing.
     pub range_window: usize,
-    /// Hardware override of the software-specified/heuristic look-ahead
-    /// distance (ablation knob; `None` = follow the trigger edge).
-    pub lookahead_override: Option<u32>,
-    /// Hardware override of the sequences-per-trigger count (ablation knob).
-    pub sequences_override: Option<u32>,
     /// Feedback-directed throttling (§IV-G future work; off in the paper's
     /// evaluated design).
     pub throttle: bool,
@@ -57,8 +54,6 @@ impl Default for ProdigyConfig {
         ProdigyConfig {
             pfhr_entries: 16,
             range_window: 4,
-            lookahead_override: None,
-            sequences_override: None,
             throttle: false,
         }
     }
@@ -212,24 +207,16 @@ impl ProdigyPrefetcher {
         ok
     }
 
-    /// Programs the whole DIG at once (what the instrumented binary's
-    /// start-up calls amount to).
+    /// Programs the whole DIG at once: validates it, clears the tables and
+    /// applies its registration prologue ([`DigProgram::from_dig`], what
+    /// the instrumented binary's start-up calls amount to).
     ///
     /// # Errors
     /// Returns the DIG's validation error if it is malformed.
     pub fn program(&mut self, dig: &Dig) -> Result<(), crate::dig::DigError> {
         dig.validate()?;
         self.reset_tables();
-        for (i, n) in dig.nodes().iter().enumerate() {
-            self.register_node(n.base, n.elems, n.elem_size, i as u8);
-        }
-        for e in dig.edges() {
-            let src = dig.get(e.src).expect("validated");
-            let dst = dig.get(e.dst).expect("validated");
-            self.register_trav_edge(src.base, dst.base, e.kind);
-        }
-        let (t, spec) = dig.trigger_spec().expect("validated");
-        self.register_trig_edge(dig.get(t).expect("validated").base, spec);
+        DigProgram::from_dig(dig).apply(self);
         Ok(())
     }
 
@@ -543,11 +530,9 @@ impl Prefetcher for ProdigyPrefetcher {
         self.live.drain(stale);
 
         let lookahead =
-            self.cfg
-                .lookahead_override
-                .or(spec.lookahead)
+            spec.lookahead
                 .unwrap_or_else(|| Dig::heuristic_lookahead(self.cached_depth)) as u64;
-        let mut sequences = self.cfg.sequences_override.unwrap_or(spec.sequences);
+        let mut sequences = spec.sequences;
         if let Some(t) = &mut self.throttle {
             sequences = t.sequences(sequences, &ctx.prefetch_usefulness());
             // Report the applied aggressiveness to the telemetry layer on
@@ -678,14 +663,7 @@ mod tests {
                     &mut self.stats,
                     &mut self.fills,
                 );
-                pf.on_fill(
-                    &mut ctx,
-                    &FillEvent {
-                        line_addr: q.line_addr,
-                        served: q.served,
-                        at: q.at,
-                    },
-                );
+                pf.on_fill(&mut ctx, &q);
             }
         }
     }

@@ -14,7 +14,7 @@
 //! concurrently running neighbour test would alias it.
 
 use prodigy::{Dig, EdgeKind, ProdigyPrefetcher, TriggerSpec};
-use prodigy_sim::prefetch::{DemandAccess, FillEvent, FillQueue, PrefetchCtx, Prefetcher};
+use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
 use prodigy_sim::{AccessKind, AddressSpace, MemorySystem, Stats, SystemConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,12 +113,7 @@ impl Rig {
                 &mut self.stats,
                 &mut self.fills,
             );
-            let fill = FillEvent {
-                line_addr: q.line_addr,
-                served: q.served,
-                at: q.at,
-            };
-            self.pf.on_fill(&mut ctx, &fill);
+            self.pf.on_fill(&mut ctx, &q);
         }
         let vaddr = self.off + 4 * (self.demands % N);
         self.demands += 1;

@@ -11,21 +11,13 @@
 //! single-valued patterns (no ranged indirection, so CSR edge ranges are
 //! missed) and at most two levels of indirection.
 
+use crate::stride::StrideTable;
 use prodigy_sim::fxhash::FxBuildHasher;
 use prodigy_sim::line_of;
 use prodigy_sim::prefetch::{DemandAccess, FillEvent, PrefetchCtx, Prefetcher};
 use prodigy_sim::ServedBy;
 use std::any::Any;
 use std::collections::HashMap;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct StreamEntry {
-    pc: u32,
-    last_addr: u64,
-    stride: i64,
-    confidence: u8,
-    valid: bool,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
@@ -52,7 +44,7 @@ fn indirect_target(base: u64, v: u64, shift: u8) -> Option<u64> {
 /// The IMP prefetcher.
 #[derive(Debug)]
 pub struct ImpPrefetcher {
-    streams: Vec<StreamEntry>,
+    streams: StrideTable,
     candidates: HashMap<u32, Vec<Candidate>, FxBuildHasher>,
     learned: HashMap<u32, Learned, FxBuildHasher>,
     recent_values: Vec<(u32, u64)>,
@@ -73,44 +65,12 @@ impl ImpPrefetcher {
     /// Creates an IMP instance prefetching `distance` index elements ahead.
     pub fn new(distance: u64) -> Self {
         ImpPrefetcher {
-            streams: vec![StreamEntry::default(); 64],
+            streams: StrideTable::new(64),
             candidates: HashMap::default(),
             learned: HashMap::default(),
             recent_values: Vec::new(),
             pending: HashMap::default(),
             distance,
-        }
-    }
-
-    fn stream_update(&mut self, pc: u32, addr: u64) -> Option<i64> {
-        let idx = (pc as usize) & (self.streams.len() - 1);
-        let e = &mut self.streams[idx];
-        if !e.valid || e.pc != pc {
-            *e = StreamEntry {
-                pc,
-                last_addr: addr,
-                stride: 0,
-                confidence: 0,
-                valid: true,
-            };
-            return None;
-        }
-        let delta = addr as i64 - e.last_addr as i64;
-        e.last_addr = addr;
-        if delta == 0 {
-            return None;
-        }
-        if delta == e.stride {
-            e.confidence = e.confidence.saturating_add(1);
-        } else {
-            e.stride = delta;
-            e.confidence = 0;
-        }
-        // A "stream" for IMP is a short-stride sequential walk.
-        if e.confidence >= 2 && e.stride.unsigned_abs() <= 16 {
-            Some(e.stride)
-        } else {
-            None
         }
     }
 
@@ -161,8 +121,12 @@ impl Prefetcher for ImpPrefetcher {
         if a.is_write {
             return;
         }
-        let stream_stride = self.stream_update(a.pc, a.vaddr);
-        if let Some(stride) = stream_stride {
+        // A "stream" for IMP is a short-stride sequential walk.
+        let stream_stride = self
+            .streams
+            .train(a.pc, a.vaddr)
+            .filter(|&(_, stride, confidence)| confidence >= 2 && stride.unsigned_abs() <= 16);
+        if let Some((_, stride, _)) = stream_stride {
             // Record the loaded index value for the pattern detector.
             let v = ctx.read_uint(a.vaddr, a.size.min(8));
             self.recent_values.push((a.pc, v));
@@ -221,7 +185,7 @@ impl Prefetcher for ImpPrefetcher {
 
     fn storage_bits(&self) -> u64 {
         // Paper §VI-E: IMP ≈ 1.4× Prodigy's storage. Stream table + IPD.
-        self.streams.len() as u64 * 131 + 16 * (64 + 2 + 2) + 64 * (64 + 32)
+        self.streams.storage_bits() + 16 * (64 + 2 + 2) + 64 * (64 + 32)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

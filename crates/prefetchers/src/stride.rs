@@ -18,12 +18,70 @@ struct StrideEntry {
     valid: bool,
 }
 
-/// Reference-prediction-table stride prefetcher.
+/// A PC-indexed reference-prediction table: the stride detector behind
+/// the stride prefetcher and IMP's index-stream detector.
+#[derive(Debug)]
+pub(crate) struct StrideTable {
+    rows: Vec<StrideEntry>,
+}
+
+impl StrideTable {
+    /// A table of `rows` entries.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not a power of two.
+    pub(crate) fn new(rows: usize) -> Self {
+        assert!(rows.is_power_of_two(), "table size must be a power of two");
+        StrideTable {
+            rows: vec![StrideEntry::default(); rows],
+        }
+    }
+
+    /// Trains the row `pc` maps to on an access to `addr`: a new PC takes
+    /// the row over, a zero delta changes nothing, and a repeated stride
+    /// gains confidence while a new one resets it. Returns the row index,
+    /// its stride and its confidence, or `None` when the access allocated
+    /// the row or repeated the last address.
+    pub(crate) fn train(&mut self, pc: u32, addr: u64) -> Option<(usize, i64, u8)> {
+        let idx = (pc as usize) & (self.rows.len() - 1);
+        let e = &mut self.rows[idx];
+        if !e.valid || e.pc != pc {
+            *e = StrideEntry {
+                pc,
+                last_addr: addr,
+                stride: 0,
+                confidence: 0,
+                valid: true,
+            };
+            return None;
+        }
+        let delta = addr as i64 - e.last_addr as i64;
+        e.last_addr = addr;
+        if delta == 0 {
+            return None;
+        }
+        if delta == e.stride {
+            e.confidence = e.confidence.saturating_add(1);
+        } else {
+            e.stride = delta;
+            e.confidence = 0;
+        }
+        Some((idx, e.stride, e.confidence))
+    }
+
+    /// Storage in bits: pc(32) + last_addr(64) + stride(32) +
+    /// confidence(2) + valid(1) per row.
+    pub(crate) fn storage_bits(&self) -> u64 {
+        self.rows.len() as u64 * 131
+    }
+}
+
+/// Reference-prediction-table stride prefetcher: a row locks onto its
+/// stride at confidence 2.
 #[derive(Debug)]
 pub struct StridePrefetcher {
-    table: Vec<StrideEntry>,
+    table: StrideTable,
     degree: u32,
-    confidence_threshold: u8,
 }
 
 impl Default for StridePrefetcher {
@@ -38,14 +96,9 @@ impl StridePrefetcher {
     /// # Panics
     /// Panics if `entries` is not a power of two.
     pub fn new(entries: usize, degree: u32) -> Self {
-        assert!(
-            entries.is_power_of_two(),
-            "table size must be a power of two"
-        );
         StridePrefetcher {
-            table: vec![StrideEntry::default(); entries],
+            table: StrideTable::new(entries),
             degree,
-            confidence_threshold: 2,
         }
     }
 }
@@ -56,41 +109,21 @@ impl Prefetcher for StridePrefetcher {
     }
 
     fn on_demand(&mut self, ctx: &mut PrefetchCtx<'_>, a: &DemandAccess) {
-        let idx = (a.pc as usize) & (self.table.len() - 1);
-        let e = &mut self.table[idx];
-        if !e.valid || e.pc != a.pc {
-            *e = StrideEntry {
-                pc: a.pc,
-                last_addr: a.vaddr,
-                stride: 0,
-                confidence: 0,
-                valid: true,
-            };
+        let Some((row, stride, confidence)) = self.table.train(a.pc, a.vaddr) else {
+            return;
+        };
+        if confidence < 2 {
             return;
         }
-        let delta = a.vaddr as i64 - e.last_addr as i64;
-        e.last_addr = a.vaddr;
-        if delta == 0 {
-            return;
+        if confidence == 2 {
+            ctx.trace_note("stride-lock", a.vaddr);
         }
-        if delta == e.stride {
-            e.confidence = e.confidence.saturating_add(1);
-        } else {
-            e.stride = delta;
-            e.confidence = 0;
-        }
-        if e.confidence >= self.confidence_threshold {
-            let stride = e.stride;
-            if e.confidence == self.confidence_threshold {
-                ctx.trace_note("stride-lock", a.vaddr);
-            }
-            for d in 1..=self.degree as i64 {
-                let target = a.vaddr as i64 + stride * d;
-                if target > 0 {
-                    // Attribute the prefetch to its reference-prediction-table
-                    // row, giving a per-entry timeliness breakdown.
-                    ctx.prefetch(target as u64, idx as u16);
-                }
+        for d in 1..=self.degree as i64 {
+            let target = a.vaddr as i64 + stride * d;
+            if target > 0 {
+                // Attribute the prefetch to its reference-prediction-table
+                // row, giving a per-entry timeliness breakdown.
+                ctx.prefetch(target as u64, row as u16);
             }
         }
     }
@@ -98,8 +131,7 @@ impl Prefetcher for StridePrefetcher {
     fn on_fill(&mut self, _ctx: &mut PrefetchCtx<'_>, _fill: &FillEvent) {}
 
     fn storage_bits(&self) -> u64 {
-        // pc(32) + last_addr(64) + stride(32) + confidence(2) + valid(1)
-        self.table.len() as u64 * 131
+        self.table.storage_bits()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -1,7 +1,7 @@
 //! Shared unit-test harness: owns the pieces a `PrefetchCtx` borrows and
 //! drives a prefetcher with synthetic demand accesses and fill delivery.
 
-use prodigy_sim::prefetch::{DemandAccess, FillEvent, FillQueue, PrefetchCtx, Prefetcher};
+use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
 use prodigy_sim::{AccessKind, AddressSpace, MemorySystem, ServedBy, Stats, SystemConfig};
 
 pub struct Rig {
@@ -95,14 +95,7 @@ impl Rig {
                 &mut self.stats,
                 &mut self.fills,
             );
-            pf.on_fill(
-                &mut ctx,
-                &FillEvent {
-                    line_addr: q.line_addr,
-                    served: q.served,
-                    at: q.at,
-                },
-            );
+            pf.on_fill(&mut ctx, &q);
         }
     }
 }

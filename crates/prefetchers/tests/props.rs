@@ -33,14 +33,9 @@ fn drive(pf: &mut dyn Prefetcher, accesses: &[(u64, u8, bool)]) -> Stats {
         }
         // Deliver matured fills.
         while fills.peek().map(|r| r.0.at <= now).unwrap_or(false) {
-            let q = fills.pop().unwrap().0;
-            let ev = prodigy_sim::prefetch::FillEvent {
-                line_addr: q.line_addr,
-                served: q.served,
-                at: q.at,
-            };
-            let mut ctx = PrefetchCtx::new(0, q.at, &mut mem, &space, &mut stats, &mut fills);
-            pf.on_fill(&mut ctx, &ev);
+            let fill = fills.pop().unwrap().0;
+            let mut ctx = PrefetchCtx::new(0, fill.at, &mut mem, &space, &mut stats, &mut fills);
+            pf.on_fill(&mut ctx, &fill);
         }
     }
     stats

@@ -44,7 +44,7 @@ pub mod system;
 pub mod telemetry;
 
 pub use config::{CacheConfig, CoreConfig, DramConfig, SystemConfig};
-pub use energy::{EnergyBreakdown, EnergyModel};
+pub use energy::EnergyBreakdown;
 pub use mem::address_space::{AddressSpace, Tier, TierMap};
 pub use mem::cache::VictimHit;
 pub use mem::hierarchy::{AccessKind, AccessResult, MemorySystem, ServedBy};

@@ -13,6 +13,7 @@ use super::coherence::{Directory, Mesi};
 use super::dram::Dram;
 use super::tlb::Tlb;
 use crate::config::SystemConfig;
+use crate::prefetch::FillEvent;
 use crate::stats::Stats;
 use crate::telemetry::{
     LevelOccupancy, OccupancySnapshot, SourceTag, TelemetrySummary, TraceEvent, TraceEventKind,
@@ -49,17 +50,6 @@ pub struct AccessResult {
     /// Total latency in cycles from issue to data return.
     pub latency: u64,
     /// Level that serviced the request.
-    pub served: ServedBy,
-}
-
-/// Outcome of an accepted prefetch request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchIssued {
-    /// Line-aligned address being fetched.
-    pub line_addr: u64,
-    /// Cycle at which the fill lands in the L1D.
-    pub fill_time: u64,
-    /// Where the data came from.
     pub served: ServedBy,
 }
 
@@ -309,10 +299,10 @@ impl MemorySystem {
         &mut self,
         core: usize,
         now: u64,
-        issued: PrefetchIssued,
+        issued: FillEvent,
         tag: Option<SourceTag>,
         stats: &mut Stats,
-    ) -> Option<PrefetchIssued> {
+    ) -> Option<FillEvent> {
         stats.prefetches_issued += 1;
         self.tel.prefetch_issued(core, now, issued, tag);
         Some(issued)
@@ -327,7 +317,7 @@ impl MemorySystem {
         line: u64,
         tag: Option<SourceTag>,
         stats: &mut Stats,
-    ) -> Option<PrefetchIssued> {
+    ) -> Option<FillEvent> {
         stats.prefetches_redundant += 1;
         self.tel.prefetch_dropped(core, now, line, tag);
         None
@@ -749,7 +739,7 @@ impl MemorySystem {
         now: u64,
         stats: &mut Stats,
         tag: Option<SourceTag>,
-    ) -> Option<PrefetchIssued> {
+    ) -> Option<FillEvent> {
         let line = line_of(vaddr);
         if self.l1d[core].contains(line) {
             return self.dropped(core, now, line, tag, stats);
@@ -765,10 +755,10 @@ impl MemorySystem {
             let mut fill = super::cache::demand_line(line, state, ready, ServedBy::L2);
             fill.prefetched = true;
             self.insert_l1(core, fill, tag, stats);
-            let issued = PrefetchIssued {
+            let issued = FillEvent {
                 line_addr: line,
-                fill_time: ready,
                 served: ServedBy::L2,
+                at: ready,
             };
             return self.accepted(core, now, issued, tag, stats);
         }
@@ -795,10 +785,10 @@ impl MemorySystem {
             fill.prefetched = true;
             self.insert_l2(core, fill, tag, stats);
             self.insert_l1(core, fill, tag, stats);
-            let issued = PrefetchIssued {
+            let issued = FillEvent {
                 line_addr: line,
-                fill_time: ready,
                 served: ServedBy::L3,
+                at: ready,
             };
             return self.accepted(core, now, issued, tag, stats);
         }
@@ -821,10 +811,10 @@ impl MemorySystem {
         fill.prefetched = true;
         self.insert_l2(core, fill, tag, stats);
         self.insert_l1(core, fill, tag, stats);
-        let issued = PrefetchIssued {
+        let issued = FillEvent {
             line_addr: line,
-            fill_time: ready,
             served: ServedBy::Dram,
+            at: ready,
         };
         self.accepted(core, now, issued, tag, stats)
     }
@@ -842,7 +832,7 @@ impl MemorySystem {
         now: u64,
         stats: &mut Stats,
         tag: Option<SourceTag>,
-    ) -> Option<PrefetchIssued> {
+    ) -> Option<FillEvent> {
         let line = line_of(vaddr);
         let slice = self.slice_of(line);
         if self.l3[slice].contains(line) {
@@ -855,10 +845,10 @@ impl MemorySystem {
         l3fill.prefetched = true;
         l3fill.dir = Directory::empty();
         self.insert_l3(slice, l3fill, tag, now, stats);
-        let issued = PrefetchIssued {
+        let issued = FillEvent {
             line_addr: line,
-            fill_time: ready,
             served: ServedBy::Dram,
+            at: ready,
         };
         self.accepted(core, now, issued, tag, stats)
     }
@@ -979,11 +969,11 @@ mod tests {
         let (mut m, mut s) = tiny();
         let p = m.prefetch(0, 0x3_0000, 0, &mut s, None).expect("issued");
         assert_eq!(p.served, ServedBy::Dram);
-        let r = m.demand_access(0, 0x3_0000, AccessKind::Read, p.fill_time + 1, &mut s);
+        let r = m.demand_access(0, 0x3_0000, AccessKind::Read, p.at + 1, &mut s);
         assert_eq!(r.served, ServedBy::L1);
         assert_eq!(s.prefetch_use.hit_l1, 1);
         // A second demand must not double-count usefulness.
-        m.demand_access(0, 0x3_0000, AccessKind::Read, p.fill_time + 2, &mut s);
+        m.demand_access(0, 0x3_0000, AccessKind::Read, p.at + 2, &mut s);
         assert_eq!(s.prefetch_use.hit_l1, 1);
     }
 
@@ -1001,11 +991,11 @@ mod tests {
     fn untimely_prefetch_partially_hides_latency() {
         let (mut m, mut s) = tiny();
         let p = m.prefetch(0, 0x5_0000, 0, &mut s, None).expect("issued");
-        let mid = p.fill_time / 2;
+        let mid = p.at / 2;
         let r = m.demand_access(0, 0x5_0000, AccessKind::Read, mid, &mut s);
         assert_eq!(r.served, ServedBy::Dram, "residual wait attributed to DRAM");
-        assert!(r.latency < p.fill_time, "but shorter than a full miss");
-        assert!(r.latency >= p.fill_time - mid);
+        assert!(r.latency < p.at, "but shorter than a full miss");
+        assert!(r.latency >= p.at - mid);
     }
 
     #[test]
@@ -1105,7 +1095,7 @@ mod tests {
         let line = 0x3_0000;
         let pa = m.prefetch(0, line, 0, &mut s, Some(a)).expect("issued");
         let pb = m.prefetch(1, line, 1, &mut s, Some(b)).expect("issued");
-        let t = pa.fill_time.max(pb.fill_time) + 1;
+        let t = pa.at.max(pb.at) + 1;
         m.demand_access(1, line, AccessKind::Read, t, &mut s);
         m.demand_access(0, line, AccessKind::Read, t + 1, &mut s);
         let tel = m.telemetry();

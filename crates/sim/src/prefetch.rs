@@ -5,11 +5,11 @@
 //! [`Prefetcher`] and plugs into the per-core L1D snoop path exactly as the
 //! paper's hardware does: it observes demand accesses and prefetch fills,
 //! and issues non-binding prefetches through a [`PrefetchCtx`]. The context
-//! also exposes the simulated memory *values* (via the address-space
-//! oracle), which is what lets data-driven prefetchers chase indirections.
+//! also exposes the simulated memory *values* ([`PrefetchCtx::read_uint`]),
+//! which is what lets data-driven prefetchers chase indirections.
 
 use crate::mem::address_space::AddressSpace;
-use crate::mem::hierarchy::{MemorySystem, PrefetchIssued, ServedBy};
+use crate::mem::hierarchy::{MemorySystem, ServedBy};
 use crate::stats::Stats;
 use crate::telemetry::{SourceTag, TraceEvent, TraceEventKind};
 use std::any::Any;
@@ -32,41 +32,35 @@ pub struct DemandAccess {
     pub served: ServedBy,
 }
 
-/// A completed prefetch fill delivered back to the issuing prefetcher.
+/// An accepted prefetch's fill: what the hierarchy returns on issue, what
+/// the fill queue holds until the fill completes, and what the issuing
+/// prefetcher receives in [`Prefetcher::on_fill`].
+///
+/// Ordered by completion cycle, then line address — the order the fill
+/// queue delivers fills in — while equality compares every field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillEvent {
     /// Line-aligned address that was filled.
     pub line_addr: u64,
     /// Where the fill was serviced from (DROPLET keys off this).
     pub served: ServedBy,
-    /// Cycle at which the fill completed.
+    /// Cycle at which the fill completes in the target cache.
     pub at: u64,
 }
 
-/// A fill scheduled for future delivery, ordered by completion time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedFill {
-    /// Completion cycle.
-    pub at: u64,
-    /// Line address.
-    pub line_addr: u64,
-    /// Serving level.
-    pub served: ServedBy,
-}
-
-impl Ord for QueuedFill {
+impl Ord for FillEvent {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.line_addr).cmp(&(other.at, other.line_addr))
     }
 }
-impl PartialOrd for QueuedFill {
+impl PartialOrd for FillEvent {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 /// Min-heap of pending fills for one core.
-pub type FillQueue = BinaryHeap<Reverse<QueuedFill>>;
+pub type FillQueue = BinaryHeap<Reverse<FillEvent>>;
 
 /// Everything a prefetcher may touch while reacting to an event.
 pub struct PrefetchCtx<'a> {
@@ -109,10 +103,10 @@ impl<'a> PrefetchCtx<'a> {
     /// accepted (not redundant). The eventual fill will be delivered to
     /// [`Prefetcher::on_fill`].
     pub fn prefetch(&mut self, vaddr: u64, tag: SourceTag) -> bool {
-        let issued = self
+        let fill = self
             .mem
             .prefetch(self.core, vaddr, self.now, self.stats, Some(tag));
-        self.schedule_fill(issued)
+        self.schedule_fill(fill)
     }
 
     /// Issues a memory-side prefetch into the shared LLC only (DRAM-side
@@ -120,22 +114,18 @@ impl<'a> PrefetchCtx<'a> {
     /// to `tag` as for [`PrefetchCtx::prefetch`]. The fill is still
     /// delivered to [`Prefetcher::on_fill`].
     pub fn prefetch_llc(&mut self, vaddr: u64, tag: SourceTag) -> bool {
-        let issued = self
+        let fill = self
             .mem
             .prefetch_llc(self.core, vaddr, self.now, self.stats, Some(tag));
-        self.schedule_fill(issued)
+        self.schedule_fill(fill)
     }
 
     /// Queues an accepted prefetch's fill for delivery; `false` if dropped.
-    fn schedule_fill(&mut self, issued: Option<PrefetchIssued>) -> bool {
-        let Some(issued) = issued else {
+    fn schedule_fill(&mut self, fill: Option<FillEvent>) -> bool {
+        let Some(fill) = fill else {
             return false;
         };
-        self.fills.push(Reverse(QueuedFill {
-            at: issued.fill_time,
-            line_addr: issued.line_addr,
-            served: issued.served,
-        }));
+        self.fills.push(Reverse(fill));
         true
     }
 
@@ -280,15 +270,23 @@ mod tests {
     #[test]
     fn fill_queue_orders_by_time() {
         let mut q = FillQueue::new();
-        for (at, a) in [(30u64, 1u64), (10, 2), (20, 3)] {
-            q.push(Reverse(QueuedFill {
-                at,
+        // Two fills due at cycle 20 on different lines: the lower line is
+        // delivered first, whatever the push order or serving level.
+        for (at, a, served) in [
+            (30u64, 1u64, ServedBy::Dram),
+            (20, 5, ServedBy::L2),
+            (10, 2, ServedBy::Dram),
+            (20, 3, ServedBy::Dram),
+        ] {
+            q.push(Reverse(FillEvent {
                 line_addr: a * 64,
-                served: ServedBy::Dram,
+                served,
+                at,
             }));
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|r| r.0.at)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop().map(|r| (r.0.at, r.0.line_addr / 64))).collect();
+        assert_eq!(order, vec![(10, 2), (20, 3), (20, 5), (30, 1)]);
     }
 
     #[test]

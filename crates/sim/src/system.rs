@@ -12,11 +12,11 @@
 use crate::config::SystemConfig;
 use crate::core::interval::CoreTiming;
 use crate::core::InsnStream;
-use crate::energy::{EnergyBreakdown, EnergyModel};
+use crate::energy::EnergyBreakdown;
 use crate::mem::address_space::AddressSpace;
 use crate::mem::hierarchy::MemorySystem;
 use crate::metrics::{MetricsConfig, MetricsRegistry};
-use crate::prefetch::{FillEvent, FillQueue, NullPrefetcher, PrefetchCtx, Prefetcher};
+use crate::prefetch::{FillQueue, NullPrefetcher, PrefetchCtx, Prefetcher};
 use crate::stats::Stats;
 use crate::telemetry::{TelemetrySummary, TraceEvent, TraceEventKind};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -364,14 +364,9 @@ impl<P: Prefetcher + 'static> System<P> {
         now: u64,
     ) {
         while queue.peek().map(|r| r.0.at <= now).unwrap_or(false) {
-            let q = queue.pop().expect("peeked").0;
-            let event = FillEvent {
-                line_addr: q.line_addr,
-                served: q.served,
-                at: q.at,
-            };
-            let mut ctx = PrefetchCtx::new(core, q.at, mem, space, stats, queue);
-            prefetcher.on_fill(&mut ctx, &event);
+            let fill = queue.pop().expect("peeked").0;
+            let mut ctx = PrefetchCtx::new(core, fill.at, mem, space, stats, queue);
+            prefetcher.on_fill(&mut ctx, &fill);
         }
     }
 
@@ -379,7 +374,7 @@ impl<P: Prefetcher + 'static> System<P> {
     pub fn summary(&self) -> RunSummary {
         RunSummary {
             stats: self.stats.clone(),
-            energy: EnergyModel::default().evaluate(&self.stats, &self.cfg),
+            energy: EnergyBreakdown::of(&self.stats, &self.cfg),
             prefetcher: self
                 .prefetchers
                 .first()

@@ -28,8 +28,9 @@
 //! sequential per run, and no host time is ever recorded.
 
 use crate::json::{Fields, FromJson, Json, ToJson};
-use crate::mem::hierarchy::{PrefetchIssued, ServedBy};
+use crate::mem::hierarchy::ServedBy;
 use crate::metrics::{MetricsConfig, MetricsRegistry};
+use crate::prefetch::FillEvent;
 use std::collections::BTreeMap;
 
 /// Number of buckets in a [`Log2Hist`] (bucket `i` holds values whose
@@ -114,7 +115,7 @@ pub enum TraceEventKind {
         served: ServedBy,
     },
     /// A prefetch request was accepted; the event spans issue → fill.
-    PrefetchIssued {
+    Prefetch {
         /// Sequential per-run prefetch id.
         id: u64,
         /// Line-aligned address.
@@ -216,7 +217,7 @@ impl TraceEvent {
                     TraceCategory::Cache
                 }
             }
-            TraceEventKind::PrefetchIssued { .. }
+            TraceEventKind::Prefetch { .. }
             | TraceEventKind::PrefetchUsed { .. }
             | TraceEventKind::PrefetchEvictedUnused { .. }
             | TraceEventKind::PrefetchDropped { .. }
@@ -233,7 +234,7 @@ impl TraceEvent {
     pub fn name(&self) -> &'static str {
         match self.kind {
             TraceEventKind::DemandMiss { .. } => "demand-miss",
-            TraceEventKind::PrefetchIssued { .. } => "prefetch",
+            TraceEventKind::Prefetch { .. } => "prefetch",
             TraceEventKind::PrefetchUsed { .. } => "prefetch-used",
             TraceEventKind::PrefetchEvictedUnused { .. } => "prefetch-evicted-unused",
             TraceEventKind::PrefetchDropped { .. } => "prefetch-dropped",
@@ -259,7 +260,7 @@ impl TraceEvent {
             TraceEventKind::DemandMiss { line, served: s } => {
                 format!("{{\"line\":{line},\"served\":\"{}\"}}", served(s))
             }
-            TraceEventKind::PrefetchIssued {
+            TraceEventKind::Prefetch {
                 id,
                 line,
                 served: s,
@@ -376,15 +377,6 @@ impl Log2Hist {
         ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
     }
 
-    /// Inclusive-exclusive value range `[lo, hi)` covered by `bucket`.
-    pub fn bucket_bounds(bucket: usize) -> (u64, u64) {
-        match bucket {
-            0 => (0, 1),
-            b if b >= HIST_BUCKETS - 1 => (1 << (HIST_BUCKETS - 2), u64::MAX),
-            b => (1 << (b - 1), 1 << b),
-        }
-    }
-
     /// Records one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
@@ -426,15 +418,13 @@ impl Log2Hist {
         self.sum = self.sum.saturating_add(o.sum);
     }
 
-    /// Inclusive value interval `[lo, hi]` covered by `bucket` (the
-    /// half-open [`Log2Hist::bucket_bounds`] with the exclusive edge pulled
-    /// in; the overflow bucket's `u64::MAX` edge is already inclusive).
+    /// Inclusive value interval `[lo, hi]` covered by `bucket`; the last
+    /// bucket also holds every larger value, up to `u64::MAX`.
     pub fn bucket_interval(bucket: usize) -> (u64, u64) {
-        let (lo, hi) = Self::bucket_bounds(bucket);
-        if bucket >= HIST_BUCKETS - 1 {
-            (lo, hi)
-        } else {
-            (lo, hi - 1)
+        match bucket {
+            0 => (0, 0),
+            b if b >= HIST_BUCKETS - 1 => (1 << (HIST_BUCKETS - 2), u64::MAX),
+            b => (1 << (b - 1), (1 << b) - 1),
         }
     }
 
@@ -1086,15 +1076,15 @@ impl Tracer {
         }
     }
 
-    /// Records a prefetch `core` issued at `now`: credits `issued` to its
-    /// source, if it names one, and emits the issue→fill `prefetch` span
-    /// with the next sequential id when a trace is started.
+    /// Records a prefetch `core` issued at `now` and due as `fill`: credits
+    /// `issued` to its source, if it names one, and emits the issue→fill
+    /// `prefetch` span with the next sequential id when a trace is started.
     #[inline]
     pub fn prefetch_issued(
         &mut self,
         core: usize,
         now: u64,
-        issued: PrefetchIssued,
+        fill: FillEvent,
         tag: Option<SourceTag>,
     ) {
         if let Some(tag) = tag {
@@ -1103,12 +1093,12 @@ impl Tracer {
         if let Some(events) = &mut self.events {
             events.push(TraceEvent {
                 cycle: now,
-                dur: issued.fill_time - now,
+                dur: fill.at - now,
                 core: core as u32,
-                kind: TraceEventKind::PrefetchIssued {
+                kind: TraceEventKind::Prefetch {
                     id: self.next_prefetch_id,
-                    line: issued.line_addr,
-                    served: issued.served,
+                    line: fill.line_addr,
+                    served: fill.served,
                 },
             });
             self.next_prefetch_id += 1;
@@ -1259,7 +1249,7 @@ mod tests {
         let mut h = Log2Hist::new();
         h.record(u64::MAX);
         assert_eq!(h.bucket(HIST_BUCKETS - 1), 1);
-        let (lo, hi) = Log2Hist::bucket_bounds(HIST_BUCKETS - 1);
+        let (lo, hi) = Log2Hist::bucket_interval(HIST_BUCKETS - 1);
         assert_eq!(lo, 1 << (HIST_BUCKETS - 2));
         assert_eq!(hi, u64::MAX);
     }
@@ -1410,12 +1400,12 @@ mod tests {
     }
 
     fn issue(t: &mut Tracer, line: u64, tag: Option<SourceTag>) {
-        let p = PrefetchIssued {
+        let fill = FillEvent {
             line_addr: line,
-            fill_time: 40,
             served: ServedBy::Dram,
+            at: 40,
         };
-        t.prefetch_issued(0, 10, p, tag);
+        t.prefetch_issued(0, 10, fill, tag);
     }
 
     #[test]
@@ -1451,7 +1441,7 @@ mod tests {
             .expect("trace started")
             .iter()
             .filter_map(|e| match e.kind {
-                TraceEventKind::PrefetchIssued { id, .. } => Some(id),
+                TraceEventKind::Prefetch { id, .. } => Some(id),
                 _ => None,
             })
             .collect();

@@ -102,11 +102,8 @@ proptest! {
                     (lo..hi).contains(&q.line_addr)
                 });
             prop_assert!(within, "prefetched line {:#x} outside DIG structures", q.line_addr);
-            let event = prodigy_sim::prefetch::FillEvent {
-                line_addr: q.line_addr, served: q.served, at: q.at,
-            };
             let mut ctx = PrefetchCtx::new(0, q.at, &mut mem, &space, &mut stats, &mut fills);
-            pf.on_fill(&mut ctx, &event);
+            pf.on_fill(&mut ctx, &q);
         }
     }
 
