@@ -55,7 +55,7 @@ fn main() {
         if kind.graph_specific() && !spec.is_graph() {
             continue;
         }
-        let mut kernel = spec.instantiate();
+        let mut kernel = spec.instantiate(0);
         let out = run_workload(
             kernel.as_mut(),
             &RunConfig {

@@ -324,7 +324,7 @@ fn run_single(
     };
     let base_seed = ctx.sweep.base_seed;
     let outcome = run_workload(
-        spec.instantiate_seeded(base_seed).as_mut(),
+        spec.instantiate(base_seed).as_mut(),
         &RunConfig {
             trace: trace_path.is_some(),
             metrics: metrics_path.map(|_| MetricsConfig {

@@ -5,8 +5,9 @@
 //! DIR`), keyed by the full content address
 //! `cell-key|scale|system-config|base-seed|code-rev`:
 //!
-//! * the **cell key** (`workload|reorder|prefetcher|pfhr|classify|cores`,
-//!   plus a `|farN` suffix for two-tier cells) identifies the grid point;
+//! * the **cell key** (`workload|reorder|prefetcher|pfhr|cores`, plus a
+//!   `|farN` suffix for two-tier cells and `|throttle` for throttled ones)
+//!   names one simulation; `cores` is the count the cell runs on;
 //! * **scale** and the **system-config fingerprint** pin the machine the
 //!   cell ran on (the cell key alone does not encode them);
 //! * the **base seed** pins the workload inputs;
@@ -24,7 +25,8 @@
 //!
 //! The stored payload is the simulated [`RunOutcome`] as JSON — exactly the
 //! outcome fields a sweep report cell carries — and loads back through
-//! [`FromJson`]. Host timing is not part of it.
+//! [`FromJson`], the decoder `--merge` and `prodigy-diff --slo` read report
+//! cells with. Host timing is not part of it.
 //!
 //! Integrity: every entry embeds its composite key and an FNV-1a digest of
 //! its payload. [`CellCache::load`] decodes the payload strictly,
@@ -360,7 +362,7 @@ mod tests {
     fn store_then_load_hits_and_other_keys_miss() {
         let (dir, cache) = temp_cache("keys");
         let out = arb_outcome(&mut TestRng::from_seed(1));
-        let cell = "pr|false|prodigy|16|false|0";
+        let cell = "pr|false|prodigy|16|8";
         let sys = SystemConfig::default();
         let key = composite_key(cell, 1, &sys, 0, "testrev");
         assert!(cache.load(&key).is_none(), "cold cache misses");
@@ -372,7 +374,7 @@ mod tests {
             composite_key(cell, 1, &sys, 7, "testrev"),
             composite_key(cell, 1, &sys, 0, "otherrev"),
             composite_key(cell, 64, &sys, 0, "testrev"),
-            composite_key("pr|false|none|16|false|0", 1, &sys, 0, "testrev"),
+            composite_key("pr|false|none|16|8", 1, &sys, 0, "testrev"),
         ] {
             assert_ne!(other, key);
             assert!(cache.load(&other).is_none(), "{other} must miss");

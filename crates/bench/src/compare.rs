@@ -1,5 +1,5 @@
-//! Run-to-run diff/regression analysis and shard merging for benchmark
-//! artifacts.
+//! Run-to-run diff/regression analysis, latency and share SLOs, and shard
+//! merging for benchmark artifacts.
 //!
 //! Loads two JSON reports produced by this repo — sweep reports
 //! (`prodigy-eval --json`) or windowed metrics dumps (`prodigy-eval
@@ -7,16 +7,22 @@
 //! cycle), and reports every numeric delta plus a tier-1 regression verdict.
 //!
 //! A sweep cell is compared in its canonical form ([`canonical_cell`]):
-//! everything except its host fields, i.e. the derived `stats` view plus the
-//! full simulated outcome (all counters, energy, Prodigy counters, and
-//! telemetry including pollution and occupancy). All of it is deterministic
-//! for a seed, and numbers compare by their exact text, so a clean same-seed
-//! pair diffs to *zero* changes and any delta is a real behavioural
-//! difference. Report-level host counters (wall time, workers, utilization)
-//! live outside `cells` and are never compared.
+//! everything except its host fields, i.e. the full simulated outcome (all
+//! counters, energy, Prodigy counters, and telemetry including pollution
+//! and occupancy). All of it is deterministic for a seed, and numbers
+//! compare by their exact text, so a clean same-seed pair diffs to *zero*
+//! changes and any delta is a real behavioural difference. Report-level
+//! host counters (wall time, workers, utilization) live outside `cells` and
+//! are never compared.
+//!
+//! SLOs ([`check_slos`]) and merges ([`merge_reports`]) read each cell
+//! through [`read_cell`], so they see the decoded [`RunOutcome`] and a cell
+//! that does not decode is an error.
 
-use crate::sweep::{canonical_cell, CellError};
+use crate::sweep::{canonical_cell, read_cell, CellError};
 use prodigy_sim::json::{FromJson, Json, ToJson};
+use prodigy_sim::{HistQuantiles, Log2Hist, TelemetrySummary};
+use prodigy_workloads::RunOutcome;
 use std::collections::{BTreeMap, BTreeSet};
 
 // ------------------------------------------------------------------ diff
@@ -155,10 +161,8 @@ fn units_of(kind: ReportKind, v: &Json) -> Vec<Unit> {
                 };
                 let mut m = BTreeMap::new();
                 flatten("", &canonical_cell(cell), &mut m);
-                // The checksum is identity, not a metric (the outcome
-                // repeats the `stats` view's copy at the top level).
-                m.remove("checksum");
-                let checksum = m.remove("stats.checksum").map(|(_, raw)| raw);
+                // The checksum is identity, not a metric.
+                let checksum = m.remove("checksum").map(|(_, raw)| raw);
                 units.push((key.to_string(), m, checksum));
             }
         }
@@ -198,7 +202,7 @@ fn mean_ipc(v: &Json) -> Option<f64> {
 }
 
 /// Compares two parsed reports. `threshold` is the relative tier-1 budget
-/// (0.02 = 2%): a cell whose `stats.cycles` grows past it — or a metrics
+/// (0.02 = 2%): a cell whose `summary.stats.cycles` grows past it — or a metrics
 /// pair whose mean IPC falls past it — is a regression.
 pub fn diff_reports(old: &Json, new: &Json, threshold: f64) -> Result<DiffReport, String> {
     let kind = ReportKind::detect(old)?;
@@ -259,15 +263,14 @@ pub fn diff_reports(old: &Json, new: &Json, threshold: f64) -> Result<DiffReport
             }
         }
         if kind == ReportKind::Sweep {
-            if let (Some(&(oc, _)), Some(&(nc, _))) =
-                (old_m.get("stats.cycles"), new_m.get("stats.cycles"))
-            {
+            const CYCLES: &str = "summary.stats.cycles";
+            if let (Some(&(oc, _)), Some(&(nc, _))) = (old_m.get(CYCLES), new_m.get(CYCLES)) {
                 if oc > 0.0 && nc > 0.0 {
                     speedups.push(oc / nc);
                     if nc > oc * (1.0 + threshold) {
                         regressions.push(DiffEntry {
                             unit: key.to_string(),
-                            metric: "stats.cycles".to_string(),
+                            metric: CYCLES.to_string(),
                             old: oc,
                             new: nc,
                         });
@@ -405,6 +408,225 @@ impl DiffReport {
     }
 }
 
+// ------------------------------------------------------------------ SLOs
+
+/// A cell value an SLO bounds.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub enum SloValue {
+    /// A latency quantile's inclusive upper bucket bound, in cycles. The
+    /// bound is conservative: a passing SLO holds for the exact value too.
+    Cycles(u64),
+    /// A share of misses or of resident lines.
+    Share(f64),
+}
+
+impl std::fmt::Display for SloValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SloValue::Cycles(c) => write!(f, "{c}"),
+            SloValue::Share(s) => write!(f, "{s:.6}"),
+        }
+    }
+}
+
+/// Reads one latency histogram of a run, if the run has it.
+type HistOf = fn(&TelemetrySummary) -> Option<&Log2Hist>;
+/// Picks one quantile's interval.
+type QuantileOf = fn(&HistQuantiles) -> (u64, u64);
+/// Computes one share of a run, if it is defined.
+type ShareOf = fn(&RunOutcome) -> Option<f64>;
+
+/// The histograms whose quantiles an SLO bounds, by name. The tier rows
+/// exist only on two-tier machines.
+const SLO_HISTS: [(&str, HistOf); 5] = [
+    ("load_to_use", |t| Some(&t.load_to_use)),
+    ("fill_to_use", |t| Some(&t.fill_to_use)),
+    ("dram_round_trip", |t| Some(&t.dram_round_trip)),
+    ("near_load_to_use", |t| {
+        t.tiers.as_ref().map(|s| &s.near.load_to_use)
+    }),
+    ("far_load_to_use", |t| {
+        t.tiers.as_ref().map(|s| &s.far.load_to_use)
+    }),
+];
+
+/// The quantiles of each histogram, by name.
+const SLO_QUANTILES: [(&str, QuantileOf); 4] = [
+    ("p50", |q| q.p50),
+    ("p90", |q| q.p90),
+    ("p99", |q| q.p99),
+    ("max", |q| q.max),
+];
+
+/// The shares an SLO bounds, by name.
+const SLO_SHARES: [(&str, ShareOf); 5] = [
+    // LLC demand misses manufactured by prefetch displacement over all LLC
+    // demand misses; n/a for a cell that issued no prefetch.
+    ("pollution_rate", |o| {
+        let s = &o.summary.stats;
+        let polluted = o.telemetry.pollution.l3 as f64;
+        (s.prefetches_issued > 0).then(|| polluted / s.l3.misses.max(1) as f64)
+    }),
+    ("l1_prefetch_occupancy", |o| prefetch_share(o, 0)),
+    ("l2_prefetch_occupancy", |o| prefetch_share(o, 1)),
+    ("l3_prefetch_occupancy", |o| prefetch_share(o, 2)),
+    // The largest single tagged source's share of resident LLC lines: how
+    // much cache any one DIG node or edge holds.
+    ("l3_top_source_occupancy", |o| {
+        let lvl = &o.telemetry.occupancy.as_ref()?.levels[2];
+        let top = lvl.sources.values().max().copied()?;
+        Some(top as f64 / lvl.total().max(1) as f64)
+    }),
+];
+
+/// Still-unused prefetches' share of one level's resident lines at run end;
+/// `None` without a snapshot or when the level holds no lines.
+fn prefetch_share(out: &RunOutcome, level: usize) -> Option<f64> {
+    let lvl = &out.telemetry.occupancy.as_ref()?.levels[level];
+    (lvl.total() > 0).then(|| lvl.prefetched() as f64 / lvl.total() as f64)
+}
+
+/// How an SLO reads its value from a cell's outcome.
+#[derive(Debug, Clone, Copy)]
+pub enum SloStat {
+    /// One quantile of a latency histogram.
+    Quantile(HistOf, QuantileOf),
+    /// A share.
+    Share(ShareOf),
+}
+
+impl SloStat {
+    /// The stat `name` names: a share, or `<hist>_<quantile>` for a latency
+    /// quantile. `None` for a name outside the table.
+    pub fn named(name: &str) -> Option<SloStat> {
+        fn find<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {
+            table.iter().find(|(n, _)| *n == name).map(|&(_, f)| f)
+        }
+        if let Some(share) = find(&SLO_SHARES, name) {
+            return Some(SloStat::Share(share));
+        }
+        let (hist, quantile) = name.rsplit_once('_')?;
+        Some(SloStat::Quantile(
+            find(&SLO_HISTS, hist)?,
+            find(&SLO_QUANTILES, quantile)?,
+        ))
+    }
+
+    /// This stat's value in `out`; `None` (n/a) where the cell does not
+    /// report it: an empty histogram, a single-tier cell's tier rows, a
+    /// share with nothing to divide.
+    pub fn read(self, out: &RunOutcome) -> Option<SloValue> {
+        match self {
+            SloStat::Quantile(hist, quantile) => {
+                let q = HistQuantiles::from_hist(hist(&out.telemetry)?)?;
+                Some(SloValue::Cycles(quantile(&q).1))
+            }
+            SloStat::Share(share) => share(out).map(SloValue::Share),
+        }
+    }
+}
+
+/// One `--slo` assertion: `<name><=<bound>`, a cycle count for a latency
+/// quantile and a fraction for a share.
+#[derive(Debug, Clone)]
+pub struct Slo {
+    /// The spec as written.
+    pub raw: String,
+    stat: SloStat,
+    bound: SloValue,
+    /// The bound as the violation lines print it.
+    bound_text: String,
+}
+
+impl Slo {
+    /// Parses `<name><=<bound>`.
+    pub fn parse(spec: &str) -> Result<Slo, String> {
+        let bad = |why: &str| {
+            format!(
+                "malformed --slo {spec:?}: {why} (e.g. load_to_use_p99<=4096 or pollution_rate<=0.05)"
+            )
+        };
+        let (name, bound) = spec
+            .split_once("<=")
+            .ok_or_else(|| bad("expected <name><=<bound>"))?;
+        let (name, bound) = (name.trim(), bound.trim());
+        let stat = SloStat::named(name).ok_or_else(|| {
+            bad(&format!(
+                "unknown value {name:?}; the usage lists every name"
+            ))
+        })?;
+        let (bound, bound_text) = match stat {
+            SloStat::Quantile(..) => {
+                let b = bound
+                    .parse::<u64>()
+                    .map_err(|_| bad("bound must be a non-negative integer cycle count"))?;
+                (SloValue::Cycles(b), b.to_string())
+            }
+            SloStat::Share(_) => {
+                let b = bound
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|b| b.is_finite() && *b >= 0.0)
+                    .ok_or_else(|| bad("bound must be a finite non-negative fraction"))?;
+                (SloValue::Share(b), b.to_string())
+            }
+        };
+        Ok(Slo {
+            raw: spec.to_string(),
+            stat,
+            bound,
+            bound_text,
+        })
+    }
+}
+
+/// Evaluates every SLO against every cell of a sweep report. Returns the
+/// rendered verdict text and whether any assertion was violated. A cell
+/// without the value (a failed cell, or n/a as [`SloStat::read`] says) is
+/// counted n/a, never a violation. `Err` when the report is not a sweep
+/// report or a cell does not decode.
+pub fn check_slos(report: &Json, slos: &[Slo]) -> Result<(String, bool), String> {
+    let Some(cells) = report.get("cells").and_then(Json::as_arr) else {
+        return Err("--slo needs a sweep report (prodigy-eval --json), not a metrics dump".into());
+    };
+    let cells = cells.iter().map(read_cell).collect::<Result<Vec<_>, _>>()?;
+    let mut out = String::new();
+    let mut violated = false;
+    for slo in slos {
+        let (mut checked, mut na) = (0usize, 0usize);
+        let mut worst: Option<(SloValue, &str)> = None;
+        let mut offenders = String::new();
+        for (key, outcome) in &cells {
+            let Some(v) = outcome.as_ref().and_then(|o| slo.stat.read(o)) else {
+                na += 1;
+                continue;
+            };
+            checked += 1;
+            if worst.is_none_or(|(w, _)| v > w) {
+                worst = Some((v, key));
+            }
+            if v > slo.bound {
+                let bound = &slo.bound_text;
+                offenders.push_str(&format!("    VIOLATED: {key} — {v} > {bound}\n"));
+            }
+        }
+        violated |= !offenders.is_empty();
+        let verdict = if offenders.is_empty() {
+            "OK"
+        } else {
+            "VIOLATED"
+        };
+        let worst = worst.map_or("no cell reports this value".to_string(), |(w, key)| {
+            format!("worst {w} ({key})")
+        });
+        out.push_str(&format!(
+            "slo {}: {verdict} — {checked} cells checked, {na} n/a, {worst}\n{offenders}",
+            slo.raw
+        ));
+    }
+    Ok((out, violated))
+}
+
 // ----------------------------------------------------------------- merge
 
 /// Stitches shard sweep reports (from `prodigy-eval --shard K/N`) into one
@@ -418,24 +640,24 @@ impl DiffReport {
 /// K/N shards, and two same-seed runs canonicalize to identical bytes — the
 /// property CI's `cmp` gates lock in.
 ///
-/// Duplicate keys across inputs keep the resolved (non-error) entry if one
-/// exists, else the last occurrence. All inputs must be sweep reports with
-/// the same `base_seed`.
+/// Every cell goes through [`read_cell`]: a cell whose outcome does not
+/// decode fails the merge, naming the cell. Duplicate keys across inputs
+/// keep the resolved (non-error) entry if one exists, else the last
+/// occurrence. All inputs must be sweep reports with the same `base_seed`.
 pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
     let mut base_seed: Option<&Json> = None;
-    let mut cells: BTreeMap<&str, &Json> = BTreeMap::new();
+    // Key → the cell and whether it resolved to an outcome.
+    let mut cells: BTreeMap<&str, (&Json, bool)> = BTreeMap::new();
     let mut errors = BTreeSet::new();
     for (i, r) in reports.iter().enumerate() {
+        let input = |e: String| format!("input #{}: {e}", i + 1);
         if ReportKind::detect(r)? != ReportKind::Sweep {
-            return Err(format!(
-                "input #{}: only sweep reports (--json) can be merged",
-                i + 1
-            ));
+            return Err(input("only sweep reports (--json) can be merged".into()));
         }
         let seed = r
             .get("base_seed")
             .filter(|s| matches!(s, Json::Num(..)))
-            .ok_or_else(|| format!("input #{}: missing base_seed", i + 1))?;
+            .ok_or_else(|| input("missing base_seed".into()))?;
         match base_seed {
             Some(s) if s != seed => {
                 return Err(format!(
@@ -445,19 +667,16 @@ pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
             _ => base_seed = Some(seed),
         }
         for e in r.get("errors").and_then(Json::as_arr).unwrap_or(&[]) {
-            errors.insert(CellError::from_json(e).map_err(|e| format!("input #{}: {e}", i + 1))?);
+            errors.insert(CellError::from_json(e).map_err(input)?);
         }
         for cell in r.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
-            let Some(key) = cell.get("key").and_then(Json::as_str) else {
-                continue;
-            };
-            let resolved = |c: &Json| !matches!(c.get("stats"), None | Some(Json::Null));
+            let (key, outcome) = read_cell(cell).map_err(input)?;
             match cells.get(key) {
                 // Keep an already-merged resolved result over an error
                 // entry for the same cell (e.g. a timeout retried later).
-                Some(prev) if resolved(prev) && !resolved(cell) => {}
+                Some(&(_, true)) if outcome.is_none() => {}
                 _ => {
-                    cells.insert(key, cell);
+                    cells.insert(key, (cell, outcome.is_some()));
                 }
             }
         }
@@ -471,7 +690,7 @@ pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
         ),
         (
             "cells",
-            Json::Arr(cells.values().map(|c| canonical_cell(c)).collect()),
+            Json::Arr(cells.values().map(|(c, _)| canonical_cell(c)).collect()),
         ),
     ]))
 }
@@ -479,27 +698,33 @@ pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{cell, outcome, report};
     use prodigy_sim::json::parse_json;
 
+    const PRODIGY: &str = "bfs|false|prodigy|16|8";
+    const NONE: &str = "bfs|false|none|16|8";
+
+    /// A finished run of `cycles` cycles with a 64-bit checksum.
+    fn run(cycles: u64) -> Option<RunOutcome> {
+        let mut out = outcome();
+        out.summary.stats.cycles = cycles;
+        out.checksum = 123_456_789_123_456_789;
+        Some(out)
+    }
+
+    /// A sweep report's text: a prodigy cell of `cycles_a` cycles, then a
+    /// baseline cell of `cycles_b`.
     fn sweep_json(cycles_a: u64, cycles_b: u64) -> String {
-        format!(
-            r#"{{"threads":2,"base_seed":0,"host":{{"cells_simulated":2,"memo_hits":0,
-                "wall_nanos":12345,"cells_per_sec":1.0,"utilization":0.5}},
-                "workers":[{{"worker":0,"busy_nanos":99,"jobs":2}}],
-                "errors":[],
-                "cells":[
-                  {{"key":"bfs|orig|prodigy|16|plain|0","timing":{{"host_nanos":5}},"worker":0,
-                    "stats":{{"cycles":{cycles_a},"instructions":2000,"ipc":1.0,"checksum":123456789123456789,
-                             "l1_misses":10,"l2_misses":5,"l3_misses":2,"dram_reads":2,
-                             "prefetches_issued":7,"prefetch_accuracy":0.5,"prefetch_coverage":null}},
-                    "telemetry":null,"error":null}},
-                  {{"key":"bfs|orig|none|16|plain|0","timing":{{"host_nanos":6}},"worker":0,
-                    "stats":{{"cycles":{cycles_b},"instructions":2000,"ipc":0.8,"checksum":123456789123456789,
-                             "l1_misses":11,"l2_misses":6,"l3_misses":3,"dram_reads":3,
-                             "prefetches_issued":0,"prefetch_accuracy":null,"prefetch_coverage":null}},
-                    "telemetry":null,"error":null}}
-                ]}}"#
-        )
+        let cells = vec![
+            cell(PRODIGY, 5, run(cycles_a)),
+            cell(NONE, 6, run(cycles_b)),
+        ];
+        report(cells).to_json().to_string()
+    }
+
+    /// The parsed report of `cells`.
+    fn report_of(cells: Vec<crate::sweep::CellRecord>) -> Json {
+        parse_json(&report(cells).to_json().to_string()).unwrap()
     }
 
     #[test]
@@ -509,11 +734,12 @@ mod tests {
         let units = units_of(ReportKind::Sweep, &v);
         assert_eq!(units.len(), 2);
         let (key, m, checksum) = &units[0];
-        assert_eq!(key, "bfs|orig|prodigy|16|plain|0");
+        assert_eq!(key, PRODIGY);
         // Raw text kept for 64-bit-exact checksum comparison.
         assert_eq!(checksum.as_deref(), Some("123456789123456789"));
-        assert_eq!(m["stats.cycles"].1, "1000");
-        assert!(m.contains_key("telemetry") && m.contains_key("error"));
+        assert!(!m.contains_key("checksum"), "identity, not a metric");
+        assert_eq!(m["summary.stats.cycles"].1, "1000");
+        assert!(m.keys().any(|k| k.starts_with("telemetry.")) && m.contains_key("error"));
         assert!(!m.keys().any(|k| k.starts_with("timing") || k == "worker"));
     }
 
@@ -536,11 +762,11 @@ mod tests {
         let d = diff_reports(&a, &b, 0.02).unwrap();
         assert!(d.regressed());
         assert_eq!(d.regressions.len(), 1);
-        assert_eq!(d.regressions[0].metric, "stats.cycles");
-        assert!(d.regressions[0].unit.contains("prodigy"));
+        assert_eq!(d.regressions[0].metric, "summary.stats.cycles");
+        assert_eq!(d.regressions[0].unit, PRODIGY);
         assert!(d.render().contains("verdict: REGRESSED"));
-        // The change itself is also listed (cycles + derived ipc).
-        assert!(d.changes.iter().any(|c| c.metric == "stats.cycles"));
+        // The change itself is also listed.
+        assert!(d.changes.iter().any(|c| c.metric == "summary.stats.cycles"));
     }
 
     #[test]
@@ -563,6 +789,7 @@ mod tests {
         let d = diff_reports(&a, &b, 0.02).unwrap();
         assert!(d.regressed());
         assert_eq!(d.checksum_mismatches.len(), 2);
+        assert!(d.changes.is_empty(), "the checksum is not a metric");
     }
 
     #[test]
@@ -605,13 +832,12 @@ mod tests {
         let metrics = parse_json(r#"{"samples":[]}"#).unwrap();
         assert!(diff_reports(&sweep, &metrics, 0.02).is_err());
 
-        let mut txt = sweep_json(1000, 2000);
-        txt = txt.replace("bfs|orig|none|16|plain|0", "cc|orig|none|16|plain|0");
-        let renamed = parse_json(&txt).unwrap();
+        let renamed =
+            parse_json(&sweep_json(1000, 2000).replace(NONE, "cc|false|none|16|8")).unwrap();
         let d = diff_reports(&sweep, &renamed, 0.02).unwrap();
         assert_eq!(d.units_compared, 1);
-        assert_eq!(d.only_in_old, vec!["bfs|orig|none|16|plain|0"]);
-        assert_eq!(d.only_in_new, vec!["cc|orig|none|16|plain|0"]);
+        assert_eq!(d.only_in_old, vec![NONE]);
+        assert_eq!(d.only_in_new, vec!["cc|false|none|16|8"]);
         assert!(d.regressed(), "unaligned cells fail the gate");
         assert!(d.render().contains("verdict: REGRESSED"));
 
@@ -653,12 +879,16 @@ mod tests {
         // No host fields survive; everything else is re-emitted verbatim.
         let text = a.to_string();
         assert!(!text.contains("timing") && !text.contains("worker"));
-        assert!(text.starts_with("{\"base_seed\":0,\"errors\":[],\"cells\":[{\"key\":"));
+        assert!(text.starts_with(&format!(
+            "{{\"base_seed\":0,\"errors\":[],\"cells\":[{{\"key\":\"{NONE}\",\"summary\":"
+        )));
         let m = parse_json(&text).unwrap();
         let d = diff_reports(&full, &m, 0.02).unwrap();
         assert!(d.changes.is_empty(), "{:?}", d.changes);
         assert!(!d.regressed());
         assert_eq!(d.units_compared, 2);
+        // A merged report merges to itself.
+        assert_eq!(merge_reports(&[m]).unwrap(), a);
     }
 
     #[test]
@@ -677,13 +907,10 @@ mod tests {
     #[test]
     fn merge_prefers_resolved_cells_over_error_entries() {
         let full = parse_json(&sweep_json(1000, 2000)).unwrap();
-        // An error-only duplicate of cell 0 (stats null), as a timed-out
-        // first attempt would leave behind.
-        let mut failed = one_cell(&full, 0);
-        let mut cell = failed.get("cells").unwrap().as_arr().unwrap()[0].clone();
-        set(&mut cell, "stats", Json::Null);
-        set(&mut cell, "error", Json::Str("timed out after 1.0s".into()));
-        set(&mut failed, "cells", Json::Arr(vec![cell]));
+        // An error-only record of cell 0, as a timed-out first attempt
+        // would leave behind (its error row dropped to compare the cells).
+        let mut failed = report_of(vec![cell(PRODIGY, 7, None)]);
+        set(&mut failed, "errors", Json::Arr(vec![]));
         let merged = merge_reports(&[failed.clone(), full.clone()]).unwrap();
         let merged_rev = merge_reports(&[full.clone(), failed]).unwrap();
         assert_eq!(merged, merged_rev, "resolved result wins in any order");
@@ -694,50 +921,127 @@ mod tests {
     fn host_timing_fields_never_produce_changes() {
         let a = parse_json(&sweep_json(1000, 2000)).unwrap();
         let txt = sweep_json(1000, 2000)
-            .replace("\"wall_nanos\":12345", "\"wall_nanos\":999999")
+            .replace("\"wall_nanos\":1000000", "\"wall_nanos\":999999")
             .replace("\"host_nanos\":5", "\"host_nanos\":777")
-            .replace("\"busy_nanos\":99", "\"busy_nanos\":1")
-            // Older reports carry a per-cell host_profile section; it must
-            // be as invisible to the diff as the rest of the host timing.
-            .replace(
-                "\"worker\":0,",
-                "\"worker\":0,\"host_profile\":{\"host_nanos_total\":777,\"other_ns\":9,\
-                 \"components\":{\"kernel\":{\"self_ns\":768,\"allocs\":3}}},",
-            );
+            .replace("\"worker\":0,", "\"worker\":1,");
+        assert_ne!(txt, sweep_json(1000, 2000));
         let b = parse_json(&txt).unwrap();
         let d = diff_reports(&a, &b, 0.02).unwrap();
         assert!(d.changes.is_empty(), "{:?}", d.changes);
         assert!(!d.regressed());
+        assert_eq!(merge_reports(&[b]).unwrap(), merge_reports(&[a]).unwrap());
     }
 
     #[test]
     fn provenance_changes_show_in_the_diff() {
         // Pollution and occupancy are simulated results like any counter:
-        // a changed value, or a column present on one side only, is a
+        // a changed value, or a snapshot present on one side only, is a
         // change the diff reports.
-        let with = |rate: &str| {
-            sweep_json(1000, 2000)
-                .replace(
-                    "\"prefetch_coverage\":null}",
-                    &format!("\"prefetch_coverage\":null,\"pollution_rate\":{rate}}}"),
-                )
-                .replace(
-                    "\"telemetry\":null",
-                    "\"telemetry\":{\"polluting\":6,\"pollution\":{\"l1\":1,\"l2\":2,\"l3\":3}}",
-                )
+        let with = |polluted: u64, occupancy: bool| {
+            let mut out = run(1000).unwrap();
+            out.telemetry.pollution.l3 = polluted;
+            if !occupancy {
+                out.telemetry.occupancy = None;
+            }
+            report_of(vec![cell(PRODIGY, 5, Some(out))])
         };
-        let a = parse_json(&with("0.250000")).unwrap();
+        let a = with(3, true);
         assert!(diff_reports(&a, &a, 0.02).unwrap().changes.is_empty());
-        let b = parse_json(&with("0.500000")).unwrap();
-        let d = diff_reports(&a, &b, 0.02).unwrap();
-        assert_eq!(d.changes.len(), 2, "{:?}", d.changes);
-        assert!(d.changes.iter().all(|c| c.metric == "stats.pollution_rate"));
-        let bare = parse_json(&sweep_json(1000, 2000)).unwrap();
-        let d = diff_reports(&bare, &a, 0.02).unwrap();
-        assert!(d
-            .changes
-            .iter()
-            .any(|c| c.metric == "telemetry.pollution.l3"));
-        assert!(d.changes.iter().any(|c| c.metric == "stats.pollution_rate"));
+        let d = diff_reports(&a, &with(6, true), 0.02).unwrap();
+        let metrics: Vec<&str> = d.changes.iter().map(|c| c.metric.as_str()).collect();
+        assert_eq!(metrics, ["telemetry.pollution.l3"]);
+        let d = diff_reports(&with(3, false), &a, 0.02).unwrap();
+        assert!(
+            d.changes
+                .iter()
+                .any(|c| c.metric.starts_with("telemetry.occupancy.")),
+            "{:?}",
+            d.changes
+        );
+    }
+
+    #[test]
+    fn the_slo_table_reads_each_value_from_the_outcome_or_na() {
+        let slo = |name: &str, out: &RunOutcome| SloStat::named(name).unwrap().read(out);
+        let out = outcome();
+        // One 3-cycle load-to-use sample: bucket [2, 3]. No fill-to-use
+        // sample, no tier split, no prefetch issued, an empty L2, no
+        // tagged source: each of those reads n/a.
+        assert_eq!(slo("load_to_use_p99", &out), Some(SloValue::Cycles(3)));
+        assert_eq!(
+            slo("l1_prefetch_occupancy", &out),
+            Some(SloValue::Share(0.25))
+        );
+        for na in [
+            "fill_to_use_p50",
+            "near_load_to_use_max",
+            "far_load_to_use_p99",
+            "pollution_rate",
+            "l2_prefetch_occupancy",
+            "l3_top_source_occupancy",
+        ] {
+            assert_eq!(slo(na, &out), None, "{na}");
+        }
+        let mut other = out;
+        let split = other.telemetry.tiers_mut();
+        split.near.load_to_use.record(100);
+        split.far.load_to_use.record(500);
+        other.summary.stats.prefetches_issued = 4;
+        other.telemetry.pollution.l3 = 1;
+        let occupancy = other.telemetry.occupancy.as_mut().unwrap();
+        occupancy.levels[2].sources.insert(0x101, 2);
+        assert_eq!(
+            slo("near_load_to_use_p99", &other),
+            Some(SloValue::Cycles(127))
+        );
+        assert_eq!(
+            slo("far_load_to_use_max", &other),
+            Some(SloValue::Cycles(511))
+        );
+        assert_eq!(slo("pollution_rate", &other), Some(SloValue::Share(0.5)));
+        assert_eq!(
+            slo("l3_top_source_occupancy", &other),
+            Some(SloValue::Share(0.2))
+        );
+        for name in ["load_to_use", "load_to_use_p42", "pollution", ""] {
+            assert!(SloStat::named(name).is_none(), "{name}");
+        }
+    }
+
+    #[test]
+    fn check_slos_counts_failed_cells_na_and_compares_exact_shares() {
+        // A third of L1's lines are unused prefetches: 0.333333 as text,
+        // above a 0.333333 bound as a value.
+        let mut third = outcome();
+        let l1 = &mut third.telemetry.occupancy.as_mut().unwrap().levels[0];
+        (l1.demand, l1.untagged) = (2, 1);
+        let r = report_of(vec![
+            cell("a", 1, Some(outcome())),
+            cell("b", 1, Some(third)),
+            cell("f", 1, None),
+        ]);
+        let slos = [
+            "load_to_use_p99<=2",
+            "l1_prefetch_occupancy<=0.333333",
+            "fill_to_use_p50<=0",
+        ]
+        .map(|s| Slo::parse(s).unwrap());
+        assert_eq!(
+            check_slos(&r, &slos).unwrap(),
+            (
+                "slo load_to_use_p99<=2: VIOLATED — 2 cells checked, 1 n/a, worst 3 (a)\n\
+                 \x20   VIOLATED: a — 3 > 2\n\
+                 \x20   VIOLATED: b — 3 > 2\n\
+                 slo l1_prefetch_occupancy<=0.333333: VIOLATED — 2 cells checked, 1 n/a, worst 0.333333 (b)\n\
+                 \x20   VIOLATED: b — 0.333333 > 0.333333\n\
+                 slo fill_to_use_p50<=0: OK — 0 cells checked, 3 n/a, no cell reports this value\n"
+                    .to_string(),
+                true
+            )
+        );
+        // A metrics dump, or a cell that does not decode, is an error.
+        assert!(check_slos(&parse_json(r#"{"samples":[]}"#).unwrap(), &slos).is_err());
+        let bad = parse_json(&r.to_string().replacen("\"seed\":3", "\"seed\":-3", 1)).unwrap();
+        assert!(check_slos(&bad, &slos).unwrap_err().starts_with("cell a: "));
     }
 }

@@ -11,10 +11,11 @@
 //! grids for `--shard K/N` sweeps.
 
 use crate::cellcache::{code_rev, composite_key, CellCache};
+use crate::compare::{SloStat, SloValue};
 use crate::report::{geomean, mean, pct, pct_opt, x, x_opt, Table};
 use crate::sweep::{
-    panic_message, run_isolated, run_pool, stable_key_hash, CellError, CellRecord, CellStats,
-    SweepConfig, SweepReport, WorkerStat,
+    panic_message, run_isolated, run_pool, stable_key_hash, CellError, CellRecord, SweepConfig,
+    SweepReport, WorkerStat,
 };
 use crate::workload_set::{all_29, per_algorithm, WorkloadSpec, GRAPH_ALGS};
 use prodigy::{ProdigyConfig, ProdigyPrefetcher};
@@ -37,9 +38,9 @@ pub struct Variant {
     pub kind: PrefetcherKind,
     /// Prodigy PFHR registers.
     pub pfhr: usize,
-    /// Install the LLC-miss classifier.
-    pub classify: bool,
-    /// Core count (0 = context default).
+    /// Core count (0 = the context's). The cell key carries the count the
+    /// cell runs on, so a variant that names the context's count shares the
+    /// default variant's key.
     pub cores: u32,
     /// Far-memory latency scale (0 = single-tier machine, the default; `n ≥
     /// 1` attaches a far tier at `n×` DRAM latency/occupancy and the
@@ -53,13 +54,12 @@ pub struct Variant {
 }
 
 impl Variant {
-    /// `kind` with default knobs (16 PFHR entries, no classifier, context
-    /// core count, single-tier machine, no throttle).
+    /// `kind` with default knobs (16 PFHR entries, context core count,
+    /// single-tier machine, no throttle).
     pub const fn new(kind: PrefetcherKind) -> Self {
         Variant {
             kind,
             pfhr: 16,
-            classify: false,
             cores: 0,
             far: 0,
             throttle: false,
@@ -69,14 +69,6 @@ impl Variant {
     /// With `pfhr` Prodigy PFHR registers.
     pub const fn with_pfhr(self, pfhr: usize) -> Self {
         Variant { pfhr, ..self }
-    }
-
-    /// With the LLC-miss classifier installed.
-    pub const fn with_classifier(self) -> Self {
-        Variant {
-            classify: true,
-            ..self
-        }
     }
 
     /// On a `cores`-core machine.
@@ -116,17 +108,18 @@ impl Cell {
         }
     }
 
-    /// Cache key: every knob that affects the simulation result.
-    pub fn key(&self) -> String {
+    /// Cache key on machine `sys`: every knob that affects the simulation
+    /// result, `workload|reorder|prefetcher|pfhr|cores[|farN][|throttle]`,
+    /// with the core count the cell runs on.
+    pub fn key(&self, sys: &SystemConfig) -> String {
         let v = &self.variant;
         let mut k = format!(
-            "{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|{}",
             self.spec.name,
             self.spec.reorder,
             v.kind.name(),
             v.pfhr,
-            v.classify,
-            v.cores
+            self.run_config(*sys, 0).sys.cores
         );
         if v.far != 0 {
             k.push_str(&format!("|far{}", v.far));
@@ -149,8 +142,10 @@ impl Cell {
     }
 
     /// This cell's run on machine `sys` under sweep seed `base_seed`: the
-    /// one place a cell's knobs become a [`RunConfig`]. Tracing, metering
-    /// and cancellation are the caller's to add.
+    /// one place a cell's knobs become a [`RunConfig`]. Every cell counts
+    /// its LLC misses inside and outside the DIG-annotated structures
+    /// (Figs. 13 and 16 read them). Tracing, metering and cancellation are
+    /// the caller's to add.
     pub fn run_config(&self, sys: SystemConfig, base_seed: u64) -> RunConfig {
         let v = self.variant;
         let mut sys = if v.cores == 0 {
@@ -169,7 +164,7 @@ impl Cell {
                 throttle: v.throttle,
                 ..ProdigyConfig::default()
             },
-            classify_llc: v.classify,
+            classify_llc: true,
             seed: self.spec.identity_hash() ^ base_seed,
             ..RunConfig::default()
         }
@@ -262,7 +257,7 @@ impl Ctx {
     /// The warmed result of `cell`: its outcome, or the error it failed
     /// with. Never simulates — a cell no [`Ctx::warm`] ran is an error.
     pub fn get(&self, cell: &Cell) -> Result<Arc<RunOutcome>, CellError> {
-        let key = cell.key();
+        let key = cell.key(&self.sys);
         let table = self.table();
         let Some(record) = table.get(&key) else {
             let reason = "not warmed".to_string();
@@ -281,7 +276,7 @@ impl Ctx {
         let todo: Vec<(String, Cell)> = {
             let table = self.table();
             let mut seen = HashSet::new();
-            let keyed = cells.into_iter().map(|c| (c.key(), c));
+            let keyed = cells.into_iter().map(|c| (c.key(&self.sys), c));
             keyed
                 .filter(|(k, _)| !table.contains_key(k) && seen.insert(k.clone()))
                 .collect()
@@ -315,7 +310,7 @@ impl Ctx {
                 cancel: Some(cancel),
                 ..cell.run_config(sys, base_seed)
             };
-            run_workload(cell.spec.instantiate_seeded(base_seed).as_mut(), &cfg)
+            run_workload(cell.spec.instantiate(base_seed).as_mut(), &cfg)
         });
         let (timing, result) = match out {
             Ok(o) => {
@@ -1144,7 +1139,10 @@ fn pollution(_ctx: &Ctx, rows: &[Row]) -> String {
     for r in rows {
         for (v, out) in r.iter() {
             let s = &out.summary.stats;
-            let cs = CellStats::from_outcome(out);
+            let pollution = match SloStat::named("pollution_rate").and_then(|p| p.read(out)) {
+                Some(SloValue::Share(rate)) => pct(rate),
+                _ => "n/a".to_string(),
+            };
             // Heaviest polluter by absolute victim-table hits; ties break
             // toward the lower tag (attribution iterates in tag order).
             let worst = out
@@ -1166,7 +1164,7 @@ fn pollution(_ctx: &Ctx, rows: &[Row]) -> String {
                 v.kind.name().into(),
                 pct_opt(s.prefetch_use.accuracy()),
                 pct_opt(s.prefetch_coverage()),
-                pct_opt(cs.pollution_rate),
+                pollution,
                 worst,
             ]);
         }
@@ -1275,7 +1273,9 @@ fn gap_reordered(scale: u32) -> Vec<WorkloadSpec> {
 /// Every experiment, in run order: its name, row workloads, hardware
 /// variants and renderer. Cells are memoised by key across the whole run,
 /// so grids that entries share (fig14, table3 and fig19 all read `all_29`
-/// × {none, prodigy}) simulate once, and a cell that fails fails once.
+/// × {none, prodigy}; fig13 and fig16 read fig04's and fig14's cells;
+/// scalability's 8-core cells are fig02's on the default 8-core machine)
+/// simulate once, and a cell that fails fails once.
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("table1", no_rows, &[], table1),
     Experiment::new("table2", no_rows, &[], table2),
@@ -1302,15 +1302,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
         ],
         fig12,
     ),
-    Experiment::new("fig13", per_algorithm, &[NONE.with_classifier()], fig13),
+    Experiment::new("fig13", per_algorithm, &[NONE], fig13),
     Experiment::new("fig14", all_29, &[NONE, PRODIGY], fig14),
     Experiment::new("fig15", per_algorithm, &[PRODIGY], fig15),
-    Experiment::new(
-        "fig16",
-        per_algorithm,
-        &[NONE.with_classifier(), PRODIGY.with_classifier()],
-        fig16,
-    ),
+    Experiment::new("fig16", per_algorithm, &[NONE, PRODIGY], fig16),
     Experiment::new(
         "fig17",
         per_algorithm,
@@ -1393,7 +1388,7 @@ pub fn shard_cells(ctx: &Ctx, filters: &[String], shard: ShardSpec) -> Vec<Cell>
     selected(filters)
         .flat_map(|e| e.cells(ctx.scale))
         .filter(|c| {
-            let k = c.key();
+            let k = c.key(&ctx.sys);
             shard.owns(&k) && seen.insert(k)
         })
         .collect()
@@ -1502,23 +1497,9 @@ mod tests {
         assert_eq!(ctx.get(&bad).unwrap_err(), err);
         // And healthy cells still run fine beside it.
         assert!(ctx.get(&good).is_ok());
-        let errors = ctx.report().errors();
-        assert_eq!(errors, [err]);
-    }
-
-    #[test]
-    fn warm_survives_failing_cells() {
-        let ctx = quick_ctx();
-        let cells = vec![
-            Cell::new(WorkloadSpec::plain("no-such-alg", 64), PrefetcherKind::None),
-            Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None),
-        ];
-        ctx.warm(cells.clone());
-        assert!(ctx.get(&cells[0]).is_err());
-        assert!(ctx.get(&cells[1]).is_ok());
         let report = ctx.report();
+        assert_eq!(report.errors(), [err]);
         assert_eq!(report.cells_simulated(), 1, "a failure is not a simulation");
-        assert_eq!(report.errors().len(), 1);
     }
 
     #[test]
@@ -1536,7 +1517,7 @@ mod tests {
             &[NONE],
             fig04,
         );
-        let key = "no-such-alg|false|none|16|false|0";
+        let key = "no-such-alg|false|none|16|2";
         let text = bad.run(&ctx);
         assert!(
             text.starts_with(&format!("bad — FAILED: cell {key} failed: panicked:")),
@@ -1580,17 +1561,19 @@ mod tests {
         let names: HashSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "names are unique");
 
+        // One key per simulation: fig13 and fig16 read fig04's and fig14's
+        // cells, and scalability's 8-core cells are fig02's.
+        let ctx = Ctx::new(64);
         let keys: BTreeSet<String> = EXPERIMENTS
             .iter()
             .flat_map(|e| e.cells(64))
-            .map(|c| c.key())
+            .map(|c| c.key(&ctx.sys))
             .collect();
-        assert_eq!(keys.len(), 253);
+        assert_eq!(keys.len(), 233);
         // Shards 1..3 of 3 partition exactly those keys.
-        let ctx = Ctx::new(64);
         let mut sharded: Vec<String> = (1..=3)
             .flat_map(|k| shard_cells(&ctx, &[], ShardSpec { k, n: 3 }))
-            .map(|c| c.key())
+            .map(|c| c.key(&ctx.sys))
             .collect();
         sharded.sort();
         assert_eq!(sharded, keys.into_iter().collect::<Vec<_>>());
@@ -1611,51 +1594,57 @@ mod tests {
     }
 
     #[test]
-    fn throttle_extends_the_key_and_legacy_keys_stay() {
-        let key =
-            |name| -> Vec<String> { experiment(name).cells(64).iter().map(Cell::key).collect() };
+    fn keys_carry_the_core_count_and_the_throttle() {
+        let sys = SystemConfig::bench();
+        let key = |name| -> Vec<String> {
+            let cells = experiment(name).cells(64);
+            cells.iter().map(|c| c.key(&sys)).collect()
+        };
         assert_eq!(
             key("fig02"),
             [
-                "pr-lj|false|none|16|false|0",
-                "pr-lj|false|ghb-gdc|16|false|0",
-                "pr-lj|false|droplet|16|false|0",
-                "pr-lj|false|prodigy|16|false|0",
+                "pr-lj|false|none|16|8",
+                "pr-lj|false|ghb-gdc|16|8",
+                "pr-lj|false|droplet|16|8",
+                "pr-lj|false|prodigy|16|8",
             ]
         );
+        // A variant that names the machine's core count is the default
+        // variant's simulation, under its key; another count is another.
+        let scalability = key("scalability");
+        assert_eq!(scalability[3], "pr-lj|false|none|16|8");
+        assert_eq!(scalability[7], "pr-lj|false|prodigy|16|8");
+        assert_eq!(scalability[4], "pr-lj|false|none|16|16");
         // The cells of the runs that once bypassed the registry: two of
         // swpf's are fig02's, and limits_tc's 8x rows are named apart from
         // fig04's full-size bfs-po.
         assert_eq!(
             key("swpf"),
             [
-                "pr-lj|false|none|16|false|0",
-                "pr-lj|false|prodigy|16|false|0",
-                "pr-lj-swpf|false|none|16|false|0",
+                "pr-lj|false|none|16|8",
+                "pr-lj|false|prodigy|16|8",
+                "pr-lj-swpf|false|none|16|8",
             ]
         );
         assert_eq!(
             key("limits_tc"),
             [
-                "bfs-po-8x|false|none|16|false|0",
-                "bfs-po-8x|false|prodigy|16|false|0",
-                "tc-po-8x|false|none|16|false|0",
-                "tc-po-8x|false|prodigy|16|false|0",
+                "bfs-po-8x|false|none|16|8",
+                "bfs-po-8x|false|prodigy|16|8",
+                "tc-po-8x|false|none|16|8",
+                "tc-po-8x|false|prodigy|16|8",
             ]
         );
         assert_eq!(
             key("ext_dobfs"),
-            [
-                "dobfs-lj|false|none|16|false|0",
-                "dobfs-lj|false|prodigy|16|false|0",
-            ]
+            ["dobfs-lj|false|none|16|8", "dobfs-lj|false|prodigy|16|8",]
         );
         assert_eq!(
             key("ext_throttle"),
             [
-                "cc-lj|false|none|16|false|0",
-                "cc-lj|false|prodigy|16|false|0",
-                "cc-lj|false|prodigy|16|false|0|throttle",
+                "cc-lj|false|none|16|8",
+                "cc-lj|false|prodigy|16|8",
+                "cc-lj|false|prodigy|16|8|throttle",
             ]
         );
         // The throttle reaches the run only where the variant sets it.
@@ -1723,16 +1712,13 @@ mod tests {
     fn far_knob_extends_key_and_splits_telemetry() {
         let ctx = quick_ctx();
         let base_cell = Cell::new(WorkloadSpec::plain("is", 256), PrefetcherKind::None);
-        assert!(
-            !base_cell.key().contains("far"),
-            "legacy single-tier keys stay unchanged: {}",
-            base_cell.key()
-        );
+        let base_key = base_cell.key(&ctx.sys);
+        assert!(!base_key.contains("far"), "single-tier keys: {base_key}");
         let far_cell = Cell {
             variant: base_cell.variant.with_far(8),
             ..base_cell.clone()
         };
-        assert!(far_cell.key().ends_with("|far8"), "{}", far_cell.key());
+        assert_eq!(far_cell.key(&ctx.sys), format!("{base_key}|far8"));
         ctx.warm(vec![base_cell.clone(), far_cell.clone()]);
         let base = ctx.get(&base_cell).unwrap();
         let far = ctx.get(&far_cell).unwrap();
@@ -1746,9 +1732,9 @@ mod tests {
         assert!(base.telemetry.tiers.is_none(), "single-tier: no split");
         let split = far.telemetry.tiers.expect("two-tier: split recorded");
         assert!(split.far.demand_reads > 0);
-        let cs = CellStats::from_outcome(&far);
-        assert!(cs.far_load_to_use.is_some(), "SLO row populated");
-        assert!(CellStats::from_outcome(&base).far_load_to_use.is_none());
+        let p99 = SloStat::named("far_load_to_use_p99").unwrap();
+        assert!(p99.read(&far).is_some(), "SLO row populated");
+        assert_eq!(p99.read(&base), None, "single-tier: n/a");
     }
 
     #[test]

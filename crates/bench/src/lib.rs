@@ -23,5 +23,5 @@ pub mod workload_set;
 pub use cellcache::{code_rev, composite_key, CellCache};
 pub use compare::{diff_reports, merge_reports, DiffReport, ReportKind};
 pub use experiments::{run_all, Cell, Ctx, ShardSpec};
-pub use sweep::{CellStats, SweepConfig, SweepReport};
+pub use sweep::{SweepConfig, SweepReport};
 pub use workload_set::{WorkloadSpec, GRAPH_ALGS, NON_GRAPH_ALGS};

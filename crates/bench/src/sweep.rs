@@ -17,7 +17,7 @@
 //! execution order, thread id, or time), so a parallel sweep is
 //! bit-identical to a serial one — `tests/determinism.rs` locks this in.
 
-use prodigy_sim::json::{Json, ToJson};
+use prodigy_sim::json::{FromJson, Json, ToJson};
 use prodigy_workloads::RunOutcome;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -236,152 +236,6 @@ where
     v
 }
 
-/// Deterministic numeric summary of one successful cell — the values
-/// `prodigy-diff` aligns by cell key and compares run-to-run. Everything
-/// here comes from simulated [`prodigy_sim::Stats`] (never host timing), so
-/// two same-seed sweeps serialize bit-identical `stats` objects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellStats {
-    /// Simulated cycles (the tier-1 regression metric).
-    pub cycles: u64,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Instructions per cycle.
-    pub ipc: f64,
-    /// Kernel result checksum (semantic identity across runs).
-    pub checksum: u64,
-    /// L1D misses.
-    pub l1_misses: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// LLC misses.
-    pub l3_misses: u64,
-    /// DRAM read transactions.
-    pub dram_reads: u64,
-    /// Prefetches issued.
-    pub prefetches_issued: u64,
-    /// Prefetch accuracy; `None` when no prefetch resolved.
-    pub prefetch_accuracy: Option<f64>,
-    /// Prefetch coverage; `None` when there was nothing to cover.
-    pub prefetch_coverage: Option<f64>,
-    /// Load-to-use latency quantiles (bucket-bound intervals, exact and
-    /// deterministic); `None` when the histogram recorded no samples.
-    pub load_to_use: Option<prodigy_sim::HistQuantiles>,
-    /// Fill-to-use timeliness quantiles; `None` when empty.
-    pub fill_to_use: Option<prodigy_sim::HistQuantiles>,
-    /// DRAM round-trip latency quantiles; `None` when empty.
-    pub dram_round_trip: Option<prodigy_sim::HistQuantiles>,
-    /// Near-tier (DRAM) demand load-to-use quantiles. `None` on single-tier
-    /// runs — the row is then absent from the JSON too, keeping single-tier
-    /// reports byte-identical to pre-tier baselines.
-    pub near_load_to_use: Option<prodigy_sim::HistQuantiles>,
-    /// Far-tier demand load-to-use quantiles; the `prodigy-diff --slo
-    /// far_load_to_use_p99<=N` gate reads this row. `None` on single-tier
-    /// runs (absent from the JSON).
-    pub far_load_to_use: Option<prodigy_sim::HistQuantiles>,
-    /// Pollution rate: LLC demand misses manufactured by prefetch
-    /// displacement (shadow-victim-table hits) over all LLC demand misses.
-    /// `None` when the cell issued no prefetches (matching the
-    /// accuracy/coverage n/a convention); gateable via `prodigy-diff --slo
-    /// "pollution_rate<=N"`.
-    pub pollution_rate: Option<f64>,
-    /// Fraction of resident L1 lines that are still-unused prefetches at
-    /// run end; `None` when no occupancy snapshot was captured or the
-    /// level is empty.
-    pub l1_prefetch_occupancy: Option<f64>,
-    /// As above, for the L2.
-    pub l2_prefetch_occupancy: Option<f64>,
-    /// As above, for the LLC.
-    pub l3_prefetch_occupancy: Option<f64>,
-    /// Largest single tagged source's share of resident LLC lines — the
-    /// per-source occupancy assertion `prodigy-diff --slo
-    /// "l3_top_source_occupancy<=N"` bounds how much cache any one DIG
-    /// node/edge may hold. `None` when no tagged prefetch is resident.
-    pub l3_top_source_occupancy: Option<f64>,
-}
-
-impl CellStats {
-    /// Extracts the summary from a finished run.
-    pub fn from_outcome(out: &prodigy_workloads::RunOutcome) -> Self {
-        let s = &out.summary.stats;
-        CellStats {
-            cycles: s.cycles,
-            instructions: s.instructions,
-            ipc: s.instructions as f64 / s.cycles.max(1) as f64,
-            checksum: out.checksum,
-            l1_misses: s.l1d.misses,
-            l2_misses: s.l2.misses,
-            l3_misses: s.l3.misses,
-            dram_reads: s.dram_reads,
-            prefetches_issued: s.prefetches_issued,
-            prefetch_accuracy: s.prefetch_use.accuracy(),
-            prefetch_coverage: s.prefetch_coverage(),
-            load_to_use: prodigy_sim::HistQuantiles::from_hist(&out.telemetry.load_to_use),
-            fill_to_use: prodigy_sim::HistQuantiles::from_hist(&out.telemetry.fill_to_use),
-            dram_round_trip: prodigy_sim::HistQuantiles::from_hist(&out.telemetry.dram_round_trip),
-            near_load_to_use: out
-                .telemetry
-                .tiers
-                .and_then(|t| prodigy_sim::HistQuantiles::from_hist(&t.near.load_to_use)),
-            far_load_to_use: out
-                .telemetry
-                .tiers
-                .and_then(|t| prodigy_sim::HistQuantiles::from_hist(&t.far.load_to_use)),
-            pollution_rate: if s.prefetches_issued == 0 {
-                None
-            } else {
-                Some(out.telemetry.pollution.l3 as f64 / s.l3.misses.max(1) as f64)
-            },
-            l1_prefetch_occupancy: Self::prefetch_share(&out.telemetry.occupancy, 0),
-            l2_prefetch_occupancy: Self::prefetch_share(&out.telemetry.occupancy, 1),
-            l3_prefetch_occupancy: Self::prefetch_share(&out.telemetry.occupancy, 2),
-            l3_top_source_occupancy: out.telemetry.occupancy.as_ref().and_then(|o| {
-                let lvl = &o.levels[2];
-                let top = lvl.sources.values().max().copied()?;
-                Some(top as f64 / lvl.total().max(1) as f64)
-            }),
-        }
-    }
-
-    /// Still-unused-prefetch share of one level's resident lines; `None`
-    /// when no snapshot exists or the level holds no lines.
-    fn prefetch_share(occ: &Option<prodigy_sim::OccupancySnapshot>, level: usize) -> Option<f64> {
-        let lvl = &occ.as_ref()?.levels[level];
-        if lvl.total() == 0 {
-            None
-        } else {
-            Some(lvl.prefetched() as f64 / lvl.total() as f64)
-        }
-    }
-}
-
-// The per-cell `stats` view: rates with six decimals, `null` for n/a. The
-// per-tier rows exist only for two-tier runs, so single-tier cells keep the
-// shape they had before far memory existed.
-prodigy_sim::json_object!(CellStats {
-    cycles,
-    instructions,
-    ipc: ratio,
-    checksum,
-    l1_misses,
-    l2_misses,
-    l3_misses,
-    dram_reads,
-    prefetches_issued,
-    prefetch_accuracy: ratio,
-    prefetch_coverage: ratio,
-    load_to_use,
-    fill_to_use,
-    dram_round_trip,
-    pollution_rate: ratio,
-    l1_prefetch_occupancy: ratio,
-    l2_prefetch_occupancy: ratio,
-    l3_prefetch_occupancy: ratio,
-    l3_top_source_occupancy: ratio,
-    near_load_to_use: omit_none,
-    far_load_to_use: omit_none,
-});
-
 /// One cell a sweep ran: its host-side record plus its simulated outcome or
 /// its failure. The pool worker that simulated or disk-loaded the cell
 /// writes it once; everything the report says about cells derives from
@@ -403,30 +257,19 @@ pub struct CellRecord {
 
 /// A report cell's host fields: how, where and how fast it ran. Every other
 /// field of a cell is simulated and deterministic for a given seed.
-const CELL_HOST_FIELDS: [&str; 4] = [
-    "timing",
-    "worker",
-    "disk_hit",
-    // No longer written; older reports carry it and must still canonicalize.
-    "host_profile",
-];
+const CELL_HOST_FIELDS: [&str; 3] = ["timing", "worker", "disk_hit"];
 
-/// `{"key", <host fields>, "stats": <CellStats view>, <RunOutcome fields>,
-/// "error"}`. A failed cell has `"stats":null` and no outcome fields.
+/// `{"key", <host fields>, <RunOutcome fields>, "error"}`. A failed cell
+/// has no outcome fields and its reason in `error`.
 impl ToJson for CellRecord {
     fn to_json(&self) -> Json {
-        let outcome = self.result.as_deref().ok();
         let mut o = vec![
             ("key".to_string(), self.key.to_json()),
             ("timing".to_string(), self.timing.to_json()),
             ("worker".to_string(), self.worker.to_json()),
             ("disk_hit".to_string(), self.disk_hit.to_json()),
-            (
-                "stats".to_string(),
-                outcome.map(CellStats::from_outcome).to_json(),
-            ),
         ];
-        if let Some(Json::Obj(fields)) = outcome.map(ToJson::to_json) {
+        if let Some(Json::Obj(fields)) = self.result.as_deref().ok().map(ToJson::to_json) {
             o.extend(fields);
         }
         let error = self.result.as_ref().err().cloned();
@@ -435,8 +278,34 @@ impl ToJson for CellRecord {
     }
 }
 
+/// Decodes a report cell into its key and its outcome (`None` for a failed
+/// cell) through [`RunOutcome::from_json`], the decoder the cell cache
+/// uses. Host fields are skipped; what is left must be `{"key", <RunOutcome
+/// fields>, "error": null}` or `{"key", "error": "<reason>"}`. Any other
+/// shape is an error that names the cell.
+pub fn read_cell(cell: &Json) -> Result<(&str, Option<RunOutcome>), String> {
+    let fields = cell.as_obj().ok_or("a report cell is not an object")?;
+    let mut fields = fields
+        .iter()
+        .filter(|(k, _)| !CELL_HOST_FIELDS.contains(&k.as_str()));
+    let Some((_, Json::Str(key))) = fields.next().filter(|(k, _)| k == "key") else {
+        return Err("a report cell does not start with a \"key\" string".into());
+    };
+    let mut rest: Vec<(String, Json)> = fields.cloned().collect();
+    match rest.pop() {
+        Some((k, Json::Null)) if k == "error" => match RunOutcome::from_json(&Json::Obj(rest)) {
+            Ok(out) => Ok((key, Some(out))),
+            Err(e) => Err(format!("cell {key}: {e}")),
+        },
+        Some((k, Json::Str(_))) if k == "error" && rest.is_empty() => Ok((key, None)),
+        _ => Err(format!(
+            "cell {key}: want an outcome and \"error\":null, or only an \"error\" reason"
+        )),
+    }
+}
+
 /// The deterministic part of a report cell: `cell` without its host fields
-/// (`timing`, `worker`, `disk_hit`, and `host_profile` in older reports).
+/// (`timing`, `worker`, `disk_hit`).
 /// `--merge` writes cells in this form and `prodigy-diff` compares it; its
 /// outcome fields are exactly the object the cell cache stores.
 pub fn canonical_cell(cell: &Json) -> Json {
@@ -649,8 +518,9 @@ pub fn stable_key_hash(s: &str) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use prodigy_sim::json::parse_json;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -725,8 +595,8 @@ mod tests {
         // hash never changing.
         assert_eq!(stable_key_hash(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(
-            stable_key_hash("pr|false|prodigy|16|false|0"),
-            stable_key_hash("pr|false|prodigy|16|false|0")
+            stable_key_hash("pr|false|prodigy|16|8"),
+            stable_key_hash("pr|false|prodigy|16|8")
         );
         assert_ne!(stable_key_hash("a"), stable_key_hash("b"));
     }
@@ -743,7 +613,7 @@ mod tests {
     }
 
     /// A finished outcome with a few recognisable counters.
-    fn outcome() -> RunOutcome {
+    pub(crate) fn outcome() -> RunOutcome {
         let mut out = RunOutcome {
             summary: prodigy_sim::RunSummary {
                 stats: prodigy_sim::Stats {
@@ -776,7 +646,8 @@ mod tests {
         out
     }
 
-    fn cell(key: &str, nanos: u64, outcome: Option<RunOutcome>) -> CellRecord {
+    /// Cell `key`'s record: `outcome`, or a timeout when `None`.
+    pub(crate) fn cell(key: &str, nanos: u64, outcome: Option<RunOutcome>) -> CellRecord {
         CellRecord {
             key: key.into(),
             timing: prodigy_sim::RunTiming { host_nanos: nanos },
@@ -789,7 +660,7 @@ mod tests {
     }
 
     /// A report over `cells` with no worker accounting.
-    fn report(cells: Vec<CellRecord>) -> SweepReport {
+    pub(crate) fn report(cells: Vec<CellRecord>) -> SweepReport {
         SweepReport {
             threads: 2,
             base_seed: 0,
@@ -829,7 +700,7 @@ mod tests {
                 },
             ],
             cells: vec![
-                cell("bfs|false|prodigy|16|false|0", 9, None),
+                cell("bfs|false|prodigy|16|8", 9, None),
                 disk,
                 cell("k", 42, Some(outcome())),
             ],
@@ -838,7 +709,7 @@ mod tests {
         // loaded, one failed.
         assert_eq!((report.cells_simulated(), report.disk_hits()), (1, 1));
         let errors: Vec<String> = report.errors().into_iter().map(|e| e.key).collect();
-        assert_eq!(errors, ["bfs|false|prodigy|16|false|0", "fig02"]);
+        assert_eq!(errors, ["bfs|false|prodigy|16|8", "fig02"]);
         let text = report.render();
         assert!(text.starts_with(
             "sweep: 1 cells simulated, 3 memo hits, 1 disk hits, 2 errors | 1.5s wall, 2 threads, 50% utilization, 0.67 cells/s\n"
@@ -858,29 +729,22 @@ mod tests {
             "every host counter once, under host: {json}"
         );
         assert!(json.contains(
-            "\"errors\":[{\"key\":\"bfs|false|prodigy|16|false|0\",\"reason\":\"timed out after 1.0s\"},\
+            "\"errors\":[{\"key\":\"bfs|false|prodigy|16|8\",\"reason\":\"timed out after 1.0s\"},\
              {\"key\":\"fig02\",\"reason\":\"panicked: output changed\"}],\"cells\":["
         ));
         assert!(
             json.contains(
                 "{\"key\":\"k\",\"timing\":{\"host_nanos\":42},\"worker\":0,\"disk_hit\":false,\
-                 \"stats\":{\"cycles\":1000,\"instructions\":1500,\"ipc\":1.500000,"
+                 \"summary\":{\"stats\":{\"instructions\":1500,\"loads\":0,\"stores\":0,"
             ),
-            "host fields lead the cell, the derived stats view follows: {json}"
-        );
-        assert!(
-            json.contains(
-                "\"summary\":{\"stats\":{\"instructions\":1500,\"loads\":0,\"stores\":0,"
-            ),
-            "then the full outcome: {json}"
+            "host fields lead the cell, the outcome follows: {json}"
         );
         assert!(json.contains("\"checksum\":7,\"prodigy\":null,\"storage_bits\":0,\"seed\":3,"));
         assert!(json.contains("\"telemetry\":{\"timeliness\":{"));
         assert!(
             json.contains(
-                "{\"key\":\"bfs|false|prodigy|16|false|0\",\"timing\":{\"host_nanos\":9},\
-                 \"worker\":0,\"disk_hit\":false,\"stats\":null,\
-                 \"error\":\"timed out after 1.0s\"}"
+                "{\"key\":\"bfs|false|prodigy|16|8\",\"timing\":{\"host_nanos\":9},\
+                 \"worker\":0,\"disk_hit\":false,\"error\":\"timed out after 1.0s\"}"
             ),
             "a failed cell has no outcome: {json}"
         );
@@ -936,7 +800,6 @@ mod tests {
             keys,
             [
                 "key",
-                "stats",
                 "summary",
                 "checksum",
                 "prodigy",
@@ -950,48 +813,43 @@ mod tests {
         let Json::Obj(stored) = outcome().to_json() else {
             panic!("outcome is an object")
         };
-        assert_eq!(canon.as_obj().unwrap()[2..8], stored[..]);
+        assert_eq!(canon.as_obj().unwrap()[1..7], stored[..]);
         // Host fields never change the canonical form.
         let other = cell("k", 7, Some(outcome()));
         assert_eq!(canonical_cell(&other.to_json()), canon);
     }
 
     #[test]
-    fn cell_stats_view_serializes_rates_quantiles_and_tier_rows() {
-        let out = outcome();
-        let json = CellStats::from_outcome(&out).to_json().to_string();
-        assert!(
-            json.contains("\"prefetch_accuracy\":1.000000,\"prefetch_coverage\":0.500000"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"load_to_use\":{\"p50\":[2,3]"),
-            "quantile intervals serialized: {json}"
-        );
-        assert!(
-            json.contains("\"fill_to_use\":null"),
-            "empty histogram quantiles serialize as null"
-        );
-        assert!(
-            json.contains("\"pollution_rate\":null"),
-            "no-prefetch cells render pollution n/a, not 0"
-        );
-        assert!(
-            json.contains("\"l1_prefetch_occupancy\":0.250000,\"l2_prefetch_occupancy\":null"),
-            "occupancy shares serialized: {json}"
-        );
-        assert!(json.ends_with("\"l3_top_source_occupancy\":null}"));
-        assert!(
-            !json.contains("near_load_to_use") && !json.contains("far_load_to_use"),
-            "single-tier cells serialize no per-tier rows (baseline byte-identity)"
-        );
-        let mut tiered = out;
-        let split = tiered.telemetry.tiers_mut();
-        split.near.load_to_use.record(100);
-        split.far.load_to_use.record(500);
-        let json = CellStats::from_outcome(&tiered).to_json().to_string();
-        assert!(json.contains("\"near_load_to_use\":{\"p50\":"), "{json}");
-        assert!(json.contains("\"far_load_to_use\":{\"p50\":"), "{json}");
+    fn read_cell_decodes_outcomes_and_failures_and_rejects_other_shapes() {
+        let ok = cell("k", 42, Some(outcome())).to_json();
+        let (key, out) = read_cell(&ok).unwrap();
+        assert_eq!(key, "k");
+        assert_eq!(out.map(|o| o.to_json()), Some(outcome().to_json()));
+        let failed = cell("f", 9, None).to_json();
+        assert!(matches!(read_cell(&failed), Ok(("f", None))));
+        // The canonical form reads the same.
+        assert!(matches!(
+            read_cell(&canonical_cell(&failed)),
+            Ok(("f", None))
+        ));
+
+        let text = ok.to_string();
+        let bad = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from}");
+            read_cell(&parse_json(&text.replacen(from, to, 1)).unwrap()).unwrap_err()
+        };
+        for e in [
+            bad("\"checksum\":7", "\"checksum\":\"7\""),
+            bad("\"checksum\":7,", ""),
+            bad("\"error\":null", "\"error\":\"late\""),
+            bad("\"error\":null", "\"error\":3"),
+            bad(",\"error\":null", ""),
+            bad("\"seed\":3,", "\"seed\":3,\"stats\":null,"),
+        ] {
+            assert!(e.starts_with("cell k: "), "{e}");
+        }
+        assert!(bad("\"key\":\"k\"", "\"key\":1").contains("\"key\" string"));
+        assert!(read_cell(&Json::Arr(vec![])).is_err());
     }
 
     #[test]

@@ -43,24 +43,26 @@ fn graph_cache() -> &'static GraphCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Instantiates (and caches) a Table II graph at the given scale, or
-/// reports the unknown data-set name (with the valid roster) so CLI paths
-/// can fail cleanly instead of panicking.
-pub fn try_dataset_graph(name: &str, scale: u32, reorder: bool) -> Result<Arc<Csr>, String> {
+/// Instantiates (and caches) a Table II graph at the given scale.
+///
+/// # Panics
+/// Panics on an unknown data-set name, listing the valid ones. Names reach
+/// here from the registry, never from user input.
+pub fn dataset_graph(name: &str, scale: u32, reorder: bool) -> Arc<Csr> {
     let key = (name.to_string(), scale, reorder);
     if let Some(g) = graph_cache().lock().unwrap().get(&key) {
-        return Ok(Arc::clone(g));
+        return Arc::clone(g);
     }
-    let d = Dataset::by_name(name).ok_or_else(|| {
+    let d = Dataset::by_name(name).unwrap_or_else(|| {
         let names: Vec<&str> = prodigy_workloads::graph::datasets::DATASETS
             .iter()
             .map(|d| d.name)
             .collect();
-        format!(
+        panic!(
             "unknown dataset {name:?}; valid datasets: {}",
             names.join(" ")
         )
-    })?;
+    });
     let mut g = d.instantiate(scale);
     if reorder {
         let r = prodigy_workloads::graph::reorder::hubsort(&g);
@@ -68,16 +70,7 @@ pub fn try_dataset_graph(name: &str, scale: u32, reorder: bool) -> Result<Arc<Cs
     }
     let arc = Arc::new(g);
     graph_cache().lock().unwrap().insert(key, Arc::clone(&arc));
-    Ok(arc)
-}
-
-/// Instantiates (and caches) a Table II graph at the given scale.
-///
-/// # Panics
-/// Panics on an unknown data-set name; use [`try_dataset_graph`] where the
-/// name comes from user input.
-pub fn dataset_graph(name: &str, scale: u32, reorder: bool) -> Arc<Csr> {
-    try_dataset_graph(name, scale, reorder).unwrap_or_else(|e| panic!("{e}"))
+    arc
 }
 
 /// Vertex with the highest out-degree — the traversal source, so BFS-family
@@ -166,39 +159,24 @@ impl WorkloadSpec {
         z ^ (z >> 31)
     }
 
-    /// Builds a fresh kernel instance with the default (seed-repo) input
-    /// seeds. Equivalent to `instantiate_seeded(0)`.
-    ///
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    pub fn instantiate(&self) -> Box<dyn Kernel + Send> {
-        self.instantiate_seeded(0)
-    }
-
     /// Builds a fresh kernel instance, deriving all workload-internal input
     /// seeds (edge weights, vectors, key streams) from `base_seed` and this
-    /// spec's identity. The Table II stand-in *graphs* are not re-randomized
-    /// by the sweep seed — they model fixed external data sets.
+    /// spec's identity; 0 keeps the seed repo's inputs. The Table II
+    /// stand-in *graphs* are not re-randomized by the sweep seed — they
+    /// model fixed external data sets.
     ///
     /// # Panics
-    /// Panics on an unknown algorithm or data-set name; use
-    /// [`WorkloadSpec::try_instantiate_seeded`] where the spec comes from
-    /// user input.
-    pub fn instantiate_seeded(&self, base_seed: u64) -> Box<dyn Kernel + Send> {
-        self.try_instantiate_seeded(base_seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a fresh kernel instance like
-    /// [`WorkloadSpec::instantiate_seeded`], reporting an unknown algorithm
-    /// or data-set name as an error instead of panicking.
-    pub fn try_instantiate_seeded(&self, base_seed: u64) -> Result<Box<dyn Kernel + Send>, String> {
-        Ok(match self.alg {
+    /// Panics on an unknown algorithm or data-set name, listing the valid
+    /// ones. Specs come from the registry; `prodigy-eval` resolves a
+    /// user-named workload against [`all_29`] first, and a registry cell's
+    /// panic is recorded as that cell's error.
+    pub fn instantiate(&self, base_seed: u64) -> Box<dyn Kernel + Send> {
+        match self.alg {
             "bc" | "bfs" | "cc" | "pr" | "sssp" | "tc" | "dobfs" => {
                 let Some(dataset) = self.dataset else {
-                    return Err(format!("graph algorithm {:?} needs a dataset", self.alg));
+                    panic!("graph algorithm {:?} needs a dataset", self.alg);
                 };
-                let g = try_dataset_graph(dataset, self.scale, self.reorder)?;
+                let g = dataset_graph(dataset, self.scale, self.reorder);
                 let src = best_source(&g);
                 match self.alg {
                     "bc" => Box::new(Bc::new((*g).clone(), src)) as Box<dyn Kernel + Send>,
@@ -252,12 +230,12 @@ impl WorkloadSpec {
                     .chain(&NON_GRAPH_ALGS)
                     .copied()
                     .collect();
-                return Err(format!(
+                panic!(
                     "unknown algorithm {other:?}; valid algorithms: {}",
                     valid.join(" ")
-                ));
+                );
             }
-        })
+        }
     }
 
     /// Whether this is a graph workload (A&J/DROPLET applicable).
@@ -317,7 +295,7 @@ mod tests {
     #[test]
     fn every_workload_instantiates_and_validates_its_dig() {
         for spec in per_algorithm(64) {
-            let mut k = spec.instantiate();
+            let mut k = spec.instantiate(0);
             let mut r = FunctionalRunner::new(2);
             let dig = k.prepare(r.space_mut());
             dig.validate()
@@ -335,15 +313,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_are_clean_errors_not_panics() {
-        let e = try_dataset_graph("no-such-dataset", 64, false).unwrap_err();
-        assert!(e.contains("unknown dataset") && e.contains("lj"), "{e}");
-        let bad = WorkloadSpec::plain("no-such-alg", 64);
-        let e = match bad.try_instantiate_seeded(0) {
-            Err(e) => e,
-            Ok(_) => panic!("unknown algorithm instantiated"),
-        };
-        assert!(e.contains("unknown algorithm") && e.contains("bfs"), "{e}");
+    #[should_panic(expected = "unknown dataset \"no-such-dataset\"; valid datasets: po lj")]
+    fn an_unknown_dataset_panics_listing_the_valid_ones() {
+        dataset_graph("no-such-dataset", 64, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown algorithm \"no-such-alg\"; valid algorithms: bc bfs")]
+    fn an_unknown_algorithm_panics_listing_the_valid_ones() {
+        WorkloadSpec::plain("no-such-alg", 64).instantiate(0);
     }
 
     #[test]

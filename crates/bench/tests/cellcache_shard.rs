@@ -42,7 +42,7 @@ fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
     let out = ctx.get(cell).unwrap();
     format!(
         "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}|prodigy={:?}|telemetry={:?}",
-        cell.key(),
+        cell.key(&ctx.sys),
         out.checksum,
         out.seed,
         out.summary.stats,
@@ -171,7 +171,7 @@ fn two_shards_merge_byte_identically_to_an_unsharded_run() {
         let ctx = ctx_with_scale(2);
         let owned = shard_cells(&ctx, &filters, shard);
         for c in &owned {
-            assert!(shard.owns(&c.key()));
+            assert!(shard.owns(&c.key(&ctx.sys)));
         }
         owned_total += owned.len();
         ctx.warm(owned);
@@ -209,7 +209,7 @@ fn shard_spec_parsing_rejects_nonsense() {
         assert!(ShardSpec::parse(bad).is_err(), "{bad:?} should be rejected");
     }
     // Every key lands on exactly one shard.
-    let keys = ["a", "b", "c", "pr-lj|false|prodigy|16|false|0"];
+    let keys = ["a", "b", "c", "pr-lj|false|prodigy|16|8"];
     for key in keys {
         let owners: Vec<usize> = (1..=3)
             .filter(|&k| ShardSpec { k, n: 3 }.owns(key))

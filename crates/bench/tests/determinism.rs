@@ -50,7 +50,7 @@ fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
     let out = ctx.get(cell).unwrap();
     format!(
         "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}",
-        cell.key(),
+        cell.key(&ctx.sys),
         out.checksum,
         out.seed,
         out.summary.stats,
@@ -116,7 +116,7 @@ fn base_seed_perturbs_seeded_workloads_only() {
 /// config used by the sweep tests above.
 fn bfs_run(trace: bool) -> RunOutcome {
     let spec = WorkloadSpec::graph("bfs", "lj", 64);
-    let mut kernel = spec.instantiate_seeded(0);
+    let mut kernel = spec.instantiate(0);
     run_workload(
         kernel.as_mut(),
         &RunConfig {
@@ -159,7 +159,7 @@ fn traced_runs_are_deterministic_and_do_not_perturb_stats() {
 /// Same bfs-lj run with the windowed metrics registry installed (or not).
 fn bfs_run_metered(metered: bool) -> RunOutcome {
     let spec = WorkloadSpec::graph("bfs", "lj", 64);
-    let mut kernel = spec.instantiate_seeded(0);
+    let mut kernel = spec.instantiate(0);
     run_workload(
         kernel.as_mut(),
         &RunConfig {

@@ -1,5 +1,5 @@
 //! Table-driven fuzz corpus for the JSON input surfaces: the cell-cache
-//! loader and `RunOutcome::from_json`.
+//! loader, `RunOutcome::from_json` and `--merge`'s cell reader.
 //!
 //! The corpus starts from a real stored cache entry and mutates it:
 //! every truncation prefix, single-bit flips, seeded random bytes, deep
@@ -8,8 +8,8 @@
 //! back to the input (for the cache: to the outcome that was stored). None
 //! may panic or overflow the stack.
 
-use prodigy_bench::CellCache;
-use prodigy_sim::json::{parse_json, FromJson, ToJson};
+use prodigy_bench::{merge_reports, CellCache};
+use prodigy_sim::json::{parse_json, FromJson, Json, ToJson};
 use prodigy_sim::SystemConfig;
 use prodigy_workloads::graph::generators::rmat;
 use prodigy_workloads::kernels::Bfs;
@@ -117,7 +117,7 @@ fn cache_loader_misses_or_serves_the_stored_outcome() {
     let dir = std::env::temp_dir().join(format!("prodigy-input-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = CellCache::open(&dir).unwrap();
-    let key = "bfs|false|prodigy|16|false|0|scale=64|sys=0|seed=0|rev=fuzz";
+    let key = "bfs|false|prodigy|16|2|scale=64|sys=0|seed=0|rev=fuzz";
     let out = real_outcome();
     cache.store(key, &out).unwrap();
     let path = cache.path_for(key);
@@ -140,4 +140,47 @@ fn cache_loader_misses_or_serves_the_stored_outcome() {
     cache.store(key, &out).unwrap();
     assert_eq!(cache.load(key).map(|o| o.to_json()), Some(stored));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn merge_rejects_a_corrupted_or_truncated_cell_outcome_naming_the_cell() {
+    let outcome = real_outcome().to_json();
+    let Json::Obj(fields) = &outcome else {
+        panic!("an outcome is an object")
+    };
+    // A one-cell report whose cell holds the fields of `text`, an object.
+    let report = |text: &str| {
+        let inner = text.strip_prefix('{')?.strip_suffix('}')?;
+        let sep = if inner.is_empty() { "" } else { "," };
+        let cell = format!(r#"{{"key":"k"{sep}{inner},"error":null}}"#);
+        parse_json(&format!(r#"{{"base_seed":0,"cells":[{cell}]}}"#)).ok()
+    };
+    let truncated = (0..=fields.len()).map(|n| {
+        let kept = Json::Obj(fields[..n].to_vec()).to_string();
+        (format!("first {n} outcome fields"), kept)
+    });
+    let corrupted = corpus(&outcome.to_string())
+        .into_iter()
+        .filter_map(|(name, bytes)| Some((name, String::from_utf8(bytes).ok()?)));
+    let (mut rejected, mut accepted) = (0, 0);
+    for (name, text) in truncated.chain(corrupted) {
+        let Some(v) = report(&text) else {
+            continue;
+        };
+        match merge_reports(std::slice::from_ref(&v)) {
+            Err(e) => {
+                assert!(e.starts_with("input #1: cell k: "), "{name}: {e}");
+                rejected += 1;
+            }
+            // A flipped digit still decodes: the merge re-emits what it read.
+            Ok(merged) => {
+                assert_eq!(merged.get("cells"), v.get("cells"), "{name}");
+                accepted += 1;
+            }
+        }
+    }
+    assert!(
+        rejected > fields.len() && accepted > 1,
+        "{rejected} rejected, {accepted} accepted"
+    );
 }

@@ -22,15 +22,6 @@ use crate::telemetry::{TelemetrySummary, TraceEvent, TraceEventKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Statistics of a single phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Cycles the phase took (barrier to barrier).
-    pub cycles: u64,
-    /// Instructions retired across all cores in the phase.
-    pub instructions: u64,
-}
-
 /// End-of-run summary combining counters and derived metrics.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
@@ -196,11 +187,12 @@ impl<P: Prefetcher + 'static> System<P> {
 
     /// Runs one parallel phase. `streams[i]` executes on core `i`; missing
     /// trailing entries mean those cores idle through the phase without
-    /// being charged sync time.
+    /// being charged sync time. The phase's cycles and instructions are the
+    /// deltas of [`System::time`] and [`System::stats`].
     ///
     /// # Panics
     /// Panics if more streams than cores are supplied.
-    pub fn run_phase(&mut self, streams: Vec<InsnStream>) -> PhaseStats {
+    pub fn run_phase(&mut self, streams: Vec<InsnStream>) {
         assert!(
             streams.len() <= self.cores.len(),
             "more streams ({}) than cores ({})",
@@ -208,7 +200,6 @@ impl<P: Prefetcher + 'static> System<P> {
             self.cores.len()
         );
         let phase_start = self.time;
-        let insns_before = self.stats.instructions;
         let participating = streams.len();
         for c in 0..participating {
             self.cores[c].begin_phase(phase_start);
@@ -348,10 +339,6 @@ impl<P: Prefetcher + 'static> System<P> {
             },
         });
         self.stats.cycles += cycles;
-        PhaseStats {
-            cycles,
-            instructions: self.stats.instructions - insns_before,
-        }
     }
 
     fn deliver_fills(
@@ -407,9 +394,10 @@ mod tests {
         for i in 0..100u64 {
             b.load_at(1, i * 64, 8, &[]);
         }
-        let p = sys.run_phase(vec![b.finish()]);
-        assert_eq!(p.instructions, 100);
-        assert!(p.cycles > 0);
+        sys.run_phase(vec![b.finish()]);
+        assert_eq!(sys.stats().instructions, 100);
+        assert!(sys.time() > 0);
+        assert_eq!(sys.stats().cycles, sys.time(), "one phase from cycle 0");
         assert_eq!(sys.stats().loads, 100);
     }
 
@@ -473,7 +461,8 @@ mod tests {
                     b.compute(2, &[l]);
                 }
             }
-            sys.run_phase(vec![b.finish()]).cycles
+            sys.run_phase(vec![b.finish()]);
+            sys.time()
         }
         let mut base = System::new(SystemConfig::scaled(64).with_cores(1));
         let t_base = stream(&mut base);

@@ -85,11 +85,15 @@ pub struct RunConfig {
     pub prefetcher: PrefetcherKind,
     /// Prodigy hardware sizing (PFHR count for Fig. 12).
     pub prodigy: ProdigyConfig,
-    /// Install the DIG-bounds LLC-miss classifier (Fig. 13/16).
+    /// Install the DIG-bounds LLC-miss classifier, which counts
+    /// `llc_misses_prefetchable` and `llc_misses_other` (Figs. 13 and 16).
+    /// Every `prodigy-bench` cell sets it. Off by default, so a driver that
+    /// repeats this module's steps without it (perfbench's traced pass)
+    /// reproduces [`run_workload`]'s stats.
     pub classify_llc: bool,
     /// Deterministic seed of this run, recorded in the outcome for
     /// provenance. Workload inputs are seeded at instantiation time (see
-    /// `prodigy-bench`'s `WorkloadSpec::instantiate_seeded`); the simulator
+    /// `prodigy-bench`'s `WorkloadSpec::instantiate`); the simulator
     /// itself is deterministic and uses no randomness, so two runs with the
     /// same kernel and config always produce identical [`RunOutcome`] stats
     /// regardless of host, thread, or execution order.
