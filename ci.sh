@@ -29,6 +29,13 @@ cargo build --release -p prodigy-bench
 echo "== workspace tests"
 cargo test -q --workspace
 
+# Gated: the generators build the inputs the float sampler and pair-list
+# code they replaced built, edge for edge: golden fingerprints of the
+# five Table II stand-ins at divisors 1 and 8, their transposes and the
+# 40x40x40 stencil. Release mode; the divisor-64 goldens run with the tests.
+echo "== generator fingerprints: full-size inputs"
+cargo test --release -q -p prodigy-workloads -- --ignored
+
 # Every sweep gets a generous per-cell timeout: a diverging cell must fail
 # its run (exit 3) instead of hanging CI forever.
 timeout="--timeout-secs 600"
@@ -320,6 +327,21 @@ assert h["cells_simulated"] == 0, f"{h['cells_simulated']} cells simulated, want
 assert h["host_nanos_total"] == 0 and h["cell_host_nanos_p99"] == 0, (
     f"host time {h['host_nanos_total']} ns, p99 {h['cell_host_nanos_p99']} ns, want 0: nothing simulated")
 print("   60 attempts for 60 keys, all failed, 0 simulated, 0 ns host time, no panic reports: OK")
+PY
+# Gated: merging the failed probe with a clean fig02 run resolves fig02's
+# cells, and the merged errors name only the cells that stayed failed.
+./target/release/prodigy-eval --scale 64 --threads 2 $timeout \
+    --json "$tmp/clean64.json" fig02 >/dev/null 2>&1
+./target/release/prodigy-eval --merge "$tmp/probe.json" "$tmp/clean64.json" \
+    --out "$tmp/retried.json"
+python3 - "$tmp/retried.json" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+failed = {c["key"] for c in d["cells"] if c["error"]}
+errors = {e["key"] for e in d["errors"]}
+assert len(d["cells"]) == 60 and len(failed) == 56, f"{len(failed)} of {len(d['cells'])} failed, want 56 of 60"
+assert errors == failed, f"error rows {sorted(errors ^ failed)} disagree with the failed cells"
+print("   merged retry: 4 cells resolved, 56 error rows, one per failed cell: OK")
 PY
 
 echo "== metrics smoke: windowed series + attribution, same-seed identical"

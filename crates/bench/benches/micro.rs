@@ -2,8 +2,9 @@
 //! PFHR file, the cache array, DIG programming, branch prediction,
 //! instruction-stream encoding and decoding (on a PageRank-gather, a
 //! NAS-IS-ranking and an HPCG-spmv shape), the hierarchy walk (L1 hits and
-//! DRAM misses), GHB G/DC training, and end-to-end simulator throughput
-//! (instructions simulated per second).
+//! DRAM misses), GHB G/DC training, input generation (the `lj` stand-in
+//! and its transpose), and end-to-end simulator throughput (instructions
+//! simulated per second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use prodigy::dig::NodeId;
@@ -16,6 +17,7 @@ use prodigy_sim::prefetch::{DemandAccess, FillQueue, PrefetchCtx, Prefetcher};
 use prodigy_sim::{
     AccessKind, AddressSpace, CacheConfig, MemorySystem, ServedBy, Stats, System, SystemConfig,
 };
+use prodigy_workloads::Dataset;
 
 fn bench_pfhr(c: &mut Criterion) {
     c.bench_function("pfhr/allocate_take", |b| {
@@ -368,6 +370,20 @@ fn bench_simulator_throughput(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `lj` stand-in at full scale, as every lj cell and perfbench's pr-lj
+/// build it: R-MAT sampling, degree cap, id shuffle and CSR build
+/// (`rmat_lj`), then the transpose PageRank takes of it (`transpose_lj`).
+/// Throughput is in edges (1,344,000), so ns per edge is 1e9 over elem/s.
+fn bench_graph(c: &mut Criterion) {
+    let lj = Dataset::by_name("lj").expect("lj is a Table II stand-in");
+    let g = lj.instantiate(1);
+    let mut grp = c.benchmark_group("graph");
+    grp.throughput(Throughput::Elements(g.m()));
+    grp.bench_function("rmat_lj", |b| b.iter(|| lj.instantiate(1)));
+    grp.bench_function("transpose_lj", |b| b.iter(|| g.transpose()));
+    grp.finish();
+}
+
 criterion_group!(
     benches,
     bench_pfhr,
@@ -377,6 +393,7 @@ criterion_group!(
     bench_stream,
     bench_hierarchy,
     bench_ghb,
+    bench_graph,
     bench_simulator_throughput
 );
 criterion_main!(benches);

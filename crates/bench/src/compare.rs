@@ -643,12 +643,15 @@ pub fn check_slos(report: &Json, slos: &[Slo]) -> Result<(String, bool), String>
 /// Every cell goes through [`read_cell`]: a cell whose outcome does not
 /// decode fails the merge, naming the cell. Duplicate keys across inputs
 /// keep the resolved (non-error) entry if one exists, else the last
-/// occurrence. All inputs must be sweep reports with the same `base_seed`.
+/// occurrence. The merged `errors` name the merged cells that did not
+/// resolve, plus the input rows that name no cell (renderer failures), so a
+/// cell that failed in one input and resolved in another is not an error.
+/// All inputs must be sweep reports with the same `base_seed`.
 pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
     let mut base_seed: Option<&Json> = None;
     // Key → the cell and whether it resolved to an outcome.
     let mut cells: BTreeMap<&str, (&Json, bool)> = BTreeMap::new();
-    let mut errors = BTreeSet::new();
+    let mut input_errors = Vec::new();
     for (i, r) in reports.iter().enumerate() {
         let input = |e: String| format!("input #{}: {e}", i + 1);
         if ReportKind::detect(r)? != ReportKind::Sweep {
@@ -667,7 +670,7 @@ pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
             _ => base_seed = Some(seed),
         }
         for e in r.get("errors").and_then(Json::as_arr).unwrap_or(&[]) {
-            errors.insert(CellError::from_json(e).map_err(input)?);
+            input_errors.push(CellError::from_json(e).map_err(input)?);
         }
         for cell in r.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
             let (key, outcome) = read_cell(cell).map_err(input)?;
@@ -682,6 +685,22 @@ pub fn merge_reports(reports: &[Json]) -> Result<Json, String> {
         }
     }
     let base_seed = base_seed.ok_or("nothing to merge: no input reports")?;
+    let failed = cells.iter().filter(|(_, &(_, resolved))| !resolved);
+    let errors: BTreeSet<CellError> = failed
+        .map(|(key, (cell, _))| CellError {
+            key: key.to_string(),
+            reason: cell
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+        })
+        .chain(
+            input_errors
+                .into_iter()
+                .filter(|e| !cells.contains_key(e.key.as_str())),
+        )
+        .collect();
     Ok(Json::obj([
         ("base_seed", base_seed.clone()),
         (
@@ -907,14 +926,58 @@ mod tests {
     #[test]
     fn merge_prefers_resolved_cells_over_error_entries() {
         let full = parse_json(&sweep_json(1000, 2000)).unwrap();
-        // An error-only record of cell 0, as a timed-out first attempt
-        // would leave behind (its error row dropped to compare the cells).
-        let mut failed = report_of(vec![cell(PRODIGY, 7, None)]);
-        set(&mut failed, "errors", Json::Arr(vec![]));
+        // An error-only record of cell 0 and its error row, as a timed-out
+        // first attempt leaves behind.
+        let failed = report_of(vec![cell(PRODIGY, 7, None)]);
         let merged = merge_reports(&[failed.clone(), full.clone()]).unwrap();
         let merged_rev = merge_reports(&[full.clone(), failed]).unwrap();
         assert_eq!(merged, merged_rev, "resolved result wins in any order");
         assert_eq!(merged, merge_reports(std::slice::from_ref(&full)).unwrap());
+    }
+
+    #[test]
+    fn merged_errors_name_only_cells_that_stayed_failed() {
+        let full = parse_json(&sweep_json(1000, 2000)).unwrap();
+        let errors = |merged: &Json| -> Vec<CellError> {
+            let rows = merged.get("errors").unwrap().as_arr().unwrap();
+            rows.iter()
+                .map(|e| CellError::from_json(e).unwrap())
+                .collect()
+        };
+        let failed = CellError {
+            key: PRODIGY.into(),
+            reason: "timed out after 1.0s".into(),
+        };
+        let render_error = CellError {
+            key: "fig02".into(),
+            reason: "renderer panicked".into(),
+        };
+        // A timed-out shard: cell 0 failed and a renderer failed, each with
+        // its error row.
+        let mut shard = report(vec![cell(PRODIGY, 7, None)]);
+        shard.render_errors.push(render_error.clone());
+        let timed_out = parse_json(&shard.to_json().to_string()).unwrap();
+        assert_eq!(errors(&timed_out), [failed.clone(), render_error.clone()]);
+
+        // Retried: the clean re-run resolves the cell, in either order, and
+        // only the renderer's row is left.
+        let retried = merge_reports(&[timed_out.clone(), full.clone()]).unwrap();
+        assert_eq!(
+            retried,
+            merge_reports(&[full.clone(), timed_out.clone()]).unwrap()
+        );
+        assert_eq!(errors(&retried), std::slice::from_ref(&render_error));
+
+        // Still failed: the other input holds only the baseline cell, so
+        // cell 0's row stays, derived from the merged cell.
+        let still = merge_reports(&[timed_out, one_cell(&full, 1)]).unwrap();
+        assert_eq!(errors(&still), [failed.clone(), render_error]);
+        assert_eq!(still.get("cells").unwrap().as_arr().unwrap().len(), 2);
+
+        // A row whose cell is absent from every input names no cell: kept.
+        let mut orphan = one_cell(&full, 1);
+        set(&mut orphan, "errors", Json::Arr(vec![failed.to_json()]));
+        assert_eq!(errors(&merge_reports(&[orphan]).unwrap()), [failed]);
     }
 
     #[test]

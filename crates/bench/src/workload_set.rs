@@ -36,41 +36,47 @@ pub struct WorkloadSpec {
     pub software_prefetch: bool,
 }
 
-type GraphCache = Mutex<HashMap<(String, u32, bool), Arc<Csr>>>;
+/// One slot per graph: inserted under the map lock, filled outside it.
+type GraphCache = Mutex<HashMap<(String, u32, bool), Arc<OnceLock<Arc<Csr>>>>>;
 
 fn graph_cache() -> &'static GraphCache {
     static CACHE: OnceLock<GraphCache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Instantiates (and caches) a Table II graph at the given scale.
+/// Instantiates (and caches) a Table II graph at the given scale. Each
+/// graph is generated once per process: callers racing on one graph wait
+/// for the first to build it, while other graphs build in parallel.
 ///
 /// # Panics
 /// Panics on an unknown data-set name, listing the valid ones. Names reach
 /// here from the registry, never from user input.
 pub fn dataset_graph(name: &str, scale: u32, reorder: bool) -> Arc<Csr> {
     let key = (name.to_string(), scale, reorder);
-    if let Some(g) = graph_cache().lock().unwrap().get(&key) {
-        return Arc::clone(g);
-    }
-    let d = Dataset::by_name(name).unwrap_or_else(|| {
-        let names: Vec<&str> = prodigy_workloads::graph::datasets::DATASETS
-            .iter()
-            .map(|d| d.name)
-            .collect();
-        panic!(
-            "unknown dataset {name:?}; valid datasets: {}",
-            names.join(" ")
-        )
+    let mut cache = graph_cache()
+        .lock()
+        .expect("the lock guards only map inserts, which do not panic");
+    let slot = Arc::clone(cache.entry(key).or_default());
+    drop(cache);
+    let graph = slot.get_or_init(|| {
+        let d = Dataset::by_name(name).unwrap_or_else(|| {
+            let names: Vec<&str> = prodigy_workloads::graph::datasets::DATASETS
+                .iter()
+                .map(|d| d.name)
+                .collect();
+            panic!(
+                "unknown dataset {name:?}; valid datasets: {}",
+                names.join(" ")
+            )
+        });
+        let mut g = d.instantiate(scale);
+        if reorder {
+            let r = prodigy_workloads::graph::reorder::hubsort(&g);
+            g = prodigy_workloads::graph::reorder::apply(&g, &r);
+        }
+        Arc::new(g)
     });
-    let mut g = d.instantiate(scale);
-    if reorder {
-        let r = prodigy_workloads::graph::reorder::hubsort(&g);
-        g = prodigy_workloads::graph::reorder::apply(&g, &r);
-    }
-    let arc = Arc::new(g);
-    graph_cache().lock().unwrap().insert(key, Arc::clone(&arc));
-    arc
+    Arc::clone(graph)
 }
 
 /// Vertex with the highest out-degree — the traversal source, so BFS-family
@@ -310,6 +316,22 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = dataset_graph("po", 64, true);
         assert!(!Arc::ptr_eq(&a, &c), "reordered graph is distinct");
+    }
+
+    #[test]
+    fn racing_callers_share_one_generation() {
+        // A key no other test uses, so both threads find it missing.
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let race = || {
+                barrier.wait();
+                dataset_graph("sk", 61, true)
+            };
+            let (a, b) = (s.spawn(race), s.spawn(race));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert!(Arc::ptr_eq(&a, &b), "both callers get the one graph");
+        assert!(Arc::ptr_eq(&a, &dataset_graph("sk", 61, true)));
     }
 
     #[test]

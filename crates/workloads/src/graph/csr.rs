@@ -71,15 +71,30 @@ impl Csr {
 
     /// The transpose (in-edges become out-edges) — this is the CSC view
     /// pull-style PageRank iterates (§VI-C notes pr uses both CSC and CSR).
+    ///
+    /// A counting sort straight from the rows: in-degrees give the offsets,
+    /// then each edge `v → w` appends `v` to row `w`. Sources are visited in
+    /// increasing order, so every row comes out sorted (duplicates kept)
+    /// with no pair list and no row sort.
     pub fn transpose(&self) -> Csr {
-        let n = self.n();
-        let mut rev = Vec::with_capacity(self.edges.len());
+        let n = self.n() as usize;
+        let mut offsets = vec![0u32; n + 1];
+        for &w in &self.edges {
+            offsets[w as usize + 1] += 1;
+        }
         for v in 0..n {
-            for &w in self.neighbors(v) {
-                rev.push((w, v));
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut edges = vec![0u32; self.edges.len()];
+        for (v, row) in self.offsets.windows(2).enumerate() {
+            for &w in &self.edges[row[0] as usize..row[1] as usize] {
+                let c = &mut cursor[w as usize];
+                edges[*c as usize] = v as u32;
+                *c += 1;
             }
         }
-        Csr::from_edges(n, &rev)
+        Csr { offsets, edges }
     }
 
     /// In-memory footprint in bytes when laid out as 4-byte offset and edge
@@ -120,6 +135,7 @@ impl WeightedCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn diamond() -> Csr {
         // 0→1, 0→2, 1→3, 2→3
@@ -153,6 +169,33 @@ mod tests {
         assert_eq!(t.m(), g.m());
         // Transposing twice restores the original (sorted) graph.
         assert_eq!(t.transpose(), g);
+    }
+
+    /// The pair-list transpose [`Csr::transpose`] replaces: every edge
+    /// reversed into a list, then built by [`Csr::from_edges`].
+    fn transpose_pairs(g: &Csr) -> Csr {
+        let rev: Vec<(u32, u32)> = (0..g.n())
+            .flat_map(|v| g.neighbors(v).iter().map(move |&w| (w, v)))
+            .collect();
+        Csr::from_edges(g.n(), &rev)
+    }
+
+    proptest! {
+        #[test]
+        fn transpose_matches_the_pair_list_oracle(
+            n in 1u32..40,
+            picks in prop::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..300),
+            dups in 0usize..4,
+        ) {
+            // Random edges over n vertices, some repeated verbatim.
+            let mut edges: Vec<(u32, u32)> = picks.iter().map(|&(s, d)| (s % n, d % n)).collect();
+            let repeats: Vec<(u32, u32)> = edges.iter().step_by(dups + 1).copied().collect();
+            edges.extend(repeats);
+            let g = Csr::from_edges(n, &edges);
+            let t = g.transpose();
+            prop_assert_eq!(&t, &transpose_pairs(&g));
+            prop_assert_eq!(t.transpose(), g);
+        }
     }
 
     #[test]

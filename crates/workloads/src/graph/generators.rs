@@ -50,32 +50,36 @@ pub fn rmat(n: u32, m: u64, seed: u64, (a, b, c): (f64, f64, f64)) -> Csr {
         "quadrant probabilities must leave room for d"
     );
     let scale = 32 - (n - 1).leading_zeros();
-    let side = 1u64 << scale;
+    // Each level draws one 53-bit value and picks a quadrant by the first
+    // cumulative probability it falls below (a: top-left, b: top-right,
+    // c: bottom-left, else bottom-right). Integer thresholds decide as the
+    // float comparisons would, for any a, b, c.
+    let [ta, tab, tabc] = [a, a + b, a + b + c].map(SimRng::threshold);
     let mut rng = SimRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m as usize);
     while (edges.len() as u64) < m {
         let (mut x, mut y) = (0u64, 0u64);
-        let mut half = side / 2;
-        while half > 0 {
-            let r: f64 = rng.gen_f64();
-            if r < a {
-                // top-left: nothing to add
-            } else if r < a + b {
-                y += half;
-            } else if r < a + b + c {
-                x += half;
-            } else {
-                x += half;
-                y += half;
-            }
-            half /= 2;
+        for _ in 0..scale {
+            let r = rng.next_u53();
+            let (past_a, past_ab, past_abc) = (r >= ta, r >= tab, r >= tabc);
+            // Bottom half (x): c or d. Right half (y): b or d.
+            x = (x << 1) | (past_a & past_ab) as u64;
+            y = (y << 1) | (past_a & (!past_ab | past_abc)) as u64;
         }
-        let s = (x % n as u64) as u32;
-        let d = (y % n as u64) as u32;
+        // Both are below 2^scale < 2n: one subtraction folds them into 0..n.
+        let fold = |v: u64| (v - if v >= n as u64 { n as u64 } else { 0 }) as u32;
+        let (s, d) = (fold(x), fold(y));
         if s != d {
             edges.push((s, d));
         }
     }
+    cap_and_shuffle(n, edges, rng)
+}
+
+/// R-MAT's two corrections (see [`rmat`]) on the sampled `edges`, drawing
+/// from `rng` where sampling left it: the degree cap, then the vertex-id
+/// shuffle.
+fn cap_and_shuffle(n: u32, mut edges: Vec<(u32, u32)>, mut rng: SimRng) -> Csr {
     // Degree cap: redistribute out-edges beyond n/128 uniformly.
     let cap = (n / 128).max(8);
     let mut degree = vec![0u32; n as usize];
@@ -110,11 +114,12 @@ pub fn rmat(n: u32, m: u64, seed: u64, (a, b, c): (f64, f64, f64)) -> Csr {
 pub fn webby(n: u32, m: u64, host_size: u32, local_fraction: f64, seed: u64) -> Csr {
     assert!(n >= 2 && host_size >= 1);
     assert!((0.0..=1.0).contains(&local_fraction));
+    let local = SimRng::threshold(local_fraction);
     let mut rng = SimRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m as usize);
     while (edges.len() as u64) < m {
         let s = rng.gen_range_u32(0, n);
-        let d = if rng.gen_f64() < local_fraction {
+        let d = if rng.next_u53() < local {
             let host = s / host_size;
             let lo = host * host_size;
             let hi = (lo + host_size).min(n);
@@ -132,40 +137,186 @@ pub fn webby(n: u32, m: u64, host_size: u32, local_fraction: f64, seed: u64) -> 
 /// An HPCG-style sparse matrix: a 3-D 27-point stencil over a
 /// `nx × ny × nz` grid, returned as CSR over `nx·ny·nz` rows. This is the
 /// matrix shape HPCG's spmv/symgs/cg operate on.
+///
+/// Rows are emitted in order, and each row's columns in `(z, y, x)` order,
+/// which is ascending column order: the CSR is written directly, already
+/// sorted.
 pub fn stencil27(nx: u32, ny: u32, nz: u32) -> Csr {
     let n = nx * ny * nz;
+    let mut offsets = Vec::with_capacity(n as usize + 1);
     let mut edges = Vec::with_capacity(n as usize * 27);
+    offsets.push(0);
+    // The in-grid neighbours of `i` along an axis of length `len`.
+    let span = |i: u32, len: u32| i.saturating_sub(1)..(i + 2).min(len);
     for z in 0..nz {
         for y in 0..ny {
             for x in 0..nx {
-                let row = (z * ny + y) * nx + x;
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                            if xx < 0
-                                || yy < 0
-                                || zz < 0
-                                || xx >= nx as i64
-                                || yy >= ny as i64
-                                || zz >= nz as i64
-                            {
-                                continue;
+                for zz in span(z, nz) {
+                    for yy in span(y, ny) {
+                        edges.extend(span(x, nx).map(|xx| (zz * ny + yy) * nx + xx));
+                    }
+                }
+                offsets.push(edges.len() as u32);
+            }
+        }
+    }
+    Csr { offsets, edges }
+}
+
+/// The float sampler and pair-list code the generators replaced, kept
+/// as oracles: the generators must build the same graphs bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Uniform `f64` in `[0, 1)` from the top 53 bits of a draw.
+    fn gen_f64(rng: &mut SimRng) -> f64 {
+        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// [`super::rmat`] sampled through a three-way float branch chain per
+    /// level, folded with `%`; the corrections after sampling are shared.
+    pub fn rmat(n: u32, m: u64, seed: u64, (a, b, c): (f64, f64, f64)) -> Csr {
+        assert!(n >= 2);
+        assert!(a + b + c < 1.0);
+        let scale = 32 - (n - 1).leading_zeros();
+        let side = 1u64 << scale;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(m as usize);
+        while (edges.len() as u64) < m {
+            let (mut x, mut y) = (0u64, 0u64);
+            let mut half = side / 2;
+            while half > 0 {
+                let r: f64 = gen_f64(&mut rng);
+                if r < a {
+                    // top-left: nothing to add
+                } else if r < a + b {
+                    y += half;
+                } else if r < a + b + c {
+                    x += half;
+                } else {
+                    x += half;
+                    y += half;
+                }
+                half /= 2;
+            }
+            let s = (x % n as u64) as u32;
+            let d = (y % n as u64) as u32;
+            if s != d {
+                edges.push((s, d));
+            }
+        }
+        cap_and_shuffle(n, edges, rng)
+    }
+
+    /// [`super::webby`] deciding locality with a float comparison.
+    pub fn webby(n: u32, m: u64, host_size: u32, local_fraction: f64, seed: u64) -> Csr {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(m as usize);
+        while (edges.len() as u64) < m {
+            let s = rng.gen_range_u32(0, n);
+            let d = if gen_f64(&mut rng) < local_fraction {
+                let lo = s / host_size * host_size;
+                rng.gen_range_u32(lo, (lo + host_size).min(n))
+            } else {
+                rng.gen_range_u32(0, n)
+            };
+            if s != d {
+                edges.push((s, d));
+            }
+        }
+        Csr::from_edges(n, &edges)
+    }
+
+    /// [`super::stencil27`] as a pair list built by [`Csr::from_edges`].
+    pub fn stencil27(nx: u32, ny: u32, nz: u32) -> Csr {
+        let n = nx * ny * nz;
+        let mut edges = Vec::with_capacity(n as usize * 27);
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let row = (z * ny + y) * nx + x;
+                    for dz in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dx in -1i64..=1 {
+                                let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
+                                if xx < 0
+                                    || yy < 0
+                                    || zz < 0
+                                    || xx >= nx as i64
+                                    || yy >= ny as i64
+                                    || zz >= nz as i64
+                                {
+                                    continue;
+                                }
+                                let col = ((zz as u32 * ny + yy as u32) * nx) + xx as u32;
+                                edges.push((row, col));
                             }
-                            let col = ((zz as u32 * ny + yy as u32) * nx) + xx as u32;
-                            edges.push((row, col));
                         }
                     }
                 }
             }
         }
+        Csr::from_edges(n, &edges)
     }
-    Csr::from_edges(n, &edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A probability in `[lo, hi)`: uniform, `lo`, or an exact dyadic
+    /// `k·2^-53`, where a draw can land on the threshold itself.
+    struct Probability(f64, f64);
+
+    impl Strategy for Probability {
+        type Value = f64;
+        fn sample(&self, rng: &mut TestRng) -> f64 {
+            let (lo, hi) = (self.0, self.1);
+            let one = (1u64 << 53) as f64;
+            match rng.index(3) {
+                0 => lo + rng.next_f64() * (hi - lo),
+                1 => lo,
+                _ => {
+                    ((lo * one).ceil() + ((rng.next_u64() >> 11) as f64 * (hi - lo)).floor()) / one
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rmat_matches_the_float_sampler(
+            n in 2u32..5000,
+            m in 0u64..3000,
+            seed in any::<u64>(),
+            // b > 0 keeps x ≠ y reachable: with b = c = 0 every edge is a
+            // self-loop and both samplers would draw forever.
+            (a, b, c) in (Probability(0.0, 0.6), Probability(0.05, 0.2), Probability(0.0, 0.2)),
+        ) {
+            prop_assert_eq!(rmat(n, m, seed, (a, b, c)), oracle::rmat(n, m, seed, (a, b, c)));
+        }
+
+        #[test]
+        fn webby_matches_the_float_sampler(
+            n in 2u32..5000,
+            m in 0u64..3000,
+            host in 2u32..40,
+            local in Probability(0.0, 1.0),
+            seed in any::<u64>(),
+        ) {
+            prop_assert_eq!(
+                webby(n, m, host, local, seed),
+                oracle::webby(n, m, host, local, seed)
+            );
+        }
+
+        #[test]
+        fn stencil27_matches_the_pair_list(nx in 1u32..7, ny in 1u32..7, nz in 1u32..7) {
+            prop_assert_eq!(stencil27(nx, ny, nz), oracle::stencil27(nx, ny, nz));
+        }
+    }
 
     #[test]
     fn uniform_has_requested_size_and_is_deterministic() {

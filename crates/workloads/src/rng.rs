@@ -30,9 +30,25 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Uniform `f64` in `[0, 1)` using the top 53 bits.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    /// The integer form of the probability `p`: `ceil(p · 2^53)`, clamped
+    /// to `0..=2^53` (0 for NaN). A draw `r` of [`SimRng::next_u53`] falls
+    /// below it exactly when the uniform `f64` `r · 2^-53` is below `p`:
+    /// `r · 2^-53` and `p · 2^53` are exact, and an integer is below a real
+    /// exactly when it is below that real's ceiling.
+    pub fn threshold(p: f64) -> u64 {
+        const ONE: u64 = 1 << 53;
+        if p >= 1.0 {
+            ONE
+        } else if p > 0.0 {
+            (p * ONE as f64).ceil() as u64
+        } else {
+            0
+        }
+    }
+
+    /// The top 53 bits of the next draw: uniform in `0..2^53`.
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// Uniform `u32` in the half-open range `[lo, hi)`. Uses Lemire's
@@ -74,17 +90,91 @@ mod tests {
         );
     }
 
+    /// The float decision the thresholds replace: a uniform `f64` in
+    /// `[0, 1)` built from draw `r`, compared with `p`.
+    fn float_below(r: u64, p: f64) -> bool {
+        (r as f64 * (1.0 / (1u64 << 53) as f64)) < p
+    }
+
     #[test]
-    fn f64_in_unit_interval_and_well_spread() {
-        let mut r = SimRng::seed_from_u64(7);
-        let mut sum = 0.0;
-        for _ in 0..10_000 {
-            let v = r.gen_f64();
-            assert!((0.0..1.0).contains(&v));
-            sum += v;
+    fn threshold_decides_exactly_like_the_float_comparison() {
+        const ONE: u64 = 1 << 53;
+        let dyadic = |k: u64| k as f64 / ONE as f64;
+        let mut ps = vec![
+            0.0,
+            -0.0,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            -1e-300,
+            -0.25,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.57,
+            0.57 + 0.19,
+            0.57 + 0.19 + 0.19,
+            0.85,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        // Exact dyadics k·2^-53, where a draw can equal the threshold, and
+        // their neighbours one ulp away.
+        for k in [
+            1,
+            2,
+            3,
+            1 << 20,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 52) + 1,
+            ONE - 1,
+        ] {
+            let p = dyadic(k);
+            ps.extend([
+                p,
+                f64::from_bits(p.to_bits() - 1),
+                f64::from_bits(p.to_bits() + 1),
+            ]);
         }
-        let mean = sum / 10_000.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+        for p in ps {
+            let t = SimRng::threshold(p);
+            assert!(t <= ONE, "p {p}: threshold {t}");
+            // Every draw next to the threshold, plus both ends.
+            let near = [
+                0,
+                1,
+                2,
+                t.saturating_sub(2),
+                t.saturating_sub(1),
+                t,
+                t + 1,
+                t + 2,
+            ];
+            for r in near.into_iter().chain([ONE - 2, ONE - 1]) {
+                let r = r.min(ONE - 1);
+                assert_eq!(r < t, float_below(r, p), "p {p:e}, draw {r}, threshold {t}");
+            }
+        }
+        assert_eq!(SimRng::threshold(f64::NAN), 0);
+        assert_eq!(SimRng::threshold(-0.5), 0);
+        assert_eq!(SimRng::threshold(2.0), ONE);
+        assert_eq!(SimRng::threshold(dyadic(12345)), 12345);
+    }
+
+    #[test]
+    fn threshold_draws_like_the_float_sampler() {
+        let p = 0.3;
+        let t = SimRng::threshold(p);
+        let (mut a, mut b) = (SimRng::seed_from_u64(7), SimRng::seed_from_u64(7));
+        let mut hits = 0;
+        for _ in 0..10_000 {
+            let hit = a.next_u53() < t;
+            assert_eq!(hit, float_below(b.next_u64() >> 11, p));
+            hits += hit as u32;
+        }
+        assert!((2_800..3_200).contains(&hits), "{hits} hits at p {p}");
+        assert_eq!(a.next_u64(), b.next_u64(), "one draw per decision");
     }
 
     #[test]
