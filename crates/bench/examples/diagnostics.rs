@@ -83,11 +83,11 @@ fn main() {
             n.dram * 100.0,
         );
         println!(
-            "  L1 miss {:>9}  LLC miss {:>9}  pf issued {:>9}  redundant {:>9}  accuracy {}  use L1/L2/L3/evicted {}/{}/{}/{}",
+            "  L1 miss {:>9}  LLC miss {:>9}  pf issued {:>9}  dropped {:>9}  accuracy {}  use L1/L2/L3/evicted {}/{}/{}/{}",
             s.l1d.misses,
             s.l3.misses,
             s.prefetches_issued,
-            s.prefetches_redundant,
+            out.telemetry.timeliness.dropped,
             pct(s.prefetch_use.accuracy()),
             s.prefetch_use.hit_l1,
             s.prefetch_use.hit_l2,

@@ -18,20 +18,20 @@
 //! figure text. The figure tables are deterministic: any `--threads` value
 //! produces byte-identical output for the same `--scale`/`--seed`.
 //!
-//! `--trace FILE` switches to tracing mode: one Prodigy run of GAP BFS on
-//! the scaled LiveJournal graph (with the feedback throttle enabled, so
-//! throttle events appear) is captured cycle-by-cycle and written as Chrome
-//! trace-event JSON — load it in Perfetto / `chrome://tracing`. The trace
-//! is deterministic: same `--scale`/`--cores`/`--seed` → identical bytes.
-//! `--trace-events` restricts the output to a comma-separated category list
-//! (`cache,dram,prefetcher,throttle,tlb,core`). `--trace-workload NAME`
+//! `--trace FILE` switches to tracing mode: one run of the registry's
+//! Prodigy cell of GAP BFS on the scaled LiveJournal graph is captured
+//! cycle-by-cycle and written as Chrome trace-event JSON — load it in
+//! Perfetto / `chrome://tracing`. The trace is deterministic: same
+//! `--scale`/`--cores`/`--seed` → identical bytes. `--trace-events`
+//! restricts the output to a comma-separated list of the category names of
+//! [`TraceCategory::ALL`] (`--help` lists them). `--trace-workload NAME`
 //! swaps the traced workload for any cell of the 29-workload evaluation
 //! set (e.g. `pr-tw`, `spmv`).
 //!
 //! `--metrics FILE` captures the same single run with the windowed metrics
 //! registry installed and writes the sampled time-series (IPC, miss rates,
-//! MLP, DRAM queue depth, prefetch accuracy/coverage, throttle level) plus
-//! the per-DIG-node/edge prefetch attribution table as JSON. Deterministic
+//! MLP, DRAM queue depth, prefetch accuracy/coverage) plus the
+//! per-DIG-node/edge prefetch attribution table as JSON. Deterministic
 //! like traces; `--metrics-window N` sets the window length in cycles
 //! (default 100000). `--trace` and `--metrics` compose: one run feeds both.
 //!
@@ -46,12 +46,14 @@
 //! `--json` reports, then stitch with `prodigy-eval --merge a.json b.json
 //! --out merged.json`. Merging the shard reports is byte-identical to
 //! merging the report of one unsharded run.
+//!
+//! Each flag belongs to the modes it acts in (experiment sweeps, `--trace`
+//! runs, `--metrics` runs, `--merge`); a flag given outside them is a usage
+//! error (exit 2), never silently ignored.
 #![forbid(unsafe_code)]
 
 use prodigy_bench::compare::merge_reports;
-use prodigy_bench::experiments::{
-    run_all, shard_cells, Cell, Ctx, ShardSpec, Variant, EXPERIMENTS,
-};
+use prodigy_bench::experiments::{run_all, shard_cells, Cell, Ctx, ShardSpec, EXPERIMENTS};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::{all_29, WorkloadSpec};
 use prodigy_sim::json::{parse_json, Json, ToJson};
@@ -69,6 +71,32 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The modes a run can be in, as bits: each argument names the set of
+/// modes it acts in. `--trace` and `--metrics` compose, so a single run
+/// can be in both of theirs.
+const SWEEP: u8 = 1;
+const TRACE: u8 = 2;
+const METRICS: u8 = 4;
+const MERGE: u8 = 8;
+
+/// The set `modes` in words, for usage errors.
+fn mode_names(modes: u8) -> String {
+    let names: Vec<&str> = [
+        (SWEEP, "experiment sweeps"),
+        (TRACE, "--trace runs"),
+        (METRICS, "--metrics runs"),
+        (MERGE, "--merge"),
+    ]
+    .into_iter()
+    .filter(|&(m, _)| modes & m != 0)
+    .map(|(_, name)| name)
+    .collect();
+    match names.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} and {last}", rest.join(", ")),
+        _ => names.concat(),
+    }
+}
+
 fn main() {
     let mut scale = 8u32;
     let mut cores: Option<u32> = None;
@@ -84,15 +112,18 @@ fn main() {
     let mut merge = false;
     let mut sweep = SweepConfig::default();
     let mut filters: Vec<String> = Vec::new();
+    // Every argument given, with the modes it acts in.
+    let mut given: Vec<(String, u8)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match a.as_str() {
+        let modes = match a.as_str() {
             "--scale" => {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--scale needs a number >= 1"));
+                SWEEP | TRACE | METRICS
             }
             "--cores" => {
                 let max = Directory::MAX_CORES;
@@ -102,6 +133,7 @@ fn main() {
                         .filter(|&n| (1..=max as u32).contains(&n))
                         .unwrap_or_else(|| usage(&format!("--cores needs a number in 1..={max}"))),
                 );
+                SWEEP | TRACE | METRICS
             }
             "--threads" => {
                 sweep.threads = args
@@ -109,12 +141,14 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--threads needs a number >= 1"));
+                SWEEP
             }
             "--seed" => {
                 sweep.base_seed = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs a number"));
+                SWEEP | TRACE | METRICS
             }
             "--timeout-secs" => {
                 let secs: u64 = args
@@ -122,33 +156,40 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--timeout-secs needs a number"));
                 sweep.cell_timeout = Some(Duration::from_secs(secs));
+                SWEEP
             }
             "--out" => {
                 out = Some(args.next().unwrap_or_else(|| usage("--out needs a path")));
+                SWEEP | MERGE
             }
             "--json" => {
                 json = Some(args.next().unwrap_or_else(|| usage("--json needs a path")));
+                SWEEP
             }
             "--trace" => {
                 trace = Some(args.next().unwrap_or_else(|| usage("--trace needs a path")));
+                TRACE
             }
             "--trace-events" => {
                 trace_events = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--trace-events needs a category list")),
                 );
+                TRACE
             }
             "--trace-workload" => {
                 trace_workload = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--trace-workload needs a workload name")),
                 );
+                TRACE | METRICS
             }
             "--metrics" => {
                 metrics = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--metrics needs a path")),
                 );
+                METRICS
             }
             "--metrics-window" => {
                 metrics_window = args
@@ -156,21 +197,45 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--metrics-window needs a cycle count >= 1"));
+                METRICS
             }
             "--cell-cache" => {
                 cell_cache = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--cell-cache needs a directory")),
                 );
+                SWEEP
             }
             "--shard" => {
                 let spec = args.next().unwrap_or_else(|| usage("--shard needs K/N"));
                 shard = Some(ShardSpec::parse(&spec).unwrap_or_else(|e| usage(&e)));
+                SWEEP
             }
-            "--merge" => merge = true,
+            "--merge" => {
+                merge = true;
+                MERGE
+            }
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
-            other => filters.push(other.to_string()),
+            // An experiment name, or under --merge a report path.
+            other => {
+                filters.push(other.to_string());
+                SWEEP | MERGE
+            }
+        };
+        given.push((a, modes));
+    }
+
+    // One check of every argument against the mode the run is in, before
+    // anything (such as the cell-cache directory) is touched.
+    let mode = match (merge, trace.is_some(), metrics.is_some()) {
+        (true, ..) => MERGE,
+        (false, false, false) => SWEEP,
+        (false, t, m) => (if t { TRACE } else { 0 }) | (if m { METRICS } else { 0 }),
+    };
+    for (arg, modes) in &given {
+        if modes & mode == 0 {
+            usage(&format!("{arg} applies only to {}", mode_names(*modes)));
         }
     }
 
@@ -223,12 +288,14 @@ fn main() {
             .with_cell_cache(Path::new(dir))
             .unwrap_or_else(|e| fail(&format!("--cell-cache: {e}")));
     }
-    if shard.is_some() && (trace.is_some() || metrics.is_some()) {
-        usage("--shard applies to experiment sweeps, not --trace/--metrics runs");
-    }
     if trace.is_some() || metrics.is_some() {
         let filter = trace_events.as_deref().map(|s| {
-            parse_category_filter(s).unwrap_or_else(|e| usage(&format!("--trace-events: {e}")))
+            parse_category_filter(s).unwrap_or_else(|e| {
+                usage(&format!(
+                    "--trace-events: unknown category {e:?}; valid names: {}",
+                    category_names()
+                ))
+            })
         });
         // Default workload: GAP BFS on the scaled LiveJournal graph.
         let spec = match trace_workload.as_deref() {
@@ -253,12 +320,6 @@ fn main() {
             metrics_window,
         );
         return;
-    }
-    if trace_events.is_some() {
-        usage("--trace-events requires --trace");
-    }
-    if trace_workload.is_some() {
-        usage("--trace-workload requires --trace or --metrics");
     }
     println!(
         "prodigy-eval: scale 1/{scale}, {} cores, caches scaled 1/{}, {} sweep threads, seed {}\n",
@@ -302,10 +363,10 @@ fn main() {
     }
 }
 
-/// Single-run mode: one run of `spec`'s Prodigy cell with the throttle on
-/// (so throttle events appear), optionally traced as Chrome trace-event
-/// JSON and/or metered as a windowed metrics time-series with per-DIG-node
-/// prefetch attribution. Finishes with a timeliness summary on stdout.
+/// Single-run mode: one run of `spec`'s Prodigy cell, optionally traced as
+/// Chrome trace-event JSON and/or metered as a windowed metrics time-series
+/// with per-DIG-node prefetch attribution. Finishes with a timeliness
+/// summary on stdout.
 fn run_single(
     ctx: &Ctx,
     spec: &WorkloadSpec,
@@ -315,13 +376,10 @@ fn run_single(
     metrics_window: u64,
 ) {
     println!(
-        "prodigy-eval: {} under prodigy (throttled), scale 1/{}, {} cores, seed {}",
+        "prodigy-eval: {} under prodigy, scale 1/{}, {} cores, seed {}",
         spec.name, ctx.scale, ctx.sys.cores, ctx.sweep.base_seed
     );
-    let cell = Cell {
-        spec: spec.clone(),
-        variant: Variant::new(PrefetcherKind::Prodigy).with_throttle(),
-    };
+    let cell = Cell::new(spec.clone(), PrefetcherKind::Prodigy);
     let base_seed = ctx.sweep.base_seed;
     let outcome = run_workload(
         spec.instantiate(base_seed).as_mut(),
@@ -411,16 +469,19 @@ fn run_single(
     qline("load-to-use", &tel.load_to_use);
     qline("fill-to-use", &tel.fill_to_use);
     qline("dram-round-trip", &tel.dram_round_trip);
-    println!(
-        "activity: {} dig transitions, {} throttle ups, {} throttle downs",
-        tel.dig_transitions, tel.throttle_ups, tel.throttle_downs
-    );
+    println!("activity: {} dig transitions", tel.dig_transitions);
 }
 
 /// Every experiment name, space-separated, in run order.
 fn experiment_names() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     names.join(" ")
+}
+
+/// Every trace category name, comma-separated, in display order.
+fn category_names() -> String {
+    let names: Vec<&str> = TraceCategory::ALL.iter().map(TraceCategory::name).collect();
+    names.join(",")
 }
 
 fn usage(err: &str) -> ! {
@@ -436,13 +497,13 @@ fn usage(err: &str) -> ! {
          \x20                  [--trace-workload NAME] [experiments...]\n\
          \x20      prodigy-eval --merge SHARD.json... [--out merged.json]\n\
          experiments: {}\n\
-         --trace FILE: skip the experiments; capture one throttled Prodigy\n\
-         run (default bfs-lj) as Chrome trace-event JSON (Perfetto-viewable).\n\
-         --trace-events: comma list of cache,dram,prefetcher,throttle,tlb,core.\n\
+         --trace FILE: skip the experiments; capture one Prodigy run\n\
+         (default bfs-lj) as Chrome trace-event JSON (Perfetto-viewable).\n\
+         --trace-events: comma list of {}.\n\
          --metrics FILE: capture the same single run as a windowed metrics\n\
-         time-series (IPC, miss rates, MLP, queue depth, accuracy/coverage,\n\
-         throttle level) plus per-DIG-node prefetch attribution, as JSON;\n\
-         composes with --trace. --metrics-window: cycles per window (100000).\n\
+         time-series (IPC, miss rates, MLP, queue depth, accuracy/coverage)\n\
+         plus per-DIG-node prefetch attribution, as JSON; composes with\n\
+         --trace. --metrics-window: cycles per window (100000).\n\
          --trace-workload NAME: any workload of the 29-cell evaluation set\n\
          (e.g. bfs-lj, pr-tw, spmv) for --trace/--metrics runs.\n\
          --cell-cache DIR: persist successful cell results on disk keyed by\n\
@@ -453,12 +514,16 @@ fn usage(err: &str) -> ! {
          shard K of N (1-based); figures are skipped. stitch the shards'\n\
          --json reports with --merge (byte-identical to merging one\n\
          unsharded run's report).\n\
+         a flag given outside the modes it acts in (experiment sweeps,\n\
+         --trace runs, --metrics runs, --merge) is a usage error.\n\
          determinism: any --threads value yields byte-identical figure tables\n\
-         (traces, metrics) for the same --scale/--seed; --seed 0 keeps the\n\
-         seed inputs. exit status 3 if any cell failed (see stderr / --json).\n\
+         for the same --scale/--seed, as do traces and metrics; --seed 0\n\
+         keeps the seed inputs. exit status 3 if any cell failed (see\n\
+         stderr / --json).\n\
          compare two runs: prodigy-diff A.json B.json (sweep --json reports\n\
          or --metrics dumps).",
-        experiment_names()
+        experiment_names(),
+        category_names()
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

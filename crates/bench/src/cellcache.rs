@@ -6,8 +6,8 @@
 //! `cell-key|scale|system-config|base-seed|code-rev`:
 //!
 //! * the **cell key** (`workload|reorder|prefetcher|pfhr|cores`, plus a
-//!   `|farN` suffix for two-tier cells and `|throttle` for throttled ones)
-//!   names one simulation; `cores` is the count the cell runs on;
+//!   `|farN` suffix for two-tier cells) names one simulation; `cores` is
+//!   the count the cell runs on;
 //! * **scale** and the **system-config fingerprint** pin the machine the
 //!   cell ran on (the cell key alone does not encode them);
 //! * the **base seed** pins the workload inputs;
@@ -227,7 +227,6 @@ mod tests {
             tlb_hits: count(rng),
             tlb_misses: count(rng),
             prefetches_issued: count(rng),
-            prefetches_redundant: count(rng),
             llc_misses_prefetchable: count(rng),
             llc_misses_other: count(rng),
             ..Default::default()
@@ -267,8 +266,6 @@ mod tests {
             late_wait: hist(rng),
             dram_round_trip: hist(rng),
             dram_queue_wait: hist(rng),
-            throttle_ups: count(rng),
-            throttle_downs: count(rng),
             dig_transitions: count(rng),
             attribution,
             ..Default::default()

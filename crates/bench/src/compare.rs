@@ -820,11 +820,11 @@ mod tests {
                       {{"cycle":1000,"instructions":800,"ipc":{ipc1},"l1_miss_rate":0.1,
                         "l2_miss_rate":null,"l3_miss_rate":null,"mlp":0.5,
                         "dram_queue_depth":1.0,"prefetch_accuracy":null,
-                        "prefetch_coverage":null,"throttle_level":4}},
+                        "prefetch_coverage":null}},
                       {{"cycle":2000,"instructions":900,"ipc":{ipc2},"l1_miss_rate":0.1,
                         "l2_miss_rate":null,"l3_miss_rate":null,"mlp":0.5,
                         "dram_queue_depth":1.0,"prefetch_accuracy":0.7,
-                        "prefetch_coverage":0.4,"throttle_level":4}}],
+                        "prefetch_coverage":0.4}}],
                     "attribution":[
                       {{"tag":257,"label":"0->1","issued":100,"timely":80,"late":15,
                         "inaccurate":5,"dropped":2}}]}}"#

@@ -48,21 +48,17 @@ pub struct Variant {
     /// only when nonzero so legacy single-tier keys — and the disk-cache
     /// entries derived from them — stay unchanged.
     pub far: u64,
-    /// Prodigy's feedback-directed throttle (§IV-G future work). Appended to
-    /// the cache key only when set, like `far`.
-    pub throttle: bool,
 }
 
 impl Variant {
     /// `kind` with default knobs (16 PFHR entries, context core count,
-    /// single-tier machine, no throttle).
+    /// single-tier machine).
     pub const fn new(kind: PrefetcherKind) -> Self {
         Variant {
             kind,
             pfhr: 16,
             cores: 0,
             far: 0,
-            throttle: false,
         }
     }
 
@@ -79,14 +75,6 @@ impl Variant {
     /// With a far tier at `far`× DRAM latency.
     pub const fn with_far(self, far: u64) -> Self {
         Variant { far, ..self }
-    }
-
-    /// With Prodigy's feedback-directed throttle.
-    pub const fn with_throttle(self) -> Self {
-        Variant {
-            throttle: true,
-            ..self
-        }
     }
 }
 
@@ -109,7 +97,7 @@ impl Cell {
     }
 
     /// Cache key on machine `sys`: every knob that affects the simulation
-    /// result, `workload|reorder|prefetcher|pfhr|cores[|farN][|throttle]`,
+    /// result, `workload|reorder|prefetcher|pfhr|cores[|farN]`,
     /// with the core count the cell runs on.
     pub fn key(&self, sys: &SystemConfig) -> String {
         let v = &self.variant;
@@ -123,9 +111,6 @@ impl Cell {
         );
         if v.far != 0 {
             k.push_str(&format!("|far{}", v.far));
-        }
-        if v.throttle {
-            k.push_str("|throttle");
         }
         k
     }
@@ -161,7 +146,6 @@ impl Cell {
             prefetcher: v.kind,
             prodigy: ProdigyConfig {
                 pfhr_entries: v.pfhr,
-                throttle: v.throttle,
                 ..ProdigyConfig::default()
             },
             classify_llc: true,
@@ -1032,24 +1016,6 @@ fn limits_tc(_ctx: &Ctx, rows: &[Row]) -> String {
     )
 }
 
-/// Extension (paper §IV-G future work): feedback-directed throttling.
-fn ext_throttle(_ctx: &Ctx, rows: &[Row]) -> String {
-    let row = &rows[0];
-    let (base, plain, throttled) = (&row[0], &row[1], &row[2]);
-    let mut t = Table::new(&["variant", "speedup", "prefetch accuracy"]);
-    let acc = |o: &RunOutcome| pct_opt(o.summary.stats.prefetch_use.accuracy());
-    t.row(vec!["prodigy".into(), x(speedup(base, plain)), acc(plain)]);
-    t.row(vec![
-        "prodigy + FDP throttle".into(),
-        x(speedup(base, throttled)),
-        acc(throttled),
-    ]);
-    format!(
-        "Extension — feedback-directed throttling (§IV-G future work) on cc-lj\n{}",
-        t.render()
-    )
-}
-
 // ------------------------------------------------------- far-memory tier
 
 /// Far-memory latency scales the `farmem` experiment sweeps. `1` attaches a
@@ -1233,10 +1199,6 @@ fn pr_lj_and_swpf(scale: u32) -> Vec<WorkloadSpec> {
     vec![pr.clone(), pr.with_software_prefetch()]
 }
 
-fn cc_lj(scale: u32) -> Vec<WorkloadSpec> {
-    vec![WorkloadSpec::graph("cc", "lj", scale)]
-}
-
 fn dobfs_lj(scale: u32) -> Vec<WorkloadSpec> {
     vec![WorkloadSpec::graph("dobfs", "lj", scale)]
 }
@@ -1332,12 +1294,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("scalability", pr_lj, &SCALABILITY, scalability),
     Experiment::new("limits_tc", po_8x, &[NONE, PRODIGY], limits_tc),
     Experiment::new("ext_dobfs", dobfs_lj, &[NONE, PRODIGY], ext_dobfs),
-    Experiment::new(
-        "ext_throttle",
-        cc_lj,
-        &[NONE, PRODIGY, PRODIGY.with_throttle()],
-        ext_throttle,
-    ),
     Experiment::new("farmem", gap_lj, &FARMEM, farmem),
     Experiment::new("pollution", gap_lj, &EVERY_PREFETCHER, pollution),
 ];
@@ -1549,7 +1505,6 @@ mod tests {
             ("scalability", 8),
             ("limits_tc", 4),
             ("ext_dobfs", 2),
-            ("ext_throttle", 3),
             ("farmem", 80),
             ("pollution", 40),
         ];
@@ -1569,7 +1524,7 @@ mod tests {
             .flat_map(|e| e.cells(64))
             .map(|c| c.key(&ctx.sys))
             .collect();
-        assert_eq!(keys.len(), 233);
+        assert_eq!(keys.len(), 232);
         // Shards 1..3 of 3 partition exactly those keys.
         let mut sharded: Vec<String> = (1..=3)
             .flat_map(|k| shard_cells(&ctx, &[], ShardSpec { k, n: 3 }))
@@ -1594,7 +1549,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_carry_the_core_count_and_the_throttle() {
+    fn keys_carry_the_core_count() {
         let sys = SystemConfig::bench();
         let key = |name| -> Vec<String> {
             let cells = experiment(name).cells(64);
@@ -1639,19 +1594,6 @@ mod tests {
             key("ext_dobfs"),
             ["dobfs-lj|false|none|16|8", "dobfs-lj|false|prodigy|16|8",]
         );
-        assert_eq!(
-            key("ext_throttle"),
-            [
-                "cc-lj|false|none|16|8",
-                "cc-lj|false|prodigy|16|8",
-                "cc-lj|false|prodigy|16|8|throttle",
-            ]
-        );
-        // The throttle reaches the run only where the variant sets it.
-        let cells = experiment("ext_throttle").cells(64);
-        let throttled = |c: &Cell| c.run_config(SystemConfig::bench(), 0).prodigy.throttle;
-        assert!(!throttled(&cells[1]));
-        assert!(throttled(&cells[2]));
     }
 
     #[test]
@@ -1659,7 +1601,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("prodigy-every-cell-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let render = |ctx: &Ctx| -> String {
-            ["swpf", "limits_tc", "ext_dobfs", "ext_throttle"]
+            ["swpf", "limits_tc", "ext_dobfs"]
                 .into_iter()
                 .map(|name| experiment(name).run(ctx))
                 .collect()
@@ -1668,12 +1610,12 @@ mod tests {
         let text = render(&cold);
         let report = cold.report();
         assert!(report.errors().is_empty(), "{:?}", report.errors());
-        assert_eq!((report.cells.len(), report.cells_simulated()), (12, 12));
+        assert_eq!((report.cells.len(), report.cells_simulated()), (9, 9));
         // A second process on the same disk cache simulates nothing.
         let warm = quick_ctx().with_cell_cache(&dir).unwrap();
         assert_eq!(render(&warm), text);
         let report = warm.report();
-        assert_eq!((report.cells_simulated(), report.disk_hits()), (0, 12));
+        assert_eq!((report.cells_simulated(), report.disk_hits()), (0, 9));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

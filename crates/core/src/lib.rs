@@ -42,7 +42,6 @@ pub mod pfhr;
 pub mod prefetcher;
 pub mod storage;
 pub mod tables;
-pub mod throttle;
 
 pub use api::DigProgram;
 pub use context::ProdigyContext;

@@ -21,7 +21,6 @@ use crate::pfhr::{PfhrFile, RangeCont};
 use crate::tables::{
     EdgeRecord, EdgeTable, NodeRecord, NodeTable, EDGE_TABLE_ENTRIES, NODE_TABLE_ENTRIES,
 };
-use crate::throttle::FeedbackThrottle;
 use prodigy_sim::line_of;
 use prodigy_sim::prefetch::{DemandAccess, FillEvent, PrefetchCtx, Prefetcher};
 use std::any::Any;
@@ -33,7 +32,7 @@ const MAX_RANGE_LINES: usize = 16;
 /// The settable hardware knobs. Defaults are the paper's evaluated design
 /// (§VI-E: 16 PFHRs beside the fixed 16-row DIG tables, ≈0.8 KB in all).
 /// Fig. 12 sweeps the PFHR count; `range_window` is an ablation of
-/// `examples/design_space.rs`; `throttle` turns on the §IV-G extension.
+/// `examples/design_space.rs`.
 /// Look-ahead distance and sequences per trigger are not hardware knobs:
 /// software passes them on the DIG's trigger edge ([`TriggerSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,9 +43,6 @@ pub struct ProdigyConfig {
     /// carries a continuation, so long ranges (hub vertices) stream through
     /// the bounded register file fill-by-fill instead of burst-issuing.
     pub range_window: usize,
-    /// Feedback-directed throttling (§IV-G future work; off in the paper's
-    /// evaluated design).
-    pub throttle: bool,
 }
 
 impl Default for ProdigyConfig {
@@ -54,7 +50,6 @@ impl Default for ProdigyConfig {
         ProdigyConfig {
             pfhr_entries: 16,
             range_window: 4,
-            throttle: false,
         }
     }
 }
@@ -139,10 +134,6 @@ pub struct ProdigyPrefetcher {
     live: Vec<u64>,
     cached_depth: u32,
     stats: ProdigyStats,
-    throttle: Option<FeedbackThrottle>,
-    /// Last sequences-per-trigger value reported to the telemetry layer
-    /// (None until the first throttled trigger).
-    traced_level: Option<u32>,
 }
 
 impl Default for ProdigyPrefetcher {
@@ -161,8 +152,6 @@ impl ProdigyPrefetcher {
             live: Vec::new(),
             cached_depth: 0,
             stats: ProdigyStats::default(),
-            throttle: cfg.throttle.then(FeedbackThrottle::default),
-            traced_level: None,
             cfg,
         }
     }
@@ -532,18 +521,8 @@ impl Prefetcher for ProdigyPrefetcher {
         let lookahead =
             spec.lookahead
                 .unwrap_or_else(|| Dig::heuristic_lookahead(self.cached_depth)) as u64;
-        let mut sequences = spec.sequences;
-        if let Some(t) = &mut self.throttle {
-            sequences = t.sequences(sequences, &ctx.prefetch_usefulness());
-            // Report the applied aggressiveness to the telemetry layer on
-            // the first trigger and whenever a window adaptation moves it.
-            if self.traced_level != Some(sequences) {
-                ctx.trace_throttle(self.traced_level.unwrap_or(sequences), sequences);
-                self.traced_level = Some(sequences);
-            }
-        }
         let elems = trec.elems();
-        for s in 0..sequences as u64 {
+        for s in 0..spec.sequences as u64 {
             let dist = lookahead + s;
             let target = match spec.direction {
                 TraversalDirection::Ascending => {

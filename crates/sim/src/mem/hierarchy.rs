@@ -316,9 +316,7 @@ impl MemorySystem {
         now: u64,
         line: u64,
         tag: Option<SourceTag>,
-        stats: &mut Stats,
     ) -> Option<FillEvent> {
-        stats.prefetches_redundant += 1;
         self.tel.prefetch_dropped(core, now, line, tag);
         None
     }
@@ -742,7 +740,7 @@ impl MemorySystem {
     ) -> Option<FillEvent> {
         let line = line_of(vaddr);
         if self.l1d[core].contains(line) {
-            return self.dropped(core, now, line, tag, stats);
+            return self.dropped(core, now, line, tag);
         }
         let mut lat = self.tlb_latency(core, vaddr, now, stats) + self.cfg.l1d.tag_latency;
 
@@ -836,7 +834,7 @@ impl MemorySystem {
         let line = line_of(vaddr);
         let slice = self.slice_of(line);
         if self.l3[slice].contains(line) {
-            return self.dropped(core, now, line, tag, stats);
+            return self.dropped(core, now, line, tag);
         }
         let lat = self.cfg.l3.tag_latency;
         let (latency, _) = self.read_memory(core, line, now + lat, false, stats);
@@ -983,7 +981,7 @@ mod tests {
         m.prefetch(0, 0x4_0000, 0, &mut s, None)
             .expect("first issues");
         assert!(m.prefetch(0, 0x4_0000, 1, &mut s, None).is_none());
-        assert_eq!(s.prefetches_redundant, 1);
+        assert_eq!(m.telemetry().timeliness.dropped, 1);
         assert_eq!(s.prefetches_issued, 1);
     }
 

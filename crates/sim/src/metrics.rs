@@ -4,9 +4,8 @@
 //! The trace layer (see [`crate::telemetry`]) answers "what happened"
 //! event-by-event; this module answers "how did the run *evolve*": every
 //! `window_cycles` simulated cycles (default 100k) the registry snapshots
-//! IPC, per-level miss rates, memory-level parallelism, DRAM queue depth,
-//! prefetch accuracy/coverage and the current feedback-throttle level into
-//! a bounded ring of [`MetricSample`]s. Samples are derived purely from
+//! IPC, per-level miss rates, memory-level parallelism, DRAM queue depth
+//! and prefetch accuracy/coverage into a bounded ring of [`MetricSample`]s. Samples are derived purely from
 //! simulated state (counter deltas and gauges), so two same-seed runs
 //! produce byte-identical series — the substrate `prodigy-diff` compares.
 //!
@@ -66,9 +65,6 @@ pub struct MetricSample {
     /// Prefetch coverage over the window (`None` when there was neither a
     /// useful prefetch nor an L3 demand miss).
     pub prefetch_coverage: Option<f64>,
-    /// Feedback-throttle aggressiveness (sequences per trigger) at window
-    /// close; 0 when no throttle ever reported.
-    pub throttle_level: u32,
     /// Per-source cache occupancy at window close (a gauge published by the
     /// memory system); `None` until the first publication, and always
     /// `None` on runs without the occupancy probe, so older dumps keep
@@ -89,7 +85,6 @@ crate::json_object!(MetricSample {
     dram_queue_depth: ratio,
     prefetch_accuracy: ratio,
     prefetch_coverage: ratio,
-    throttle_level,
     occupancy: omit_none,
 });
 
@@ -131,7 +126,7 @@ impl Baseline {
 }
 
 /// The windowed metrics registry: counters are read from [`Stats`], gauges
-/// (throttle level, DRAM backlog) are pushed by the instrumented
+/// (DRAM backlog, cache occupancy) are pushed by the instrumented
 /// components, and [`MetricsRegistry::maybe_sample`] closes windows as
 /// simulated time advances.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,8 +139,7 @@ pub struct MetricsRegistry {
     windows_closed: u64,
     next_sample_at: u64,
     base: Baseline,
-    // Gauges / accumulators fed by the memory system and throttle.
-    throttle_level: u32,
+    // Gauges / accumulators fed by the memory system.
     dram_busy_cycles: u64,
     dram_depth_sum: u64,
     dram_depth_count: u64,
@@ -167,7 +161,6 @@ impl MetricsRegistry {
             windows_closed: 0,
             next_sample_at: cfg.window_cycles,
             base: Baseline::default(),
-            throttle_level: 0,
             dram_busy_cycles: 0,
             dram_depth_sum: 0,
             dram_depth_count: 0,
@@ -196,15 +189,9 @@ impl MetricsRegistry {
         self.dram_depth_count += 1;
     }
 
-    /// Publishes the feedback-throttle aggressiveness gauge.
-    #[inline]
-    pub fn set_throttle_level(&mut self, level: u32) {
-        self.throttle_level = level;
-    }
-
-    /// Publishes the per-source cache-occupancy gauge. Like the throttle
-    /// gauge it holds its last value: each window closed after the first
-    /// publication carries the snapshot current at close time.
+    /// Publishes the per-source cache-occupancy gauge. It holds its last
+    /// value: each window closed after the first publication carries the
+    /// snapshot current at close time.
     #[inline]
     pub fn set_occupancy(&mut self, snapshot: OccupancySnapshot) {
         self.occupancy = Some(snapshot);
@@ -274,7 +261,6 @@ impl MetricsRegistry {
             } else {
                 Some(d_useful as f64 / (d_useful + d_l3_miss) as f64)
             },
-            throttle_level: self.throttle_level,
             occupancy: self.occupancy.clone(),
         };
         self.push(sample);
@@ -378,23 +364,20 @@ mod tests {
     }
 
     #[test]
-    fn gauges_feed_mlp_queue_depth_and_throttle() {
+    fn accumulators_feed_mlp_and_queue_depth() {
         let mut reg = MetricsRegistry::new(MetricsConfig { window_cycles: 100 });
         let stats = Stats::default();
         reg.observe_dram(150, 2);
         reg.observe_dram(250, 4);
-        reg.set_throttle_level(3);
         reg.maybe_sample(100, &stats);
         let s = reg.samples();
         assert!((s[0].mlp - 4.0).abs() < 1e-12, "400 busy cycles / 100");
         assert!((s[0].dram_queue_depth - 3.0).abs() < 1e-12);
-        assert_eq!(s[0].throttle_level, 3);
         // Accumulators are windowed too: a quiet second window reads zero.
         reg.maybe_sample(200, &stats);
         let s = reg.samples();
         assert_eq!(s[1].mlp, 0.0);
         assert_eq!(s[1].dram_queue_depth, 0.0);
-        assert_eq!(s[1].throttle_level, 3, "gauge holds its last value");
     }
 
     #[test]
@@ -413,8 +396,11 @@ mod tests {
         assert_eq!(o1.levels[0].total(), 2);
         assert_eq!(s[2].occupancy, s[1].occupancy, "gauge holds its value");
         let j = reg.to_json().to_string();
-        assert!(j.contains("\"throttle_level\":0}"), "pre-gauge sample bare");
-        assert!(j.contains("\"throttle_level\":0,\"occupancy\":{\"l1\":"));
+        assert!(
+            j.contains("\"prefetch_coverage\":null}"),
+            "pre-gauge sample bare"
+        );
+        assert!(j.contains("\"prefetch_coverage\":null,\"occupancy\":{\"l1\":"));
     }
 
     #[test]

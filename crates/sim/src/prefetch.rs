@@ -141,34 +141,6 @@ impl<'a> PrefetchCtx<'a> {
         self.mem.l1_contains(self.core, vaddr)
     }
 
-    /// Cumulative usefulness of prefetched lines so far — the feedback a
-    /// throttling mechanism (paper §IV-G) adapts to.
-    pub fn prefetch_usefulness(&self) -> crate::stats::PrefetchUse {
-        self.stats.prefetch_use
-    }
-
-    /// Records a feedback-throttle aggressiveness report: counts the
-    /// direction change and emits a `throttle-level` event. Call with
-    /// `prev == level` for the initial report (event only, no counter).
-    pub fn trace_throttle(&mut self, prev: u32, level: u32) {
-        let tel = self.mem.tracer_mut();
-        if level > prev {
-            tel.counters_mut().throttle_ups += 1;
-        } else if level < prev {
-            tel.counters_mut().throttle_downs += 1;
-        }
-        if let Some(m) = tel.metrics_mut() {
-            m.set_throttle_level(level);
-        }
-        let (core, now) = (self.core as u32, self.now);
-        tel.emit(|| TraceEvent {
-            cycle: now,
-            dur: 0,
-            core,
-            kind: TraceEventKind::ThrottleLevel { level, prev },
-        });
-    }
-
     /// Records the Prodigy walker traversing a DIG edge for the element at
     /// `addr` (counts it, and emits a `dig-transition` event when tracing).
     pub fn trace_dig_transition(&mut self, src: u16, dst: u16, ranged: bool, addr: u64) {

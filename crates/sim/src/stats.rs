@@ -253,8 +253,6 @@ pub struct Stats {
     pub tlb_misses: u64,
     /// Prefetch requests issued by the attached prefetcher.
     pub prefetches_issued: u64,
-    /// Prefetch requests dropped (line already resident or in flight).
-    pub prefetches_redundant: u64,
     /// Usefulness classification of prefetched lines.
     pub prefetch_use: PrefetchUse,
     /// LLC misses whose address fell inside DIG-annotated structures
@@ -349,7 +347,6 @@ crate::json_object!(Stats {
     tlb_hits,
     tlb_misses,
     prefetches_issued,
-    prefetches_redundant,
     prefetch_use,
     llc_misses_prefetchable,
     llc_misses_other,

@@ -117,8 +117,8 @@ impl<P: Prefetcher + 'static> System<P> {
 
     /// Installs a windowed [`MetricsRegistry`]; from now on the phase
     /// scheduler samples derived rates (IPC, miss rates, MLP, queue depth,
-    /// prefetch accuracy/coverage, throttle level) every
-    /// [`MetricsConfig::window_cycles`] cycles. Unmetered runs pay nothing.
+    /// prefetch accuracy/coverage) every [`MetricsConfig::window_cycles`]
+    /// cycles. Unmetered runs pay nothing.
     pub fn install_metrics(&mut self, cfg: MetricsConfig) {
         self.mem.tracer_mut().install_metrics(cfg);
     }

@@ -10,7 +10,7 @@
 //!    fingerprint of existing runs is byte-for-byte unchanged.
 //! 2. **Opt-in event tracing** ([`Tracer::start_trace`]): once a trace is
 //!    started, every component (cache hierarchy, DRAM controller, TLB,
-//!    prefetchers, the Prodigy DIG walker and throttle) appends structured
+//!    prefetchers, the Prodigy DIG walker) appends structured
 //!    [`TraceEvent`]s to the tracer's buffer. With no trace started — the
 //!    default — the emit path is a single predicted branch and no event is
 //!    even constructed, so untraced runs pay nothing.
@@ -47,8 +47,6 @@ pub enum TraceCategory {
     Dram,
     /// Prefetcher events (issue, use, eviction, drop, DIG transitions).
     Prefetcher,
-    /// Feedback-throttle adaptation events.
-    Throttle,
     /// TLB miss events.
     Tlb,
     /// Core/phase structure events (phase spans).
@@ -57,11 +55,10 @@ pub enum TraceCategory {
 
 impl TraceCategory {
     /// Every category, in display order.
-    pub const ALL: [TraceCategory; 6] = [
+    pub const ALL: [TraceCategory; 5] = [
         TraceCategory::Cache,
         TraceCategory::Dram,
         TraceCategory::Prefetcher,
-        TraceCategory::Throttle,
         TraceCategory::Tlb,
         TraceCategory::Core,
     ];
@@ -72,7 +69,6 @@ impl TraceCategory {
             TraceCategory::Cache => "cache",
             TraceCategory::Dram => "dram",
             TraceCategory::Prefetcher => "prefetcher",
-            TraceCategory::Throttle => "throttle",
             TraceCategory::Tlb => "tlb",
             TraceCategory::Core => "core",
         }
@@ -142,15 +138,6 @@ pub enum TraceEventKind {
     PrefetchDropped {
         /// Line-aligned address.
         line: u64,
-    },
-    /// The feedback throttle published its aggressiveness level
-    /// (sequences-per-trigger), either initially or after a window
-    /// adaptation.
-    ThrottleLevel {
-        /// Current sequences-per-trigger.
-        level: u32,
-        /// Previous level (equal to `level` on the initial report).
-        prev: u32,
     },
     /// The Prodigy walker traversed a DIG edge for one element.
     DigTransition {
@@ -223,7 +210,6 @@ impl TraceEvent {
             | TraceEventKind::PrefetchDropped { .. }
             | TraceEventKind::DigTransition { .. }
             | TraceEventKind::PrefetcherNote { .. } => TraceCategory::Prefetcher,
-            TraceEventKind::ThrottleLevel { .. } => TraceCategory::Throttle,
             TraceEventKind::DramQueueSample { .. } => TraceCategory::Dram,
             TraceEventKind::TlbMiss { .. } => TraceCategory::Tlb,
             TraceEventKind::Phase { .. } => TraceCategory::Core,
@@ -238,7 +224,6 @@ impl TraceEvent {
             TraceEventKind::PrefetchUsed { .. } => "prefetch-used",
             TraceEventKind::PrefetchEvictedUnused { .. } => "prefetch-evicted-unused",
             TraceEventKind::PrefetchDropped { .. } => "prefetch-dropped",
-            TraceEventKind::ThrottleLevel { .. } => "throttle-level",
             TraceEventKind::DigTransition { .. } => "dig-transition",
             TraceEventKind::PrefetcherNote { label, .. } => label,
             TraceEventKind::DramQueueSample { .. } => "dram-queue",
@@ -277,9 +262,6 @@ impl TraceEvent {
             ),
             TraceEventKind::PrefetchEvictedUnused { line }
             | TraceEventKind::PrefetchDropped { line } => format!("{{\"line\":{line}}}"),
-            TraceEventKind::ThrottleLevel { level, prev } => {
-                format!("{{\"level\":{level},\"prev\":{prev}}}")
-            }
             TraceEventKind::DigTransition {
                 src,
                 dst,
@@ -946,10 +928,6 @@ pub struct TelemetrySummary {
     pub dram_round_trip: Log2Hist,
     /// Memory-controller queueing delay per DRAM read.
     pub dram_queue_wait: Log2Hist,
-    /// Feedback-throttle aggressiveness increases.
-    pub throttle_ups: u64,
-    /// Feedback-throttle aggressiveness reductions.
-    pub throttle_downs: u64,
     /// DIG edge transitions walked by the Prodigy prefetcher.
     pub dig_transitions: u64,
     /// Per-level pollution events (shadow-victim-table hits on demand
@@ -985,8 +963,6 @@ crate::json_object!(TelemetrySummary {
     late_wait,
     dram_round_trip,
     dram_queue_wait,
-    throttle_ups,
-    throttle_downs,
     dig_transitions,
     pollution,
     tiers: omit_none,

@@ -131,7 +131,6 @@ fn telemetry_counters_match_stats_prefetch_accounting() {
         "timely+late must equal used prefetches"
     );
     assert_eq!(tel.timeliness.inaccurate, stats.prefetch_use.evicted_unused);
-    assert_eq!(tel.timeliness.dropped, stats.prefetches_redundant);
     assert_eq!(tel.fill_to_use.count(), tel.timeliness.timely);
     assert_eq!(tel.late_wait.count(), tel.timeliness.late);
     assert!(tel.load_to_use.count() >= stats.loads);

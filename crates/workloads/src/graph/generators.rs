@@ -55,6 +55,12 @@ pub fn rmat(n: u32, m: u64, seed: u64, (a, b, c): (f64, f64, f64)) -> Csr {
     // c: bottom-left, else bottom-right). Integer thresholds decide as the
     // float comparisons would, for any a, b, c.
     let [ta, tab, tabc] = [a, a + b, a + b + c].map(SimRng::threshold);
+    // x and y part only in the b and c quadrants: with neither drawable
+    // every edge is a self-loop and the loop below would never end.
+    assert!(
+        m == 0 || ta < tabc,
+        "rmat: b = {b} and c = {c} leave no draw that is not a self-loop"
+    );
     let mut rng = SimRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m as usize);
     while (edges.len() as u64) < m {
@@ -115,6 +121,12 @@ pub fn webby(n: u32, m: u64, host_size: u32, local_fraction: f64, seed: u64) -> 
     assert!(n >= 2 && host_size >= 1);
     assert!((0.0..=1.0).contains(&local_fraction));
     let local = SimRng::threshold(local_fraction);
+    // One-vertex hosts with every link local give d == s on every draw.
+    assert!(
+        m == 0 || host_size > 1 || local < SimRng::threshold(1.0),
+        "webby: host_size = {host_size} and local_fraction = {local_fraction} \
+         leave no draw that is not a self-loop"
+    );
     let mut rng = SimRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m as usize);
     while (edges.len() as u64) < m {
@@ -292,7 +304,7 @@ mod tests {
             m in 0u64..3000,
             seed in any::<u64>(),
             // b > 0 keeps x ≠ y reachable: with b = c = 0 every edge is a
-            // self-loop and both samplers would draw forever.
+            // self-loop, which `rmat` rejects and the oracle draws forever.
             (a, b, c) in (Probability(0.0, 0.6), Probability(0.05, 0.2), Probability(0.0, 0.2)),
         ) {
             prop_assert_eq!(rmat(n, m, seed, (a, b, c)), oracle::rmat(n, m, seed, (a, b, c)));
@@ -364,6 +376,20 @@ mod tests {
                 "hub ids should be scattered (mean id {mean_id})"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rmat: b = 0 and c = 0 leave no draw that is not a self-loop")]
+    fn rmat_without_b_or_c_quadrants_is_rejected() {
+        rmat(64, 10, 1, (0.5, 0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "webby: host_size = 1 and local_fraction = 1 leave no draw that is not a self-loop"
+    )]
+    fn webby_with_one_vertex_hosts_and_only_local_links_is_rejected() {
+        webby(64, 10, 1, 1.0, 1);
     }
 
     #[test]

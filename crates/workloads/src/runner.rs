@@ -149,7 +149,7 @@ pub struct RunOutcome {
     /// the outcome's JSON (see [`prodigy_sim::RunTiming`]).
     pub timing: prodigy_sim::RunTiming,
     /// Always-on telemetry counters (latency histograms, prefetch
-    /// timeliness, throttle/DIG activity).
+    /// timeliness, DIG activity).
     pub telemetry: TelemetrySummary,
     /// Trace events, when [`RunConfig::trace`] was set.
     pub trace: Option<Vec<TraceEvent>>,
